@@ -1,13 +1,14 @@
 """Command line driver.
 
-Every subcommand reads a single JSON config (fail-closed: unknown keys
-are rejected so typos cannot silently change a run) and writes
-deterministic artifacts into an output directory.  The light-weight
-subcommands also accept direct flags (``exponent --operator op.json
---ell 1``); flags are merged over the config when both are given.
-Directory precedence: ``--out-dir`` flag, then the CRITEVO_OUT
-environment variable, then the config's ``output_dir``, then the
-current directory.
+Every subcommand reads a single JSON config, checked against its table
+(fail-closed, see :mod:`critevo.config`), and writes deterministic
+artifacts into an output directory.  The light-weight subcommands also
+accept the flags their tables name (``exponent --operator op.json --ell
+1``); flags are merged over the config when both are given.  Config paths
+resolve against the config's directory, flag paths against the current
+one.  Directory precedence: ``--out-dir`` flag, then the CRITEVO_OUT
+environment variable, then the config's ``output_dir``, then the current
+directory.
 
 Subcommands:
     exponent   critical exponent report for an operator
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -38,78 +39,136 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
+from .config import Key, as_fraction, check, flag_value, load_json, loads, read
 from .decay import RadialProfile, check_linear_decay_hypothesis
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
-from .mu import MuSpec, NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
-from .operators import EvolutionOperator, as_fraction, parse_operator
+from .mu import MU_KEYS, NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
+from .operators import EvolutionOperator, parse_operator
 from .residual import make_test_function, weak_residual
 from .solver import Grid, RunConfig, parse_profile, run
 
+# --- config tables ----------------------------------------------------------
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {unknown} (allowed: {sorted(allowed)})")
+_POSITIVE = {"ok": lambda v: v > 0, "rule": "> 0"}
+_NONNEGATIVE = {"ok": lambda v: v >= 0, "rule": ">= 0"}
+_NUMBER = Key("number")
+
+COMMON = {
+    "schema_version": Key("int", ok=lambda v: v == reporting.SCHEMA_VERSION,
+                          rule=str(reporting.SCHEMA_VERSION)),
+    "output": Key("str", None, ok=lambda v: v and "/" not in v and "\\" not in v,
+                  rule="a bare file name"),
+    "output_dir": Key("str", None),
+}
+OPERATOR = {
+    "operator": Key("str|object", flag="--operator",
+                    help="operator spec file (alternative to --config)"),
+    "ell": Key("int", 0, **_NONNEGATIVE, flag="--ell",
+               help="time-derivative level the nonlinearity acts on"),
+    "n": Key("int", None, ok=lambda v: v >= 1, rule=">= 1", flag="--n",
+             help="override the operator's space dimension"),
+}
+GRID = {"N": Key("int"), "L": Key("number")}
+NONLINEARITY = {"p": Key("number", words=("critical",)),
+                "mu": Key("object", {"family": "constant"})}
+TEST_FUNCTION = {
+    "eta_bar": Key("rational", "critical", words=("critical",)),
+    "scale": Key("number", "auto", words=("auto",)),
+    "q_tf": Key("int", None),
+    "flat_fraction": Key("number", 0.5),
+    "smooth_order": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
+    "reg_epsilon": Key("number", None),
+}
+
+EXPONENT = {**COMMON, **OPERATOR}
+ENVELOPE = {
+    **EXPONENT,
+    "samples": Key("int", 65, ok=lambda v: v >= 2, rule=">= 2", flag="--samples",
+                   help="number of sampled eta values"),
+    "eta_max": Key("rational", None, **_POSITIVE, flag="--eta-max",
+                   help="largest sampled eta (rational accepted)"),
+}
+MU_CHECK = {
+    **COMMON,
+    "mu": Key("object", sub=MU_KEYS),
+    "c0": Key("number", None, **_POSITIVE, flag="--c0",
+              help="upper limit of the integral criterion"),
+    "levels": Key("int", 8, ok=lambda v: v >= 1, rule=">= 1"),
+    "tol": Key("number", 1e-9, **_POSITIVE),
+    "p": Key("number", 2.0),
+    "cap": Key("number", None),
+    "seed": Key("int", 0, **_NONNEGATIVE),
+}
+SIMULATE = {
+    **COMMON,
+    **{name: dataclasses.replace(key, flag=None) for name, key in OPERATOR.items()},
+    "grid": Key("object"),
+    "profile": Key("object"),
+    "amplitude": Key("number", 1.0),
+    "dt": Key("number"),
+    "T": Key("number"),
+    "nonlinearity": Key("object", None),
+    "p_for_norms": Key("number", None),
+    "record_every": Key("int", 1, ok=lambda v: v >= 1, rule=">= 1"),
+    "record_fields": Key("bool", False),
+    "seed": Key("int", 0, **_NONNEGATIVE),
+}
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ValidationError(f"{where} is missing required key {key!r}")
-    return doc[key]
+def _every_q(text: str, cfg: dict) -> dict:
+    """The --target flag: one rate for every fitted q."""
+    rate = check(_NUMBER, loads(text, "--target"), "--target")
+    qs = check(DECAY["q_list"], cfg.get("q_list", (2.0,)), "config.q_list")
+    return {str(q): rate for q in qs}
 
 
-def _read_json(path: str | Path, what: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} {path} must hold a JSON object")
-    return doc
+DECAY = {
+    # flagged keys in the order their flags enter a config
+    **EXPONENT,
+    "mode": Key("str", "whole-space", ok=lambda v: v in ("whole-space", "torus"),
+                rule="'whole-space' or 'torus'", flag="--mode", help="whole-space | torus"),
+    "q_list": Key("number[]", (2.0,), flag="--q", nargs="append",
+                  help="Lebesgue index to fit (repeatable)"),
+    "window": Key("number[]", (1e2, 1e4), ok=lambda v: len(v) == 2, rule="[t_min, t_max]",
+                  flag="--window", nargs=2, help="fit window T0 T1"),
+    "width": Key("number", 1.0, flag="--width", help="gaussian data width"),
+    "targets": Key("object", None, flag="--target", from_flag=_every_q,
+                   help="explicit target rate for every fitted q"),
+    "p_c": Key("number", "critical", words=("critical",)),
+    "n_times": Key("int", 40, ok=lambda v: v >= 2, rule=">= 2"),
+    "tol": Key("number", 0.05, **_POSITIVE),
+    "grid": Key("object", None),
+    "dt": Key("number", 0.05),
+    "fit_mode": Key("str", "at-least-as-fast"),
+}
+RESIDUAL = {**SIMULATE, "test_function": Key("object", {})}
+RESIDUAL_RUN = {**COMMON, "run": Key("str"), "test_function": Key("object", {}),
+                "seed": SIMULATE["seed"]}
 
 
-def load_config(path: str | Path) -> dict:
-    cfg = _read_json(path, "config")
-    if cfg.get("schema_version") != reporting.SCHEMA_VERSION:
-        raise ValidationError(
-            f"config must declare schema_version = {reporting.SCHEMA_VERSION}"
-        )
-    return cfg
-
-
-def _operator_from(cfg: dict) -> EvolutionOperator:
-    spec = _require(cfg, "operator", "config")
-    if isinstance(spec, str):
-        doc = _read_json(spec, "operator file")
-    elif isinstance(spec, dict):
-        doc = spec
-    else:
-        raise ValidationError("operator must be an inline object or a file path")
-    if cfg.get("n") is not None:
+def _operator_from(v: dict, base: Path) -> EvolutionOperator:
+    doc = v["operator"]
+    if isinstance(doc, str):
+        doc = load_json(base / doc, "operator file")
+    if v["n"] is not None:
         # dimension override; monomial alphas must already fit the new n
-        doc = dict(doc)
-        doc["n"] = int(cfg["n"])
+        doc = {**doc, "n": v["n"]}
     return parse_operator(doc)
 
 
-def _grid_from(cfg: dict, op: EvolutionOperator) -> Grid:
-    doc = _require(cfg, "grid", "config")
-    if not isinstance(doc, dict):
-        raise ValidationError("grid must be an object")
-    _check_keys(doc, {"N", "L"}, "grid")
-    return Grid(n=op.n, N=int(_require(doc, "N", "grid")),
-                L=float(_require(doc, "L", "grid")))
+def _grid_from(doc, op: EvolutionOperator) -> Grid:
+    return Grid(n=op.n, **read(doc, GRID, "grid"))
 
 
-def _resolve_p(value, op: EvolutionOperator, ell: int) -> tuple[float, list[str]]:
-    """A literal power, or 'critical' resolved from the operator."""
+def _nonlinearity_from(doc, op: EvolutionOperator, ell: int):
+    """The nonlinearity (None without one), its power resolved; plus notes."""
+    if doc is None:
+        return None, []
+    v = read(doc, NONLINEARITY, "nonlinearity")
     notes: list[str] = []
-    if value == "critical":
+    p = v["p"]
+    if p == "critical":
         rep = critical_exponent(op, ell, op.n)
         if rep.p_c == INF:
             raise ValidationError(
@@ -122,41 +181,18 @@ def _resolve_p(value, op: EvolutionOperator, ell: int) -> tuple[float, list[str]
                 "pass the nonlinearity power explicitly"
             )
         notes.append(f"p resolved to the critical exponent {rep.p_c} = {float(rep.p_c)}")
-        return float(rep.p_c), notes
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value), notes
-    raise ValidationError("nonlinearity power must be a number or 'critical'")
-
-
-def _nonlinearity_from(cfg: dict, op: EvolutionOperator, ell: int):
-    doc = cfg.get("nonlinearity")
-    if doc is None:
-        return None, []
-    if not isinstance(doc, dict):
-        raise ValidationError("nonlinearity must be an object or null")
-    _check_keys(doc, {"p", "mu"}, "nonlinearity")
-    p, notes = _resolve_p(_require(doc, "p", "nonlinearity"), op, ell)
-    mu = parse_mu(doc["mu"]) if "mu" in doc else MuSpec(family="constant", value=1.0)
-    return NonlinearitySpec(p=p, mu=mu), notes
-
-
-def _out_path(out_dir: Path, cfg: dict, default: str) -> Path:
-    name = cfg.get("output", default)
-    if not isinstance(name, str) or not name or "/" in name or "\\" in name:
-        raise ValidationError("output must be a bare file name")
-    return out_dir / name
+        p = float(rep.p_c)
+    return NonlinearitySpec(p=p, mu=parse_mu(v["mu"])), notes
 
 
 # --- subcommands ----------------------------------------------------------
 
-def cmd_exponent(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, {"schema_version", "operator", "ell", "n", "output",
-                      "output_dir"}, "config")
-    op = _operator_from(cfg)
-    ell = int(cfg.get("ell", 0))
-    rep = critical_exponent(op, ell, op.n)
+def cmd_exponent(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, EXPONENT, "config")
+    op = _operator_from(v, base)
+    rep = critical_exponent(op, v["ell"], op.n)
     doc = reporting.artifact("exponent", {"config": cfg, "report": rep})
-    path = reporting.write_json(_out_path(out_dir, cfg, "exponent.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "exponent.json"), doc)
     print(f"p_c = {rep.p_c} at eta = {rep.eta_star} "
           f"(levels {list(rep.active_levels)}, regime {rep.regime})")
     print(f"wrote {path}")
@@ -164,28 +200,20 @@ def cmd_exponent(cfg: dict, out_dir: Path) -> dict:
             "p_c_float": float(rep.p_c), "degenerate": rep.degenerate}
 
 
-def cmd_envelope(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, {"schema_version", "operator", "ell", "n", "samples",
-                      "eta_max", "output", "output_dir"}, "config")
-    op = _operator_from(cfg)
-    ell = int(cfg.get("ell", 0))
-    rep = critical_exponent(op, ell, op.n)
+def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, ENVELOPE, "config")
+    op = _operator_from(v, base)
+    rep = critical_exponent(op, v["ell"], op.n)
     env = rep.envelope
-    n_samples = int(cfg.get("samples", 65))
-    if n_samples < 2:
-        raise ValidationError("samples must be >= 2")
-    if "eta_max" in cfg:
-        eta_max = as_fraction(cfg["eta_max"])
-        if eta_max <= 0:
-            raise ValidationError("eta_max must be > 0")
-    else:
+    eta_max = v["eta_max"]
+    if eta_max is None:
         tail = [bp for bp in env.breakpoints]
         if rep.eta_star != INF:
             tail.append(as_fraction(rep.eta_star))
         eta_max = 2 * max(tail) if tail else Fraction(4)
         if eta_max <= 0:
             eta_max = Fraction(4)
-    etas = [eta_max * i / (n_samples - 1) for i in range(n_samples)]
+    etas = [eta_max * i / (v["samples"] - 1) for i in range(v["samples"])]
     rows = envelope_samples(env, op.n, etas)
     doc = reporting.artifact("envelope", {
         "config": cfg,
@@ -195,7 +223,7 @@ def cmd_envelope(cfg: dict, out_dir: Path) -> dict:
                      "h": reporting.jsonify(h if h != INF else math.inf),
                      "h_float": float(h)} for e, g, h in rows],
     })
-    path = reporting.write_json(_out_path(out_dir, cfg, "envelope.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "envelope.json"), doc)
     csv_path = reporting.write_csv(out_dir / "envelope_samples.csv", {
         "eta": [float(e) for e, _, _ in rows],
         "g": [float(g) for _, g, _ in rows],
@@ -207,20 +235,15 @@ def cmd_envelope(cfg: dict, out_dir: Path) -> dict:
     return {"segments": len(env.pieces), "p_c_float": float(rep.p_c)}
 
 
-def cmd_mu_check(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, {"schema_version", "mu", "c0", "levels", "tol", "p", "cap",
-                      "seed", "output", "output_dir"}, "config")
-    mu = parse_mu(_require(cfg, "mu", "config"))
-    c0 = cfg.get("c0")
+def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, MU_CHECK, "config")
+    mu = parse_mu(v["mu"])
+    c0 = v["c0"]
     if c0 is None:
         c0 = 0.1 if not math.isfinite(mu.tau_star) else min(0.1, mu.tau_star / 2.0)
-    c0 = float(c0)
-    verdict = integral_condition(mu, c0, levels=int(cfg.get("levels", 8)),
-                                 tol=float(cfg.get("tol", 1e-9)))
-    nl = NonlinearitySpec(p=float(cfg.get("p", 2.0)), mu=mu)
-    cap = cfg.get("cap")
-    cert = lipschitz_certificate(nl, cap=float(cap) if cap is not None else None,
-                                 seed=int(cfg.get("seed", 0)))
+    verdict = integral_condition(mu, c0, levels=v["levels"], tol=v["tol"])
+    nl = NonlinearitySpec(p=v["p"], mu=mu)
+    cert = lipschitz_certificate(nl, cap=v["cap"], seed=v["seed"])
     doc = reporting.artifact("mu_check", {
         "config": cfg,
         "mu": mu,
@@ -228,34 +251,21 @@ def cmd_mu_check(cfg: dict, out_dir: Path) -> dict:
         "integral": verdict,
         "certificate": cert,
     })
-    path = reporting.write_json(_out_path(out_dir, cfg, "mu_check.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "mu_check.json"), doc)
     print(f"integral: {verdict.classification} ({verdict.growth_label}); "
           f"lipschitz constant ~ {cert.constant:.6g}")
     print(f"wrote {path}")
     return {"classification": verdict.classification, "growth": verdict.growth_label}
 
 
-_SIM_KEYS = {"schema_version", "operator", "ell", "n", "grid", "profile",
-             "amplitude", "dt", "T", "nonlinearity", "p_for_norms",
-             "record_every", "record_fields", "seed", "output", "output_dir"}
-
-
-def _sim_config(cfg: dict, record_fields: bool = False):
-    op = _operator_from(cfg)
-    ell = int(cfg.get("ell", 0))
-    grid = _grid_from(cfg, op)
-    profile = parse_profile(_require(cfg, "profile", "config"))
-    nl, notes = _nonlinearity_from(cfg, op, ell)
-    p_for_norms = cfg.get("p_for_norms")
+def _sim_config(v: dict, base: Path, record_fields: bool = False):
+    op = _operator_from(v, base)
+    nl, notes = _nonlinearity_from(v["nonlinearity"], op, v["ell"])
     rc = RunConfig(
-        op=op, grid=grid, profile=profile, ell=ell,
-        dt=float(_require(cfg, "dt", "config")),
-        T=float(_require(cfg, "T", "config")),
-        amplitude=float(cfg.get("amplitude", 1.0)),
-        nl=nl,
-        p_for_norms=float(p_for_norms) if p_for_norms is not None else None,
-        record_every=int(cfg.get("record_every", 1)),
-        record_fields=record_fields or bool(cfg.get("record_fields", False)),
+        op=op, grid=_grid_from(v["grid"], op), profile=parse_profile(v["profile"]),
+        ell=v["ell"], dt=v["dt"], T=v["T"], amplitude=v["amplitude"], nl=nl,
+        p_for_norms=v["p_for_norms"], record_every=v["record_every"],
+        record_fields=record_fields or v["record_fields"],
     )
     return rc, notes
 
@@ -268,17 +278,19 @@ _FIELD_FILES = {
 }
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, _SIM_KEYS, "config")
-    rc, notes = _sim_config(cfg)
+def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, SIMULATE, "config")
+    rc, notes = _sim_config(v, base)
     report = run(rc)
     doc = reporting.artifact("simulate", {
         "config": cfg,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": v["seed"],
         "notes": notes,
+        "operator": rc.op,
+        "nonlinearity": rc.nl,
         "report": report,
     })
-    path = reporting.write_json(_out_path(out_dir, cfg, "simulate.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "simulate.json"), doc)
     columns = {"time": report.times}
     columns.update(report.series)
     csv_path = reporting.write_csv(out_dir / "series.csv", columns)
@@ -301,15 +313,13 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> dict:
             "xnorm_sup": report.xnorm_sup}
 
 
-def cmd_decay(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, {"schema_version", "operator", "ell", "n", "p_c", "q_list",
-                      "width", "window", "n_times", "tol", "mode", "grid", "dt",
-                      "targets", "fit_mode", "output", "output_dir"}, "config")
-    op = _operator_from(cfg)
-    ell = int(cfg.get("ell", 0))
-    p_c_cfg = cfg.get("p_c", "critical")
+def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, DECAY, "config")
+    op = _operator_from(v, base)
+    ell = v["ell"]
+    p_c = v["p_c"]
     notes: list[str] = []
-    if p_c_cfg == "critical":
+    if p_c == "critical":
         rep = critical_exponent(op, ell, op.n)
         if rep.p_c == INF or rep.degenerate:
             raise ValidationError(
@@ -317,34 +327,27 @@ def cmd_decay(cfg: dict, out_dir: Path) -> dict:
             )
         p_c = float(rep.p_c)
         notes.append(f"p_c resolved to {rep.p_c} = {p_c}")
-    else:
-        p_c = float(p_c_cfg)
-    window = cfg.get("window", [1e2, 1e4])
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ValidationError("window must be [t_min, t_max]")
-    mode = cfg.get("mode", "whole-space")
-    torus_grid = _grid_from(cfg, op) if mode == "torus" else None
-    targets_cfg = cfg.get("targets")
+    torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
-    if targets_cfg is not None:
-        if not isinstance(targets_cfg, dict):
-            raise ValidationError("targets must map q to a rate, e.g. {\"2\": -0.25}")
-        targets = {float(k): float(v) for k, v in targets_cfg.items()}
+    if v["targets"] is not None:
+        targets = {check(_NUMBER, loads(q, "targets key"), f"config.targets key {q!r}"):
+                   check(_NUMBER, rate, f"config.targets[{q!r}]")
+                   for q, rate in v["targets"].items()}
     report = check_linear_decay_hypothesis(
         op, ell, p_c,
-        q_list=[float(q) for q in cfg.get("q_list", [2])],
-        profile=RadialProfile(width=float(cfg.get("width", 1.0))),
-        mode=mode,
-        window=(float(window[0]), float(window[1])),
-        n_times=int(cfg.get("n_times", 40)),
-        tol=float(cfg.get("tol", 0.05)),
+        q_list=v["q_list"],
+        profile=RadialProfile(width=v["width"]),
+        mode=v["mode"],
+        window=v["window"],
+        n_times=v["n_times"],
+        tol=v["tol"],
         torus_grid=torus_grid,
-        torus_dt=float(cfg.get("dt", 0.05)),
+        torus_dt=v["dt"],
         targets=targets,
-        fit_mode=str(cfg.get("fit_mode", "at-least-as-fast")),
+        fit_mode=v["fit_mode"],
     )
     doc = reporting.artifact("decay", {"config": cfg, "notes": notes, "report": report})
-    path = reporting.write_json(_out_path(out_dir, cfg, "decay.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "decay.json"), doc)
     print_paths = [path]
     for entry in report.entries:
         curve = reporting.write_csv(out_dir / f"decay_curve_q{entry.q:g}.csv",
@@ -357,19 +360,26 @@ def cmd_decay(cfg: dict, out_dir: Path) -> dict:
     return {"all_pass": report.all_pass}
 
 
-def cmd_residual(cfg: dict, out_dir: Path) -> dict:
+def _recorded_run(run_dir: Path):
+    """Operator, ell, grid and nonlinearity embedded in a recorded simulate.json."""
+    rec = load_json(run_dir / "simulate.json", "recorded run report")
+    try:
+        meta = rec["report"]["meta"]
+        op = parse_operator(rec["operator"])
+        ell = check(SIMULATE["ell"], meta["ell"], "recorded ell")
+        grid = _grid_from({"N": meta["N"], "L": meta["L"]}, op)
+        nl, _ = _nonlinearity_from(rec["nonlinearity"], op, ell)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{run_dir}/simulate.json lacks {exc}; record the run again") from exc
+    return op, ell, grid, nl
+
+
+def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
     if "run" in cfg:
-        _check_keys(cfg, {"schema_version", "run", "test_function", "seed",
-                          "output", "output_dir"}, "config")
-        run_dir = Path(cfg["run"])
-        sim_doc = _read_json(run_dir / "simulate.json", "recorded run report")
-        sim_cfg = sim_doc.get("config")
-        if not isinstance(sim_cfg, dict):
-            raise ValidationError(f"{run_dir}/simulate.json carries no config echo")
-        op = _operator_from(sim_cfg)
-        ell = int(sim_cfg.get("ell", 0))
-        grid = _grid_from(sim_cfg, op)
-        nl, notes = _nonlinearity_from(sim_cfg, op, ell)
+        v = read(cfg, RESIDUAL_RUN, "config")
+        run_dir = base / v["run"]
+        op, ell, grid, nl = _recorded_run(run_dir)
+        notes: list[str] = []
         try:
             times = np.load(run_dir / _FIELD_FILES["times"])
             frames = np.load(run_dir / _FIELD_FILES["layer_ell"])
@@ -380,10 +390,10 @@ def cmd_residual(cfg: dict, out_dir: Path) -> dict:
                 f"\"record_fields\": true): {exc}"
             ) from exc
         run_outcome = None
-        run_meta = {"source": str(run_dir)}
+        run_meta = {"source": str(Path(v["run"]))}
     else:
-        _check_keys(cfg, _SIM_KEYS | {"test_function"}, "config")
-        rc, notes = _sim_config(cfg, record_fields=True)
+        v = read(cfg, RESIDUAL, "config")
+        rc, notes = _sim_config(v, base, record_fields=True)
         report = run(rc)
         op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
         times = np.asarray(report.times)
@@ -392,16 +402,12 @@ def cmd_residual(cfg: dict, out_dir: Path) -> dict:
         run_outcome = report.outcome
         run_meta = report.meta
 
-    tf_cfg = cfg.get("test_function", {})
-    if not isinstance(tf_cfg, dict):
-        raise ValidationError("test_function must be an object")
-    _check_keys(tf_cfg, {"eta_bar", "scale", "q_tf", "flat_fraction",
-                         "smooth_order", "reg_epsilon"}, "test_function")
-    eta_cfg = tf_cfg.get("eta_bar", "critical")
+    tf = read(v["test_function"], TEST_FUNCTION, "test_function")
+    eta_bar = tf["eta_bar"]
     exp_rep = None
-    if eta_cfg == "critical" or tf_cfg.get("q_tf") is None:
+    if eta_bar == "critical" or tf["q_tf"] is None:
         exp_rep = critical_exponent(op, ell, op.n)
-    if eta_cfg == "critical":
+    if eta_bar == "critical":
         if exp_rep.eta_star == INF:
             raise ValidationError(
                 "critical scaling weight is infinite; pass test_function.eta_bar"
@@ -412,34 +418,28 @@ def cmd_residual(cfg: dict, out_dir: Path) -> dict:
             raise ValidationError(
                 "critical eta is 0; pass a positive test_function.eta_bar"
             )
-    else:
-        eta_bar = as_fraction(eta_cfg)
     t_end = float(times[-1])
-    scale_cfg = tf_cfg.get("scale", "auto")
-    if scale_cfg == "auto":
+    scale = tf["scale"]
+    if scale == "auto":
         scale = 0.98 * min(t_end, (grid.L / 2.0) ** float(eta_bar))
         notes.append(f"test function scale resolved to {scale!r}")
-    else:
-        scale = float(scale_cfg)
     p_c_for_q = exp_rep.p_c if exp_rep is not None else INF
-    tf = make_test_function(
-        op, ell, p_c_for_q, scale, eta_bar, grid=grid,
-        q_tf=tf_cfg.get("q_tf"),
-        flat_fraction=float(tf_cfg.get("flat_fraction", 0.5)),
-        smooth_order=tf_cfg.get("smooth_order"),
-        reg_epsilon=tf_cfg.get("reg_epsilon"),
+    spec = make_test_function(
+        op, ell, p_c_for_q, scale, eta_bar, grid=grid, q_tf=tf["q_tf"],
+        flat_fraction=tf["flat_fraction"], smooth_order=tf["smooth_order"],
+        reg_epsilon=tf["reg_epsilon"],
     )
-    res = weak_residual(op, ell, grid, times, frames, tf, nl=nl,
+    res = weak_residual(op, ell, grid, times, frames, spec, nl=nl,
                         initial_layers=initial_layers)
     doc = reporting.artifact("residual", {
         "config": cfg,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": v["seed"],
         "notes": notes,
         "run_outcome": run_outcome,
         "run_meta": run_meta,
         "report": res,
     })
-    path = reporting.write_json(_out_path(out_dir, cfg, "residual.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "residual.json"), doc)
     print(f"residual = {res.residual:.6g} (lhs {res.lhs:.6g}, rhs {res.rhs:.6g})")
     print(f"wrote {path}")
     return {"residual": res.residual, "outcome": run_outcome}
@@ -464,61 +464,38 @@ _SWEEPABLE = {
 }
 
 
-def _set_nested(doc: dict, path: tuple[str, ...], value) -> None:
+def _set_path(doc: dict, path: tuple[str, ...], value) -> None:
+    """doc[path[0]]...[path[-1]] = value, creating missing objects on the way."""
     node = doc
     for key in path[:-1]:
-        child = node.get(key)
-        if not isinstance(child, dict):
-            raise ValidationError(
-                f"sweep target {'.'.join(path)} needs an inline {key!r} object in the config"
-            )
-        node = child
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ValidationError(f"{'.'.join(path)} needs an inline {key!r} object")
     node[path[-1]] = value
 
 
-def cmd_sweep(cfg: dict, out_dir: Path) -> dict:
-    _check_keys(cfg, {"schema_version", "task", "parameter", "values", "config",
-                      "output", "output_dir"}, "config")
-    task = _require(cfg, "task", "config")
-    if task not in _COMMANDS or task == "sweep":
-        raise ValidationError(f"sweep task must be one of {sorted(set(_COMMANDS) - {'sweep'})}")
-    parameter = _require(cfg, "parameter", "config")
-    if parameter not in _SWEEPABLE:
-        raise ValidationError(f"sweep parameter must be one of {sorted(_SWEEPABLE)}")
+def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, SWEEP, "config")
+    task, parameter, values = v["task"], v["parameter"], v["values"]
     if task not in _SWEEPABLE[parameter]:
         raise ValidationError(
             f"parameter {parameter!r} cannot be swept for task {task!r} "
             f"(supported tasks: {sorted(_SWEEPABLE[parameter])})"
         )
-    values = _require(cfg, "values", "config")
-    if not isinstance(values, list) or not values:
-        raise ValidationError("values must be a non-empty list")
-    base = _require(cfg, "config", "config")
-    if not isinstance(base, dict):
-        raise ValidationError("config (the inner task config) must be an object")
     path_spec = _SWEEPABLE[parameter][task]
 
     runs = []
     n_ok = 0
     for idx, value in enumerate(values):
-        sub = copy.deepcopy(base)
+        sub = copy.deepcopy(v["config"])
         sub.setdefault("schema_version", reporting.SCHEMA_VERSION)
         sub.pop("output_dir", None)
         sub_dir_name = f"value_{idx:03d}"
         entry = {"index": idx, "parameter": parameter, "value": value,
                  "dir": sub_dir_name}
         try:
-            if parameter == "n":
-                v = int(value)
-                if not isinstance(base.get("operator"), dict):
-                    raise ValidationError("sweeping n needs an inline operator object")
-            elif parameter == "N":
-                v = int(value)
-            else:
-                v = float(value)
-            _set_nested(sub, path_spec, v)
-            sub = json.loads(json.dumps(sub))  # normalize like a fresh config load
-            summary = _COMMANDS[task](sub, out_dir / sub_dir_name)
+            _set_path(sub, path_spec, value)
+            summary = _COMMANDS[task](sub, out_dir / sub_dir_name, base)
             entry["status"] = "ok"
             entry["summary"] = summary
             n_ok += 1
@@ -538,7 +515,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> dict:
         "n_ok": n_ok,
         "runs": runs,
     })
-    path = reporting.write_json(_out_path(out_dir, cfg, "sweep_index.json"), doc)
+    path = reporting.write_json(out_dir / (v["output"] or "sweep_index.json"), doc)
     print(f"sweep over {parameter}: {n_ok}/{len(values)} runs succeeded")
     print(f"wrote {path}")
     return {"n_ok": n_ok, "n_values": len(values)}
@@ -553,17 +530,25 @@ _COMMANDS = {
     "residual": cmd_residual,
     "sweep": cmd_sweep,
 }
+_TASKS = sorted(set(_COMMANDS) - {"sweep"})
+SWEEP = {
+    **COMMON,
+    "task": Key("str", ok=lambda v: v in _TASKS, rule=f"one of {_TASKS}"),
+    "parameter": Key("str", ok=lambda v: v in _SWEEPABLE, rule=f"one of {sorted(_SWEEPABLE)}"),
+    "values": Key("list", ok=lambda v: len(v) > 0, rule="a non-empty list"),
+    "config": Key("object"),
+}
+TABLES = {"exponent": EXPONENT, "envelope": ENVELOPE, "mu-check": MU_CHECK,
+          "simulate": SIMULATE, "decay": DECAY, "residual": RESIDUAL, "sweep": SWEEP}
 
 
-def _resolve_out_dir(flag_value: str | None, cfg: dict) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("CRITEVO_OUT")
-    if env:
-        return Path(env)
-    if cfg.get("output_dir"):
-        return Path(cfg["output_dir"])
-    return Path.cwd()
+def _flags(table: dict, path: tuple[str, ...] = ()):
+    """(config path, key) of every table entry, nested ones too, that names a flag."""
+    for name, key in table.items():
+        if key.flag is not None:
+            yield path + (name,), key
+        if key.sub is not None:
+            yield from _flags(key.sub, path + (name,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,99 +558,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral simulations for higher-order evolution models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name in _COMMANDS:
+    for name, table in TABLES.items():
         p = sub.add_parser(name, help=f"run the {name} task from a JSON config")
         p.add_argument("--config", default=None, help="path to the JSON config")
         p.add_argument("--out-dir", default=None,
                        help="artifact directory (overrides CRITEVO_OUT and the config)")
-        parsers[name] = p
-    for name in ("exponent", "envelope", "decay"):
-        parsers[name].add_argument("--operator", default=None,
-                                   help="operator spec file (alternative to --config)")
-        parsers[name].add_argument("--ell", type=int, default=None,
-                                   help="time-derivative level the nonlinearity acts on")
-        parsers[name].add_argument("--n", type=int, default=None,
-                                   help="override the operator's space dimension")
-    parsers["envelope"].add_argument("--samples", type=int, default=None,
-                                     help="number of sampled eta values")
-    parsers["envelope"].add_argument("--eta-max", default=None,
-                                     help="largest sampled eta (rational accepted)")
-    parsers["mu-check"].add_argument("--family", default=None,
-                                     help="mu family: constant | power | iterated_log")
-    parsers["mu-check"].add_argument("--gamma", type=float, default=None,
-                                     help="iterated_log exponent")
-    parsers["mu-check"].add_argument("--depth", type=int, default=None,
-                                     help="iterated_log depth k")
-    parsers["mu-check"].add_argument("--epsilon", type=float, default=None,
-                                     help="power-family exponent")
-    parsers["mu-check"].add_argument("--value", type=float, default=None,
-                                     help="constant-family value")
-    parsers["mu-check"].add_argument("--c0", type=float, default=None,
-                                     help="upper limit of the integral criterion")
-    parsers["decay"].add_argument("--mode", default=None,
-                                  choices=["whole-space", "torus"])
-    parsers["decay"].add_argument("--q", type=float, action="append", default=None,
-                                  help="Lebesgue index to fit (repeatable)")
-    parsers["decay"].add_argument("--window", type=float, nargs=2, default=None,
-                                  metavar=("T0", "T1"), help="fit window")
-    parsers["decay"].add_argument("--target", type=float, default=None,
-                                  help="explicit target rate for every fitted q")
-    parsers["decay"].add_argument("--width", type=float, default=None,
-                                  help="gaussian data width")
+        for _, key in _flags(table):
+            extra = {"action": "append"} if key.nargs == "append" else {"nargs": key.nargs}
+            p.add_argument(key.flag, default=None, help=key.help, **extra)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    """Merge direct flags over the config file (or over a fresh document)."""
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = {"schema_version": reporting.SCHEMA_VERSION}
-    if getattr(args, "operator", None) is not None:
-        cfg["operator"] = args.operator
-    if getattr(args, "ell", None) is not None:
-        cfg["ell"] = args.ell
-    if getattr(args, "n", None) is not None:
-        cfg["n"] = args.n
-    if getattr(args, "samples", None) is not None:
-        cfg["samples"] = args.samples
-    if getattr(args, "eta_max", None) is not None:
-        cfg["eta_max"] = args.eta_max
-    if args.command == "mu-check":
-        mu = dict(cfg.get("mu", {}))
-        if args.family is not None:
-            mu["family"] = args.family
-        for key in ("gamma", "depth", "epsilon", "value"):
-            v = getattr(args, key)
-            if v is not None:
-                mu[key] = v
-        if mu:
-            cfg["mu"] = mu
-        if args.c0 is not None:
-            cfg["c0"] = args.c0
-    if args.command == "decay":
-        if args.mode is not None:
-            cfg["mode"] = args.mode
-        if args.q is not None:
-            cfg["q_list"] = args.q
-        if args.window is not None:
-            cfg["window"] = list(args.window)
-        if args.width is not None:
-            cfg["width"] = args.width
-        if args.target is not None:
-            qs = cfg.get("q_list", [2])
-            cfg["targets"] = {str(float(q)): args.target for q in qs}
-    return cfg
+def _resolve_out_dir(flag_value: str | None, cfg: dict, base: Path) -> Path:
+    if flag_value:
+        return Path(flag_value)
+    env = os.environ.get("CRITEVO_OUT")
+    if env:
+        return Path(env)
+    output_dir = check(COMMON["output_dir"], cfg.get("output_dir"), "config.output_dir")
+    return base / output_dir if output_dir else Path.cwd()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path.cwd()
     try:
-        cfg = _config_from_args(args)
-        out_dir = _resolve_out_dir(args.out_dir, cfg)
-        _COMMANDS[args.command](cfg, out_dir)
+        cfg, base = {"schema_version": reporting.SCHEMA_VERSION}, Path()
+        if args.config is not None:
+            cfg, base = load_json(args.config, "config"), Path(args.config).parent
+        for path, key in _flags(TABLES[args.command]):
+            text = getattr(args, key.flag.lstrip("-").replace("-", "_"))
+            if text is not None:
+                value = flag_value(key, text, cfg)
+                # a flag path resolves against the current directory, not the config's
+                if path == ("operator",) and args.config is not None:
+                    value = os.path.abspath(value)
+                _set_path(cfg, path, value)
+        out_dir = _resolve_out_dir(args.out_dir, cfg, base)
+        _COMMANDS[args.command](cfg, out_dir, base)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,9 +45,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
+from .config import Key, read
 from .errors import NumericalError, ValidationError
-
-_MU_FAMILIES = ("constant", "power", "iterated_log", "custom_table")
 
 #: largest iterated-log depth representable in float64 (tau* underflows at 3)
 MAX_DEPTH = 2
@@ -78,7 +77,7 @@ class MuSpec:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in _MU_FAMILIES:
+        if self.family not in _FAMILY_KEYS:
             raise ValidationError(f"unknown mu family {self.family!r}")
         if self.family == "power":
             if self.epsilon is None or not (self.epsilon > 0):
@@ -128,35 +127,30 @@ class MuSpec:
         return doc
 
 
-_MU_KEYS = {
-    "constant": {"family", "value", "extension_point"},
-    "power": {"family", "epsilon", "extension_point"},
-    "iterated_log": {"family", "depth", "gamma", "extension_point"},
-    "custom_table": {"family", "taus", "values", "extension_point"},
+#: every mu key, with the mu-check flag that sets it; a family reads its own
+MU_KEYS = {
+    "family": Key("str", flag="--family", help="mu family: constant | power | iterated_log"),
+    "gamma": Key("number", 1.0, flag="--gamma", help="iterated_log exponent"),
+    "depth": Key("int", 0, flag="--depth", help="iterated_log depth k"),
+    "epsilon": Key("number", None, flag="--epsilon", help="power-family exponent"),
+    "value": Key("number", 1.0, flag="--value", help="constant-family value"),
+    "extension_point": Key("number", None),
+    "taus": Key("number[]", None),
+    "values": Key("number[]", None),
+}
+_FAMILY_KEYS = {
+    "constant": ("family", "value", "extension_point"),
+    "power": ("family", "epsilon", "extension_point"),
+    "iterated_log": ("family", "depth", "gamma", "extension_point"),
+    "custom_table": ("family", "taus", "values", "extension_point"),
 }
 
 
 def parse_mu(doc: Mapping) -> MuSpec:
-    if not isinstance(doc, Mapping):
-        raise ValidationError("mu must be a JSON object")
-    family = doc.get("family")
-    if family not in _MU_FAMILIES:
-        raise ValidationError(f"unknown mu family {family!r}")
-    unknown = set(doc) - _MU_KEYS[family]
-    if unknown:
-        raise ValidationError(f"unknown mu keys {sorted(unknown)}")
-    kwargs: dict = {"family": family}
-    for key in _MU_KEYS[family] - {"family"}:
-        if key in doc:
-            val = doc[key]
-            if key in ("taus", "values"):
-                val = tuple(float(v) for v in val)
-            elif key == "depth":
-                val = int(val)
-            else:
-                val = float(val)
-            kwargs[key] = val
-    return MuSpec(**kwargs)
+    family = doc.get("family") if isinstance(doc, Mapping) else None
+    if family not in _FAMILY_KEYS:
+        raise ValidationError(f"mu must be an object with a family in {list(_FAMILY_KEYS)}")
+    return MuSpec(**read(doc, {k: MU_KEYS[k] for k in _FAMILY_KEYS[family]}, "mu"))
 
 
 def _iterated_log_value(mu: MuSpec, tau: np.ndarray) -> np.ndarray:

@@ -30,32 +30,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import Key, as_fraction, check, load_json, loads, read
 from .errors import ValidationError
 
 OPERATOR_SCHEMA_VERSION = 1
-
-_TERM_KINDS = ("monomial", "fractional_laplacian")
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '7/3', and exactly-representable floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValidationError("boolean is not a rational number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse rational from {value!r}") from exc
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValidationError("rational value must be finite")
-        return Fraction(value).limit_denominator(10**9)
-    raise ValidationError(f"cannot parse rational from {value!r}")
-
 
 def format_fraction(x: Fraction) -> str:
     """Canonical string form: integer when the denominator is 1."""
@@ -78,7 +56,7 @@ class SpatialTerm:
     power: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind not in _TERM_KINDS:
+        if self.kind not in _TERMS:
             raise ValidationError(f"unknown term kind {self.kind!r}")
         if not math.isfinite(self.coeff):
             raise ValidationError("term coefficient must be finite")
@@ -115,32 +93,18 @@ class SpatialTerm:
         }
 
 
-def _parse_term(doc: Mapping, n: int) -> SpatialTerm:
-    if not isinstance(doc, Mapping):
-        raise ValidationError("term must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "monomial":
-        allowed = {"kind", "alpha", "coeff"}
-    elif kind == "fractional_laplacian":
-        allowed = {"kind", "power", "coeff"}
-    else:
-        raise ValidationError(f"unknown term kind {kind!r}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown term keys {sorted(unknown)}")
-    if "coeff" not in doc:
-        raise ValidationError("term is missing 'coeff'")
-    coeff = float(doc["coeff"])
-    if kind == "monomial":
-        alpha = doc.get("alpha")
-        if not isinstance(alpha, Sequence) or isinstance(alpha, str):
-            raise ValidationError("monomial 'alpha' must be a list")
-        if len(alpha) != n:
-            raise ValidationError(
-                f"alpha has length {len(alpha)}, expected the space dimension {n}"
-            )
-        return SpatialTerm(kind="monomial", coeff=coeff, alpha=tuple(int(a) for a in alpha))
-    return SpatialTerm(kind="fractional_laplacian", coeff=coeff, power=as_fraction(doc["power"]))
+_TERMS = {
+    "monomial": {"kind": Key("str"), "alpha": Key("int[]"), "coeff": Key("number")},
+    "fractional_laplacian": {"kind": Key("str"), "power": Key("rational"),
+                             "coeff": Key("number")},
+}
+
+
+def _parse_term(doc: Mapping) -> SpatialTerm:
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    if kind not in _TERMS:
+        raise ValidationError(f"term must be an object with a kind in {list(_TERMS)}")
+    return SpatialTerm(**read(doc, _TERMS[kind], "term"))
 
 
 def _merge_terms(terms: Iterable[SpatialTerm]) -> tuple[SpatialTerm, ...]:
@@ -324,25 +288,9 @@ class EvolutionOperator:
     def is_radial(self) -> bool:
         return all(self.laplacian_decomposition(j) is not None for j in self.levels)
 
-    def radial_multiplier(self, j: int, rho: np.ndarray) -> np.ndarray:
-        """P_j(i xi) as a function of rho = |xi| for radial operators."""
-        decomp = self.laplacian_decomposition(j)
-        if decomp is None:
-            raise ValidationError(f"level {j} is not a sum of Laplacian powers")
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        for p, c in decomp.items():
-            out = out + c * rho ** float(2 * p)
-        return out
-
     def radial_companion(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        A = np.zeros(rho.shape + (self.m, self.m), dtype=complex)
-        for i in range(self.m - 1):
-            A[..., i, i + 1] = 1.0
-        for j in range(self.m):
-            A[..., self.m - 1, j] = -self.radial_multiplier(j, rho)
-        return A
+        """companion() at xi = (rho, 0, ..., 0): A(|xi| = rho) for a radial operator."""
+        return self.companion([rho] + [np.zeros_like(rho)] * (self.n - 1))
 
     # ------------------------------------------------------------------
     # serialization
@@ -380,48 +328,29 @@ def _multinomial_betas(k: int, n: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+_OPERATOR = {
+    "schema_version": Key("int", OPERATOR_SCHEMA_VERSION,
+                          ok=lambda v: v == OPERATOR_SCHEMA_VERSION,
+                          rule=str(OPERATOR_SCHEMA_VERSION)),
+    "m": Key("int"),
+    "n": Key("int"),
+    "levels": Key("object", {}),
+}
+
+
 def parse_operator(doc: Mapping) -> EvolutionOperator:
     """Validate and build an operator from its JSON document (fail-closed)."""
-    if not isinstance(doc, Mapping):
-        raise ValidationError("operator document must be a JSON object")
-    allowed = {"schema_version", "m", "n", "levels"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown operator keys {sorted(unknown)}")
-    version = doc.get("schema_version", OPERATOR_SCHEMA_VERSION)
-    if version != OPERATOR_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported operator schema_version {version!r}")
-    for key in ("m", "n"):
-        if key not in doc or not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ValidationError(f"operator needs integer {key!r}")
-    m, n = doc["m"], doc["n"]
-    levels_doc = doc.get("levels", {})
-    if not isinstance(levels_doc, Mapping):
-        raise ValidationError("'levels' must map level -> term list")
+    v = read(doc, _OPERATOR, "operator")
     levels: dict[int, tuple[SpatialTerm, ...]] = {}
-    for key, terms_doc in levels_doc.items():
-        try:
-            j = int(key)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"level key {key!r} is not an integer") from exc
-        if j == m:
-            raise ValidationError(
-                f"level {m} is the top order and is implicitly monic; "
-                "divide the operator by its top coefficient instead"
-            )
-        if not isinstance(terms_doc, Sequence) or isinstance(terms_doc, str):
-            raise ValidationError(f"level {key!r} must hold a list of terms")
-        levels[j] = tuple(_parse_term(t, n) for t in terms_doc)
-    return EvolutionOperator(m=m, n=n, levels=levels)
+    for key, terms_doc in v["levels"].items():
+        where = f"operator.levels[{key!r}]"
+        j = check(Key("int"), loads(str(key), f"{where} key"), f"{where} key")
+        levels[j] = tuple(_parse_term(t) for t in check(Key("list"), terms_doc, where))
+    return EvolutionOperator(m=v["m"], n=v["n"], levels=levels)
 
 
 def load_operator(path) -> EvolutionOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"operator file {path}: {exc}") from exc
-    return parse_operator(doc)
+    return parse_operator(load_json(path, "operator file"))
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from scipy import special
 
@@ -74,18 +73,6 @@ def _series_pow(c: np.ndarray, q: int) -> np.ndarray:
         if q:
             base = _series_mul(base, base)
     return out
-
-
-def smoothstep_descent(order: int) -> Polynomial:
-    """Polynomial T on [0,1] with T(0)=1, T(1)=0 and ``order`` flat derivatives.
-
-    T(u) = 1 - int_0^u v^p (1-v)^p dv / int_0^1 v^p (1-v)^p dv.
-    """
-    if not (isinstance(order, int) and order >= 1):
-        raise ValidationError("smooth_order must be an integer >= 1")
-    base = Polynomial([0.0, 1.0]) ** order * Polynomial([1.0, -1.0]) ** order
-    integ = base.integ()
-    return Polynomial([1.0]) - integ / integ(1.0)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.linalg import expm
 
+from .config import Key, read
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator
@@ -155,23 +156,16 @@ class DataProfile:
         return doc
 
 
+_PROFILE = {
+    "kind": Key("str", "gaussian"),
+    "width": Key("number", 1.0),
+    "zero_mean": Key("bool", False),
+    "values": Key("number[]", None),
+}
+
+
 def parse_profile(doc: Mapping) -> DataProfile:
-    if not isinstance(doc, Mapping):
-        raise ValidationError("profile must be a JSON object")
-    allowed = {"kind", "width", "zero_mean", "values"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown profile keys {sorted(unknown)}")
-    kwargs: dict = {}
-    if "kind" in doc:
-        kwargs["kind"] = doc["kind"]
-    if "width" in doc:
-        kwargs["width"] = float(doc["width"])
-    if "zero_mean" in doc:
-        kwargs["zero_mean"] = bool(doc["zero_mean"])
-    if "values" in doc:
-        kwargs["values"] = tuple(float(v) for v in doc["values"])
-    return DataProfile(**kwargs)
+    return DataProfile(**read(doc, _PROFILE, "profile"))
 
 
 @dataclass
@@ -298,6 +292,9 @@ class RunConfig:
             raise ValidationError(f"ell must be an integer in [0, {self.op.m - 1}]")
         if not (self.dt > 0 and self.T > 0):
             raise ValidationError("dt and T must be > 0")
+        steps = self.T / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(f"T = {self.T} must be a multiple of dt = {self.dt}")
         if self.record_every < 1:
             raise ValidationError("record_every must be >= 1")
 

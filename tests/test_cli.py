@@ -202,3 +202,181 @@ def test_sweep_empty_values_exit_2(op_file, tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "s")]) == 2
     assert "non-empty" in capsys.readouterr().err
+
+
+# --- strict config tables -------------------------------------------------
+
+NAN = float("nan")  # json.dumps writes it as the bare token NaN
+
+
+@pytest.fixture(scope="module")
+def bases(tmp_path_factory):
+    """One valid config per subcommand table, each naming every nested table."""
+    root = tmp_path_factory.mktemp("bases")
+    op = write_json(root / "op.json", json.loads(damped_wave(1).dumps()))
+    sim = sim_config(op, T=1.0, amplitude=0.1, nonlinearity={
+        "p": 2.0, "mu": {"family": "iterated_log", "gamma": 2.0}})
+    run_dir = root / "run"
+    cfg = write_json(root / "sim.json", {**sim, "T": 10.0, "record_fields": True})
+    assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(run_dir)]) == 0
+    return {
+        "exponent": {**SCHEMA, "operator": str(op)},
+        "envelope": {**SCHEMA, "operator": str(op)},
+        "mu-check": {**SCHEMA, "mu": {"family": "iterated_log", "gamma": 2.0}},
+        "simulate": sim,
+        "decay": {**SCHEMA, "operator": str(op), "mode": "torus",
+                  "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0]},
+        "residual": {**sim, "test_function": {}},
+        "residual-run": {**SCHEMA, "run": str(run_dir), "test_function": {}},
+        "sweep": {**SCHEMA, "task": "mu-check", "parameter": "p", "values": [2.0],
+                  "config": {"mu": {"family": "iterated_log", "gamma": 2.0}}},
+    }
+
+
+def _set(doc: dict, path: tuple[str, ...], value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+def _run(tmp_path, task: str, cfg: dict) -> tuple[int, Path]:
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "out"
+    path = write_json(tmp_path / "cfg.json", cfg)
+    return cli.main([task.replace("-run", ""), "--config", str(path),
+                     "--out-dir", str(out)]), out
+
+
+def test_table_walk_bases_are_valid(bases, tmp_path):
+    for task, cfg in bases.items():
+        assert _run(tmp_path / task, task, cfg)[0] == 0, task
+
+
+def _typed_keys():
+    """(task, config path, kind) of every key in every subcommand table."""
+    tables = {**cli.TABLES, "residual-run": cli.RESIDUAL_RUN}
+    nested = {"grid": cli.GRID, "nonlinearity": cli.NONLINEARITY,
+              "test_function": cli.TEST_FUNCTION}
+    for task, table in tables.items():
+        for name, key in table.items():
+            yield task, (name,), key.kind
+            if name in nested and (task != "decay" or name == "grid"):
+                for sub, subkey in nested[name].items():
+                    yield task, (name, sub), subkey.kind
+
+
+_WRONG = {"int": 1.5, "bool": "false", "number": NAN}
+_CASES = [(task, path, _WRONG[kind]) for task, path, kind in _typed_keys() if kind in _WRONG]
+
+
+@pytest.mark.parametrize("task,path,wrong", _CASES,
+                         ids=[f"{t}:{'.'.join(p)}" for t, p, _ in _CASES])
+def test_wrong_json_type_exit_2(bases, tmp_path, task, path, wrong):
+    rc, out = _run(tmp_path, task, _set(bases[task], path, wrong))
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,path,value", [
+    ("exponent", ("ell",), 1.7),
+    ("simulate", ("grid", "N"), 32.9),
+    ("simulate", ("record_fields",), "false"),
+    ("simulate", ("profile", "zero_mean"), "no"),
+    ("mu-check", ("mu", "depth"), 1.9),
+    ("simulate", ("amplitude",), NAN),
+    ("simulate", ("dt",), 0.3),  # T = 1.0 is not a multiple of it
+], ids=["ell", "N", "record_fields", "zero_mean", "depth", "amplitude", "T/dt"])
+def test_coerced_values_are_rejected(bases, tmp_path, capsys, task, path, value):
+    rc, out = _run(tmp_path, task, _set(bases[task], path, value))
+    assert rc == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--ell", "1.7"],
+    ["envelope", "--samples", "2.5"],
+    ["mu-check", "--family", "iterated_log", "--depth", "1.9"],
+    ["mu-check", "--family", "iterated_log", "--gamma", "NaN"],
+    ["decay", "--mode", "sideways"],
+])
+def test_flag_values_pass_the_key_checks(op_file, tmp_path, argv):
+    if argv[0] != "mu-check":
+        argv = argv + ["--operator", str(op_file)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_records_fractional_N_as_invalid(bases, tmp_path):
+    cfg = {**SCHEMA, "task": "simulate", "parameter": "N", "values": [32.9],
+           "config": bases["simulate"]}
+    rc, out = _run(tmp_path, "sweep", cfg)
+    assert rc == 0
+    run = json.loads((out / "sweep_index.json").read_text())["runs"][0]
+    assert run["status"] == "invalid"
+    assert "grid.N must be a JSON integer" in run["message"]
+    assert not (out / "value_000").exists()
+
+
+def test_config_module_imports_no_numerics():
+    import ast
+
+    import critevo.config
+
+    tree = ast.parse(Path(critevo.config.__file__).read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert not imported & {"numpy", "scipy"}
+
+
+# --- self-contained recorded runs ------------------------------------------
+
+def test_residual_ignores_operator_edits_after_the_run(op_file, tmp_path):
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, record_fields=True))
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(tmp_path / "run")]) == 0
+    res = write_json(tmp_path / "res.json", {**SCHEMA, "run": str(tmp_path / "run")})
+    docs = []
+    for k in range(2):
+        out = tmp_path / f"r{k}"
+        assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 0
+        docs.append((out / "residual.json").read_text())
+        doc = json.loads(op_file.read_text())
+        doc["levels"]["1"][0]["coeff"] = 5.0  # a different damping
+        write_json(op_file, doc)
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["report"]["residual"] < 1e-3
+
+
+def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("CRITEVO_OUT", raising=False)
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    write_json(cfg_dir / "op.json", json.loads(damped_wave(1).dumps()))
+    write_json(cfg_dir / "sim.json", sim_config("op.json", record_fields=True,
+                                                output_dir="run"))
+    write_json(cfg_dir / "res.json", {**SCHEMA, "run": "run", "output_dir": "res"})
+    residuals = []
+    for cwd in (cfg_dir, tmp_path / "elsewhere"):
+        cwd.mkdir(exist_ok=True)
+        monkeypatch.chdir(cwd)
+        rel = os.path.relpath(cfg_dir, cwd)
+        assert cli.main(["simulate", "--config", os.path.join(rel, "sim.json")]) == 0
+        assert cli.main(["residual", "--config", os.path.join(rel, "res.json")]) == 0
+        doc = json.loads((cfg_dir / "res" / "residual.json").read_text())
+        residuals.append(doc["report"]["residual"])
+    assert residuals[0] == residuals[1]
+    assert not (tmp_path / "elsewhere" / "run").exists()
+
+
+def test_operator_flag_resolves_against_the_cwd(tmp_path, monkeypatch):
+    (tmp_path / "cfg").mkdir()
+    write_json(tmp_path / "cfg" / "exp.json", {**SCHEMA, "ell": 0})
+    write_json(tmp_path / "op.json", json.loads(damped_wave(1).dumps()))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["exponent", "--config", "cfg/exp.json", "--operator", "op.json",
+                     "--out-dir", "o"]) == 0

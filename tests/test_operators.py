@@ -140,9 +140,10 @@ def test_radial_paths():
     op = sigma_evolution(3, 2, Fraction(1, 2))
     assert op.is_radial()
     rho = np.linspace(0.0, 4.0, 9)
-    assert np.allclose(op.radial_multiplier(0, rho), rho**4)
-    A = op.radial_companion(rho)
+    A = op.companion([rho, np.zeros_like(rho), np.zeros_like(rho)])
     assert A.shape == (9, 2, 2)
+    assert np.allclose(A[:, 1, 0], -rho**4) and np.allclose(A[:, 1, 1], -rho)
+    assert np.array_equal(op.radial_companion(rho), A)
     assert not damped_wave(2).is_radial() or damped_wave(2).laplacian_decomposition(0)
     mixed = EvolutionOperator(m=1, n=2, levels={
         0: (SpatialTerm(kind="monomial", coeff=1.0, alpha=(1, 1)),),

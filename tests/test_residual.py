@@ -18,7 +18,6 @@ from critevo import (
     make_test_function,
     run,
     sigma_evolution,
-    smoothstep_descent,
     weak_residual,
 )
 
@@ -36,21 +35,6 @@ def exact_mode(grid, op_roots_coeffs, mode=3):
         return (lam**order * cmath.exp(lam * t)).real * np.cos(k * x)
 
     return k, lam, layer
-
-
-def test_smoothstep_descent_shape():
-    T = smoothstep_descent(4)
-    assert T(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert T(1.0) == pytest.approx(0.0, abs=1e-12)
-    for k in range(1, 5):
-        dk = T.deriv(k)
-        assert dk(0.0) == pytest.approx(0.0, abs=1e-9)
-        assert dk(1.0) == pytest.approx(0.0, abs=1e-9)
-    u = np.linspace(0.0, 1.0, 201)
-    vals = T(u)
-    assert np.all(np.diff(vals) <= 1e-12)
-    with pytest.raises(ValidationError):
-        smoothstep_descent(0)
 
 
 def test_weight_matches_finite_differences():

@@ -307,3 +307,12 @@ def test_run_determinism():
     r1, r2 = run(cfg), run(cfg)
     assert r1.series == r2.series
     assert r1.xnorm_sup == r2.xnorm_sup
+
+
+def test_T_must_be_a_multiple_of_dt():
+    prof = DataProfile(kind="gaussian", width=0.6)
+    with pytest.raises(ValidationError, match="multiple of dt"):
+        RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0), profile=prof,
+                  ell=0, dt=0.3, T=1.0)
+    RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0), profile=prof,
+              ell=0, dt=0.1, T=0.3)  # 0.3 / 0.1 = 2.9999999999999996
