@@ -40,7 +40,7 @@ import numpy as np
 
 from . import reporting
 from .config import Key, as_fraction, check, flag_value, load_json, loads, read
-from .decay import RadialProfile, check_linear_decay_hypothesis
+from .decay import FIT_MODES, RadialProfile, check_linear_decay_hypothesis
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
 from .mu import MU_KEYS, NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
@@ -128,9 +128,11 @@ DECAY = {
     **EXPONENT,
     "mode": Key("str", "whole-space", ok=lambda v: v in ("whole-space", "torus"),
                 rule="'whole-space' or 'torus'", flag="--mode", help="whole-space | torus"),
-    "q_list": Key("number[]", (2.0,), flag="--q", nargs="append",
+    "q_list": Key("number[]", (2.0,), ok=lambda v: len(v) > 0 and min(v) >= 1,
+                  rule="a non-empty list of numbers >= 1", flag="--q", nargs="append",
                   help="Lebesgue index to fit (repeatable)"),
-    "window": Key("number[]", (1e2, 1e4), ok=lambda v: len(v) == 2, rule="[t_min, t_max]",
+    "window": Key("number[]", (1e2, 1e4), ok=lambda v: len(v) == 2 and 0 <= v[0] < v[1],
+                  rule="[t_min, t_max] with 0 <= t_min < t_max",
                   flag="--window", nargs=2, help="fit window T0 T1"),
     "width": Key("number", 1.0, flag="--width", help="gaussian data width"),
     "targets": Key("object", None, flag="--target", from_flag=_every_q,
@@ -140,7 +142,8 @@ DECAY = {
     "tol": Key("number", 0.05, **_POSITIVE),
     "grid": Key("object", None),
     "dt": Key("number", 0.05),
-    "fit_mode": Key("str", "at-least-as-fast"),
+    "fit_mode": Key("str", "at-least-as-fast", ok=lambda v: v in FIT_MODES,
+                    rule=f"one of {list(FIT_MODES)}"),
 }
 RESIDUAL = {**SIMULATE, "test_function": Key("object", {})}
 RESIDUAL_RUN = {**COMMON, "run": Key("str"), "test_function": Key("object", {}),
@@ -161,6 +164,16 @@ def _grid_from(doc, op: EvolutionOperator) -> Grid:
     return Grid(n=op.n, **read(doc, GRID, "grid"))
 
 
+def _critical_power(op: EvolutionOperator, ell: int, what: str) -> Fraction:
+    """The exact p_c a "critical" power stands for; it must be finite and > 1."""
+    rep = critical_exponent(op, ell, op.n)
+    if rep.p_c == INF or rep.degenerate:
+        raise ValidationError(
+            f"critical exponent is {rep.p_c}, not a finite power > 1; pass {what} explicitly"
+        )
+    return rep.p_c
+
+
 def _nonlinearity_from(doc, op: EvolutionOperator, ell: int):
     """The nonlinearity (None without one), its power resolved; plus notes."""
     if doc is None:
@@ -169,19 +182,9 @@ def _nonlinearity_from(doc, op: EvolutionOperator, ell: int):
     notes: list[str] = []
     p = v["p"]
     if p == "critical":
-        rep = critical_exponent(op, ell, op.n)
-        if rep.p_c == INF:
-            raise ValidationError(
-                "critical exponent is infinite for this operator; "
-                "pass a finite nonlinearity power explicitly"
-            )
-        if rep.degenerate:
-            raise ValidationError(
-                f"critical exponent {rep.p_c} is <= 1 (degenerate); "
-                "pass the nonlinearity power explicitly"
-            )
-        notes.append(f"p resolved to the critical exponent {rep.p_c} = {float(rep.p_c)}")
-        p = float(rep.p_c)
+        p_c = _critical_power(op, ell, "the nonlinearity power")
+        notes.append(f"p resolved to the critical exponent {p_c} = {float(p_c)}")
+        p = float(p_c)
     return NonlinearitySpec(p=p, mu=parse_mu(v["mu"])), notes
 
 
@@ -320,13 +323,9 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
     p_c = v["p_c"]
     notes: list[str] = []
     if p_c == "critical":
-        rep = critical_exponent(op, ell, op.n)
-        if rep.p_c == INF or rep.degenerate:
-            raise ValidationError(
-                f"critical exponent is {rep.p_c}; pass a finite p_c > 1 explicitly"
-            )
-        p_c = float(rep.p_c)
-        notes.append(f"p_c resolved to {rep.p_c} = {p_c}")
+        exact = _critical_power(op, ell, "p_c")
+        p_c = float(exact)
+        notes.append(f"p_c resolved to {exact} = {p_c}")
     torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
     if v["targets"] is not None:

@@ -198,7 +198,12 @@ class DecayFit:
         }
 
 
+FIT_MODES = ("two-sided", "at-least-as-fast")
+
+
 def _fit(times, values, window, transform, kind, rms_tol, target, tol, mode) -> DecayFit:
+    if mode not in FIT_MODES:
+        raise ValidationError(f"fit mode must be one of {list(FIT_MODES)}, got {mode!r}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = window

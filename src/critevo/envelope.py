@@ -237,10 +237,6 @@ class CriticalExponentReport:
     notes: tuple[str, ...] = ()
     envelope: PiecewiseAffine | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def p_c_float(self) -> float:
-        return float(self.p_c)
-
     def to_json(self) -> dict:
         doc = {
             "p_c": _fmt(self.p_c),

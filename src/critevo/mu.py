@@ -79,6 +79,8 @@ class MuSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_KEYS:
             raise ValidationError(f"unknown mu family {self.family!r}")
+        if self.family == "constant" and not (self.value >= 0):
+            raise ValidationError("constant mu value must be >= 0")
         if self.family == "power":
             if self.epsilon is None or not (self.epsilon > 0):
                 raise ValidationError("power family needs epsilon > 0")
@@ -95,6 +97,8 @@ class MuSpec:
                 raise ValidationError("custom_table needs matching taus/values")
             if any(t < 0 for t in self.taus) or list(self.taus) != sorted(self.taus):
                 raise ValidationError("custom_table taus must be sorted and >= 0")
+            if any(v < 0 for v in self.values):
+                raise ValidationError("custom_table mu values must be >= 0")
         if self.extension_point is not None and not (self.extension_point > 0):
             raise ValidationError("extension_point must be > 0")
 

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import Key, as_fraction, check, load_json, loads, read
+from .config import Key, as_fraction, check, loads, read
 from .errors import ValidationError
 
 OPERATOR_SCHEMA_VERSION = 1
@@ -347,10 +347,6 @@ def parse_operator(doc: Mapping) -> EvolutionOperator:
         j = check(Key("int"), loads(str(key), f"{where} key"), f"{where} key")
         levels[j] = tuple(_parse_term(t) for t in check(Key("list"), terms_doc, where))
     return EvolutionOperator(m=v["m"], n=v["n"], levels=levels)
-
-
-def load_operator(path) -> EvolutionOperator:
-    return parse_operator(load_json(path, "operator file"))
 
 
 # ----------------------------------------------------------------------

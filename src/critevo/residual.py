@@ -345,23 +345,3 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
         test_function=tf.to_json(),
         notes=(),
     )
-
-
-def initial_sign_functional(op: EvolutionOperator, ell: int,
-                            initial_layers: np.ndarray, grid: Grid) -> float:
-    """Diagnostic sum_{j >= ell, c_{j+1,0} != 0} c_{j+1,0} * int u_j dx.
-
-    Positivity of this functional is the data hypothesis of the blow-up
-    machinery (the top layer always contributes: the monic level m has
-    constant coefficient 1).  It is reported as a diagnostic only; nothing
-    here claims a link between its sign and an observed numerical blow-up.
-    """
-    initial_layers = np.asarray(initial_layers, dtype=float)
-    if initial_layers.shape != (op.m,) + grid.shape:
-        raise ValidationError("initial_layers must have shape (m, *grid.shape)")
-    total = 0.0
-    for j in range(ell, op.m):
-        c = op.constant_coefficient(j + 1)
-        if c != 0.0:
-            total += c * float(np.sum(initial_layers[j]) * grid.quad_weight())
-    return total

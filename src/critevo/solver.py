@@ -200,6 +200,26 @@ def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
     return SimState(t=0.0, modes=modes, grid=grid, op=op)
 
 
+def initial_sign_functional(op: EvolutionOperator, ell: int,
+                            initial_layers: np.ndarray, grid: Grid) -> float:
+    """Diagnostic sum_{j >= ell, c_{j+1,0} != 0} c_{j+1,0} * int u_j dx.
+
+    Positivity of this functional is the data hypothesis of the blow-up
+    machinery (the top layer always contributes: the monic level m has
+    constant coefficient 1).  It is reported as a diagnostic only; nothing
+    here claims a link between its sign and an observed numerical blow-up.
+    """
+    initial_layers = np.asarray(initial_layers, dtype=float)
+    if initial_layers.shape != (op.m,) + grid.shape:
+        raise ValidationError("initial_layers must have shape (m, *grid.shape)")
+    total = 0.0
+    for j in range(ell, op.m):
+        c = op.constant_coefficient(j + 1)
+        if c != 0.0:
+            total += c * float(np.sum(initial_layers[j]) * grid.quad_weight())
+    return total
+
+
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
@@ -297,6 +317,8 @@ class RunConfig:
             raise ValidationError(f"T = {self.T} must be a multiple of dt = {self.dt}")
         if self.record_every < 1:
             raise ValidationError("record_every must be >= 1")
+        if self.p_for_norms is not None and not (self.p_for_norms >= 1):
+            raise ValidationError("p_for_norms must be >= 1")
 
     @property
     def norm_power(self) -> float:
@@ -314,7 +336,8 @@ class RunReport:
     ``series`` maps column name -> list (one entry per recorded time);
     norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``fields`` (only
     when requested) holds the physical layers 0 and ell at each recorded
-    time for the weak-residual check.
+    time for the weak-residual check.  ``initial_sign_functional`` is the
+    data-sign diagnostic of :func:`initial_sign_functional` at t = 0.
     """
 
     outcome: str  # completed | blowup_detected
@@ -326,6 +349,7 @@ class RunReport:
     initial_layers: np.ndarray | None = None
     xnorm_sup: float = math.nan
     xnorm_last_increase: float = math.nan
+    initial_sign_functional: float = math.nan
 
     def to_json(self) -> dict:
         return {
@@ -333,6 +357,7 @@ class RunReport:
             "blowup_time": self.blowup_time,
             "xnorm_sup": self.xnorm_sup,
             "xnorm_last_increase": self.xnorm_last_increase,
+            "initial_sign_functional": self.initial_sign_functional,
             "meta": self.meta,
             "n_records": len(self.times),
         }
@@ -460,4 +485,5 @@ def run(config: RunConfig) -> RunReport:
         initial_layers=initial_layers,
         xnorm_sup=xsup,
         xnorm_last_increase=xsup_time,
+        initial_sign_functional=initial_sign_functional(op, ell, initial_layers, grid),
     )

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from critevo import EvolutionOperator, fractional_term
-from critevo.interlacing import HomogeneousSymbol
 
 INF = math.inf
 
@@ -126,47 +125,3 @@ def build_m5_operator(n: int = 3) -> EvolutionOperator:
             0: (fractional_term(2, 1.0),),
         },
     )
-
-
-def _e(d: int, k: int, n: int = 3) -> tuple[int, ...]:
-    alpha = [0] * n
-    alpha[d] = k
-    return tuple(alpha)
-
-
-def _laplacian_square_terms(j: int, coeff: float, n: int = 3):
-    """tau^j coefficient terms of coeff * (sum_d dx_d^2)^2 as raw monomials."""
-    terms = []
-    for d in range(n):
-        terms.append((j, _e(d, 4, n), coeff))
-    for d in range(n):
-        for e in range(d + 1, n):
-            alpha = [0] * n
-            alpha[d] = 2
-            alpha[e] = 2
-            terms.append((j, tuple(alpha), 2 * coeff))
-    return terms
-
-
-def m5_symbols(n: int = 3):
-    """The three homogeneous symbols of the fifth-order cascade.
-
-    Written in the real reduced form (plain tau^j xi^alpha with the raw
-    operator coefficients); at |xi'| = 1 they factor as
-    tau(tau^4 - 3tau^2 + 1), 2tau^4 - 4tau^2 + 1, tau(tau^2 - 1).
-    """
-    p5 = HomogeneousSymbol(order=5, n=n, terms=tuple(
-        [(5, (0,) * n, 1.0)]
-        + [(3, _e(d, 2, n), -3.0) for d in range(n)]
-        + _laplacian_square_terms(1, 1.0, n)
-    ))
-    p4 = HomogeneousSymbol(order=4, n=n, terms=tuple(
-        [(4, (0,) * n, 2.0)]
-        + [(2, _e(d, 2, n), -4.0) for d in range(n)]
-        + _laplacian_square_terms(0, 1.0, n)
-    ))
-    p3 = HomogeneousSymbol(order=3, n=n, terms=tuple(
-        [(3, (0,) * n, 1.0)]
-        + [(1, _e(d, 2, n), -1.0) for d in range(n)]
-    ))
-    return p5, p4, p3

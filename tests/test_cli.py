@@ -2,9 +2,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from critevo import cli, damped_wave
+from critevo import Grid, cli, damped_wave, parse_profile
 
 SCHEMA = {"schema_version": 1}
 
@@ -134,6 +135,26 @@ def test_simulate_resolves_critical_power(op_file, tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
     doc = json.loads((out / "simulate.json").read_text())
     assert any("critical exponent 3" in note for note in doc["notes"])
+
+
+def test_simulate_reports_initial_sign_functional(op_file, tmp_path):
+    # damped wave, ell = 0: only the monic top level pairs with the data layer
+    grid = Grid(n=1, N=64, L=40.0)
+    for zero_mean in (False, True):
+        profile = {"kind": "gaussian", "width": 2.0, "zero_mean": zero_mean}
+        cfg = write_json(tmp_path / "sim.json",
+                         sim_config(op_file, T=1.0, amplitude=0.7, profile=profile))
+        out = tmp_path / f"o{zero_mean}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "simulate.json").read_text())["report"]
+        value = report["initial_sign_functional"]
+        assert "initial_sign_functional" not in report["meta"]
+        if zero_mean:
+            assert abs(value) < 1e-12
+        else:
+            mass = 0.7 * float(np.sum(parse_profile(profile).render(grid))) * grid.h
+            assert value == pytest.approx(mass, rel=1e-9)
+            assert value > 0
 
 
 def test_residual_on_recorded_run(op_file, tmp_path):
@@ -302,6 +323,7 @@ def test_coerced_values_are_rejected(bases, tmp_path, capsys, task, path, value)
     ["mu-check", "--family", "iterated_log", "--depth", "1.9"],
     ["mu-check", "--family", "iterated_log", "--gamma", "NaN"],
     ["decay", "--mode", "sideways"],
+    ["mu-check", "--family", "constant", "--value", "-1"],
 ])
 def test_flag_values_pass_the_key_checks(op_file, tmp_path, argv):
     if argv[0] != "mu-check":
@@ -332,6 +354,53 @@ def test_config_module_imports_no_numerics():
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module and not node.level}
     assert not imported & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("task,path,value", [
+    ("simulate", ("p_for_norms",), 0),
+    ("simulate", ("p_for_norms",), -2),
+    ("decay", ("q_list",), [0]),
+    ("decay", ("q_list",), []),
+    ("decay", ("window",), [100, -5]),
+    ("mu-check", ("mu",), {"family": "constant", "value": -1}),
+    ("mu-check", ("mu",), {"family": "custom_table", "taus": [0.0, 1.0], "values": [1, -1]}),
+], ids=["p_for_norms=0", "p_for_norms<0", "q=0", "q_list=[]", "window",
+        "mu<0", "table_mu<0"])
+def test_out_of_range_values_are_rejected(bases, tmp_path, capsys, task, path, value):
+    rc, out = _run(tmp_path, task, _set(bases[task], path, value))
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert path[-1] in err and "must be" in err  # names the offending key
+
+
+def test_decay_fit_mode_typo_is_not_a_one_sided_pass(op_file, tmp_path, capsys):
+    cfg = {**SCHEMA, "operator": str(op_file), "targets": {"2": -0.1}}
+    rc, out = _run(tmp_path / "two", "decay", {**cfg, "fit_mode": "two-sided"})
+    assert rc == 0
+    assert json.loads((out / "decay.json").read_text())["report"]["all_pass"] is False
+    rc, out = _run(tmp_path / "typo", "decay", {**cfg, "fit_mode": "two_sided"})
+    assert rc == 2
+    assert not out.exists()
+    assert "fit_mode" in capsys.readouterr().err
+
+
+def test_every_module_is_reached_from_the_cli():
+    """No module of the package is an orphan: the CLI imports each, transitively."""
+    import ast
+
+    src = Path(cli.__file__).parent
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    modules = {path.stem for path in src.glob("*.py")} - {"__init__"}
+    assert sorted(modules - reached) == []
 
 
 # --- self-contained recorded runs ------------------------------------------

@@ -231,3 +231,14 @@ def test_fit_and_mode_errors():
         l2_decay_curve(mixed, RadialProfile(), [1.0])
     with pytest.raises(ValidationError):
         RadialProfile(kind="bump")
+
+
+def test_fit_rejects_an_unknown_mode():
+    ts = np.geomspace(1.0, 100.0, 30)
+    vals = (1.0 + ts) ** -0.5
+    for fit in (fit_decay, fit_exponential):
+        with pytest.raises(ValidationError, match="fit mode"):
+            fit(ts, vals, (1.0, 100.0), target=-0.5, mode="two_sided")
+    with pytest.raises(ValidationError, match="fit mode"):
+        check_linear_decay_hypothesis(damped_wave(1), ell=0, p_c=3.0, q_list=[2.0],
+                                      targets={2.0: -0.1}, fit_mode="two_sided")

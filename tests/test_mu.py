@@ -284,3 +284,11 @@ def test_parse_round_trip():
     assert parse_mu(mu.to_json()).to_json() == mu.to_json()
     custom = MuSpec(family="custom_table", taus=(0.0, 1.0), values=(0.5, 0.5))
     assert parse_mu(custom.to_json()) == custom
+
+
+def test_negative_mu_is_rejected():
+    with pytest.raises(ValidationError, match=">= 0"):
+        MuSpec(family="constant", value=-1.0)
+    with pytest.raises(ValidationError, match=">= 0"):
+        parse_mu({"family": "custom_table", "taus": [0.0, 1.0], "values": [1.0, -0.5]})
+    assert MuSpec(family="constant", value=0.0).value == 0.0

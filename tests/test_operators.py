@@ -189,12 +189,3 @@ def test_parse_fail_closed():
             {"kind": "monomial", "alpha": [2], "coeff": 1.0, "power": 1}]}})
     with pytest.raises(ValidationError):
         parse_operator({**base, "schema_version": 99})
-
-
-def test_load_operator(tmp_path):
-    from critevo import load_operator
-
-    op = sigma_evolution(2, 1, 0)
-    path = tmp_path / "op.json"
-    path.write_text(op.dumps(), encoding="utf-8")
-    assert load_operator(path) == op
