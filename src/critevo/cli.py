@@ -284,7 +284,12 @@ _FIELD_FILES = {
 def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SIMULATE, "config")
     rc, notes = _sim_config(v, base)
-    report = run(rc)
+    return _write_simulate(cfg, v, rc, notes, run(rc), out_dir)
+
+
+def _write_simulate(cfg: dict, v: dict, rc: RunConfig, notes: list[str], report,
+                    out_dir: Path) -> dict:
+    """simulate.json, series.csv and any field files of one run; its summary."""
     doc = reporting.artifact("simulate", {
         "config": cfg,
         "seed": v["seed"],
@@ -473,6 +478,31 @@ def _set_path(doc: dict, path: tuple[str, ...], value) -> None:
     node[path[-1]] = value
 
 
+def _failed(entry: dict, exc: ValidationError | NumericalError) -> None:
+    status = "invalid" if isinstance(exc, ValidationError) else "numerical_failure"
+    entry.update(status=status, message=str(exc))
+
+
+def _simulate_batch(batch: list, out_dir: Path) -> None:
+    """Run validated simulate values that differ only in amplitude as one batch.
+
+    Each value_NNN/ gets the artifacts a standalone simulate run writes.  If
+    the batch fails, every value runs alone, so each gets its own status.
+    """
+    configs = [rc for _, _, _, rc, _ in batch]
+    try:
+        reports = run(configs[0], amplitudes=[rc.amplitude for rc in configs])
+    except (ValidationError, NumericalError):
+        reports = None
+    for k, (entry, sub, sv, rc, notes) in enumerate(batch):
+        try:
+            report = run(rc) if reports is None else reports[k]
+            entry.update(status="ok", summary=_write_simulate(sub, sv, rc, notes, report,
+                                                              out_dir / entry["dir"]))
+        except (ValidationError, NumericalError) as exc:
+            _failed(entry, exc)
+
+
 def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SWEEP, "config")
     task, parameter, values = v["task"], v["parameter"], v["values"]
@@ -483,28 +513,30 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
         )
     path_spec = _SWEEPABLE[parameter][task]
 
-    runs = []
-    n_ok = 0
+    # an amplitude sweep of simulate changes nothing but the amplitude, so its
+    # valid values step together as one batch
+    batched = task == "simulate" and parameter == "amplitude"
+    runs, batch = [], []
     for idx, value in enumerate(values):
         sub = copy.deepcopy(v["config"])
         sub.setdefault("schema_version", reporting.SCHEMA_VERSION)
         sub.pop("output_dir", None)
-        sub_dir_name = f"value_{idx:03d}"
         entry = {"index": idx, "parameter": parameter, "value": value,
-                 "dir": sub_dir_name}
+                 "dir": f"value_{idx:03d}"}
+        runs.append(entry)
         try:
             _set_path(sub, path_spec, value)
-            summary = _COMMANDS[task](sub, out_dir / sub_dir_name, base)
-            entry["status"] = "ok"
-            entry["summary"] = summary
-            n_ok += 1
-        except ValidationError as exc:
-            entry["status"] = "invalid"
-            entry["message"] = str(exc)
-        except NumericalError as exc:
-            entry["status"] = "numerical_failure"
-            entry["message"] = str(exc)
-        runs.append(entry)
+            if batched:
+                sv = read(sub, SIMULATE, "config")
+                batch.append((entry, sub, sv, *_sim_config(sv, base)))
+            else:
+                entry.update(status="ok",
+                             summary=_COMMANDS[task](sub, out_dir / entry["dir"], base))
+        except (ValidationError, NumericalError) as exc:
+            _failed(entry, exc)
+    if batch:
+        _simulate_batch(batch, out_dir)
+    n_ok = sum(entry["status"] == "ok" for entry in runs)
 
     doc = reporting.artifact("sweep", {
         "config": cfg,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericalError, ValidationError
 from .operators import EvolutionOperator
@@ -92,6 +91,8 @@ def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
             K[i] = np.exp(np.outer(times, lam)) @ w
         else:
             # near-defective eigensystem: fall back to one expm per time
+            from scipy.linalg import expm
+
             for j, t in enumerate(times):
                 K[i, j] = expm(t * A_all[i])[layer, m - 1]
     return K

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .config import Key, read
 from .errors import NumericalError, ValidationError
@@ -114,6 +114,23 @@ class MuSpec:
             return float(self.taus[-1])
         return math.inf  # constant family has no extension
 
+    @cached_property
+    def inner_logs_positive(self) -> bool:
+        """True when every inner log of the iterated_log formula is positive on (0, tau*].
+
+        Each inner log decreases in tau, so its smallest value on (0, tau*]
+        is the one at tau*; evaluated once per spec, with a margin far above
+        rounding, it spares :func:`eval_mu` a domain check on every call.
+        """
+        if self.family != "iterated_log":
+            return False
+        v = -np.log(np.array([self.tau_star]))
+        for _ in range(self.depth):
+            if not v[0] > 1e-9:
+                return False
+            v = np.log(v)
+        return bool(v[0] > 1e-9)
+
     def to_json(self) -> dict:
         doc: dict = {"family": self.family}
         if self.family == "constant":
@@ -157,25 +174,41 @@ def parse_mu(doc: Mapping) -> MuSpec:
     return MuSpec(**read(doc, {k: MU_KEYS[k] for k in _FAMILY_KEYS[family]}, "mu"))
 
 
+_LOG_DOMAIN = ("inner log undefined on the requested range: extension_point is "
+               "too large for this depth")
+
+
 def _iterated_log_value(mu: MuSpec, tau: np.ndarray) -> np.ndarray:
     """Evaluate the depth-k formula on 0 < tau <= tau*, fail-closed on bad logs."""
-    u = -np.log(tau)
-    out = np.ones_like(u)
-    v = u
+    check = not mu.inner_logs_positive
+    v = -np.log(tau)
+    out = None  # the product of 1/log^[i], empty at depth 0
     for _ in range(mu.depth):
-        if np.any(v <= 0):
-            raise ValidationError(
-                "inner log undefined on the requested range: extension_point is "
-                "too large for this depth"
-            )
-        out = out / v
+        if check and np.any(v <= 0):
+            raise ValidationError(_LOG_DOMAIN)
+        out = 1.0 / v if out is None else out / v
         v = np.log(v)
-    if np.any(v <= 0):
-        raise ValidationError(
-            "inner log undefined on the requested range: extension_point is "
-            "too large for this depth"
-        )
-    return out * v ** (-mu.gamma)
+    if check and np.any(v <= 0):
+        raise ValidationError(_LOG_DOMAIN)
+    tail = v ** (-mu.gamma)
+    return tail if out is None else out * tail
+
+
+def _mu_values(mu: MuSpec, tau: np.ndarray) -> np.ndarray:
+    """mu on a finite array of tau >= 0 (tau > 0 for the iterated_log family)."""
+    if mu.family == "constant":
+        return np.full_like(tau, mu.value)
+    if mu.family == "power":
+        return np.minimum(tau, mu.tau_star) ** mu.epsilon
+    if mu.family == "custom_table":
+        return np.interp(tau, mu.taus, mu.values)
+    return _iterated_log_value(mu, np.minimum(tau, mu.tau_star))
+
+
+def _finite(tau: np.ndarray) -> np.ndarray:
+    if not np.isfinite(tau).all():
+        raise ValidationError("tau must be finite and >= 0")
+    return tau
 
 
 def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
@@ -183,21 +216,16 @@ def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
+    if np.any(arr < 0):
         raise ValidationError("tau must be finite and >= 0")
-    if mu.family == "constant":
-        out = np.full_like(arr, mu.value)
-    elif mu.family == "power":
-        out = np.minimum(arr, mu.tau_star) ** mu.epsilon
-    elif mu.family == "custom_table":
-        out = np.interp(arr, mu.taus, mu.values)
+    _finite(arr)
+    if mu.family != "iterated_log":
+        out = _mu_values(mu, arr)
     else:
-        ts = mu.tau_star
         out = np.empty_like(arr)
-        cap = np.minimum(arr, ts)
-        pos = cap > 0
+        pos = arr > 0
         if np.any(pos):
-            out[pos] = _iterated_log_value(mu, cap[pos])
+            out[pos] = _mu_values(mu, arr[pos])
         if np.any(~pos):
             # tau = 0: every inner factor vanishes in the limit except the
             # depth-0, gamma <= 0 cases.
@@ -227,15 +255,23 @@ class NonlinearitySpec:
 
 
 def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
-    """|s|^p mu(|s|), with F(0) pinned to 0 even when mu(0) is not finite."""
+    """|s|^p mu(|s|), with F(0) pinned to 0 even when mu(0) is not finite.
+
+    Only the nonzero magnitudes reach mu.  When every entry is nonzero (a
+    solver field) they are used in place; the arithmetic is elementwise, so
+    the result is the same either way, bit for bit.
+    """
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    mag = np.abs(arr)
-    out = np.zeros_like(mag)
+    mag = np.abs(np.atleast_1d(arr))
     nz = mag > 0
-    if np.any(nz):
-        out[nz] = mag[nz] ** nl.p * np.asarray(eval_mu(nl.mu, mag[nz]))
+    if nz.all():
+        out = mag ** nl.p * _mu_values(nl.mu, _finite(mag))
+    else:
+        out = np.zeros_like(mag)
+        if nz.any():
+            x = mag[nz]
+            out[nz] = x ** nl.p * _mu_values(nl.mu, _finite(x))
     return float(out[0]) if scalar else out
 
 
@@ -408,6 +444,8 @@ def iterated_log_antiderivative(depth: int, gamma: float, c0: float) -> float:
 
 def _quad_log_sub(mu: MuSpec, u_lo: float, u_hi: float, tol: float) -> float:
     """integral of mu(e^{-u}) du, the substituted integrand (u_hi may be inf)."""
+    from scipy import integrate
+
     val, err = integrate.quad(lambda u: eval_mu(mu, math.exp(-u)), u_lo, u_hi,
                               epsabs=tol, epsrel=tol * 10, limit=400)
     if not math.isfinite(val) or err > max(tol * 50, abs(val) * 1e-6):
@@ -428,6 +466,8 @@ def _quad_iterated_tail(mu: MuSpec, u0: float, tol: float) -> float:
     log factors against the Jacobian exactly and leaves w^{-gamma}, whose
     tail the infinite-interval transform handles to full accuracy.
     """
+    from scipy import integrate
+
     w0 = u0
     for _ in range(mu.depth):
         w0 = math.log(w0)

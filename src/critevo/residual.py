@@ -45,8 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from scipy import special
-
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator, as_fraction, format_fraction
@@ -109,6 +107,8 @@ class TestFunctionSpec:
 
     @cached_property
     def _beta_norm(self) -> float:
+        from scipy import special
+
         o = self.smooth_order
         return float(special.beta(o + 1, o + 1))
 
@@ -121,6 +121,8 @@ class TestFunctionSpec:
         ill-conditioned (degree ~ 40, coefficients ~ 1e19, total cancellation
         near u = 1), which corrupts the identity at the support edge.
         """
+        from scipy import special
+
         o = self.smooth_order
         rows = np.empty((k + 1,) + u.shape)
         rows[0] = 1.0 - special.betainc(o + 1, o + 1, u)

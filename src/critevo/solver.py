@@ -17,6 +17,12 @@ dealiased with the 2/3 rule (modes with any |k| > N/3 dropped), applied to
 the initial data and to every nonlinear transform; the linear flow is
 diagonal per mode and cannot repopulate masked modes.
 
+Several amplitudes of one config can run as one batch: the state then
+carries a leading member axis, the members share the propagator, and
+every reduction that feeds a report (norms, the X-norm, the blow-up check)
+runs on one member's own rows, so each member's report equals its single
+run bit for bit.
+
 Periodic-box caveat: polynomial decay laws of the whole-space problem hold
 only while the box still resolves the relevant low frequencies; every run
 report records the estimated horizon 1/|Re lambda_max(A(xi_min))| for the
@@ -27,10 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import Key, read
 from .errors import ValidationError
@@ -63,6 +68,11 @@ class Grid:
     @property
     def h(self) -> float:
         return self.L / self.N
+
+    @property
+    def space_axes(self) -> tuple[int, ...]:
+        """The trailing n array axes, the spatial ones of a (..., *shape) array."""
+        return tuple(range(-self.n, 0))
 
     def axes(self) -> list[np.ndarray]:
         x = -self.L / 2 + self.h * np.arange(self.N)
@@ -168,21 +178,31 @@ def parse_profile(doc: Mapping) -> DataProfile:
     return DataProfile(**read(doc, _PROFILE, "profile"))
 
 
+def _layer(modes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Layer k of (m, *shape) or batched (B, m, *shape) modes."""
+    return modes[(..., k) + (slice(None),) * n]
+
+
 @dataclass
 class SimState:
-    """Companion-state Fourier coefficients: modes[k] holds (d_t^k u)^."""
+    """Companion-state Fourier coefficients of one run or of a batch of runs.
+
+    ``modes`` is (m, *grid.shape), layer k holding (d_t^k u)^, or carries a
+    leading batch axis, (B, m, *grid.shape), for B runs that share t, the
+    grid and the operator.
+    """
 
     t: float
-    modes: np.ndarray  # (m, *grid.shape) complex
+    modes: np.ndarray
     grid: Grid
     op: EvolutionOperator
 
     def physical(self, layer: int) -> np.ndarray:
-        w = np.fft.ifftn(self.modes[layer])
+        w = np.fft.ifftn(_layer(self.modes, layer, self.grid.n), axes=self.grid.space_axes)
         return np.real(w)
 
     def reality_defect(self, layer: int) -> float:
-        w = np.fft.ifftn(self.modes[layer])
+        w = np.fft.ifftn(_layer(self.modes, layer, self.grid.n), axes=self.grid.space_axes)
         scale = float(np.max(np.abs(w)))
         if scale == 0.0:
             return 0.0
@@ -225,10 +245,14 @@ class ModePropagator:
 
     Built once per (operator, grid, dt): exp(dt [[A, I], [0, 0]]) yields
     E = exp(dt A) in the top-left block and Phi = integral_0^dt exp(sA) ds
-    in the top-right, for every mode at once.
+    in the top-right, for every mode at once.  E is stored layer-major,
+    (m, m, *shape), so the per-mode product runs along contiguous space;
+    ``E`` itself is a (*shape, m, m) view of it.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
+        from scipy.linalg import expm
+
         if not (dt > 0):
             raise ValidationError("dt must be > 0")
         self.op = op
@@ -241,16 +265,23 @@ class ModePropagator:
         for i in range(m):
             aug[..., i, m + i] = 1.0
         big = expm(self.dt * aug)
-        self.E = np.ascontiguousarray(big[..., :m, :m])
+        self._E = np.ascontiguousarray(np.moveaxis(big[..., :m, :m], (-2, -1), (0, 1)))
+        self.E = np.moveaxis(self._E, (0, 1), (-2, -1))
         self.Phi = np.ascontiguousarray(big[..., :m, m:])
-        self.phi_col = np.ascontiguousarray(self.Phi[..., :, m - 1])
+        # Phi e_{m-1}, the weight of the source in each layer: (m, *shape)
+        self._phi = np.ascontiguousarray(np.moveaxis(self.Phi[..., :, m - 1], -1, 0))
+        self._layer_axis = (..., None) + (slice(None),) * grid.n
         self.A = A
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,j...->i...", self.E, modes)
+        """E v for every mode of (m, *shape) or batched (B, m, *shape) modes."""
+        if modes.ndim == self.grid.n + 1:
+            return self.apply_linear(modes[None])[0]
+        return np.einsum("ij...,bj...->bi...", self._E, modes)
 
     def apply_source(self, modes: np.ndarray, source_hat: np.ndarray) -> np.ndarray:
-        return modes + np.moveaxis(self.phi_col, -1, 0) * source_hat[None, ...]
+        """modes + Phi e_{m-1} source_hat, the source broadcast over the layers."""
+        return modes + self._phi * source_hat[self._layer_axis]
 
 
 def linear_step(state: SimState, prop: ModePropagator) -> None:
@@ -262,16 +293,18 @@ def nonlinear_step(state: SimState, prop: ModePropagator, ell: int,
                    nl: NonlinearitySpec | None,
                    forcing: Callable[[float], np.ndarray] | None = None,
                    mask: np.ndarray | None = None) -> None:
-    """One exponential predictor-corrector step of size prop.dt."""
+    """One exponential predictor-corrector step of size prop.dt (one run or a batch)."""
+    grid = state.grid
     if mask is None:
-        mask = state.grid.dealias_mask()
+        mask = grid.dealias_mask()
+    axes = grid.space_axes
 
     def source(modes: np.ndarray, t: float) -> np.ndarray:
-        w = np.real(np.fft.ifftn(modes[ell]))
+        w = np.real(np.fft.ifftn(_layer(modes, ell, grid.n), axes=axes))
         s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
         if forcing is not None:
             s = s + forcing(t)
-        return np.fft.fftn(s) * mask
+        return np.fft.fftn(s, axes=axes) * mask
 
     Ev = prop.apply_linear(state.modes)
     s0 = source(state.modes, state.t)
@@ -375,93 +408,146 @@ def box_horizon(op: EvolutionOperator, grid: Grid) -> float:
     return 1.0 / rate
 
 
-def run(config: RunConfig) -> RunReport:
-    """March to T (or blow-up), recording norms and the weighted X-history."""
-    op, grid = config.op, config.grid
-    state = init_state(op, grid, config.profile, config.amplitude)
-    prop = ModePropagator(op, grid, config.dt)
-    mask = grid.dealias_mask()
-    ell = config.ell
-    p = config.norm_power
-    weight = grid.quad_weight()
+#: relative slack of the blow-up screen, far above the rounding of either side
+SCREEN_MARGIN = 1e-9
 
-    initial_layers = np.stack([state.physical(k) for k in range(op.m)])
-    ref = float(np.max(np.abs(initial_layers)))
-    if ref == 0.0:
-        # zero data is a legitimate run (the state stays zero); keep a unit
-        # reference so any numerical escape still trips the threshold
-        ref = 1.0
 
-    n_steps = int(round(config.T / config.dt))
-    times: list[float] = []
-    series: dict[str, list[float]] = {}
-    for k in range(ell + 1):
-        for name in ("L1", "L2", "Lp", "Linf"):
-            series[f"{name}[{k}]"] = []
-    series["xnorm_weighted"] = []
-    series["xnorm_running_sup"] = []
-    field_frames: dict[str, list[np.ndarray]] = {"layer0": [], "layer_ell": []}
+def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
+    """Per member of batched modes (B, m, *shape): not finite, or some layer past the threshold.
 
-    xsup = 0.0
-    xsup_time = 0.0
+    Member b has blown up when a physical layer's max |u_k| exceeds
+    BLOWUP_FACTOR * ref[b].  Since max |u_k| <= sum |u^_k| / N^n, a member
+    whose spectral sums stay below the threshold by SCREEN_MARGIN cannot
+    have; only the others pay the exact inverse FFTs, so the decision is
+    the exact one.  A non-finite member fails the screen and is blown.
+    """
+    limit = BLOWUP_FACTOR * ref
+    sums = np.abs(modes).sum(axis=grid.space_axes).max(axis=1)
+    out = ~(sums <= (1.0 - SCREEN_MARGIN) * grid.N**grid.n * limit)
+    for b in np.flatnonzero(out):
+        if np.isfinite(modes[b]).all():
+            worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer)))))
+                        for layer in modes[b])
+            out[b] = worst > limit[b]
+    return out
 
-    def record():
-        nonlocal xsup, xsup_time
-        times.append(state.t)
+
+class _History:
+    """What one member of a run records: norm series, X-norm, fields and outcome."""
+
+    def __init__(self, ell: int, p: float, weight: float, keep_fields: bool, n_steps: int):
+        self.ell, self.p, self.weight = ell, p, weight
+        self.times: list[float] = []
+        self.series: dict[str, list[float]] = {
+            f"{name}[{k}]": [] for k in range(ell + 1) for name in ("L1", "L2", "Lp", "Linf")
+        }
+        self.series["xnorm_weighted"] = []
+        self.series["xnorm_running_sup"] = []
+        self.frames: dict[str, list[np.ndarray]] | None = (
+            {"layer0": [], "layer_ell": []} if keep_fields else None)
+        self.xsup = 0.0
+        self.xsup_time = 0.0
+        self.outcome = "completed"
+        self.blowup_time: float | None = None
+        self.steps = n_steps
+
+    def record(self, t: float, layers: np.ndarray) -> None:
+        """Norms of the physical layers 0..ell at time t (and the fields, if kept)."""
+        ell, p = self.ell, self.p
+        self.times.append(t)
         xval = 0.0
         for k in range(ell + 1):
-            w = state.physical(k)
-            norms = grid_norms(w, weight, p)
+            norms = grid_norms(layers[k], self.weight, p)
             for name, val in norms.items():
-                series[f"{name}[{k}]"].append(val)
-            xval += (1.0 + state.t) ** (1.0 / p + k - ell) * max(norms["Lp"], norms["Linf"])
-        series["xnorm_weighted"].append(xval)
-        if xval > xsup * (1.0 + 1e-12):
-            xsup = xval
-            xsup_time = state.t
-        series["xnorm_running_sup"].append(xsup)
-        if config.record_fields:
-            field_frames["layer0"].append(state.physical(0))
-            field_frames["layer_ell"].append(state.physical(ell))
+                self.series[f"{name}[{k}]"].append(val)
+            xval += (1.0 + t) ** (1.0 / p + k - ell) * max(norms["Lp"], norms["Linf"])
+        self.series["xnorm_weighted"].append(xval)
+        if xval > self.xsup * (1.0 + 1e-12):
+            self.xsup = xval
+            self.xsup_time = t
+        self.series["xnorm_running_sup"].append(self.xsup)
+        if self.frames is not None:
+            layer0 = layers[0].copy()
+            self.frames["layer0"].append(layer0)
+            self.frames["layer_ell"].append(layers[ell].copy() if ell else layer0)
 
-    def blown() -> bool:
-        if not np.all(np.isfinite(state.modes)):
-            return True
-        worst = max(
-            float(np.max(np.abs(np.real(np.fft.ifftn(state.modes[k]))))) for k in range(op.m)
-        )
-        return worst > BLOWUP_FACTOR * ref
+
+def run(config: RunConfig,
+        amplitudes: Sequence[float] | None = None) -> RunReport | list[RunReport]:
+    """March to T (or blow-up), recording norms and the weighted X-history.
+
+    Returns one RunReport.  With ``amplitudes`` it returns one report per
+    amplitude, each equal to ``run(replace(config, amplitude=a))``: the
+    members share one propagator and step together as one batch, and a
+    member that blows up is finalised at that step and leaves the batch.
+    """
+    amps = [config.amplitude] if amplitudes is None else list(amplitudes)
+    if not amps:
+        raise ValidationError("amplitudes must be a non-empty list")
+    op, grid = config.op, config.grid
+    ell = config.ell
+    p = config.norm_power
+    states = [init_state(op, grid, config.profile, a) for a in amps]
+    prop = ModePropagator(op, grid, config.dt)
+    mask = grid.dealias_mask()
+    n_steps = int(round(config.T / config.dt))
+
+    initial = [np.stack([s.physical(k) for k in range(op.m)]) for s in states]
+    # zero data is a legitimate run (the state stays zero); keep a unit
+    # reference so any numerical escape still trips the threshold
+    ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
+    state = SimState(t=0.0, modes=np.stack([s.modes for s in states]), grid=grid, op=op)
+    hist = [_History(ell, p, grid.quad_weight(), config.record_fields, n_steps) for _ in amps]
+    live = np.arange(len(amps))  # the member each batch row belongs to
+
+    def record():
+        layers = np.real(np.fft.ifftn(state.modes[:, :ell + 1], axes=grid.space_axes))
+        for row, b in enumerate(live):
+            hist[b].record(state.t, layers[row])
 
     record()
-    outcome = "completed"
-    blowup_time = None
     last_good_t = state.t
     for step in range(1, n_steps + 1):
         if config.nl is None and config.forcing is None:
             linear_step(state, prop)
         else:
             nonlinear_step(state, prop, ell, config.nl, config.forcing, mask)
-        if blown():
-            outcome = "blowup_detected"
-            blowup_time = last_good_t
-            break
+        out = blown(state.modes, ref[live], grid)
+        if out.any():
+            for b in live[out]:
+                hist[b].outcome = "blowup_detected"
+                hist[b].blowup_time = last_good_t
+                hist[b].steps = step
+            state.modes = state.modes[~out]
+            live = live[~out]
+            if not live.size:
+                break
         last_good_t = state.t
         if step % config.record_every == 0 or step == n_steps:
             record()
 
+    horizon = box_horizon(op, grid)
+    reports = [_report(config, amp, h, layers, horizon, int(np.sum(mask)))
+               for amp, h, layers in zip(amps, hist, initial)]
+    return reports[0] if amplitudes is None else reports
+
+
+def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarray,
+            horizon: float, modes_kept: int) -> RunReport:
+    op, grid = config.op, config.grid
     meta = {
         "m": op.m,
         "n": op.n,
-        "ell": ell,
+        "ell": config.ell,
         "N": grid.N,
         "L": grid.L,
         "dt": config.dt,
         "T": config.T,
-        "amplitude": config.amplitude,
-        "steps_taken": step if n_steps else 0,
-        "norm_power": p,
-        "dealias_modes_kept": int(np.sum(mask)),
-        "box_horizon": box_horizon(op, grid),
+        "amplitude": amplitude,
+        "steps_taken": h.steps,
+        "norm_power": h.p,
+        "dealias_modes_kept": modes_kept,
+        "box_horizon": horizon,
         "box_horizon_caveat": (
             "periodic box: whole-space polynomial decay laws are meaningful only "
             "up to roughly the horizon above, where the slowest retained mode "
@@ -470,20 +556,17 @@ def run(config: RunConfig) -> RunReport:
         "blowup_factor": BLOWUP_FACTOR,
     }
     fields = None
-    if config.record_fields:
-        fields = {
-            "layer0": np.stack(field_frames["layer0"]),
-            "layer_ell": np.stack(field_frames["layer_ell"]),
-        }
+    if h.frames is not None:
+        fields = {name: np.stack(frames) for name, frames in h.frames.items()}
     return RunReport(
-        outcome=outcome,
-        blowup_time=blowup_time,
-        times=times,
-        series=series,
+        outcome=h.outcome,
+        blowup_time=h.blowup_time,
+        times=h.times,
+        series=h.series,
         meta=meta,
         fields=fields,
         initial_layers=initial_layers,
-        xnorm_sup=xsup,
-        xnorm_last_increase=xsup_time,
-        initial_sign_functional=initial_sign_functional(op, ell, initial_layers, grid),
+        xnorm_sup=h.xsup,
+        xnorm_last_increase=h.xsup_time,
+        initial_sign_functional=initial_sign_functional(op, config.ell, initial_layers, grid),
     )

@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from critevo import Grid, cli, damped_wave, parse_profile
+from critevo import Grid, NumericalError, cli, damped_wave, parse_profile
 
 SCHEMA = {"schema_version": 1}
 
@@ -213,6 +215,76 @@ def test_sweep_isolates_invalid_values(op_file, tmp_path):
     assert (out / "value_000" / "simulate.json").exists()
     assert not (out / "value_001").exists()
     assert "even integer" in doc["runs"][1]["message"]
+
+
+def _amplitude_sweep(op_file, tmp_path, values):
+    # u_tt + u_t - u_xx = u^2: 0.9 and 1.2 blow up, at different steps
+    base = sim_config(op_file, grid={"N": 32, "L": 40.0}, dt=0.05, T=8.0,
+                      record_every=4, record_fields=True,
+                      nonlinearity={"p": 2.0, "mu": {"family": "constant"}})
+    cfg = write_json(tmp_path / "sweep.json", {
+        "schema_version": 1, "task": "simulate", "parameter": "amplitude",
+        "values": values, "config": base})
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    return base, out, json.loads((out / "sweep_index.json").read_text())
+
+
+def _assert_same_as_standalone(base, value, run_dir, tmp_path):
+    sub = write_json(tmp_path / f"alone_{value}.json", {**base, "amplitude": value})
+    alone = tmp_path / f"alone_{value}"
+    assert cli.main(["simulate", "--config", str(sub), "--out-dir", str(alone)]) == 0
+    names = sorted(os.listdir(alone))
+    assert sorted(os.listdir(run_dir)) == names
+    for name in names:
+        assert (run_dir / name).read_bytes() == (alone / name).read_bytes(), (value, name)
+
+
+def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
+    values = [0.0, 0.3, "big", 0.9, 1.2]
+    base, out, doc = _amplitude_sweep(op_file, tmp_path, values)
+    assert [r["status"] for r in doc["runs"]] == ["ok", "ok", "invalid", "ok", "ok"]
+    assert doc["n_ok"] == 4
+    assert not (out / "value_002").exists()
+    outcomes = [r["summary"]["outcome"] for r in doc["runs"] if r["status"] == "ok"]
+    assert outcomes == ["completed", "completed", "blowup_detected", "blowup_detected"]
+    assert doc["runs"][3]["summary"]["blowup_time"] != doc["runs"][4]["summary"]["blowup_time"]
+    for entry in doc["runs"]:
+        if entry["status"] == "ok":
+            _assert_same_as_standalone(base, entry["value"], out / entry["dir"], tmp_path)
+
+
+def test_amplitude_sweep_reruns_values_alone_when_the_batch_fails(op_file, tmp_path,
+                                                                   monkeypatch):
+    real_run = cli.run
+    calls = []
+
+    def flaky(config, amplitudes=None):
+        calls.append(amplitudes)
+        if amplitudes is not None:
+            raise NumericalError("batch failed")
+        if config.amplitude == 0.3:
+            raise NumericalError("diverged at 0.3")
+        return real_run(config)
+
+    monkeypatch.setattr(cli, "run", flaky)
+    base, out, doc = _amplitude_sweep(op_file, tmp_path, [0.0, 0.3, "big", 0.9])
+    assert calls == [[0.0, 0.3, 0.9], None, None, None]
+    assert [r["status"] for r in doc["runs"]] == ["ok", "numerical_failure", "invalid", "ok"]
+    assert doc["runs"][1]["message"] == "diverged at 0.3"
+    assert not (out / "value_001").exists()
+    monkeypatch.setattr(cli, "run", real_run)
+    for entry in (doc["runs"][0], doc["runs"][3]):
+        _assert_same_as_standalone(base, entry["value"], out / entry["dir"], tmp_path)
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, critevo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_empty_values_exit_2(op_file, tmp_path, capsys):

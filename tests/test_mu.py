@@ -292,3 +292,100 @@ def test_negative_mu_is_rejected():
     with pytest.raises(ValidationError, match=">= 0"):
         parse_mu({"family": "custom_table", "taus": [0.0, 1.0], "values": [1.0, -0.5]})
     assert MuSpec(family="constant", value=0.0).value == 0.0
+
+
+# --- eval_F against the general formula ------------------------------------
+
+def _reference_mu(mu, tau):
+    """eval_mu as first written: every check on every call, gathered arrays."""
+    arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
+        raise ValidationError("tau must be finite and >= 0")
+    if mu.family == "constant":
+        return np.full_like(arr, mu.value)
+    if mu.family == "power":
+        return np.minimum(arr, mu.tau_star) ** mu.epsilon
+    if mu.family == "custom_table":
+        return np.interp(arr, mu.taus, mu.values)
+    out = np.empty_like(arr)
+    cap = np.minimum(arr, mu.tau_star)
+    pos = cap > 0
+    if np.any(pos):
+        u = -np.log(cap[pos])
+        val = np.ones_like(u)
+        v = u
+        for _ in range(mu.depth):
+            if np.any(v <= 0):
+                raise ValidationError("inner log undefined on the requested range")
+            val = val / v
+            v = np.log(v)
+        if np.any(v <= 0):
+            raise ValidationError("inner log undefined on the requested range")
+        out[pos] = val * v ** (-mu.gamma)
+    out[~pos] = 0.0 if mu.depth or mu.gamma > 0 else (1.0 if mu.gamma == 0 else math.inf)
+    return out
+
+
+def _reference_F(nl, s):
+    arr = np.atleast_1d(np.asarray(s, dtype=float))
+    mag = np.abs(arr)
+    out = np.zeros_like(mag)
+    nz = mag > 0
+    if np.any(nz):
+        out[nz] = mag[nz] ** nl.p * _reference_mu(nl.mu, mag[nz])
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
+PARITY_SPECS = [
+    MuSpec(family="constant", value=0.7),
+    MuSpec(family="power", epsilon=0.5),
+    MuSpec(family="iterated_log", depth=0, gamma=2.0),
+    MuSpec(family="iterated_log", depth=1, gamma=0.5),
+    MuSpec(family="iterated_log", depth=2, gamma=1.5),
+    MuSpec(family="iterated_log", depth=0, gamma=-1.0, extension_point=0.2),
+    MuSpec(family="custom_table", taus=(0.0, 0.1, 0.5), values=(0.0, 0.3, 1.0)),
+]
+
+
+@pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
+def test_eval_F_bits_match_the_general_formula(mu, p):
+    nl = NonlinearitySpec(p=p, mu=mu)
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((3, 64)) * 0.4  # no zeros: the solver's case
+    mixed = np.concatenate([[0.0, -0.0, 2.0 * mu.tau_star if math.isfinite(mu.tau_star)
+                             else 5.0, -1e-300, np.nan], -np.abs(field[0])])
+    # below tau* (2.6e-7 at depth 2) every magnitude takes its own path
+    scales = np.geomspace(1e-200, 1.0, 301) * np.where(np.arange(301) % 2, -1.0, 1.0)
+    for s in (field, field[1], mixed, mixed.reshape(1, -1), scales, np.zeros(4), 0.0, -0.3,
+              0.02, 7.5, 1e-9, np.array(-0.04), np.array([]), [0.1, -0.2]):
+        got, want = eval_F(nl, s), _reference_F(nl, s)
+        assert type(got) is type(want)
+        assert np.asarray(got).shape == np.asarray(want).shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), s
+
+
+@pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")
+def test_eval_F_rejects_what_the_general_formula_rejects(mu):
+    nl = NonlinearitySpec(p=2.0, mu=mu)
+    for bad in (np.inf, -np.inf, [0.1, np.inf], np.array([[0.0, -np.inf]])):
+        with pytest.raises(ValidationError, match="tau must be finite"):
+            _reference_F(nl, bad)
+        with pytest.raises(ValidationError, match="tau must be finite"):
+            eval_F(nl, bad)
+
+
+def test_eval_F_log_domain_is_checked_per_call_when_tau_star_is_outside():
+    # at depth 1 the inner log -log(tau) passes 1 at tau = 1/e: an extension
+    # point of 0.5 leaves part of (0, tau*] outside the domain
+    mu = MuSpec(family="iterated_log", depth=1, gamma=2.0, extension_point=0.5)
+    assert not mu.inner_logs_positive
+    assert MuSpec(family="iterated_log", depth=1, gamma=2.0).inner_logs_positive
+    nl = NonlinearitySpec(p=2.0, mu=mu)
+    for bad in (0.4, [0.01, -0.45], np.full((2, 3), 0.9)):
+        with pytest.raises(ValidationError, match="inner log undefined"):
+            _reference_F(nl, bad)
+        with pytest.raises(ValidationError, match="inner log undefined"):
+            eval_F(nl, bad)
+    inside = np.array([0.01, -0.2, 0.3])  # every inner log positive here
+    assert eval_F(nl, inside).tobytes() == _reference_F(nl, inside).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from critevo import (
     parse_profile,
     run,
 )
+from critevo.solver import BLOWUP_FACTOR, blown
 
 
 def small_grid(n=1, N=16, L=2 * math.pi):
@@ -316,3 +318,102 @@ def test_T_must_be_a_multiple_of_dt():
                   ell=0, dt=0.3, T=1.0)
     RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0), profile=prof,
               ell=0, dt=0.1, T=0.3)  # 0.3 / 0.1 = 2.9999999999999996
+
+
+def _assert_reports_equal(got, want):
+    assert got.outcome == want.outcome
+    assert got.blowup_time == want.blowup_time
+    assert got.times == want.times
+    assert got.series == want.series
+    assert got.meta == want.meta
+    assert got.xnorm_sup == want.xnorm_sup
+    assert got.xnorm_last_increase == want.xnorm_last_increase
+    assert got.initial_sign_functional == want.initial_sign_functional
+    assert got.initial_layers.tobytes() == want.initial_layers.tobytes()
+    assert (got.fields is None) == (want.fields is None)
+    if want.fields is not None:
+        for name, frames in want.fields.items():
+            assert got.fields[name].shape == frames.shape, name
+            assert got.fields[name].tobytes() == frames.tobytes(), name
+
+
+@pytest.mark.parametrize("cfg, amplitudes", [
+    # 1-D, u^2 forcing: 0 stays zero (unit reference), 0.3 survives, 0.7 and
+    # 0.9 blow up at steps 159 and 132
+    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
+               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
+               record_every=3, record_fields=True),
+     [0.0, 0.3, 0.7, 0.9]),
+    # 2-D, (u_t)^2 forcing: 3 and 5 blow up at steps 17 and 9
+    (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=16, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=1, dt=0.05, T=4.0,
+               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
+               record_every=2, record_fields=True),
+     [0.0, 0.3, 3.0, 5.0]),
+    # linear flow, iterated-log modulation off
+    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=16, L=10.0),
+               profile=DataProfile(kind="gaussian", width=0.6, zero_mean=True),
+               ell=1, dt=0.1, T=1.0, record_every=4),
+     [0.0, -0.5, 2]),
+])
+def test_batched_run_equals_single_runs(cfg, amplitudes):
+    reports = run(cfg, amplitudes=amplitudes)
+    assert len(reports) == len(amplitudes)
+    with pytest.raises(ValidationError, match="non-empty"):
+        run(cfg, amplitudes=[])
+    for amp, got in zip(amplitudes, reports):
+        _assert_reports_equal(got, run(dataclasses.replace(cfg, amplitude=amp)))
+    outcomes = [(r.outcome, r.meta["steps_taken"]) for r in reports]
+    if cfg.nl is not None:
+        blown_steps = {steps for outcome, steps in outcomes if outcome == "blowup_detected"}
+        assert len(blown_steps) == 2, outcomes
+
+
+def _exact_blown(modes, ref):
+    """The blow-up decision by inverse FFT of every layer of every member."""
+    out = []
+    for member, r in zip(modes, ref):
+        if not np.all(np.isfinite(member)):
+            out.append(True)
+            continue
+        worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer))))) for layer in member)
+        out.append(worst > BLOWUP_FACTOR * r)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_blown_screen_matches_exact_decision(n, N):
+    grid = Grid(n=n, N=N, L=10.0)
+    rng = np.random.default_rng(7)
+    shape = (2,) + grid.shape
+    members, refs = [], []
+    # random states, whose max |u| sits well below the screen's bound, and a
+    # delta at the origin (all coefficients 1), whose max |u| meets it
+    for k in range(7):
+        member = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if k
+                  else np.ones(shape, dtype=complex))
+        worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer))))) for layer in member)
+        ref = worst / BLOWUP_FACTOR
+        # a reference whose threshold equals the worst value exactly: "at"
+        for cand in (ref, np.nextafter(ref, 0.0), np.nextafter(ref, np.inf)):
+            if BLOWUP_FACTOR * cand == worst:
+                ref = cand
+                break
+        for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1e-3, 1e3):
+            members.append(member)
+            refs.append(ref * scale)
+    for bad in (np.nan, np.inf, -np.inf):
+        member = rng.standard_normal(shape) + 0j
+        member[(1,) + (0,) * n] = bad
+        members.append(member)
+        refs.append(1.0)
+    members.append(np.zeros(shape, dtype=complex))
+    refs.append(1.0)
+    modes, ref = np.stack(members), np.array(refs)
+    want = _exact_blown(modes, ref)
+    assert want.any() and not want.all()
+    assert (blown(modes, ref, grid) == want).all()
+    # each member alone gets the same decision as in the batch
+    for b in range(len(members)):
+        assert blown(modes[b:b + 1], ref[b:b + 1], grid)[0] == want[b]
