@@ -259,7 +259,9 @@ def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
 
     Only the nonzero magnitudes reach mu.  When every entry is nonzero (a
     solver field) they are used in place; the arithmetic is elementwise, so
-    the result is the same either way, bit for bit.
+    the result is the same either way, bit for bit.  A NaN entry (a field
+    that has already overflowed) gives F = NaN, so the solver's blow-up
+    check still sees it.
     """
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
@@ -272,6 +274,7 @@ def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
         if nz.any():
             x = mag[nz]
             out[nz] = x ** nl.p * _mu_values(nl.mu, _finite(x))
+        out[np.isnan(mag)] = np.nan
     return float(out[0]) if scalar else out
 
 

@@ -201,13 +201,6 @@ class SimState:
         w = np.fft.ifftn(_layer(self.modes, layer, self.grid.n), axes=self.grid.space_axes)
         return np.real(w)
 
-    def reality_defect(self, layer: int) -> float:
-        w = np.fft.ifftn(_layer(self.modes, layer, self.grid.n), axes=self.grid.space_axes)
-        scale = float(np.max(np.abs(w)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(np.imag(w)))) / scale
-
 
 def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
                amplitude: float = 1.0) -> SimState:
@@ -245,9 +238,13 @@ class ModePropagator:
 
     Built once per (operator, grid, dt): exp(dt [[A, I], [0, 0]]) yields
     E = exp(dt A) in the top-left block and Phi = integral_0^dt exp(sA) ds
-    in the top-right, for every mode at once.  E is stored layer-major,
-    (m, m, *shape), so the per-mode product runs along contiguous space;
-    ``E`` itself is a (*shape, m, m) view of it.
+    in the top-right.  A(xi) takes far fewer values than there are modes (a
+    radial symbol depends on |xi|^2 only), so the exponential runs once per
+    distinct companion block, compared bit for bit, and is gathered back to
+    every mode; expm treats each block on its own, so the result equals a
+    per-mode build exactly.  E is stored layer-major, (m, m, *shape), so the
+    per-mode product runs along contiguous space; ``E`` itself is a
+    (*shape, m, m) view of it.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -260,14 +257,19 @@ class ModePropagator:
         self.dt = float(dt)
         m = op.m
         A = op.companion(grid.wavenumbers())
-        aug = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-        aug[..., :m, :m] = A
+        rows = np.ascontiguousarray(A).reshape(-1, m * m)
+        # a void view compares the raw bytes, so -0.0 and 0.0 stay apart
+        keys = rows.view(np.dtype((np.void, rows.itemsize * m * m))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        aug = np.zeros((first.size, 2 * m, 2 * m), dtype=complex)
+        aug[:, :m, :m] = rows[first].reshape(-1, m, m)
         for i in range(m):
-            aug[..., i, m + i] = 1.0
+            aug[:, i, m + i] = 1.0
         big = expm(self.dt * aug)
-        self._E = np.ascontiguousarray(np.moveaxis(big[..., :m, :m], (-2, -1), (0, 1)))
+        E = big[:, :m, :m][inverse].reshape(A.shape)
+        self._E = np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
         self.E = np.moveaxis(self._E, (0, 1), (-2, -1))
-        self.Phi = np.ascontiguousarray(big[..., :m, m:])
+        self.Phi = big[:, :m, m:][inverse].reshape(A.shape)
         # Phi e_{m-1}, the weight of the source in each layer: (m, *shape)
         self._phi = np.ascontiguousarray(np.moveaxis(self.Phi[..., :, m - 1], -1, 0))
         self._layer_axis = (..., None) + (slice(None),) * grid.n

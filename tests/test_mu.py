@@ -354,7 +354,7 @@ def test_eval_F_bits_match_the_general_formula(mu, p):
     rng = np.random.default_rng(3)
     field = rng.standard_normal((3, 64)) * 0.4  # no zeros: the solver's case
     mixed = np.concatenate([[0.0, -0.0, 2.0 * mu.tau_star if math.isfinite(mu.tau_star)
-                             else 5.0, -1e-300, np.nan], -np.abs(field[0])])
+                             else 5.0, -1e-300], -np.abs(field[0])])
     # below tau* (2.6e-7 at depth 2) every magnitude takes its own path
     scales = np.geomspace(1e-200, 1.0, 301) * np.where(np.arange(301) % 2, -1.0, 1.0)
     for s in (field, field[1], mixed, mixed.reshape(1, -1), scales, np.zeros(4), 0.0, -0.3,
@@ -363,6 +363,21 @@ def test_eval_F_bits_match_the_general_formula(mu, p):
         assert type(got) is type(want)
         assert np.asarray(got).shape == np.asarray(want).shape
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), s
+
+
+@pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")
+def test_eval_F_maps_nan_to_nan(mu):
+    nl = NonlinearitySpec(p=2.0, mu=mu)
+    assert math.isnan(eval_F(nl, np.nan))
+    got = eval_F(nl, [0.1, np.nan, 0.0, -0.2])
+    want = eval_F(nl, [0.1, 0.0, -0.2])
+    assert np.isnan(got[1]) and got[[0, 2, 3]].tobytes() == want.tobytes()
+    field = np.full((2, 3), np.nan)
+    field[0, 1] = 0.05
+    got = eval_F(nl, field)
+    assert got.shape == (2, 3)
+    assert np.array_equal(np.isnan(got), np.isnan(field))
+    assert got[0, 1] == eval_F(nl, 0.05)
 
 
 @pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from critevo import (
     MuSpec,
     NonlinearitySpec,
     RunConfig,
+    SpatialTerm,
     ValidationError,
     box_horizon,
+    damped_klein_gordon,
     damped_wave,
     grid_norms,
     init_state,
@@ -23,6 +26,7 @@ from critevo import (
     nonlinear_step,
     parse_profile,
     run,
+    sigma_evolution,
 )
 from critevo.solver import BLOWUP_FACTOR, blown
 
@@ -82,6 +86,61 @@ def test_semigroup_composition():
     want = big.apply_linear(modes0)
     assert np.max(np.abs(state.modes - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
     assert state.t == pytest.approx(1.0)
+
+
+def _per_mode_propagator(op, grid, dt):
+    """E, Phi and Phi e_{m-1} by one expm call per mode, as first written."""
+    m = op.m
+    A = op.companion(grid.wavenumbers())
+    aug = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    aug[..., :m, :m] = A
+    for i in range(m):
+        aug[..., i, m + i] = 1.0
+    big = expm(dt * aug)
+    E, Phi = big[..., :m, :m], big[..., :m, m:]
+    return E, Phi, np.moveaxis(Phi[..., :, m - 1], -1, 0)
+
+
+def _monomial_op(alpha):
+    """d_t^2 u + d_t u + (d_x)^alpha u: one monomial, not a radial symbol."""
+    return EvolutionOperator(m=2, n=2, levels={
+        0: (SpatialTerm(kind="monomial", coeff=1.0, alpha=alpha),),
+        1: (SpatialTerm(kind="monomial", coeff=1.0, alpha=(0, 0)),),
+    })
+
+
+@pytest.mark.parametrize("op, grid", [
+    (damped_wave(1), Grid(n=1, N=64, L=40.0)),
+    (damped_wave(2), Grid(n=2, N=16, L=40.0)),
+    (sigma_evolution(2, 2, Fraction(1, 2)), Grid(n=2, N=16, L=12.0)),
+    (damped_klein_gordon(2, damping=0.5, mass=1.0), Grid(n=2, N=16, L=12.0)),
+    (_monomial_op((2, 0)), Grid(n=2, N=16, L=12.0)),   # anisotropic
+    (_monomial_op((1, 0)), Grid(n=2, N=16, L=12.0)),   # odd order, complex symbol
+    (EvolutionOperator(m=3, n=2), Grid(n=2, N=16, L=12.0)),  # A singular
+], ids=["wave-1d", "wave-2d", "sigma", "klein-gordon", "alpha-20", "alpha-10", "empty-m3"])
+def test_propagator_bits_match_per_mode_expm(op, grid):
+    prop = ModePropagator(op, grid, dt=0.05)
+    for got, want in zip((prop.E, prop.Phi, prop._phi), _per_mode_propagator(op, grid, 0.05)):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
+    import scipy.linalg
+
+    op, grid = damped_wave(2), Grid(n=2, N=16, L=40.0)
+    rows = op.companion(grid.wavenumbers()).reshape(grid.N**2, -1)
+    distinct = len(np.unique(rows, axis=0))
+    assert distinct < grid.N**2 // 4  # a radial symbol repeats its blocks
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    ModePropagator(op, grid, dt=0.05)
+    assert calls == [(distinct, 2 * op.m, 2 * op.m)]
 
 
 def test_step_doubling_consistency():
@@ -167,7 +226,20 @@ def test_reality_preserved():
     for _ in range(10):
         nonlinear_step(state, prop, ell=1, nl=nl)
     for layer in range(op.m):
-        assert state.reality_defect(layer) < 1e-10
+        w = np.fft.ifftn(state.modes[layer])
+        assert np.max(np.abs(np.imag(w))) / np.max(np.abs(w)) < 1e-10
+
+
+def test_overflowing_corrector_field_still_ends_in_blowup():
+    # the predictor's source overflows, so the corrector field is all NaN:
+    # F must carry the NaN on to the blow-up check, not reject it as input
+    cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
+                    profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.1, T=1.0,
+                    amplitude=1e120, nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run(cfg)
+    assert report.outcome == "blowup_detected"
+    assert report.meta["steps_taken"] == 1
 
 
 def test_zero_data_run_completes():
