@@ -365,7 +365,7 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
 
 
 def _recorded_run(run_dir: Path):
-    """Operator, ell, grid and nonlinearity embedded in a recorded simulate.json."""
+    """Operator, ell, grid, nonlinearity and outcome recorded in simulate.json."""
     rec = load_json(run_dir / "simulate.json", "recorded run report")
     try:
         meta = rec["report"]["meta"]
@@ -373,16 +373,19 @@ def _recorded_run(run_dir: Path):
         ell = check(SIMULATE["ell"], meta["ell"], "recorded ell")
         grid = _grid_from({"N": meta["N"], "L": meta["L"]}, op)
         nl, _ = _nonlinearity_from(rec["nonlinearity"], op, ell)
+        outcome = rec["report"]["outcome"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{run_dir}/simulate.json lacks {exc}; record the run again") from exc
-    return op, ell, grid, nl
+    if not isinstance(outcome, str):
+        raise ValidationError(f"{run_dir}/simulate.json: report.outcome must be a string")
+    return op, ell, grid, nl, outcome
 
 
 def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
     if "run" in cfg:
         v = read(cfg, RESIDUAL_RUN, "config")
         run_dir = base / v["run"]
-        op, ell, grid, nl = _recorded_run(run_dir)
+        op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
         notes: list[str] = []
         try:
             times = np.load(run_dir / _FIELD_FILES["times"])
@@ -393,7 +396,6 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
                 f"recorded run at {run_dir} has no field files (simulate needs "
                 f"\"record_fields\": true): {exc}"
             ) from exc
-        run_outcome = None
         run_meta = {"source": str(Path(v["run"]))}
     else:
         v = read(cfg, RESIDUAL, "config")

@@ -252,12 +252,19 @@ class ResidualReport:
         }
 
 
-def _backward_antiderivative(arr: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """-int_t^T arr dt' along axis 0 by trapezoids on the recorded times."""
-    from scipy.integrate import cumulative_trapezoid
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum conj(a) * b over two arrays of one shape, in a fixed order.
 
-    cum = cumulative_trapezoid(arr, x=times, axis=0, initial=0.0)
-    return -(cum[-1][None, ...] - cum)
+    A complex array is read as its interleaved (re, im) floats, so the real
+    part of the Hermitian product is one real dot product; einsum's own loop
+    keeps the summation order independent of BLAS threading.
+    """
+    return float(np.einsum("i,i->", a.reshape(-1).view(float), b.reshape(-1).view(float)))
+
+
+def _finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN and expose +-inf without a full-size mask
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
@@ -269,16 +276,27 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
 
     ``u_ell_frames`` has shape (len(times), *grid.shape) holding the
     physical d_t^l u; ``initial_layers`` has shape (m, *grid.shape) with
-    the physical initial layers (zero rows for absent data).
+    the physical initial layers (zero rows for absent data).  Every entry
+    must be finite.
+
+    One pass runs over the frames from the last recorded time back to the
+    first and keeps only per-frame arrays.  A level with a real constant
+    multiplier pairs the frame with its psi weight directly; every other
+    level pairs them in Fourier space by Parseval on the real half spectrum,
+    sum_x f * ifft(m fft G) = N^-n sum_k conj(f^) m G^.  Levels j < l carry
+    their backward anti-derivatives of psi^ as running trapezoids, one per
+    nesting depth, whose values at the first time give the stranded layers.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 3 or np.any(np.diff(times) <= 0):
-        raise ValidationError("times must be strictly increasing, length >= 3")
+    if times.ndim != 1 or times.size < 3 or not _finite(times) or np.any(np.diff(times) <= 0):
+        raise ValidationError("times must be finite and strictly increasing, length >= 3")
     frames = np.asarray(u_ell_frames, dtype=float)
     if frames.shape != (times.size,) + grid.shape:
         raise ValidationError(
             f"u_ell_frames shape {frames.shape} != {(times.size,) + grid.shape}"
         )
+    if not _finite(frames):
+        raise ValidationError("u_ell_frames holds a NaN or infinite value")
     problems = tf.support_checks(grid, float(times[-1]))
     if problems:
         raise ValidationError("; ".join(problems))
@@ -289,34 +307,83 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     initial_layers = np.asarray(initial_layers, dtype=float)
     if initial_layers.shape != (op.m,) + grid.shape:
         raise ValidationError("initial_layers must have shape (m, *grid.shape)")
+    if not _finite(initial_layers):
+        raise ValidationError("initial_layers holds a NaN or infinite value")
 
     dx = grid.quad_weight()
     rho = tf.rho(grid)
-    s = (times.reshape((-1,) + (1,) * grid.n) + rho[None, ...]) / tf.scale
-    space_axes = tuple(range(1, grid.n + 1))
+    N, n = grid.N, grid.n
     ks = grid.wavenumbers()
+    # Last-axis columns 0 and N/2 of the half spectrum hold their own
+    # conjugate partners; every other column also stands for its mirror.
+    hermitian = np.full(N // 2 + 1, 2.0)
+    hermitian[[0, -1]] = 1.0
+    mirror = np.ix_(*[(-np.arange(N)) % N] * n)  # the index of -k for each k
+
+    # (j, multiplier on the half spectrum or None, real constant or None)
+    levels = []
+    for j in op.order_set():
+        mult = np.conj(op.multiplier(j, ks))
+        c = mult.flat[0]
+        if j >= ell and c.imag == 0 and np.all(mult == c):
+            levels.append((j, None, float(c.real)))
+            continue
+        # The real part of the full sum pairs k with -k, so the half sum
+        # takes the Hermitian part of the multiplier; it differs from the
+        # multiplier only where a Nyquist index has no mirror of its own.
+        herm = 0.5 * (mult + np.conj(mult[mirror]))
+        levels.append((j, herm[..., :N // 2 + 1] * hermitian / N**n, None))
+    depth = max((ell - j for j in op.order_set() if j < ell), default=0)
+    orders = {j - ell for j in op.order_set() if j >= ell}
+    if depth or nl is not None:
+        orders.add(0)
+    transformed = {j - ell for j, mw, _ in levels if mw is not None and j >= ell}
+    if depth:
+        transformed.add(0)
+
+    ips = {j: np.empty(times.size) for j, _, _ in levels}
+    lhs_ip = np.empty(times.size)
+    acc = None  # acc[d] = (D_t^-d psi)^ at the current frame
+    for t in range(times.size - 1, -1, -1):
+        s = (times[t] + rho) / tf.scale
+        G = {k: tf.weight(k, s) / tf.scale**k for k in orders}
+        G_hat = {k: np.fft.rfftn(G[k]) for k in transformed}
+        frame = frames[t]
+        f_hat = np.fft.rfftn(frame) if transformed else None
+        if depth and acc is None:
+            acc = [G_hat[0]] + [np.zeros_like(G_hat[0])] * depth
+        elif depth:
+            h = times[t + 1] - times[t]
+            cur = [G_hat[0]]
+            for d in range(1, depth + 1):
+                cur.append(acc[d] - h * (cur[d - 1] + acc[d - 1]) / 2.0)
+            acc = cur
+        for j, mw, c in levels:
+            if c is not None:
+                ips[j][t] = c * _dot(frame, G[j - ell]) * dx
+            else:
+                v_hat = G_hat[j - ell] if j >= ell else acc[ell - j]
+                ips[j][t] = _dot(f_hat, mw * v_hat) * dx
+        if nl is not None:
+            lhs_ip[t] = _dot(np.asarray(eval_F(nl, frame)), G[0]) * dx
+
+    layer_hats: dict[int, np.ndarray] = {}
+
+    def layer_hat(i: int) -> np.ndarray:
+        if i not in layer_hats:
+            layer_hats[i] = np.fft.rfftn(initial_layers[i])
+        return layer_hats[i]
 
     contributions: dict[str, float] = {}
     rhs_sum = 0.0
     gross = 0.0
     data_term = 0.0
-    for j in op.order_set():
-        mult = np.conj(op.multiplier(j, ks))
-        if j >= ell:
-            G = tf.weight(j - ell, s) / tf.scale ** (j - ell)
-        else:
-            G = tf.weight(0, s)
-        term = np.real(np.fft.ifftn(mult[None, ...] * np.fft.fftn(G, axes=space_axes),
-                                    axes=space_axes))
-        if j < ell:
-            # each backward anti-derivative strands one initial layer at t = 0
-            for i in range(ell - j):
-                term = _backward_antiderivative(term, times)
-                layer = initial_layers[j + i]
-                if np.any(layer):
-                    data_term += (-1) ** i * float(np.sum(layer * term[0]) * dx)
-        ip = np.sum(frames * term, axis=space_axes) * dx
-        val = float((-1) ** abs(j - ell) * np.trapezoid(ip, x=times))
+    for j, mw, c in levels:
+        # each backward anti-derivative strands one initial layer at t = 0
+        for i in range(ell - j):
+            if np.any(initial_layers[j + i]):
+                data_term += (-1) ** i * _dot(layer_hat(j + i), mw * acc[i + 1]) * dx
+        val = float((-1) ** abs(j - ell) * np.trapezoid(ips[j], x=times))
         contributions[str(j)] = val
         rhs_sum += val
         gross += abs(val)
@@ -326,18 +393,15 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
             if not np.any(layer):
                 continue
             psi_i0 = tf.time_derivative(i, 0.0, rho)
-            adj = np.real(np.fft.ifftn(mult * np.fft.fftn(psi_i0)))
-            data_term += (-1) ** i * float(np.sum(layer * adj) * dx)
+            if c is not None:
+                pair = c * _dot(layer, psi_i0)
+            else:
+                pair = _dot(layer_hat(j - 1 - i), mw * np.fft.rfftn(psi_i0))
+            data_term += (-1) ** i * pair * dx
 
     rhs = rhs_sum - data_term
     gross += abs(data_term)
-
-    if nl is None:
-        lhs = 0.0
-    else:
-        psi_frames = tf.weight(0, s)
-        F = np.asarray(eval_F(nl, frames))
-        lhs = float(np.trapezoid(np.sum(F * psi_frames, axis=space_axes) * dx, x=times))
+    lhs = 0.0 if nl is None else float(np.trapezoid(lhs_ip, x=times))
 
     used_floor = floor if floor is not None else gross + 1e-30
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + used_floor)

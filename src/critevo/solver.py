@@ -242,9 +242,9 @@ class ModePropagator:
     radial symbol depends on |xi|^2 only), so the exponential runs once per
     distinct companion block, compared bit for bit, and is gathered back to
     every mode; expm treats each block on its own, so the result equals a
-    per-mode build exactly.  E is stored layer-major, (m, m, *shape), so the
-    per-mode product runs along contiguous space; ``E`` itself is a
-    (*shape, m, m) view of it.
+    per-mode build exactly.  Only what stepping reads is kept: E layer-major,
+    ``_E`` of shape (m, m, *shape), so the per-mode product runs along
+    contiguous space, and the last column of Phi as ``_phi``, (m, *shape).
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -268,12 +268,10 @@ class ModePropagator:
         big = expm(self.dt * aug)
         E = big[:, :m, :m][inverse].reshape(A.shape)
         self._E = np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
-        self.E = np.moveaxis(self._E, (0, 1), (-2, -1))
-        self.Phi = big[:, :m, m:][inverse].reshape(A.shape)
         # Phi e_{m-1}, the weight of the source in each layer: (m, *shape)
-        self._phi = np.ascontiguousarray(np.moveaxis(self.Phi[..., :, m - 1], -1, 0))
+        phi = big[:, :m, 2 * m - 1][inverse].reshape(A.shape[:-1])
+        self._phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0))
         self._layer_axis = (..., None) + (slice(None),) * grid.n
-        self.A = A
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
         """E v for every mode of (m, *shape) or batched (B, m, *shape) modes."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from critevo import EvolutionOperator, fractional_term
+from critevo import EvolutionOperator, SpatialTerm, fractional_term
 
 INF = math.inf
 
@@ -125,3 +125,11 @@ def build_m5_operator(n: int = 3) -> EvolutionOperator:
             0: (fractional_term(2, 1.0),),
         },
     )
+
+
+def monomial_op(alpha) -> EvolutionOperator:
+    """d_t^2 u + d_t u + (d_x)^alpha u: one monomial, not a radial symbol."""
+    return EvolutionOperator(m=2, n=2, levels={
+        0: (SpatialTerm(kind="monomial", coeff=1.0, alpha=alpha),),
+        1: (SpatialTerm(kind="monomial", coeff=1.0, alpha=(0, 0)),),
+    })

@@ -178,6 +178,43 @@ def test_residual_on_recorded_run(op_file, tmp_path):
     assert cli.main(["residual", "--config", str(res2), "--out-dir", str(out)]) == 2
 
 
+def test_residual_of_a_nan_field_exits_2(op_file, tmp_path, capsys):
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    frames = np.load(run_dir / "fields_layer_ell.npy")
+    frames[3, 10] = np.nan
+    np.save(run_dir / "fields_layer_ell.npy", frames)
+    res = write_json(tmp_path / "res.json", {**SCHEMA, "run": str(run_dir)})
+    out = tmp_path / "r"
+    assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not (out / "residual.json").exists()
+
+
+def test_residual_reports_the_recorded_outcome(tmp_path):
+    op1 = write_json(tmp_path / "op1.json",
+                     {"schema_version": 1, "m": 1, "n": 1, "levels": {}})
+    base = {
+        "schema_version": 1, "operator": str(op1), "ell": 0,
+        "grid": {"N": 32, "L": 20.0},
+        "profile": {"kind": "gaussian", "width": 1.2},
+        "dt": 0.01, "T": 2.0, "record_fields": True,
+        "nonlinearity": {"p": 2.0, "mu": {"family": "constant", "value": 1.0}},
+    }
+    for amplitude, want in ((0.01, "completed"), (5.0, "blowup_detected")):
+        run_dir = tmp_path / want
+        sim = write_json(tmp_path / f"sim_{want}.json", {**base, "amplitude": amplitude})
+        assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+        recorded = json.loads((run_dir / "simulate.json").read_text())["report"]["outcome"]
+        assert recorded == want
+        res = write_json(tmp_path / f"res_{want}.json", {
+            **SCHEMA, "run": str(run_dir), "test_function": {"eta_bar": 2}})
+        out = tmp_path / f"r_{want}"
+        assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "residual.json").read_text())["run_outcome"] == want
+
+
 def test_mu_check_flags_mode(tmp_path):
     out = tmp_path / "m"
     assert cli.main(["mu-check", "--family", "iterated_log", "--gamma", "2.0",

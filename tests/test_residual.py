@@ -1,15 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from critevo import (
     DataProfile,
+    EvolutionOperator,
     Grid,
     MuSpec,
     NonlinearitySpec,
     RunConfig,
+    SpatialTerm,
     TestFunctionSpec,
     ValidationError,
     damped_wave,
@@ -20,6 +23,8 @@ from critevo import (
     sigma_evolution,
     weak_residual,
 )
+from critevo.mu import eval_F
+from helpers import monomial_op
 
 BOX = dict(n=1, N=128, L=40.0)
 
@@ -280,3 +285,183 @@ def test_report_deterministic_and_serializable():
     assert set(blob) >= {"residual", "lhs", "rhs", "data_term",
                          "contributions", "floor", "test_function"}
     assert blob["test_function"]["q_tf"] == 3
+
+
+# --- the streamed Fourier pass against the whole-stack evaluation -----------
+
+def _backward_antiderivative(arr, times):
+    """-int_t^T arr dt' along axis 0 by trapezoids on the recorded times."""
+    from scipy.integrate import cumulative_trapezoid
+
+    cum = cumulative_trapezoid(arr, x=times, axis=0, initial=0.0)
+    return -(cum[-1][None, ...] - cum)
+
+
+def whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=None, initial_layers=None):
+    """The identity evaluated on the whole (times, *shape) stack in physical
+    space, each level through a complex fftn/ifftn pair, as first written."""
+    if initial_layers is None:
+        initial_layers = np.zeros((op.m,) + grid.shape)
+    dx = grid.quad_weight()
+    rho = tf.rho(grid)
+    s = (times.reshape((-1,) + (1,) * grid.n) + rho[None, ...]) / tf.scale
+    space_axes = tuple(range(1, grid.n + 1))
+    ks = grid.wavenumbers()
+    contributions = {}
+    rhs_sum = 0.0
+    data_term = 0.0
+    for j in op.order_set():
+        mult = np.conj(op.multiplier(j, ks))
+        if j >= ell:
+            G = tf.weight(j - ell, s) / tf.scale ** (j - ell)
+        else:
+            G = tf.weight(0, s)
+        term = np.real(np.fft.ifftn(mult[None, ...] * np.fft.fftn(G, axes=space_axes),
+                                    axes=space_axes))
+        if j < ell:
+            for i in range(ell - j):
+                term = _backward_antiderivative(term, times)
+                layer = initial_layers[j + i]
+                if np.any(layer):
+                    data_term += (-1) ** i * float(np.sum(layer * term[0]) * dx)
+        ip = np.sum(frames * term, axis=space_axes) * dx
+        val = float((-1) ** abs(j - ell) * np.trapezoid(ip, x=times))
+        contributions[str(j)] = val
+        rhs_sum += val
+        for i in range(j - ell):
+            layer = initial_layers[j - 1 - i]
+            if not np.any(layer):
+                continue
+            psi_i0 = tf.time_derivative(i, 0.0, rho)
+            adj = np.real(np.fft.ifftn(mult * np.fft.fftn(psi_i0)))
+            data_term += (-1) ** i * float(np.sum(layer * adj) * dx)
+    lhs = 0.0
+    if nl is not None:
+        F = np.asarray(eval_F(nl, frames))
+        lhs = float(np.trapezoid(np.sum(F * tf.weight(0, s), axis=space_axes) * dx, x=times))
+    return {"lhs": lhs, "rhs": rhs_sum - data_term, "data_term": data_term,
+            "contributions": contributions}
+
+
+NL2 = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
+
+
+def _wave_2d_case():
+    op = damped_wave(2)
+    grid = Grid(n=2, N=64, L=40.0)
+    out = run(RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
+                        ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2,
+                        record_every=2, record_fields=True))
+    tf = make_test_function(op, 0, 2.0, 2.94, 2, grid=grid)
+    return (op, 0, grid, np.asarray(out.times), out.fields["layer_ell"], tf,
+            NL2, out.initial_layers)
+
+
+def _sigma_ell1_case():
+    # j = 0 < ell strands layer 0 through the anti-derivative, j = 2 strands layer 1
+    grid = Grid(**BOX)
+    op = sigma_evolution(1, 2, 1)
+    k = 2.0 * math.pi / grid.L * 3
+    _, lam, layer = exact_mode(grid, (k * k, k**4))
+    times = np.arange(0.0, 20.0 + 0.05, 0.1)
+    frames = np.stack([layer(t, 1) for t in times])
+    init = np.stack([layer(0.0, 0), layer(0.0, 1)])
+    assert np.all(np.any(init, axis=1))
+    tf = make_test_function(op, 1, 3, 0.98 * 20.0, 2, grid=grid)
+    return op, 1, grid, times, frames, tf, NL2, init
+
+
+def _monomial_case():
+    # an odd symbol is complex, and random frames fill the Nyquist row and
+    # column, where the half-spectrum weights and mirrors matter
+    op = monomial_op((1, 0))
+    grid = Grid(n=2, N=32, L=12.0)
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 6.0, 40)
+    frames = rng.standard_normal((times.size,) + grid.shape)
+    init = rng.standard_normal((op.m,) + grid.shape)
+    tf = make_test_function(op, 0, 3, 5.0, 2, grid=grid)
+    return op, 0, grid, times, frames, tf, NL2, init
+
+
+@pytest.mark.parametrize("case", [_wave_2d_case, _sigma_ell1_case, _monomial_case],
+                         ids=["wave-2d", "sigma-ell1", "monomial-10"])
+def test_streamed_pass_matches_whole_stack(case):
+    op, ell, grid, times, frames, tf, nl, init = case()
+    got = weak_residual(op, ell, grid, times, frames, tf, nl=nl, initial_layers=init)
+    want = whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=nl,
+                                     initial_layers=init)
+    assert want["data_term"] != 0.0 and want["lhs"] != 0.0
+    assert list(got.contributions) == list(want["contributions"])
+    pairs = [(got.lhs, want["lhs"]), (got.data_term, want["data_term"])]
+    pairs += [(got.contributions[j], v) for j, v in want["contributions"].items()]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-13 * abs(b), (a, b)
+    # When the frames solve the linear equation (the sigma case) the RHS is
+    # what is left of O(1) terms that cancel, so it is held to their size.
+    gross = sum(abs(v) for v in want["contributions"].values()) + abs(want["data_term"])
+    scale = gross if abs(want["rhs"]) < 1e-3 * gross else abs(want["rhs"])
+    assert abs(got.rhs - want["rhs"]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("op, ell, per_frame", [
+    (damped_wave(1), 0, 2),          # frame + psi^ for -Lap; levels 1, 2 are constant
+    (damped_wave(1), 1, 2),          # level 0 below ell runs on psi^'s anti-derivative
+    (sigma_evolution(1, 2, 1), 0, 3),  # two non-constant levels at orders 0 and 1
+    (sigma_evolution(1, 2, 1), 1, 2),  # the level below ell shares psi^ with level 1
+    (EvolutionOperator(m=2, n=1, levels={0: (SpatialTerm(kind="monomial", coeff=2.0,
+                                                         alpha=(0,)),)}), 0, 0),
+], ids=["wave-ell0", "wave-ell1", "sigma-ell0", "sigma-ell1", "constant"])
+def test_each_frame_is_transformed_once(op, ell, per_frame, monkeypatch):
+    grid = Grid(**BOX)
+    times = np.linspace(0.0, 12.0, 30)
+    x = grid.coords()[0]
+    frames = np.stack([np.exp(-x**2) * math.cos(t) for t in times])
+    tf = make_test_function(op, ell, 3, 10.0, 2, grid=grid)
+    calls = {name: 0 for name in ("rfftn", "irfftn", "fftn", "ifftn")}
+
+    def counting(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    weak_residual(op, ell, grid, times, frames, tf, nl=NL2)
+    assert calls == {"rfftn": per_frame * times.size, "irfftn": 0, "fftn": 0, "ifftn": 0}
+
+
+def test_memory_does_not_grow_with_the_frame_count():
+    op = damped_wave(2)
+    grid = Grid(n=2, N=64, L=40.0)
+    times = np.linspace(0.0, 3.0, 200)
+    r2 = sum(c**2 for c in grid.coords())
+    frames = np.stack([np.exp(-r2 / 4.0) * math.cos(t) for t in times])
+    tf = make_test_function(op, 0, 2.0, 2.94, 2, grid=grid)
+    weak_residual(op, 0, grid, times, frames, tf, nl=NL2)  # lazy imports settle untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        weak_residual(op, 0, grid, times, frames, tf, nl=NL2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < frames.nbytes / 4, (peak, frames.nbytes)
+
+
+@pytest.mark.parametrize("where", ["times", "frames", "initial_layers"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(where, bad):
+    grid = Grid(**BOX)
+    op = damped_wave(1)
+    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    args = {"times": np.linspace(0.0, 12.0, 40),
+            "frames": np.zeros((40,) + grid.shape),
+            "initial_layers": np.zeros((op.m,) + grid.shape)}
+    args[where][(-1,) * args[where].ndim] = bad
+    with pytest.raises(ValidationError):
+        weak_residual(op, 0, grid, args["times"], args["frames"], tf,
+                      initial_layers=args["initial_layers"])
