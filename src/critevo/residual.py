@@ -267,6 +267,15 @@ def _finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
+def _real(a, name: str) -> np.ndarray:
+    """``a`` as a float array; a complex (or other non-real) dtype is rejected,
+    never cast, since the cast would drop the imaginary part."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, not {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
                   times, u_ell_frames: np.ndarray, tf: TestFunctionSpec,
                   nl: NonlinearitySpec | None = None,
@@ -277,7 +286,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     ``u_ell_frames`` has shape (len(times), *grid.shape) holding the
     physical d_t^l u; ``initial_layers`` has shape (m, *grid.shape) with
     the physical initial layers (zero rows for absent data).  Every entry
-    must be finite.
+    must be real and finite.
 
     One pass runs over the frames from the last recorded time back to the
     first and keeps only per-frame arrays.  A level with a real constant
@@ -287,10 +296,10 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     their backward anti-derivatives of psi^ as running trapezoids, one per
     nesting depth, whose values at the first time give the stranded layers.
     """
-    times = np.asarray(times, dtype=float)
+    times = _real(times, "times")
     if times.ndim != 1 or times.size < 3 or not _finite(times) or np.any(np.diff(times) <= 0):
         raise ValidationError("times must be finite and strictly increasing, length >= 3")
-    frames = np.asarray(u_ell_frames, dtype=float)
+    frames = _real(u_ell_frames, "u_ell_frames")
     if frames.shape != (times.size,) + grid.shape:
         raise ValidationError(
             f"u_ell_frames shape {frames.shape} != {(times.size,) + grid.shape}"
@@ -304,7 +313,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
         raise ValidationError(f"ell must be an integer in [0, {op.m - 1}]")
     if initial_layers is None:
         initial_layers = np.zeros((op.m,) + grid.shape)
-    initial_layers = np.asarray(initial_layers, dtype=float)
+    initial_layers = _real(initial_layers, "initial_layers")
     if initial_layers.shape != (op.m,) + grid.shape:
         raise ValidationError("initial_layers must have shape (m, *grid.shape)")
     if not _finite(initial_layers):
@@ -314,10 +323,6 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     rho = tf.rho(grid)
     N, n = grid.N, grid.n
     ks = grid.wavenumbers()
-    # Last-axis columns 0 and N/2 of the half spectrum hold their own
-    # conjugate partners; every other column also stands for its mirror.
-    hermitian = np.full(N // 2 + 1, 2.0)
-    hermitian[[0, -1]] = 1.0
     mirror = np.ix_(*[(-np.arange(N)) % N] * n)  # the index of -k for each k
 
     # (j, multiplier on the half spectrum or None, real constant or None)
@@ -332,7 +337,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
         # takes the Hermitian part of the multiplier; it differs from the
         # multiplier only where a Nyquist index has no mirror of its own.
         herm = 0.5 * (mult + np.conj(mult[mirror]))
-        levels.append((j, herm[..., :N // 2 + 1] * hermitian / N**n, None))
+        levels.append((j, herm[grid.half] * grid.half_weights() / N**n, None))
     depth = max((ell - j for j in op.order_set() if j < ell), default=0)
     orders = {j - ell for j in op.order_set() if j >= ell}
     if depth or nl is not None:

@@ -1,8 +1,12 @@
 """Periodic pseudospectral solver for d_t^m u + sum P_j(d_x) d_t^j u = F(d_t^l u).
 
-Space is a centered periodic box [-L/2, L/2)^n (n = 1 or 2) on N^n points;
-each Fourier mode carries the companion state v = (u, d_t u, ..., d_t^{m-1} u)^
-and evolves by v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
+Space is a centered periodic box [-L/2, L/2)^n (n = 1 or 2) on N^n points.
+Fields are real, so the state keeps only the real half spectrum: the rfftn
+coefficients, N/2 + 1 columns along the last axis (``Grid.half``), whose
+other modes are conjugate mirrors; irfftn(..., s=grid.shape) maps it back
+to a field that is real by construction.  Each kept Fourier mode carries
+the companion state v = (u, d_t u, ..., d_t^{m-1} u)^ and evolves by
+v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
 exact matrix exponential E = exp(dt A); the Duhamel weight
 Phi = integral_0^dt exp(s A) ds comes from the same scaling-and-squaring
 call on the augmented block [[A, I], [0, 0]] (top-right block of its
@@ -12,10 +16,11 @@ advanced by an exponential predictor-corrector,
     v* = E v + Phi e F^(t),      v+ = E v + Phi e (F^(t) + F^*(t+dt)) / 2,
 
 whose averaged source matches the Duhamel integral to O(dt^3) locally,
-i.e. second order globally.  Products are formed in physical space and
-dealiased with the 2/3 rule (modes with any |k| > N/3 dropped), applied to
-the initial data and to every nonlinear transform; the linear flow is
-diagonal per mode and cannot repopulate masked modes.
+i.e. second order globally.  Products are formed in physical space
+(irfftn, F, rfftn) and dealiased with the 2/3 rule (modes with any
+|k| > N/3 dropped, the Nyquist column N/2 among them), applied to the
+initial data and to every nonlinear transform; the linear flow is diagonal
+per mode and cannot repopulate masked modes.
 
 Several amplitudes of one config can run as one batch: the state then
 carries a leading member axis, the members share the propagator, and
@@ -85,6 +90,26 @@ class Grid:
         k_int = np.fft.fftfreq(self.N, d=1.0 / self.N)
         ks = [(2 * np.pi / self.L) * k_int] * self.n
         return list(np.meshgrid(*ks, indexing="ij"))
+
+    @property
+    def half(self) -> tuple:
+        """Index of the real half spectrum in a (..., *shape) full-spectrum array.
+
+        rfftn keeps the last-axis columns 0..N/2; every other column of a
+        real field's spectrum is the conjugate mirror of a kept one.
+        """
+        return (..., slice(0, self.N // 2 + 1))
+
+    def half_weights(self) -> np.ndarray:
+        """Last-axis column weights (1, 2, ..., 2, 1) of a half-spectrum sum.
+
+        Columns 0 and N/2 are their own mirrors; every other column also
+        stands for its mirror, so for a Hermitian spectrum the weighted half
+        sum of |u^|, or of Re(conj f^ g^), equals the full-spectrum sum.
+        """
+        w = np.full(self.N // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return w
 
     def dealias_mask(self) -> np.ndarray:
         k_int = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
@@ -185,11 +210,11 @@ def _layer(modes: np.ndarray, k: int, n: int) -> np.ndarray:
 
 @dataclass
 class SimState:
-    """Companion-state Fourier coefficients of one run or of a batch of runs.
+    """Companion-state half-spectrum coefficients of one run or of a batch of runs.
 
-    ``modes`` is (m, *grid.shape), layer k holding (d_t^k u)^, or carries a
-    leading batch axis, (B, m, *grid.shape), for B runs that share t, the
-    grid and the operator.
+    ``modes`` is (m, *half), layer k holding rfftn(d_t^k u) with
+    *half = (*grid.shape[:-1], N/2 + 1), or carries a leading batch axis,
+    (B, m, *half), for B runs that share t, the grid and the operator.
     """
 
     t: float
@@ -198,8 +223,8 @@ class SimState:
     op: EvolutionOperator
 
     def physical(self, layer: int) -> np.ndarray:
-        w = np.fft.ifftn(_layer(self.modes, layer, self.grid.n), axes=self.grid.space_axes)
-        return np.real(w)
+        return np.fft.irfftn(_layer(self.modes, layer, self.grid.n),
+                             s=self.grid.shape, axes=self.grid.space_axes)
 
 
 def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
@@ -207,9 +232,9 @@ def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
     """Zero state except the data layer m-1 = amplitude * profile (dealiased)."""
     if op.n != grid.n:
         raise ValidationError("operator and grid dimensions disagree")
-    f = amplitude * profile.render(grid)
-    modes = np.zeros((op.m,) + grid.shape, dtype=complex)
-    modes[op.m - 1] = np.fft.fftn(f) * grid.dealias_mask()
+    f_hat = np.fft.rfftn(amplitude * profile.render(grid)) * grid.dealias_mask()[grid.half]
+    modes = np.zeros((op.m,) + f_hat.shape, dtype=complex)
+    modes[op.m - 1] = f_hat
     return SimState(t=0.0, modes=modes, grid=grid, op=op)
 
 
@@ -236,15 +261,16 @@ def initial_sign_functional(op: EvolutionOperator, ell: int,
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
-    Built once per (operator, grid, dt): exp(dt [[A, I], [0, 0]]) yields
-    E = exp(dt A) in the top-left block and Phi = integral_0^dt exp(sA) ds
-    in the top-right.  A(xi) takes far fewer values than there are modes (a
-    radial symbol depends on |xi|^2 only), so the exponential runs once per
-    distinct companion block, compared bit for bit, and is gathered back to
-    every mode; expm treats each block on its own, so the result equals a
-    per-mode build exactly.  Only what stepping reads is kept: E layer-major,
-    ``_E`` of shape (m, m, *shape), so the per-mode product runs along
-    contiguous space, and the last column of Phi as ``_phi``, (m, *shape).
+    Built once per (operator, grid, dt) on the half-spectrum wavenumbers:
+    exp(dt [[A, I], [0, 0]]) yields E = exp(dt A) in the top-left block and
+    Phi = integral_0^dt exp(sA) ds in the top-right.  A(xi) takes far fewer
+    values than there are modes (a radial symbol depends on |xi|^2 only),
+    so the exponential runs once per distinct companion block, compared bit
+    for bit, and is gathered back to every mode; expm treats each block on
+    its own, so the result equals a per-mode build exactly.  Only what
+    stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half), so
+    the per-mode product runs along contiguous space, and the last column of
+    Phi as ``_phi``, (m, *half).
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -256,7 +282,7 @@ class ModePropagator:
         self.grid = grid
         self.dt = float(dt)
         m = op.m
-        A = op.companion(grid.wavenumbers())
+        A = op.companion([k[grid.half] for k in grid.wavenumbers()])
         rows = np.ascontiguousarray(A).reshape(-1, m * m)
         # a void view compares the raw bytes, so -0.0 and 0.0 stay apart
         keys = rows.view(np.dtype((np.void, rows.itemsize * m * m))).ravel()
@@ -268,13 +294,13 @@ class ModePropagator:
         big = expm(self.dt * aug)
         E = big[:, :m, :m][inverse].reshape(A.shape)
         self._E = np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
-        # Phi e_{m-1}, the weight of the source in each layer: (m, *shape)
+        # Phi e_{m-1}, the weight of the source in each layer: (m, *half)
         phi = big[:, :m, 2 * m - 1][inverse].reshape(A.shape[:-1])
         self._phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0))
         self._layer_axis = (..., None) + (slice(None),) * grid.n
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
-        """E v for every mode of (m, *shape) or batched (B, m, *shape) modes."""
+        """E v for every mode of (m, *half) or batched (B, m, *half) modes."""
         if modes.ndim == self.grid.n + 1:
             return self.apply_linear(modes[None])[0]
         return np.einsum("ij...,bj...->bi...", self._E, modes)
@@ -296,15 +322,15 @@ def nonlinear_step(state: SimState, prop: ModePropagator, ell: int,
     """One exponential predictor-corrector step of size prop.dt (one run or a batch)."""
     grid = state.grid
     if mask is None:
-        mask = grid.dealias_mask()
+        mask = grid.dealias_mask()[grid.half]
     axes = grid.space_axes
 
     def source(modes: np.ndarray, t: float) -> np.ndarray:
-        w = np.real(np.fft.ifftn(_layer(modes, ell, grid.n), axes=axes))
+        w = np.fft.irfftn(_layer(modes, ell, grid.n), s=grid.shape, axes=axes)
         s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
         if forcing is not None:
             s = s + forcing(t)
-        return np.fft.fftn(s, axes=axes) * mask
+        return np.fft.rfftn(s, axes=axes) * mask
 
     Ev = prop.apply_linear(state.modes)
     s0 = source(state.modes, state.t)
@@ -413,29 +439,38 @@ SCREEN_MARGIN = 1e-9
 
 
 def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per member of batched modes (B, m, *shape): not finite, or some layer past the threshold.
+    """Per member of batched half-spectrum modes (B, m, *half): not finite,
+    or some layer past the threshold.
 
     Member b has blown up when a physical layer's max |u_k| exceeds
-    BLOWUP_FACTOR * ref[b].  Since max |u_k| <= sum |u^_k| / N^n, a member
-    whose spectral sums stay below the threshold by SCREEN_MARGIN cannot
-    have; only the others pay the exact inverse FFTs, so the decision is
-    the exact one.  A non-finite member fails the screen and is blown.
+    BLOWUP_FACTOR * ref[b].  Since max |u_k| <= sum |u^_k| / N^n over the
+    full spectrum, which is the half-spectrum sum weighted by
+    ``Grid.half_weights``, a member whose sums stay below the threshold by
+    SCREEN_MARGIN cannot have; only the others pay the exact inverse FFTs,
+    so the decision is the exact one.  A non-finite member fails the screen
+    and is blown.
     """
     limit = BLOWUP_FACTOR * ref
-    sums = np.abs(modes).sum(axis=grid.space_axes).max(axis=1)
+    # weighted sum along the last axis, then a plain one along the other (n = 2)
+    sums = (np.abs(modes) @ grid.half_weights()).sum(axis=grid.space_axes[1:]).max(axis=1)
     out = ~(sums <= (1.0 - SCREEN_MARGIN) * grid.N**grid.n * limit)
     for b in np.flatnonzero(out):
         if np.isfinite(modes[b]).all():
-            worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer)))))
-                        for layer in modes[b])
-            out[b] = worst > limit[b]
+            layers = np.fft.irfftn(modes[b], s=grid.shape, axes=grid.space_axes)
+            out[b] = float(np.max(np.abs(layers))) > limit[b]
     return out
 
 
 class _History:
-    """What one member of a run records: norm series, X-norm, fields and outcome."""
+    """What one member of a run records: norm series, X-norm, fields and outcome.
 
-    def __init__(self, ell: int, p: float, weight: float, keep_fields: bool, n_steps: int):
+    With ``frames_shape`` = (records, *shape), each recorded field is written
+    into a preallocated per-layer array; layer ell shares layer 0's when
+    ell = 0.
+    """
+
+    def __init__(self, ell: int, p: float, weight: float,
+                 frames_shape: tuple[int, ...] | None, n_steps: int):
         self.ell, self.p, self.weight = ell, p, weight
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {
@@ -443,8 +478,10 @@ class _History:
         }
         self.series["xnorm_weighted"] = []
         self.series["xnorm_running_sup"] = []
-        self.frames: dict[str, list[np.ndarray]] | None = (
-            {"layer0": [], "layer_ell": []} if keep_fields else None)
+        self.frames: tuple[np.ndarray, np.ndarray] | None = None
+        if frames_shape is not None:
+            layer0 = np.empty(frames_shape)
+            self.frames = (layer0, np.empty(frames_shape) if ell else layer0)
         self.xsup = 0.0
         self.xsup_time = 0.0
         self.outcome = "completed"
@@ -467,9 +504,18 @@ class _History:
             self.xsup_time = t
         self.series["xnorm_running_sup"].append(self.xsup)
         if self.frames is not None:
-            layer0 = layers[0].copy()
-            self.frames["layer0"].append(layer0)
-            self.frames["layer_ell"].append(layers[ell].copy() if ell else layer0)
+            i = len(self.times) - 1
+            self.frames[0][i] = layers[0]
+            if ell:
+                self.frames[1][i] = layers[ell]
+
+    def fields(self) -> dict[str, np.ndarray] | None:
+        """The recorded layers 0 and ell, sliced to the frames actually recorded."""
+        if self.frames is None:
+            return None
+        count = len(self.times)
+        layer0 = self.frames[0][:count]
+        return {"layer0": layer0, "layer_ell": self.frames[1][:count] if self.ell else layer0}
 
 
 def run(config: RunConfig,
@@ -489,7 +535,7 @@ def run(config: RunConfig,
     p = config.norm_power
     states = [init_state(op, grid, config.profile, a) for a in amps]
     prop = ModePropagator(op, grid, config.dt)
-    mask = grid.dealias_mask()
+    mask = grid.dealias_mask()[grid.half]
     n_steps = int(round(config.T / config.dt))
 
     initial = [np.stack([s.physical(k) for k in range(op.m)]) for s in states]
@@ -497,11 +543,13 @@ def run(config: RunConfig,
     # reference so any numerical escape still trips the threshold
     ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
     state = SimState(t=0.0, modes=np.stack([s.modes for s in states]), grid=grid, op=op)
-    hist = [_History(ell, p, grid.quad_weight(), config.record_fields, n_steps) for _ in amps]
+    n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
+    frames_shape = (n_records,) + grid.shape if config.record_fields else None
+    hist = [_History(ell, p, grid.quad_weight(), frames_shape, n_steps) for _ in amps]
     live = np.arange(len(amps))  # the member each batch row belongs to
 
     def record():
-        layers = np.real(np.fft.ifftn(state.modes[:, :ell + 1], axes=grid.space_axes))
+        layers = np.fft.irfftn(state.modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
         for row, b in enumerate(live):
             hist[b].record(state.t, layers[row])
 
@@ -527,7 +575,7 @@ def run(config: RunConfig,
             record()
 
     horizon = box_horizon(op, grid)
-    reports = [_report(config, amp, h, layers, horizon, int(np.sum(mask)))
+    reports = [_report(config, amp, h, layers, horizon, int(np.sum(grid.dealias_mask())))
                for amp, h, layers in zip(amps, hist, initial)]
     return reports[0] if amplitudes is None else reports
 
@@ -555,16 +603,13 @@ def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarra
         ),
         "blowup_factor": BLOWUP_FACTOR,
     }
-    fields = None
-    if h.frames is not None:
-        fields = {name: np.stack(frames) for name, frames in h.frames.items()}
     return RunReport(
         outcome=h.outcome,
         blowup_time=h.blowup_time,
         times=h.times,
         series=h.series,
         meta=meta,
-        fields=fields,
+        fields=h.fields(),
         initial_layers=initial_layers,
         xnorm_sup=h.xsup,
         xnorm_last_increase=h.xsup_time,

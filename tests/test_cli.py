@@ -192,6 +192,19 @@ def test_residual_of_a_nan_field_exits_2(op_file, tmp_path, capsys):
     assert not (out / "residual.json").exists()
 
 
+def test_residual_of_a_complex_field_exits_2(op_file, tmp_path, capsys):
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    frames = np.load(run_dir / "fields_layer_ell.npy")
+    np.save(run_dir / "fields_layer_ell.npy", 1j * frames)
+    res = write_json(tmp_path / "res.json", {**SCHEMA, "run": str(run_dir)})
+    out = tmp_path / "r"
+    assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 2
+    assert "real" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_residual_reports_the_recorded_outcome(tmp_path):
     op1 = write_json(tmp_path / "op1.json",
                      {"schema_version": 1, "m": 1, "n": 1, "levels": {}})

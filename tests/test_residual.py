@@ -465,3 +465,21 @@ def test_non_finite_input_is_rejected(where, bad):
     with pytest.raises(ValidationError):
         weak_residual(op, 0, grid, args["times"], args["frames"], tf,
                       initial_layers=args["initial_layers"])
+
+
+@pytest.mark.parametrize("where", ["times", "frames", "initial_layers"])
+def test_complex_input_is_rejected(where):
+    # a cast to float would keep only the real part: purely imaginary frames
+    # would score residual = 0 with no more than a ComplexWarning
+    grid = Grid(n=1, N=16, L=40.0)
+    op = damped_wave(1)
+    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    x = grid.coords()[0]
+    times = np.linspace(0.0, 12.0, 40)
+    args = {"times": times,
+            "frames": np.stack([np.exp(-x**2) * math.cos(t) for t in times]),
+            "initial_layers": np.stack([np.exp(-x**2), np.zeros_like(x)])}
+    args[where] = 1j * args[where] if where != "times" else args[where] + 0j
+    with pytest.raises(ValidationError, match="real"):
+        weak_residual(op, 0, grid, args["times"], args["frames"], tf,
+                      initial_layers=args["initial_layers"])

@@ -27,6 +27,7 @@ from critevo import (
     run,
     sigma_evolution,
 )
+from critevo.mu import eval_F
 from critevo.solver import BLOWUP_FACTOR, blown
 from helpers import monomial_op
 
@@ -47,17 +48,22 @@ def test_grid_validation():
 
 
 def _E(prop):
-    """The propagator's E as a (*shape, m, m) stack of per-mode matrices."""
+    """The propagator's E as a (*half, m, m) stack of per-mode matrices."""
     return np.moveaxis(prop._E, (0, 1), (-2, -1))
+
+
+def _half_wavenumbers(grid):
+    """The wavenumbers of the modes the half-spectrum state keeps."""
+    return [k[grid.half] for k in grid.wavenumbers()]
 
 
 def test_propagator_matches_ode_integrator():
     op = damped_wave(1)
     grid = small_grid()
     prop = ModePropagator(op, grid, dt=0.37)
-    A_all = op.companion(grid.wavenumbers())
+    A_all = op.companion(_half_wavenumbers(grid))
     rng = np.random.default_rng(1)
-    for idx in (0, 1, 5, 9):
+    for idx in (0, 1, 5, 8):
         A = A_all[idx]
         v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         sol = solve_ivp(lambda t, v: A @ v, (0.0, prop.dt), v0,
@@ -75,7 +81,7 @@ def test_duhamel_weight_identity():
         grid = small_grid()
         prop = ModePropagator(op, grid, dt=0.21)
         _, Phi, _ = _per_mode_propagator(op, grid, 0.21)
-        A = op.companion(grid.wavenumbers())
+        A = op.companion(_half_wavenumbers(grid))
         eye = np.eye(op.m)
         lhs = np.einsum("...ij,...jk->...ik", A, Phi) + eye
         assert np.allclose(lhs, _E(prop), atol=1e-12)
@@ -97,10 +103,11 @@ def test_semigroup_composition():
     assert state.t == pytest.approx(1.0)
 
 
-def _per_mode_propagator(op, grid, dt):
-    """E, Phi and Phi e_{m-1} by one expm call per mode, as first written."""
+def _per_mode_propagator(op, grid, dt, ks=None):
+    """E, Phi and Phi e_{m-1} by one expm call per mode, as first written,
+    on the half-spectrum wavenumbers unless ``ks`` gives others."""
     m = op.m
-    A = op.companion(grid.wavenumbers())
+    A = op.companion(_half_wavenumbers(grid) if ks is None else ks)
     aug = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
     aug[..., :m, :m] = A
     for i in range(m):
@@ -131,7 +138,7 @@ def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
     import scipy.linalg
 
     op, grid = damped_wave(2), Grid(n=2, N=16, L=40.0)
-    rows = op.companion(grid.wavenumbers()).reshape(grid.N**2, -1)
+    rows = op.companion(_half_wavenumbers(grid)).reshape(-1, op.m * op.m)
     distinct = len(np.unique(rows, axis=0))
     assert distinct < grid.N**2 // 4  # a radial symbol repeats its blocks
     calls = []
@@ -215,11 +222,14 @@ def test_dealiasing_masks_high_modes():
     prop = ModePropagator(op, grid, dt=0.05)
     for _ in range(5):
         nonlinear_step(state, prop, ell=0, nl=nl)
-    dropped = ~grid.dealias_mask()
+    dropped = ~grid.dealias_mask()[grid.half]
     assert np.all(state.modes[:, dropped] == 0.0)
 
 
 def test_reality_preserved():
+    # fields are real by construction; the one reality condition the half
+    # spectrum still carries is that the self-mirrored last-axis columns 0
+    # and N/2 stay Hermitian along the other axis, u^(-k1, c) = conj u^(k1, c)
     op = damped_wave(2)
     grid = Grid(n=2, N=16, L=12.0)
     nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant"))
@@ -227,9 +237,13 @@ def test_reality_preserved():
     prop = ModePropagator(op, grid, dt=0.1)
     for _ in range(10):
         nonlinear_step(state, prop, ell=1, nl=nl)
-    for layer in range(op.m):
-        w = np.fft.ifftn(state.modes[layer])
-        assert np.max(np.abs(np.imag(w))) / np.max(np.abs(w)) < 1e-10
+    mirror = (-np.arange(grid.N)) % grid.N
+    for layer in state.modes:
+        scale = np.max(np.abs(layer))
+        assert scale > 0.0
+        for col in (0, grid.N // 2):
+            c = layer[:, col]
+            assert np.max(np.abs(c - np.conj(c[mirror]))) / scale < 1e-10
 
 
 def test_overflowing_corrector_field_still_ends_in_blowup():
@@ -444,15 +458,19 @@ def test_batched_run_equals_single_runs(cfg, amplitudes):
         assert len(blown_steps) == 2, outcomes
 
 
-def _exact_blown(modes, ref):
+def _worst(member, grid):
+    """max |u| over the physical layers of one member's half-spectrum modes."""
+    return float(np.max(np.abs(np.fft.irfftn(member, s=grid.shape, axes=grid.space_axes))))
+
+
+def _exact_blown(modes, ref, grid):
     """The blow-up decision by inverse FFT of every layer of every member."""
     out = []
     for member, r in zip(modes, ref):
         if not np.all(np.isfinite(member)):
             out.append(True)
             continue
-        worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer))))) for layer in member)
-        out.append(worst > BLOWUP_FACTOR * r)
+        out.append(_worst(member, grid) > BLOWUP_FACTOR * r)
     return np.array(out)
 
 
@@ -460,14 +478,14 @@ def _exact_blown(modes, ref):
 def test_blown_screen_matches_exact_decision(n, N):
     grid = Grid(n=n, N=N, L=10.0)
     rng = np.random.default_rng(7)
-    shape = (2,) + grid.shape
+    shape = (2,) + grid.shape[:-1] + (N // 2 + 1,)
     members, refs = [], []
     # random states, whose max |u| sits well below the screen's bound, and a
     # delta at the origin (all coefficients 1), whose max |u| meets it
     for k in range(7):
         member = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if k
                   else np.ones(shape, dtype=complex))
-        worst = max(float(np.max(np.abs(np.real(np.fft.ifftn(layer))))) for layer in member)
+        worst = _worst(member, grid)
         ref = worst / BLOWUP_FACTOR
         # a reference whose threshold equals the worst value exactly: "at"
         for cand in (ref, np.nextafter(ref, 0.0), np.nextafter(ref, np.inf)):
@@ -485,9 +503,125 @@ def test_blown_screen_matches_exact_decision(n, N):
     members.append(np.zeros(shape, dtype=complex))
     refs.append(1.0)
     modes, ref = np.stack(members), np.array(refs)
-    want = _exact_blown(modes, ref)
+    want = _exact_blown(modes, ref, grid)
     assert want.any() and not want.all()
     assert (blown(modes, ref, grid) == want).all()
     # each member alone gets the same decision as in the batch
     for b in range(len(members)):
         assert blown(modes[b:b + 1], ref[b:b + 1], grid)[0] == want[b]
+
+
+def _full_spectrum_run(cfg):
+    """``cfg`` stepped as first written, on the full complex spectrum.
+
+    The state holds every fftn mode, the fields are np.real(ifftn(...)), the
+    propagator is the per-mode reference over all N^n modes and the blow-up
+    check inverts every layer.  Returns the outcome, the steps taken, the
+    blow-up time, the recorded times and the recorded layers 0..ell.
+    """
+    op, grid, ell, dt = cfg.op, cfg.grid, cfg.ell, cfg.dt
+    axes = grid.space_axes
+    mask = grid.dealias_mask()
+    E, _, phi = _per_mode_propagator(op, grid, dt, ks=grid.wavenumbers())
+    E = np.moveaxis(E, (-2, -1), (0, 1))
+
+    def physical(v):
+        return np.real(np.fft.ifftn(v, axes=axes))
+
+    def source(v, t):
+        w = physical(v[ell])
+        s = np.asarray(eval_F(cfg.nl, w)) if cfg.nl is not None else np.zeros_like(w)
+        if cfg.forcing is not None:
+            s = s + cfg.forcing(t)
+        return np.fft.fftn(s, axes=axes) * mask
+
+    modes = np.zeros((op.m,) + grid.shape, dtype=complex)
+    modes[-1] = np.fft.fftn(cfg.amplitude * cfg.profile.render(grid)) * mask
+    ref = float(np.max(np.abs(physical(modes)))) or 1.0
+    n_steps = round(cfg.T / dt)
+    t = 0.0
+    times, frames = [t], [physical(modes[:ell + 1])]
+    for step in range(1, n_steps + 1):
+        Ev = np.einsum("ij...,j...->i...", E, modes)
+        if cfg.nl is None and cfg.forcing is None:
+            modes = Ev
+        else:
+            s0 = source(modes, t)
+            s1 = source(Ev + phi * s0, t + dt)
+            modes = Ev + phi * (0.5 * (s0 + s1))
+        last_good_t, t = t, t + dt
+        if (not np.all(np.isfinite(modes))
+                or np.max(np.abs(physical(modes))) > BLOWUP_FACTOR * ref):
+            return "blowup_detected", step, last_good_t, times, np.stack(frames)
+        if step % cfg.record_every == 0 or step == n_steps:
+            times.append(t)
+            frames.append(physical(modes[:ell + 1]))
+    return "completed", n_steps, None, times, np.stack(frames)
+
+
+def _manufactured_config(dt):
+    grid = Grid(n=1, N=16, L=2 * math.pi)
+    cosx = np.cos(grid.coords()[0])
+
+    def forcing(t):
+        phi = math.sin(t) * math.exp(-t)
+        dphi = math.exp(-t) * (math.cos(t) - math.sin(t))
+        ddphi = -2.0 * math.exp(-t) * math.cos(t)
+        return (ddphi + dphi + phi) * cosx - (phi * cosx) ** 2
+
+    return RunConfig(op=damped_wave(1), grid=grid,
+                     profile=DataProfile(kind="custom_table", values=tuple(cosx)),
+                     ell=0, dt=dt, T=1.0, record_every=1000000, forcing=forcing,
+                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))
+
+
+_CONSTANT_P3 = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
+
+
+@pytest.mark.parametrize("cfg, amplitudes", [
+    # criterion 7 (a): linear flow at two step sizes
+    *[(RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
+                 profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=dt, T=1.0),
+       [1.0]) for dt in (0.1, 0.02)],
+    # criterion 7 (b): manufactured solution with forcing
+    *[(_manufactured_config(dt), [1.0]) for dt in (0.02, 0.01)],
+    # criterion 7 (c): five cubic steps next to the dealiasing cutoff
+    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=24, L=2 * math.pi),
+               profile=DataProfile(kind="gaussian", width=0.4), ell=0, dt=0.05, T=0.25,
+               nl=_CONSTANT_P3), [1.0]),
+    # a batch in 1-D with blow-ups at steps 159 and 132
+    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
+               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")), record_every=3),
+     [0.0, 0.3, 0.7, 0.9]),
+    # 2-D N=64 at the critical power with an iterated-log modulation
+    (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=64, L=40.0),
+               profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=2.0,
+               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=2.0)),
+               record_every=5),
+     [0.45]),
+    # the odd monomial alpha = (1, 0), whose symbol is complex, at ell = 1
+    (RunConfig(op=monomial_op((1, 0)), grid=Grid(n=2, N=32, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.05, T=1.0,
+               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")), record_every=2),
+     [0.5]),
+], ids=["c7a-dt0.1", "c7a-dt0.02", "c7b-dt0.02", "c7b-dt0.01", "c7c", "batch-1d",
+        "wave-2d-64", "alpha-10"])
+def test_half_spectrum_matches_full_spectrum(cfg, amplitudes):
+    cfg = dataclasses.replace(cfg, record_fields=True)
+    reports = run(cfg, amplitudes=amplitudes)
+    p, weight = cfg.norm_power, cfg.grid.quad_weight()
+    for amp, got in zip(amplitudes, reports):
+        outcome, steps, blowup_time, times, frames = _full_spectrum_run(
+            dataclasses.replace(cfg, amplitude=amp))
+        assert (got.outcome, got.meta["steps_taken"]) == (outcome, steps)
+        assert got.blowup_time == blowup_time
+        assert got.times == times
+        for name, k in (("layer0", 0), ("layer_ell", cfg.ell)):
+            for have, want in zip(got.fields[name], frames[:, k]):
+                assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
+        for k in range(cfg.ell + 1):
+            want = [grid_norms(frame, weight, p) for frame in frames[:, k]]
+            for norm in ("L1", "L2", "Lp", "Linf"):
+                np.testing.assert_allclose(got.series[f"{norm}[{k}]"],
+                                           [w[norm] for w in want], rtol=1e-12, atol=0)
