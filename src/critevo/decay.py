@@ -12,6 +12,13 @@ rho ~ t^{-1/(2(sigma-delta))}-type scales at late times, so the quadrature
 uses geometrically graded Gauss-Legendre panels reaching down to 1e-8 of
 the tail cutoff, doubled until the curve is stable.
 
+Each panel density evaluates the kernel K with one stacked eigen-solve of
+the companion matrices at all its nodes and one stacked inverse of the
+eigenvectors of the well-separated ones.  Nearly defective nodes (two
+eigenvalues closer than 1e-8 * max(|lambda|, 1)) take scipy's expm, one
+call per node on its blocks stacked over the times.  The stacking keeps
+every node's arithmetic, so K is bit for bit a per-node loop's.
+
 Rate fitting is deliberately dumb and transparent: least squares on
 log-norm against log(1+t) (power laws) or against t (exponential decay),
 with an RMS flag for "this was not a power law at all".  Targets come
@@ -66,36 +73,48 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _mode_weights(A: np.ndarray, layer: int, gap_tol: float = 1e-8):
-    """Eigen-decompose one companion matrix; None when nearly defective."""
-    lam, V = np.linalg.eig(A)
-    scale = max(float(np.max(np.abs(lam))), 1.0)
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(lam.size) * scale
-    if float(np.min(gaps)) < gap_tol * scale:
-        return None
-    Vinv = np.linalg.inv(V)
-    w = V[layer, :] * Vinv[:, A.shape[0] - 1]
-    return lam, w
+_GAP_TOL = 1e-8
+_QTOL = 1e-8
+# complex exponentials per block of eigen-path nodes (128 KB): the kernel's
+# temporaries stay small next to K itself, whatever the node and time counts
+_EXP_BLOCK = 1 << 13
 
 
 def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
-                   layer: int) -> np.ndarray:
-    """K[i, j] = [exp(times_j A(rhos_i))]_{layer, m-1}."""
-    m = op.m
-    A_all = op.radial_companion(rhos)
-    K = np.empty((rhos.size, times.size), dtype=complex)
-    for i in range(rhos.size):
-        mw = _mode_weights(A_all[i], layer)
-        if mw is not None:
-            lam, w = mw
-            K[i] = np.exp(np.outer(times, lam)) @ w
-        else:
-            # near-defective eigensystem: fall back to one expm per time
-            from scipy.linalg import expm
+                   layer: int) -> tuple[np.ndarray, int]:
+    """K[i, j] = [exp(times_j A(rhos_i))]_{layer, m-1}, and the fallback node count.
 
-            for j, t in enumerate(times):
-                K[i, j] = expm(t * A_all[i])[layer, m - 1]
-    return K
+    One stacked eigen-solve covers every node.  A node whose eigenvalues lie
+    closer than ``_GAP_TOL * max(|lambda|, 1)`` is nearly defective; it takes
+    scipy's expm instead, one call on its blocks stacked over the times.
+    The eigen path evaluates exp(times lambda) @ w a block of nodes at a
+    time.  Each node's arithmetic is the one a per-node loop would do, so
+    the stacking changes no bit of K.
+    """
+    m = op.m
+    A = op.radial_companion(rhos)
+    lam, V = np.linalg.eig(A)
+    scale = np.maximum(np.max(np.abs(lam), axis=1), 1.0)
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :]) + np.eye(m) * scale[:, None, None]
+    defective = np.min(gaps, axis=(1, 2)) < _GAP_TOL * scale
+    good = np.flatnonzero(~defective)
+    Vinv = np.linalg.inv(V[good])
+    w = V[good, layer, :] * Vinv[:, :, m - 1]
+    K = np.empty((rhos.size, times.size), dtype=complex)
+    # per node: exp(outer(times, lam)) @ w, a (times, m) matrix-vector product
+    step = max(1, _EXP_BLOCK // (times.size * m))
+    for lo in range(0, good.size, step):
+        nodes = good[lo:lo + step]
+        E = times[:, None] * lam[nodes][:, None, :]
+        np.exp(E, out=E)
+        K[nodes] = (E @ w[lo:lo + step, :, None])[:, :, 0]
+    fallback = np.flatnonzero(defective)
+    if fallback.size:
+        from scipy.linalg import expm
+
+        for i in fallback:
+            K[i] = expm(times[:, None, None] * A[i])[:, layer, m - 1]
+    return K, int(fallback.size)
 
 
 def _panel_nodes(P: float, panels_per_decade: int, nodes_per_panel: int):
@@ -113,20 +132,57 @@ def _panel_nodes(P: float, panels_per_decade: int, nodes_per_panel: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@dataclass(frozen=True)
+class QuadratureEvidence:
+    """How the whole-space quadrature of one decay curve settled.
+
+    ``last_relative_change`` is max|curve - previous curve| / max(previous
+    curve) at the accepted panel density; ``expm_fallback_nodes`` counts the
+    nodes of that density whose eigensystem was too close to defective.
+    """
+
+    panels_per_decade: int
+    nodes: int
+    last_relative_change: float
+    expm_fallback_nodes: int
+
+    def to_json(self) -> dict:
+        return {
+            "panels_per_decade": self.panels_per_decade,
+            "nodes": self.nodes,
+            "last_relative_change": self.last_relative_change,
+            "expm_fallback_nodes": self.expm_fallback_nodes,
+        }
+
+
 def l2_decay_curve(op: EvolutionOperator, profile: RadialProfile,
                    times: Sequence[float], layer: int = 0,
-                   qtol: float = 1e-8) -> np.ndarray:
+                   qtol: float = _QTOL) -> np.ndarray:
     """||d_t^layer u_lin(t)||_{L2(R^n)} at the given times (exact linear flow).
 
-    Requires a radial operator.  The panel count doubles until the whole
+    Requires a radial operator, an integer layer in [0, m) and a non-empty
+    list of finite times >= 0.  The panel count doubles until the whole
     curve moves by less than ``qtol`` relatively, and the tail beyond the
     cutoff is certified negligible by the gaussian data weight.
     """
+    return _decay_quadrature(op, profile, times, layer, qtol)[0]
+
+
+def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
+                      times: Sequence[float], layer: int,
+                      qtol: float) -> tuple[np.ndarray, QuadratureEvidence]:
+    """l2_decay_curve's values together with the evidence of their quadrature."""
     if not op.is_radial():
         raise ValidationError("whole-space decay needs a radial operator")
+    if isinstance(layer, bool) or not isinstance(layer, (int, np.integer)):
+        raise ValidationError(f"layer must be an integer, got {layer!r}")
     if not (0 <= layer < op.m):
         raise ValidationError("layer out of range")
     times = np.asarray(list(times), dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValidationError("times must be a non-empty list of numbers")
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("times must be finite")
     if np.any(times < 0):
         raise ValidationError("times must be >= 0")
     n = op.n
@@ -139,13 +195,18 @@ def l2_decay_curve(op: EvolutionOperator, profile: RadialProfile,
     prev = None
     for ppd in (2, 4, 8, 16, 32):
         rhos, wts = _panel_nodes(P, ppd, 16)
-        K = _kernel_matrix(op, rhos, times, layer)
+        K, fallback = _kernel_matrix(op, rhos, times, layer)
         dens = (np.abs(K) ** 2) * (profile.fourier(rhos) ** 2 * rhos ** (n - 1))[:, None]
         vals = np.sqrt(np.maximum(cn * (wts[:, None] * dens).sum(axis=0), 0.0))
+        del K, dens  # not held while the next, denser level is built
         if prev is not None:
             scale = np.maximum(np.max(prev), 1e-300)
-            if float(np.max(np.abs(vals - prev))) <= qtol * scale + floor:
-                return vals
+            change = float(np.max(np.abs(vals - prev)))
+            if change <= qtol * scale + floor:
+                return vals, QuadratureEvidence(
+                    panels_per_decade=ppd, nodes=int(rhos.size),
+                    last_relative_change=change / float(scale),
+                    expm_fallback_nodes=fallback)
         prev = vals
     raise NumericalError("decay quadrature did not stabilize under panel doubling")
 
@@ -255,9 +316,14 @@ class HypothesisEntry:
     # the fitted curve, for CSV emission; not part of the JSON verdict
     times: tuple[float, ...] = ()
     values: tuple[float, ...] = ()
+    # whole-space entries only: how the Plancherel quadrature settled
+    quadrature: QuadratureEvidence | None = None
 
     def to_json(self) -> dict:
-        return {"q": self.q, "fit": self.fit.to_json()}
+        out = {"q": self.q, "fit": self.fit.to_json()}
+        if self.quadrature is not None:
+            out["quadrature"] = self.quadrature.to_json()
+        return out
 
 
 @dataclass(frozen=True)
@@ -322,12 +388,13 @@ def check_linear_decay_hypothesis(
                     "whole-space mode evaluates L2 only (Plancherel); "
                     f"q = {q} needs torus mode"
                 )
-            vals = l2_decay_curve(op, profile, times, layer=ell)
+            vals, evidence = _decay_quadrature(op, profile, times, ell, _QTOL)
             fit = fit_decay(times, vals, window, target=target_for(q), tol=tol,
                             mode=fit_mode)
             entries.append(HypothesisEntry(q=float(q), fit=fit,
                                            times=tuple(float(t) for t in times),
-                                           values=tuple(float(v) for v in vals)))
+                                           values=tuple(float(v) for v in vals),
+                                           quadrature=evidence))
     elif mode == "torus":
         if torus_grid is None:
             raise ValidationError("torus mode needs a grid")

@@ -246,16 +246,24 @@ def initial_sign_functional(op: EvolutionOperator, ell: int,
     machinery (the top layer always contributes: the monic level m has
     constant coefficient 1).  It is reported as a diagnostic only; nothing
     here claims a link between its sign and an observed numerical blow-up.
+
+    Summing N terms in any order errs by at most N * eps * sum |term|.  A
+    total within (grid points + m) * eps * sum_j |c_j| int |u_j| dx is
+    rounding noise of unknown sign, so it is reported as exactly 0.0; this
+    is what zero-mean data gives.
     """
     initial_layers = np.asarray(initial_layers, dtype=float)
     if initial_layers.shape != (op.m,) + grid.shape:
         raise ValidationError("initial_layers must have shape (m, *grid.shape)")
     total = 0.0
+    magnitude = 0.0
     for j in range(ell, op.m):
         c = op.constant_coefficient(j + 1)
         if c != 0.0:
             total += c * float(np.sum(initial_layers[j]) * grid.quad_weight())
-    return total
+            magnitude += abs(c) * float(np.sum(np.abs(initial_layers[j])) * grid.quad_weight())
+    bound = (initial_layers[0].size + op.m) * np.finfo(float).eps * magnitude
+    return 0.0 if abs(total) <= bound else total
 
 
 class ModePropagator:

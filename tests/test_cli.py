@@ -152,7 +152,7 @@ def test_simulate_reports_initial_sign_functional(op_file, tmp_path):
         value = report["initial_sign_functional"]
         assert "initial_sign_functional" not in report["meta"]
         if zero_mean:
-            assert abs(value) < 1e-12
+            assert value == 0.0
         else:
             mass = 0.7 * float(np.sum(parse_profile(profile).render(grid))) * grid.h
             assert value == pytest.approx(mass, rel=1e-9)
@@ -247,6 +247,9 @@ def test_decay_flags_with_explicit_target(op_file, tmp_path):
     entry = doc["report"]["entries"][0]
     assert entry["fit"]["verdict"] == "pass"
     assert abs(entry["fit"]["slope"] + 0.25) < 0.05
+    assert list(entry["quadrature"]) == ["panels_per_decade", "nodes",
+                                         "last_relative_change", "expm_fallback_nodes"]
+    assert entry["quadrature"]["last_relative_change"] <= 1e-8
     assert (out / "decay_curve_q2.csv").read_text().splitlines()[0] == "time,norm"
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from critevo import (
@@ -19,6 +20,7 @@ from critevo import (
     damped_wave,
     fit_decay,
     fit_exponential,
+    fractional_term,
     l2_decay_curve,
     laplacian_terms,
     run,
@@ -26,7 +28,54 @@ from critevo import (
     spectral_gap,
 )
 
+from critevo.decay import _decay_quadrature, _kernel_matrix, _panel_nodes
+
 GAP_KG = 2.0 - math.sqrt(3.0)  # zero-mode rate of u'' + 4u' + u
+PANEL_LEVELS = (2, 4, 8, 16, 32)
+KERNEL_OPS = {
+    "damped_wave": damped_wave(1),
+    "sigma_3_2_0": sigma_evolution(3, 2, 0),
+    "sigma_3_2_1": sigma_evolution(3, 2, 1),
+    "sigma_1_2_1": sigma_evolution(1, 2, 1),
+    "klein_gordon": damped_klein_gordon(1, damping=2.0, mass=1.0),
+    "free_wave": EvolutionOperator(m=2, n=1, levels={0: tuple(laplacian_terms(1, 1, 1.0))}),
+    # d_t^3 u + 3 d_t^2 u + (-Lap) d_t u + (-Lap) u: both kernel paths run at every level
+    "third_order": EvolutionOperator(m=3, n=2, levels={
+        0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),),
+        2: (fractional_term(0, 3.0),)}),
+}
+
+
+def _mode_weights(A, layer, gap_tol=1e-8):
+    """Eigen-decompose one companion matrix; None when nearly defective."""
+    lam, V = np.linalg.eig(A)
+    scale = max(float(np.max(np.abs(lam))), 1.0)
+    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(lam.size) * scale
+    if float(np.min(gaps)) < gap_tol * scale:
+        return None
+    Vinv = np.linalg.inv(V)
+    w = V[layer, :] * Vinv[:, A.shape[0] - 1]
+    return lam, w
+
+
+def per_node_kernel_matrix(op, rhos, times, layer):
+    """Reference for _kernel_matrix: one eig per node, one expm per (node, time)."""
+    m = op.m
+    A_all = op.radial_companion(rhos)
+    K = np.empty((rhos.size, times.size), dtype=complex)
+    for i in range(rhos.size):
+        mw = _mode_weights(A_all[i], layer)
+        if mw is not None:
+            lam, w = mw
+            K[i] = np.exp(np.outer(times, lam)) @ w
+        else:
+            for j, t in enumerate(times):
+                K[i, j] = scipy.linalg.expm(t * A_all[i])[layer, m - 1]
+    return K
+
+
+def defective_nodes(op, rhos):
+    return sum(_mode_weights(A, 0) is None for A in op.radial_companion(rhos))
 
 
 def damped_wave_kernel(t, rho):
@@ -242,3 +291,86 @@ def test_fit_rejects_an_unknown_mode():
     with pytest.raises(ValidationError, match="fit mode"):
         check_linear_decay_hypothesis(damped_wave(1), ell=0, p_c=3.0, q_list=[2.0],
                                       targets={2.0: -0.1}, fit_mode="two_sided")
+
+
+@pytest.mark.parametrize("name", list(KERNEL_OPS))
+def test_stacked_kernel_equals_the_per_node_loop(name):
+    op = KERNEL_OPS[name]
+    times = np.array([0.0, 0.01, 1.0, 37.5, 1e3, 1e4])
+    P = RadialProfile(width=1.0).tail_cutoff()
+    for ppd in PANEL_LEVELS:
+        rhos, _ = _panel_nodes(P, ppd, 16)
+        for layer in range(op.m):
+            got, fallback = _kernel_matrix(op, rhos, times, layer)
+            want = per_node_kernel_matrix(op, rhos, times, layer)
+            assert np.array_equal(got, want), (ppd, layer)
+        assert fallback == defective_nodes(op, rhos), ppd
+
+
+def test_stacked_kernel_equals_the_per_node_loop_on_a_long_time_list():
+    # more times than one block of exponentials holds: one node per block
+    op = damped_wave(1)
+    times = np.linspace(0.0, 50.0, 4200)
+    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2, 16)
+    got, fallback = _kernel_matrix(op, rhos, times, 1)
+    assert fallback == 0
+    assert np.array_equal(got, per_node_kernel_matrix(op, rhos, times, 1))
+
+
+def _counting(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("name", ["sigma_3_2_1", "third_order", "damped_wave"])
+def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
+    op = KERNEL_OPS[name]
+    P = RadialProfile(width=1.0).tail_cutoff()
+    times = np.geomspace(1.0, 1e3, 7)
+    flagged = {ppd: defective_nodes(op, _panel_nodes(P, ppd, 16)[0]) for ppd in (2, 4, 8)}
+    counts = {"eig": 0, "expm": 0}
+    _counting(monkeypatch, np.linalg, "eig", counts)
+    _counting(monkeypatch, scipy.linalg, "expm", counts)
+    for ppd, want in flagged.items():
+        counts.update(eig=0, expm=0)
+        _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd, 16)[0], times, 0)
+        assert counts == {"eig": 1, "expm": want} and fallback == want, ppd
+    counts.update(eig=0, expm=0)
+    _, evidence = _decay_quadrature(op, RadialProfile(width=1.0), times, 0, 1e-8)
+    assert counts["eig"] == PANEL_LEVELS.index(evidence.panels_per_decade) + 1
+
+
+@pytest.mark.parametrize("times, layer", [
+    ([], 0),
+    ([1.0, math.nan], 0),
+    ([2.0, math.inf], 0),
+    ([-math.inf], 0),
+    ([1.0], 1.5),
+    ([1.0], 1.0),
+])
+def test_decay_curve_rejects_bad_times_and_layers(times, layer):
+    with pytest.raises(ValidationError):
+        l2_decay_curve(damped_wave(1), RadialProfile(width=1.0), times, layer=layer)
+
+
+def test_whole_space_entries_carry_quadrature_evidence():
+    op = sigma_evolution(3, 2, 1)
+    rep = check_linear_decay_hypothesis(op, ell=0, p_c=7.0 / 3.0, q_list=[2.0],
+                                        window=(1e2, 1e4), n_times=40)
+    entry = rep.entries[0]
+    ev = entry.quadrature
+    times = np.geomspace(1e2, 1e4, 40)
+    assert np.array_equal(entry.values, l2_decay_curve(op, RadialProfile(), times))
+    rhos, _ = _panel_nodes(RadialProfile().tail_cutoff(), ev.panels_per_decade, 16)
+    assert ev.nodes == rhos.size
+    assert 0.0 <= ev.last_relative_change <= 1e-8
+    assert ev.expm_fallback_nodes == defective_nodes(op, rhos) > 0
+    assert entry.to_json()["quadrature"] == {
+        "panels_per_decade": ev.panels_per_decade, "nodes": ev.nodes,
+        "last_relative_change": ev.last_relative_change,
+        "expm_fallback_nodes": ev.expm_fallback_nodes}

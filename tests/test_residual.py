@@ -269,6 +269,41 @@ def test_initial_sign_functional_hand_value():
         float(np.sum(g1) * dx))
 
 
+def _summed_sign_functional(op, ell, layers, grid):
+    # the plain sum, with no rounding-noise cut
+    total = 0.0
+    for j in range(ell, op.m):
+        c = op.constant_coefficient(j + 1)
+        if c != 0.0:
+            total += c * float(np.sum(layers[j]) * grid.quad_weight())
+    return total
+
+
+@pytest.mark.parametrize("grid", [Grid(n=1, N=64, L=40.0), Grid(**BOX),
+                                  Grid(n=2, N=32, L=20.0)], ids=["1d-64", "1d-128", "2d-32"])
+def test_initial_sign_functional_zero_mean_is_exactly_zero(grid):
+    op = damped_wave(grid.n)
+    for width in (0.6, 1.2):
+        f = DataProfile(kind="gaussian", width=width, zero_mean=True).render(grid)
+        layers = np.stack([0.3 * f, 0.7 * f])
+        for ell in (0, 1):
+            assert initial_sign_functional(op, ell, layers, grid) == 0.0, (width, ell)
+
+
+def test_initial_sign_functional_nonzero_mean_is_the_plain_sum():
+    grid = Grid(**BOX)
+    g = np.exp(-grid.coords()[0] ** 2)
+    x = grid.coords()[0]
+    cases = [np.stack([g, 0.5 * g]), np.stack([-g, 1e-6 * g]),
+             np.stack([np.sin(x) + 1e-3 * g, g * (1.0 + x)])]
+    for op in (damped_wave(1), sigma_evolution(1, 2, 1)):
+        for layers in cases:
+            for ell in (0, 1):
+                got = initial_sign_functional(op, ell, layers, grid)
+                want = _summed_sign_functional(op, ell, layers, grid)
+                assert want != 0.0 and got == want, (ell, want)
+
+
 def test_report_deterministic_and_serializable():
     grid = Grid(**BOX)
     op = damped_wave(1)
