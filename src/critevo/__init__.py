@@ -6,138 +6,3 @@ derivative, where the blow-up/global-existence threshold sits, and backs
 the exact arithmetic with numerical evidence: spectral simulation,
 linear decay fits, and a weak-form identity residual.
 """
-
-from .envelope import (
-    INF,
-    AffinePiece,
-    CriticalExponentReport,
-    PiecewiseAffine,
-    build_envelope,
-    critical_exponent,
-    evaluate_h,
-    envelope_samples,
-    lower_envelope,
-    maximize,
-    regime_classify,
-)
-from .errors import NumericalError, ValidationError
-from .mu import (
-    MuSpec,
-    IntegralVerdict,
-    LipschitzCertificate,
-    NonlinearitySpec,
-    eval_F,
-    eval_mu,
-    integral_condition,
-    iterated_log_antiderivative,
-    lipschitz_certificate,
-    parse_mu,
-)
-from .operators import (
-    EvolutionOperator,
-    SpatialTerm,
-    as_fraction,
-    damped_klein_gordon,
-    damped_wave,
-    fractional_term,
-    laplacian_terms,
-    parse_operator,
-    sigma_evolution,
-)
-from .decay import (
-    DecayFit,
-    HypothesisReport,
-    RadialProfile,
-    check_linear_decay_hypothesis,
-    fit_decay,
-    fit_exponential,
-    l2_decay_curve,
-    spectral_gap,
-)
-from .residual import (
-    ResidualReport,
-    TestFunctionSpec,
-    default_q_tf,
-    make_test_function,
-    weak_residual,
-)
-from .solver import (
-    DataProfile,
-    Grid,
-    ModePropagator,
-    RunConfig,
-    RunReport,
-    SimState,
-    box_horizon,
-    grid_norms,
-    init_state,
-    initial_sign_functional,
-    linear_step,
-    nonlinear_step,
-    parse_profile,
-    run,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AffinePiece",
-    "CriticalExponentReport",
-    "DataProfile",
-    "DecayFit",
-    "EvolutionOperator",
-    "Grid",
-    "HypothesisReport",
-    "INF",
-    "IntegralVerdict",
-    "LipschitzCertificate",
-    "ModePropagator",
-    "MuSpec",
-    "NonlinearitySpec",
-    "NumericalError",
-    "PiecewiseAffine",
-    "RadialProfile",
-    "ResidualReport",
-    "RunConfig",
-    "RunReport",
-    "SimState",
-    "SpatialTerm",
-    "TestFunctionSpec",
-    "default_q_tf",
-    "ValidationError",
-    "as_fraction",
-    "box_horizon",
-    "build_envelope",
-    "check_linear_decay_hypothesis",
-    "critical_exponent",
-    "damped_klein_gordon",
-    "damped_wave",
-    "envelope_samples",
-    "eval_F",
-    "eval_mu",
-    "evaluate_h",
-    "fit_decay",
-    "fit_exponential",
-    "fractional_term",
-    "grid_norms",
-    "init_state",
-    "initial_sign_functional",
-    "integral_condition",
-    "iterated_log_antiderivative",
-    "l2_decay_curve",
-    "laplacian_terms",
-    "linear_step",
-    "lipschitz_certificate",
-    "lower_envelope",
-    "make_test_function",
-    "maximize",
-    "nonlinear_step",
-    "parse_mu",
-    "parse_operator",
-    "parse_profile",
-    "regime_classify",
-    "run",
-    "sigma_evolution",
-    "spectral_gap",
-    "weak_residual",
-]

@@ -70,6 +70,11 @@ def as_fraction(value) -> Fraction:
     raise ValidationError(f"cannot parse rational from {value!r}")
 
 
+def format_fraction(x: Fraction) -> str:
+    """Canonical string form: "a/b", or the integer when the denominator is 1."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 def _typed(kind: str, value):
     """``value`` read as ``kind``; TypeError when its JSON type differs."""
     if kind.endswith("[]"):

@@ -161,9 +161,10 @@ def l2_decay_curve(op: EvolutionOperator, profile: RadialProfile,
     """||d_t^layer u_lin(t)||_{L2(R^n)} at the given times (exact linear flow).
 
     Requires a radial operator, an integer layer in [0, m) and a non-empty
-    list of finite times >= 0.  The panel count doubles until the whole
-    curve moves by less than ``qtol`` relatively, and the tail beyond the
-    cutoff is certified negligible by the gaussian data weight.
+    list of finite times >= 0.  The panel count doubles from 2 up to 64 per
+    decade until the whole curve moves by less than ``qtol`` relatively, and
+    the tail beyond the cutoff is certified negligible by the gaussian data
+    weight.
     """
     return _decay_quadrature(op, profile, times, layer, qtol)[0]
 
@@ -193,7 +194,7 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
     # roundoff of the linear flow applied to the data counts as stable
     floor = 1e-13 * profile.l2_norm(n)
     prev = None
-    for ppd in (2, 4, 8, 16, 32):
+    for ppd in (2, 4, 8, 16, 32, 64):
         rhos, wts = _panel_nodes(P, ppd, 16)
         K, fallback = _kernel_matrix(op, rhos, times, layer)
         dens = (np.abs(K) ** 2) * (profile.fourier(rhos) ** 2 * rhos ** (n - 1))[:, None]

@@ -31,11 +31,12 @@ Conventions at the boundary of the formula's domain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .config import as_fraction, format_fraction
 from .errors import ValidationError
-from .operators import EvolutionOperator, as_fraction, format_fraction
+from .operators import EvolutionOperator
 
 INF = math.inf
 
@@ -107,12 +108,6 @@ class PiecewiseAffine:
             if line.value(eta) == g:
                 out.update(line.levels)
         return tuple(sorted(out))
-
-    def segments(self) -> list[tuple[Fraction, Fraction | float, AffinePiece]]:
-        """(start, end, piece) triples covering [0, inf); last end is inf."""
-        starts = (Fraction(0),) + self.breakpoints
-        ends = self.breakpoints + (INF,)
-        return list(zip(starts, ends, self.pieces))
 
     def to_json(self) -> dict:
         return {
@@ -187,7 +182,7 @@ def build_envelope(op: EvolutionOperator, ell: int) -> PiecewiseAffine:
     return lower_envelope(lines)
 
 
-def limit_at_infinity(env: PiecewiseAffine, n: int):
+def limit_at_infinity(env: PiecewiseAffine):
     """lim_{eta->inf} h(eta), from the final segment's slope a.
 
     a >= 1 makes the numerator outrun (or the clamped denominator kill)
@@ -204,7 +199,7 @@ def evaluate_h(env: PiecewiseAffine, n: int, eta):
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError("space dimension n must be an integer >= 1")
     if eta == INF:
-        return limit_at_infinity(env, n)
+        return limit_at_infinity(env)
     eta = as_fraction(eta)
     if eta < 0:
         raise ValidationError("eta must be >= 0")
@@ -269,7 +264,7 @@ def maximize(env: PiecewiseAffine, n: int, ell: int | None = None) -> CriticalEx
     candidates: list = [Fraction(0)]
     candidates.extend(env.breakpoints)
     values = [evaluate_h(env, n, eta) for eta in candidates]
-    lim = limit_at_infinity(env, n)
+    lim = limit_at_infinity(env)
     candidates.append(INF)
     values.append(lim)
 
@@ -323,7 +318,7 @@ def maximize(env: PiecewiseAffine, n: int, ell: int | None = None) -> CriticalEx
     )
 
 
-def regime_classify(op: EvolutionOperator, ell: int, n: int) -> str:
+def regime_classify(op: EvolutionOperator) -> str:
     """Damping regime for second-order operators d_t^2 + c (-Lap)^delta d_t + c' (-Lap)^sigma.
 
     Returns 'classical' (delta = 0), 'effective' (0 < 2 delta < sigma), or
@@ -354,14 +349,8 @@ def regime_classify(op: EvolutionOperator, ell: int, n: int) -> str:
 
 def critical_exponent(op: EvolutionOperator, ell: int, n: int) -> CriticalExponentReport:
     """Envelope construction plus maximization, with the regime label attached."""
-    env = build_envelope(op, ell)
-    report = maximize(env, n, ell=ell)
-    regime = regime_classify(op, ell, n)
-    return CriticalExponentReport(
-        p_c=report.p_c, eta_star=report.eta_star, active_levels=report.active_levels,
-        n=n, ell=ell, regime=regime, n_validity=report.n_validity,
-        degenerate=report.degenerate, notes=report.notes, envelope=env,
-    )
+    report = maximize(build_envelope(op, ell), n, ell=ell)
+    return replace(report, regime=regime_classify(op))
 
 
 def envelope_samples(env: PiecewiseAffine, n: int, etas) -> list[tuple[Fraction, Fraction, object]]:

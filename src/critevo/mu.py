@@ -28,7 +28,8 @@ Families:
 
 The default extension point tau* is where every inner logarithm reaches 1:
 tau* = exp(-exp^[k](1)) (= 1/e at depth 0).  Depths above 2 would push
-tau* below the double-precision floor, so they are rejected.
+tau* below the double-precision floor, so they are rejected, and so is an
+extension point at which an inner logarithm is not positive.
 
 Verification helpers sample the conditions rather than prove them: the
 Lipschitz certificate reports the smallest empirical C over seeded sample
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,6 +79,8 @@ class MuSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_KEYS:
             raise ValidationError(f"unknown mu family {self.family!r}")
+        if self.extension_point is not None and not (self.extension_point > 0):
+            raise ValidationError("extension_point must be > 0")
         if self.family == "constant" and not (self.value >= 0):
             raise ValidationError("constant mu value must be >= 0")
         if self.family == "power":
@@ -92,6 +94,17 @@ class MuSpec:
                 )
             if not math.isfinite(self.gamma):
                 raise ValidationError("gamma must be finite")
+            # each inner log decreases in tau and evaluation clips tau to
+            # tau*, so every inner log positive at tau* (with a margin far
+            # above rounding) means positive wherever mu is evaluated
+            v = -math.log(self.tau_star)
+            for _ in range(self.depth + 1):
+                if not v > 1e-9:
+                    raise ValidationError(
+                        f"iterated_log depth {self.depth}: an inner log is <= 0 on part of "
+                        f"(0, {self.tau_star!r}]; choose a smaller extension_point (the "
+                        f"default is {default_extension_point(self.depth)!r})")
+                v = math.log(v)
         if self.family == "custom_table":
             if not self.taus or not self.values or len(self.taus) != len(self.values):
                 raise ValidationError("custom_table needs matching taus/values")
@@ -99,8 +112,6 @@ class MuSpec:
                 raise ValidationError("custom_table taus must be sorted and >= 0")
             if any(v < 0 for v in self.values):
                 raise ValidationError("custom_table mu values must be >= 0")
-        if self.extension_point is not None and not (self.extension_point > 0):
-            raise ValidationError("extension_point must be > 0")
 
     @property
     def tau_star(self) -> float:
@@ -113,23 +124,6 @@ class MuSpec:
         if self.family == "custom_table":
             return float(self.taus[-1])
         return math.inf  # constant family has no extension
-
-    @cached_property
-    def inner_logs_positive(self) -> bool:
-        """True when every inner log of the iterated_log formula is positive on (0, tau*].
-
-        Each inner log decreases in tau, so its smallest value on (0, tau*]
-        is the one at tau*; evaluated once per spec, with a margin far above
-        rounding, it spares :func:`eval_mu` a domain check on every call.
-        """
-        if self.family != "iterated_log":
-            return False
-        v = -np.log(np.array([self.tau_star]))
-        for _ in range(self.depth):
-            if not v[0] > 1e-9:
-                return False
-            v = np.log(v)
-        return bool(v[0] > 1e-9)
 
     def to_json(self) -> dict:
         doc: dict = {"family": self.family}
@@ -174,22 +168,13 @@ def parse_mu(doc: Mapping) -> MuSpec:
     return MuSpec(**read(doc, {k: MU_KEYS[k] for k in _FAMILY_KEYS[family]}, "mu"))
 
 
-_LOG_DOMAIN = ("inner log undefined on the requested range: extension_point is "
-               "too large for this depth")
-
-
 def _iterated_log_value(mu: MuSpec, tau: np.ndarray) -> np.ndarray:
-    """Evaluate the depth-k formula on 0 < tau <= tau*, fail-closed on bad logs."""
-    check = not mu.inner_logs_positive
+    """Evaluate the depth-k formula on 0 < tau <= tau*, where MuSpec keeps every log positive."""
     v = -np.log(tau)
     out = None  # the product of 1/log^[i], empty at depth 0
     for _ in range(mu.depth):
-        if check and np.any(v <= 0):
-            raise ValidationError(_LOG_DOMAIN)
         out = 1.0 / v if out is None else out / v
         v = np.log(v)
-    if check and np.any(v <= 0):
-        raise ValidationError(_LOG_DOMAIN)
     tail = v ** (-mu.gamma)
     return tail if out is None else out * tail
 

@@ -30,14 +30,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import Key, as_fraction, check, loads, read
+from .config import Key, as_fraction, check, format_fraction, loads, read
 from .errors import ValidationError
 
 OPERATOR_SCHEMA_VERSION = 1
-
-def format_fraction(x: Fraction) -> str:
-    """Canonical string form: integer when the denominator is 1."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import format_fraction
+
 SCHEMA_VERSION = 1
 
 
@@ -23,7 +25,7 @@ def jsonify(obj):
     if hasattr(obj, "to_json"):
         return jsonify(obj.to_json())
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
+        return format_fraction(obj)
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -45,9 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import as_fraction, format_fraction
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
-from .operators import EvolutionOperator, as_fraction, format_fraction
+from .operators import EvolutionOperator
 from .solver import Grid
 
 

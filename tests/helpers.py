@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from critevo import EvolutionOperator, SpatialTerm, fractional_term
+from critevo.operators import EvolutionOperator, SpatialTerm, fractional_term
 
 INF = math.inf
 

@@ -12,27 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from critevo import (
-    Grid,
-    MuSpec,
-    NonlinearitySpec,
-    RadialProfile,
-    cli,
-    critical_exponent,
-    damped_klein_gordon,
-    damped_wave,
-    fit_decay,
-    fit_exponential,
-    integral_condition,
-    l2_decay_curve,
-    make_test_function,
-    sigma_evolution,
-    spectral_gap,
-    weak_residual,
-)
-from critevo.envelope import INF
+from critevo import cli
+from critevo.decay import RadialProfile, fit_decay, fit_exponential, l2_decay_curve, spectral_gap
+from critevo.envelope import INF, critical_exponent
+from critevo.mu import MuSpec, NonlinearitySpec, integral_condition
+from critevo.operators import damped_klein_gordon, damped_wave, sigma_evolution
+from critevo.residual import make_test_function, weak_residual
 from critevo.solver import (
     DataProfile as SolverProfile,
+    Grid,
     ModePropagator,
     RunConfig,
     init_state,

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critevo import Grid, NumericalError, cli, damped_wave, parse_profile
+from critevo import cli
+from critevo.errors import NumericalError
+from critevo.operators import damped_wave
+from critevo.solver import Grid, parse_profile
 
 SCHEMA = {"schema_version": 1}
 
@@ -331,13 +334,50 @@ def test_amplitude_sweep_reruns_values_alone_when_the_batch_fails(op_file, tmp_p
         _assert_same_as_standalone(base, entry["value"], out / entry["dir"], tmp_path)
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, critevo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+@pytest.mark.parametrize("module, absent", [
+    ("critevo.cli", ("scipy",)),
+    ("critevo.config", ("numpy",)),
+    ("critevo.errors", ("numpy",)),
+    ("critevo.envelope", tuple(f"critevo.{m}" for m in ("solver", "decay", "residual", "mu",
+                                                         "cli"))),
+], ids=["cli-scipy", "config-numpy", "errors-numpy", "envelope-numerics"])
+def test_cli_import_leaves_scipy_out(module, absent):
+    # each layer loads only what it needs: the package itself imports nothing
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules if any("
+            f"m == a or m.startswith(a + '.') for a in {absent!r})))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_OUT_OF_DOMAIN_MU = {"family": "iterated_log", "depth": 1, "gamma": 2.0, "extension_point": 0.5}
+
+
+def test_amplitude_sweep_rejects_an_out_of_domain_mu_for_every_value(op_file, tmp_path):
+    # log(-log tau) <= 0 on [1/e, 0.5]: the mu is invalid whatever the amplitude
+    sim = sim_config(op_file, nonlinearity={"p": 2.0, "mu": _OUT_OF_DOMAIN_MU})
+    cfg = write_json(tmp_path / "sweep.json", {
+        "schema_version": 1, "task": "simulate", "parameter": "amplitude",
+        "values": [0.1, 0.2, 0.45, 0.9], "config": sim,
+    })
+    assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+    runs = json.loads((tmp_path / "s" / "sweep_index.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["invalid"] * 4
+    assert len({r["message"] for r in runs}) == 1
+    assert "inner log is <= 0" in runs[0]["message"]
+
+
+def test_simulate_with_an_out_of_domain_mu_exits_2_and_writes_nothing(op_file, tmp_path,
+                                                                         capsys):
+    # at amplitude 0.1 no field value reaches 1/e, so no evaluation would notice
+    cfg = write_json(tmp_path / "sim.json", sim_config(
+        op_file, amplitude=0.1, nonlinearity={"p": 2.0, "mu": _OUT_OF_DOMAIN_MU}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "inner log is <= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_values_exit_2(op_file, tmp_path, capsys):

@@ -6,29 +6,28 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
-from critevo import (
-    DataProfile,
-    EvolutionOperator,
-    Grid,
-    NumericalError,
+from critevo.decay import (
     RadialProfile,
-    RunConfig,
-    SpatialTerm,
-    ValidationError,
+    _decay_quadrature,
+    _kernel_matrix,
+    _panel_nodes,
     check_linear_decay_hypothesis,
-    damped_klein_gordon,
-    damped_wave,
     fit_decay,
     fit_exponential,
-    fractional_term,
     l2_decay_curve,
-    laplacian_terms,
-    run,
-    sigma_evolution,
     spectral_gap,
 )
-
-from critevo.decay import _decay_quadrature, _kernel_matrix, _panel_nodes
+from critevo.errors import NumericalError, ValidationError
+from critevo.operators import (
+    EvolutionOperator,
+    SpatialTerm,
+    damped_klein_gordon,
+    damped_wave,
+    fractional_term,
+    laplacian_terms,
+    sigma_evolution,
+)
+from critevo.solver import DataProfile, Grid, RunConfig, run
 
 GAP_KG = 2.0 - math.sqrt(3.0)  # zero-mode rate of u'' + 4u' + u
 PANEL_LEVELS = (2, 4, 8, 16, 32)
@@ -126,6 +125,20 @@ def test_quadrature_stable_under_tolerance():
     a = l2_decay_curve(op, RadialProfile(width=1.0), times, qtol=1e-8)
     b = l2_decay_curve(op, RadialProfile(width=1.0), times, qtol=1e-10)
     assert np.max(np.abs(a - b)) < 1e-7 * np.max(a)
+
+
+def test_quadrature_doubles_to_64_panels_per_decade():
+    # layer 1 of sigma-evolution (3, 2, 0) oscillates fast at t = 10: the
+    # curve still moves by 2e-6 relatively from 16 to 32 panels per decade
+    op, profile = sigma_evolution(3, 2, 0), RadialProfile(width=1.0)
+    times = np.geomspace(10.0, 1000.0, 40)
+    values = l2_decay_curve(op, profile, times, layer=1)
+    again, evidence = _decay_quadrature(op, profile, times, 1, 1e-8)
+    assert np.array_equal(values, again)
+    assert evidence.panels_per_decade == 64
+    assert evidence.nodes == _panel_nodes(profile.tail_cutoff(), 64, 16)[0].size
+    assert evidence.last_relative_change <= 1e-8
+    assert np.all(np.isfinite(values)) and np.all(values > 0)
 
 
 def test_spectral_gap_values():

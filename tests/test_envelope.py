@@ -4,21 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from critevo import (
-    INF,
+from critevo.envelope import (
     AffinePiece,
-    EvolutionOperator,
-    ValidationError,
+    INF,
     build_envelope,
     critical_exponent,
     evaluate_h,
-    fractional_term,
-    laplacian_terms,
     lower_envelope,
     maximize,
     regime_classify,
-    sigma_evolution,
 )
+from critevo.operators import EvolutionOperator, fractional_term, laplacian_terms, sigma_evolution
 from helpers import build_m5_operator, grid_refine_max, oracle_exponent, random_operator, scaling_lines
 
 F = Fraction
@@ -62,11 +58,11 @@ def test_envelope_concavity_and_continuity():
 def test_damped_wave_envelope_segments():
     op = sigma_evolution(1, 1, 0)
     env = build_envelope(op, 0)
-    segs = env.segments()
-    assert len(segs) == 2
-    (s0, e0, p0), (s1, e1, p1) = segs
-    assert (s0, e0) == (F(0), F(2)) and p0.slope == 1 and p0.intercept == 0
-    assert e1 == INF and p1.slope == 0 and p1.intercept == 2
+    # piece 0 on [0, 2], piece 1 on [2, inf)
+    assert env.breakpoints == (F(2),)
+    p0, p1 = env.pieces
+    assert p0.slope == 1 and p0.intercept == 0
+    assert p1.slope == 0 and p1.intercept == 2
 
 
 def test_heat_envelope_breakpoint():
@@ -117,7 +113,7 @@ def test_regime_labels():
     assert critical_exponent(sigma_evolution(3, 2, F(1, 2)), 0, 3).regime == "effective"
     assert critical_exponent(sigma_evolution(3, 2, 1), 0, 3).regime == "non-effective"
     heat = EvolutionOperator(m=1, n=2, levels={0: tuple(laplacian_terms(2, 1, 1.0))})
-    assert regime_classify(heat, 0, 2) == "unclassified"
+    assert regime_classify(heat) == "unclassified"
 
 
 def test_derivative_level_closed_forms():

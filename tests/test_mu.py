@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from critevo import (
+from critevo.errors import ValidationError
+from critevo.mu import (
     MuSpec,
     NonlinearitySpec,
-    ValidationError,
     eval_F,
     eval_mu,
     integral_condition,
@@ -390,17 +390,16 @@ def test_eval_F_rejects_what_the_general_formula_rejects(mu):
             eval_F(nl, bad)
 
 
-def test_eval_F_log_domain_is_checked_per_call_when_tau_star_is_outside():
-    # at depth 1 the inner log -log(tau) passes 1 at tau = 1/e: an extension
-    # point of 0.5 leaves part of (0, tau*] outside the domain
-    mu = MuSpec(family="iterated_log", depth=1, gamma=2.0, extension_point=0.5)
-    assert not mu.inner_logs_positive
-    assert MuSpec(family="iterated_log", depth=1, gamma=2.0).inner_logs_positive
+@pytest.mark.parametrize("depth, tau_star", [(1, 0.5), (0, 2.0)])
+def test_iterated_log_rejects_a_tau_star_outside_the_log_domain(depth, tau_star):
+    # log(-log tau) is <= 0 for tau >= 1/e and -log tau is <= 0 for tau >= 1:
+    # part of (0, tau*] lies outside the domain, whatever tau mu is asked for
+    doc = {"family": "iterated_log", "depth": depth, "gamma": 2.0, "extension_point": tau_star}
+    with pytest.raises(ValidationError, match="inner log is <= 0"):
+        MuSpec(**doc)
+    with pytest.raises(ValidationError, match="inner log is <= 0"):
+        parse_mu(doc)
+    mu = MuSpec(**{**doc, "extension_point": 0.3})  # below 1/e: every inner log positive
     nl = NonlinearitySpec(p=2.0, mu=mu)
-    for bad in (0.4, [0.01, -0.45], np.full((2, 3), 0.9)):
-        with pytest.raises(ValidationError, match="inner log undefined"):
-            _reference_F(nl, bad)
-        with pytest.raises(ValidationError, match="inner log undefined"):
-            eval_F(nl, bad)
-    inside = np.array([0.01, -0.2, 0.3])  # every inner log positive here
-    assert eval_F(nl, inside).tobytes() == _reference_F(nl, inside).tobytes()
+    field = np.array([0.01, -0.2, 0.3, 0.9])
+    assert eval_F(nl, field).tobytes() == _reference_F(nl, field).tobytes()

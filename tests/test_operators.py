@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from critevo import (
+from critevo.config import as_fraction
+from critevo.errors import ValidationError
+from critevo.operators import (
     EvolutionOperator,
     SpatialTerm,
-    ValidationError,
-    as_fraction,
     damped_wave,
     fractional_term,
     laplacian_terms,

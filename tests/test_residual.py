@@ -5,25 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critevo import (
-    DataProfile,
-    EvolutionOperator,
-    Grid,
-    MuSpec,
-    NonlinearitySpec,
-    RunConfig,
-    SpatialTerm,
-    TestFunctionSpec,
-    ValidationError,
-    damped_wave,
-    default_q_tf,
-    initial_sign_functional,
-    make_test_function,
-    run,
-    sigma_evolution,
-    weak_residual,
-)
-from critevo.mu import eval_F
+from critevo.errors import ValidationError
+from critevo.mu import MuSpec, NonlinearitySpec, eval_F
+from critevo.operators import EvolutionOperator, SpatialTerm, damped_wave, sigma_evolution
+from critevo.residual import TestFunctionSpec, default_q_tf, make_test_function, weak_residual
+from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional, run
 from helpers import monomial_op
 
 BOX = dict(n=1, N=128, L=40.0)

@@ -7,28 +7,30 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from critevo import (
-    DataProfile,
+from critevo.errors import ValidationError
+from critevo.mu import MuSpec, NonlinearitySpec, eval_F
+from critevo.operators import (
     EvolutionOperator,
-    Grid,
-    ModePropagator,
-    MuSpec,
-    NonlinearitySpec,
-    RunConfig,
-    ValidationError,
-    box_horizon,
     damped_klein_gordon,
     damped_wave,
+    laplacian_terms,
+    sigma_evolution,
+)
+from critevo.solver import (
+    BLOWUP_FACTOR,
+    DataProfile,
+    Grid,
+    ModePropagator,
+    RunConfig,
+    blown,
+    box_horizon,
     grid_norms,
     init_state,
     linear_step,
     nonlinear_step,
     parse_profile,
     run,
-    sigma_evolution,
 )
-from critevo.mu import eval_F
-from critevo.solver import BLOWUP_FACTOR, blown
 from helpers import monomial_op
 
 
@@ -163,8 +165,6 @@ def test_step_doubling_consistency():
 
 def test_zero_mode_closed_form():
     # u'' + 4u' + u at xi = 0: roots -2 +- sqrt(3), diagonalizable by hand
-    from critevo import damped_klein_gordon
-
     op = damped_klein_gordon(1, damping=2.0, mass=1.0)
     grid = small_grid()
     dt = 0.3
@@ -353,7 +353,7 @@ def test_box_horizon_values():
     grid = Grid(n=1, N=16, L=2 * math.pi)
     # xi_min = 1: lambda^2 + lambda + 1, Re = -1/2
     assert box_horizon(op, grid) == pytest.approx(2.0, rel=1e-9)
-    free = EvolutionOperator(m=2, n=1, levels={0: tuple(__import__("critevo").laplacian_terms(1, 1, 1.0))})
+    free = EvolutionOperator(m=2, n=1, levels={0: tuple(laplacian_terms(1, 1, 1.0))})
     assert box_horizon(free, grid) == math.inf
 
 
