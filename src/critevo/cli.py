@@ -199,8 +199,7 @@ def cmd_exponent(cfg: dict, out_dir: Path, base: Path) -> dict:
     print(f"p_c = {rep.p_c} at eta = {rep.eta_star} "
           f"(levels {list(rep.active_levels)}, regime {rep.regime})")
     print(f"wrote {path}")
-    return {"p_c": reporting.jsonify(rep.p_c if rep.p_c == INF else str(rep.p_c)),
-            "p_c_float": float(rep.p_c), "degenerate": rep.degenerate}
+    return {"p_c": rep.p_c, "p_c_float": float(rep.p_c), "degenerate": rep.degenerate}
 
 
 def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
@@ -221,10 +220,8 @@ def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
     doc = reporting.artifact("envelope", {
         "config": cfg,
         "report": rep,
-        "samples": [{"eta": reporting.jsonify(e), "eta_float": float(e),
-                     "g": reporting.jsonify(g), "g_float": float(g),
-                     "h": reporting.jsonify(h if h != INF else math.inf),
-                     "h_float": float(h)} for e, g, h in rows],
+        "samples": [{"eta": e, "eta_float": float(e), "g": g, "g_float": float(g),
+                     "h": h, "h_float": float(h)} for e, g, h in rows],
     })
     path = reporting.write_json(out_dir / (v["output"] or "envelope.json"), doc)
     csv_path = reporting.write_csv(out_dir / "envelope_samples.csv", {

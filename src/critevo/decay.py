@@ -47,12 +47,9 @@ class RadialProfile:
     f^(0) = 1.  ``l2_norm`` reports ||f||_2 for reference alongside.
     """
 
-    kind: str = "gaussian"
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValidationError("only the gaussian radial profile is built in")
         if not (self.width > 0):
             raise ValidationError("width must be > 0")
 
@@ -146,14 +143,6 @@ class QuadratureEvidence:
     last_relative_change: float
     expm_fallback_nodes: int
 
-    def to_json(self) -> dict:
-        return {
-            "panels_per_decade": self.panels_per_decade,
-            "nodes": self.nodes,
-            "last_relative_change": self.last_relative_change,
-            "expm_fallback_nodes": self.expm_fallback_nodes,
-        }
-
 
 def l2_decay_curve(op: EvolutionOperator, profile: RadialProfile,
                    times: Sequence[float], layer: int = 0,
@@ -246,20 +235,6 @@ class DecayFit:
     tol: float | None = None
     verdict: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rms": self.rms,
-            "n_samples": self.n_samples,
-            "window": list(self.window),
-            "clean": self.clean,
-            "target": self.target,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
 
 FIT_MODES = ("two-sided", "at-least-as-fast")
 
@@ -321,9 +296,9 @@ class HypothesisEntry:
     quadrature: QuadratureEvidence | None = None
 
     def to_json(self) -> dict:
-        out = {"q": self.q, "fit": self.fit.to_json()}
+        out = {"q": self.q, "fit": self.fit}
         if self.quadrature is not None:
-            out["quadrature"] = self.quadrature.to_json()
+            out["quadrature"] = self.quadrature
         return out
 
 
@@ -351,9 +326,9 @@ class HypothesisReport:
         return {
             "mode": self.mode,
             "p_c": self.p_c,
-            "entries": [e.to_json() for e in self.entries],
+            "entries": self.entries,
             "all_pass": self.all_pass,
-            "notes": list(self.notes),
+            "notes": self.notes,
         }
 
 
@@ -368,11 +343,15 @@ def check_linear_decay_hypothesis(
     """Fit ||d_t^ell u_lin||_q on the window and compare against -1/p_c.
 
     ``targets`` overrides the -1/p_c target per q (use it to check a known
-    exact rate two-sided instead of the one-sided premise).
+    exact rate two-sided instead of the one-sided premise); each of its q
+    must be in ``q_list``.
     """
     if not (p_c > 0):
         raise ValidationError("p_c must be > 0")
     targets = dict(targets or {})
+    for q in targets:
+        if q not in q_list:
+            raise ValidationError(f"targets key {q!r} is not in q_list {list(q_list)}")
 
     def target_for(q: float) -> float:
         return float(targets.get(q, -1.0 / p_c))

@@ -34,17 +34,11 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .config import as_fraction, format_fraction
+from .config import as_fraction
 from .errors import ValidationError
 from .operators import EvolutionOperator
 
 INF = math.inf
-
-
-def _fmt(x) -> str:
-    if x == INF:
-        return "inf"
-    return format_fraction(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -110,17 +104,7 @@ class PiecewiseAffine:
         return tuple(sorted(out))
 
     def to_json(self) -> dict:
-        return {
-            "pieces": [
-                {
-                    "slope": format_fraction(p.slope),
-                    "intercept": format_fraction(p.intercept),
-                    "levels": list(p.levels),
-                }
-                for p in self.pieces
-            ],
-            "breakpoints": [format_fraction(b) for b in self.breakpoints],
-        }
+        return {"pieces": self.pieces, "breakpoints": self.breakpoints}
 
 
 def lower_envelope(lines: list[AffinePiece]) -> PiecewiseAffine:
@@ -234,20 +218,20 @@ class CriticalExponentReport:
 
     def to_json(self) -> dict:
         doc = {
-            "p_c": _fmt(self.p_c),
+            "p_c": self.p_c,
             "p_c_float": float(self.p_c),
-            "eta_star": _fmt(self.eta_star),
+            "eta_star": self.eta_star,
             "eta_star_float": float(self.eta_star),
-            "active_levels": list(self.active_levels),
+            "active_levels": self.active_levels,
             "n": self.n,
             "ell": self.ell,
             "regime": self.regime,
-            "n_validity": list(self.n_validity),
+            "n_validity": self.n_validity,
             "degenerate": self.degenerate,
-            "notes": list(self.notes),
+            "notes": self.notes,
         }
         if self.envelope is not None:
-            doc["envelope"] = self.envelope.to_json()
+            doc["envelope"] = self.envelope
         return doc
 
 
@@ -282,12 +266,12 @@ def maximize(env: PiecewiseAffine, n: int, ell: int | None = None) -> CriticalEx
         validity = []
         if eta_star != INF:
             validity.append(
-                f"denominator n + eta - g(eta) = {_fmt(n + eta_star - g_at)} <= 0 at "
-                f"eta = {_fmt(eta_star)}; any n <= {_fmt(g_at - eta_star)} gives p_c = inf"
+                f"denominator n + eta - g(eta) = {n + eta_star - g_at} <= 0 at "
+                f"eta = {eta_star}; any n <= {g_at - eta_star} gives p_c = inf"
             )
         else:
             validity.append(
-                f"final envelope slope {_fmt(env.pieces[-1].slope)} >= 1 drives h to inf"
+                f"final envelope slope {env.pieces[-1].slope} >= 1 drives h to inf"
             )
         return CriticalExponentReport(
             p_c=INF, eta_star=eta_star, active_levels=tuple(active), n=n, ell=ell,
@@ -303,8 +287,8 @@ def maximize(env: PiecewiseAffine, n: int, ell: int | None = None) -> CriticalEx
         active = env.levels_at(eta_star)
         g_at = env.value(eta_star)
         validity = [
-            f"needs n > g(eta_star) - eta_star = {_fmt(g_at - eta_star)}; "
-            f"n = {n} gives denominator {_fmt(n + eta_star - g_at)} > 0"
+            f"needs n > g(eta_star) - eta_star = {g_at - eta_star}; "
+            f"n = {n} gives denominator {n + eta_star - g_at} > 0"
         ]
     degenerate = best <= 1
     if degenerate:

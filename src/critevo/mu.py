@@ -126,20 +126,9 @@ class MuSpec:
         return math.inf  # constant family has no extension
 
     def to_json(self) -> dict:
-        doc: dict = {"family": self.family}
-        if self.family == "constant":
-            doc["value"] = self.value
-        elif self.family == "power":
-            doc["epsilon"] = self.epsilon
-        elif self.family == "iterated_log":
-            doc["depth"] = self.depth
-            doc["gamma"] = self.gamma
-        else:
-            doc["taus"] = list(self.taus)
-            doc["values"] = list(self.values)
-        if self.extension_point is not None:
-            doc["extension_point"] = self.extension_point
-        return doc
+        """The family's own keys, as :func:`parse_mu` reads them back."""
+        return {k: getattr(self, k) for k in _FAMILY_KEYS[self.family]
+                if k != "extension_point" or self.extension_point is not None}
 
 
 #: every mu key, with the mu-check flag that sets it; a family reads its own
@@ -235,9 +224,6 @@ class NonlinearitySpec:
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValidationError("nonlinearity power p must be finite and >= 1")
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "mu": self.mu.to_json()}
-
 
 def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
     """|s|^p mu(|s|), with F(0) pinned to 0 even when mu(0) is not finite.
@@ -287,21 +273,6 @@ class LipschitzCertificate:
     cap: float
     n_samples: int
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "worst_pair": list(self.worst_pair),
-            "monotone": self.monotone,
-            "monotone_witness": list(self.monotone_witness) if self.monotone_witness else None,
-            "derivative_bound": self.derivative_bound,
-            "derivative_witness": self.derivative_witness,
-            "convex": self.convex,
-            "convex_witness": self.convex_witness,
-            "cap": self.cap,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
@@ -401,18 +372,6 @@ class IntegralVerdict:
     growth_label: str
     fitted_slope: float | None
     quadrature_tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification,
-            "c0": self.c0,
-            "closed_form_value": self.closed_form_value,
-            "quadrature_value": self.quadrature_value,
-            "partial_integrals": list(self.partial_integrals),
-            "growth_label": self.growth_label,
-            "fitted_slope": self.fitted_slope,
-            "quadrature_tol": self.quadrature_tol,
-        }
 
 
 def iterated_log_antiderivative(depth: int, gamma: float, c0: float) -> float:

@@ -22,7 +22,6 @@ Exact quantities (term orders, fractional powers) are kept as
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -300,9 +299,6 @@ class EvolutionOperator:
                 str(j): [t.to_json() for t in terms] for j, terms in self.levels.items()
             },
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2) + "\n"
 
 
 def _multinomial_betas(k: int, n: int) -> dict[tuple[int, ...], int]:

@@ -5,10 +5,16 @@ timestamps, no environment capture, dict insertion order preserved,
 floats rendered by repr (shortest round-trip form), exact rationals as
 "a/b" strings.  Non-finite floats are rendered as the strings "inf",
 "-inf", "nan" since strict JSON has no spelling for them.
+
+A report is rendered by :func:`jsonify`: a dataclass instance becomes
+its fields, by name and in declaration order, each rendered in turn.  A
+``to_json`` method exists only where the JSON differs from the fields: a
+key is added or dropped, or the document is an input that is read back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +30,8 @@ def jsonify(obj):
     """Recursively coerce report objects into plain JSON-safe values."""
     if hasattr(obj, "to_json"):
         return jsonify(obj.to_json())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
         return format_fraction(obj)
     if isinstance(obj, dict):

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import as_fraction, format_fraction
+from .config import as_fraction
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator
@@ -182,16 +182,6 @@ class TestFunctionSpec:
             msgs.append("reg_epsilon so large that psi is not 1 at the origin")
         return msgs
 
-    def to_json(self) -> dict:
-        return {
-            "eta_bar": format_fraction(self.eta_bar),
-            "scale": self.scale,
-            "q_tf": self.q_tf,
-            "flat_fraction": self.flat_fraction,
-            "smooth_order": self.smooth_order,
-            "reg_epsilon": self.reg_epsilon,
-        }
-
 
 def default_q_tf(op: EvolutionOperator, ell: int, p_c) -> int:
     """ceil of max_j (d_j + (j - ell)_+) * p_c', with p_c' = p_c/(p_c - 1)."""
@@ -237,20 +227,8 @@ class ResidualReport:
     data_term: float
     contributions: dict[str, float]
     floor: float
-    test_function: dict
+    test_function: TestFunctionSpec
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "data_term": self.data_term,
-            "contributions": self.contributions,
-            "floor": self.floor,
-            "test_function": self.test_function,
-            "notes": list(self.notes),
-        }
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -414,6 +392,6 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     return ResidualReport(
         residual=residual, lhs=lhs, rhs=rhs, data_term=data_term,
         contributions=contributions, floor=used_floor,
-        test_function=tf.to_json(),
+        test_function=tf,
         notes=(),
     )

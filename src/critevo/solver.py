@@ -220,7 +220,6 @@ class SimState:
     t: float
     modes: np.ndarray
     grid: Grid
-    op: EvolutionOperator
 
     def physical(self, layer: int) -> np.ndarray:
         return np.fft.irfftn(_layer(self.modes, layer, self.grid.n),
@@ -235,7 +234,7 @@ def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
     f_hat = np.fft.rfftn(amplitude * profile.render(grid)) * grid.dealias_mask()[grid.half]
     modes = np.zeros((op.m,) + f_hat.shape, dtype=complex)
     modes[op.m - 1] = f_hat
-    return SimState(t=0.0, modes=modes, grid=grid, op=op)
+    return SimState(t=0.0, modes=modes, grid=grid)
 
 
 def initial_sign_functional(op: EvolutionOperator, ell: int,
@@ -286,7 +285,6 @@ class ModePropagator:
 
         if not (dt > 0):
             raise ValidationError("dt must be > 0")
-        self.op = op
         self.grid = grid
         self.dt = float(dt)
         m = op.m
@@ -550,7 +548,7 @@ def run(config: RunConfig,
     # zero data is a legitimate run (the state stays zero); keep a unit
     # reference so any numerical escape still trips the threshold
     ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
-    state = SimState(t=0.0, modes=np.stack([s.modes for s in states]), grid=grid, op=op)
+    state = SimState(t=0.0, modes=np.stack([s.modes for s in states]), grid=grid)
     n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
     frames_shape = (n_records,) + grid.shape if config.record_fields else None
     hist = [_History(ell, p, grid.quad_weight(), frames_shape, n_steps) for _ in amps]

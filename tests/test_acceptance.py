@@ -17,6 +17,7 @@ from critevo.decay import RadialProfile, fit_decay, fit_exponential, l2_decay_cu
 from critevo.envelope import INF, critical_exponent
 from critevo.mu import MuSpec, NonlinearitySpec, integral_condition
 from critevo.operators import damped_klein_gordon, damped_wave, sigma_evolution
+from critevo.reporting import dumps_json
 from critevo.residual import make_test_function, weak_residual
 from critevo.solver import (
     DataProfile as SolverProfile,
@@ -42,7 +43,7 @@ def test_criterion_01_exponent_cli_closed_forms(acceptance, tmp_path):
     got = []
     for i, (sig, dlt, n, want) in enumerate(cases):
         op_path = tmp_path / f"op{i}.json"
-        op_path.write_text(sigma_evolution(n, sig, dlt).dumps(), encoding="utf-8")
+        op_path.write_text(dumps_json(sigma_evolution(n, sig, dlt)), encoding="utf-8")
         out = tmp_path / f"out{i}"
         rc = cli.main(["exponent", "--operator", str(op_path), "--ell", "0",
                        "--out-dir", str(out)])
@@ -247,7 +248,7 @@ def test_criterion_09_nonlinear_regimes(acceptance):
 
 def test_criterion_10_artifact_determinism(acceptance, tmp_path):
     op_path = tmp_path / "op.json"
-    op_path.write_text(damped_wave(1).dumps(), encoding="utf-8")
+    op_path.write_text(dumps_json(damped_wave(1)), encoding="utf-8")
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps({
         "schema_version": 1, "operator": str(op_path), "ell": 0,

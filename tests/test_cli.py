@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from critevo import cli
 from critevo.errors import NumericalError
-from critevo.operators import damped_wave
+from critevo.operators import damped_wave, sigma_evolution
+from critevo.reporting import dumps_json
 from critevo.solver import Grid, parse_profile
 
 SCHEMA = {"schema_version": 1}
@@ -22,7 +24,7 @@ def write_json(path: Path, doc: dict) -> Path:
 
 @pytest.fixture()
 def op_file(tmp_path):
-    return write_json(tmp_path / "op.json", json.loads(damped_wave(1).dumps()))
+    return write_json(tmp_path / "op.json", json.loads(dumps_json(damped_wave(1))))
 
 
 def sim_config(op_file, **over):
@@ -399,7 +401,7 @@ NAN = float("nan")  # json.dumps writes it as the bare token NaN
 def bases(tmp_path_factory):
     """One valid config per subcommand table, each naming every nested table."""
     root = tmp_path_factory.mktemp("bases")
-    op = write_json(root / "op.json", json.loads(damped_wave(1).dumps()))
+    op = write_json(root / "op.json", json.loads(dumps_json(damped_wave(1))))
     sim = sim_config(op, T=1.0, amplitude=0.1, nonlinearity={
         "p": 2.0, "mu": {"family": "iterated_log", "gamma": 2.0}})
     run_dir = root / "run"
@@ -550,6 +552,17 @@ def test_decay_fit_mode_typo_is_not_a_one_sided_pass(op_file, tmp_path, capsys):
     assert "fit_mode" in capsys.readouterr().err
 
 
+def test_decay_target_for_an_unfitted_q_exits_2(op_file, tmp_path, capsys):
+    # a mistyped q must not leave the fitted q on its default target
+    cfg = {**SCHEMA, "operator": str(op_file), "p_c": 3.0, "q_list": [2],
+           "targets": {"3": -0.1}, "fit_mode": "two-sided"}
+    rc, out = _run(tmp_path, "decay", cfg)
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "targets key 3.0 is not in q_list [2.0]" in err
+
+
 def test_every_module_is_reached_from_the_cli():
     """No module of the package is an orphan: the CLI imports each, transitively."""
     import ast
@@ -590,7 +603,7 @@ def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
     monkeypatch.delenv("CRITEVO_OUT", raising=False)
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
-    write_json(cfg_dir / "op.json", json.loads(damped_wave(1).dumps()))
+    write_json(cfg_dir / "op.json", json.loads(dumps_json(damped_wave(1))))
     write_json(cfg_dir / "sim.json", sim_config("op.json", record_fields=True,
                                                 output_dir="run"))
     write_json(cfg_dir / "res.json", {**SCHEMA, "run": "run", "output_dir": "res"})
@@ -610,7 +623,224 @@ def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
 def test_operator_flag_resolves_against_the_cwd(tmp_path, monkeypatch):
     (tmp_path / "cfg").mkdir()
     write_json(tmp_path / "cfg" / "exp.json", {**SCHEMA, "ell": 0})
-    write_json(tmp_path / "op.json", json.loads(damped_wave(1).dumps()))
+    write_json(tmp_path / "op.json", json.loads(dumps_json(damped_wave(1))))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["exponent", "--config", "cfg/exp.json", "--operator", "op.json",
                      "--out-dir", "o"]) == 0
+
+
+# --- artifact layout --------------------------------------------------------
+
+def _key_paths(doc, prefix: str = "") -> list[str]:
+    """Ordered key paths of a JSON document, every list's items collapsed to []."""
+    paths = []
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths += [path] + _key_paths(value, path)
+    elif isinstance(doc, list):
+        for item in doc:
+            paths += _key_paths(item, prefix + "[]")
+    return list(dict.fromkeys(paths))
+
+
+_NL = {"p": 2.0, "mu": {"family": "constant"}}
+_SIGMA = sigma_evolution(1, 2, 1).to_json()
+_LAYOUT_CASES = {
+    # case: (task, config for the operator file op, artifact name)
+    "exponent": ("exponent", lambda op: {**SCHEMA, "operator": op}, "exponent.json"),
+    "envelope": ("envelope", lambda op: {**SCHEMA, "operator": op, "samples": 5},
+                 "envelope.json"),
+    "mu-constant": ("mu-check", lambda op: {**SCHEMA, "mu": {"family": "constant",
+                                                             "value": 2.0}}, "mu_check.json"),
+    "mu-power": ("mu-check", lambda op: {**SCHEMA, "mu": {"family": "power", "epsilon": 0.5}},
+                 "mu_check.json"),
+    "mu-iterated_log": ("mu-check", lambda op: {**SCHEMA, "mu": {
+        "family": "iterated_log", "depth": 1, "gamma": 2.0}}, "mu_check.json"),
+    "mu-custom_table": ("mu-check", lambda op: {**SCHEMA, "mu": {
+        "family": "custom_table", "taus": [0.0, 0.5, 1.0], "values": [0.0, 0.5, 1.0]}},
+        "mu_check.json"),
+    "mu-extension_point": ("mu-check", lambda op: {**SCHEMA, "mu": {
+        "family": "power", "epsilon": 0.5, "extension_point": 0.5}}, "mu_check.json"),
+    "simulate": ("simulate", lambda op: sim_config(op, T=1.0, record_fields=True,
+                                                   nonlinearity=_NL), "simulate.json"),
+    "decay": ("decay", lambda op: {**SCHEMA, "operator": op}, "decay.json"),
+    "residual": ("residual", lambda op: {**sim_config(op, T=2.0, nonlinearity=_NL),
+                                         "test_function": {}}, "residual.json"),
+    # "run" resolves against the config's directory, where the run is recorded
+    "residual-run": ("residual", lambda op: {**SCHEMA, "run": "run"}, "residual.json"),
+    "sweep": ("sweep", lambda op: {**SCHEMA, "task": "exponent", "parameter": "n",
+                                   "values": [1, 2, 0], "config": {"operator": _SIGMA}},
+              "sweep_index.json"),
+}
+
+_LAYOUTS = {
+    "decay": """
+        schema_version kind config config.schema_version config.operator notes report
+        report.mode report.p_c report.entries report.entries[].q report.entries[].fit
+        report.entries[].fit.kind report.entries[].fit.slope report.entries[].fit.intercept
+        report.entries[].fit.rms report.entries[].fit.n_samples report.entries[].fit.window
+        report.entries[].fit.clean report.entries[].fit.target report.entries[].fit.tol
+        report.entries[].fit.verdict report.entries[].quadrature
+        report.entries[].quadrature.panels_per_decade report.entries[].quadrature.nodes
+        report.entries[].quadrature.last_relative_change
+        report.entries[].quadrature.expm_fallback_nodes report.all_pass report.notes
+    """,
+    "envelope": """
+        schema_version kind config config.schema_version config.operator config.samples report
+        report.p_c report.p_c_float report.eta_star report.eta_star_float report.active_levels
+        report.n report.ell report.regime report.n_validity report.degenerate report.notes
+        report.envelope report.envelope.pieces report.envelope.pieces[].slope
+        report.envelope.pieces[].intercept report.envelope.pieces[].levels
+        report.envelope.breakpoints samples samples[].eta samples[].eta_float samples[].g
+        samples[].g_float samples[].h samples[].h_float
+    """,
+    "exponent": """
+        schema_version kind config config.schema_version config.operator report report.p_c
+        report.p_c_float report.eta_star report.eta_star_float report.active_levels report.n
+        report.ell report.regime report.n_validity report.degenerate report.notes
+        report.envelope report.envelope.pieces report.envelope.pieces[].slope
+        report.envelope.pieces[].intercept report.envelope.pieces[].levels
+        report.envelope.breakpoints
+    """,
+    "mu-constant": """
+        schema_version kind config config.schema_version config.mu config.mu.family
+        config.mu.value mu mu.family mu.value c0 integral integral.classification integral.c0
+        integral.closed_form_value integral.quadrature_value integral.partial_integrals
+        integral.growth_label integral.fitted_slope integral.quadrature_tol certificate
+        certificate.constant certificate.worst_pair certificate.monotone
+        certificate.monotone_witness certificate.derivative_bound certificate.derivative_witness
+        certificate.convex certificate.convex_witness certificate.cap certificate.n_samples
+        certificate.seed
+    """,
+    "mu-custom_table": """
+        schema_version kind config config.schema_version config.mu config.mu.family
+        config.mu.taus config.mu.values mu mu.family mu.taus mu.values c0 integral
+        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
+        certificate.monotone certificate.monotone_witness certificate.derivative_bound
+        certificate.derivative_witness certificate.convex certificate.convex_witness
+        certificate.cap certificate.n_samples certificate.seed
+    """,
+    "mu-extension_point": """
+        schema_version kind config config.schema_version config.mu config.mu.family
+        config.mu.epsilon config.mu.extension_point mu mu.family mu.epsilon mu.extension_point
+        c0 integral integral.classification integral.c0 integral.closed_form_value
+        integral.quadrature_value integral.partial_integrals integral.growth_label
+        integral.fitted_slope integral.quadrature_tol certificate certificate.constant
+        certificate.worst_pair certificate.monotone certificate.monotone_witness
+        certificate.derivative_bound certificate.derivative_witness certificate.convex
+        certificate.convex_witness certificate.cap certificate.n_samples certificate.seed
+    """,
+    "mu-iterated_log": """
+        schema_version kind config config.schema_version config.mu config.mu.family
+        config.mu.depth config.mu.gamma mu mu.family mu.depth mu.gamma c0 integral
+        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
+        certificate.monotone certificate.monotone_witness certificate.derivative_bound
+        certificate.derivative_witness certificate.convex certificate.convex_witness
+        certificate.cap certificate.n_samples certificate.seed
+    """,
+    "mu-power": """
+        schema_version kind config config.schema_version config.mu config.mu.family
+        config.mu.epsilon mu mu.family mu.epsilon c0 integral integral.classification
+        integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
+        certificate.monotone certificate.monotone_witness certificate.derivative_bound
+        certificate.derivative_witness certificate.convex certificate.convex_witness
+        certificate.cap certificate.n_samples certificate.seed
+    """,
+    "residual": """
+        schema_version kind config config.schema_version config.operator config.ell config.grid
+        config.grid.N config.grid.L config.profile config.profile.kind config.profile.width
+        config.dt config.T config.nonlinearity config.nonlinearity.p config.nonlinearity.mu
+        config.nonlinearity.mu.family config.test_function seed notes run_outcome run_meta
+        run_meta.m run_meta.n run_meta.ell run_meta.N run_meta.L run_meta.dt run_meta.T
+        run_meta.amplitude run_meta.steps_taken run_meta.norm_power run_meta.dealias_modes_kept
+        run_meta.box_horizon run_meta.box_horizon_caveat run_meta.blowup_factor report
+        report.residual report.lhs report.rhs report.data_term report.contributions
+        report.contributions.0 report.contributions.1 report.contributions.2 report.floor
+        report.test_function report.test_function.eta_bar report.test_function.scale
+        report.test_function.q_tf report.test_function.flat_fraction
+        report.test_function.smooth_order report.test_function.reg_epsilon report.notes
+    """,
+    "residual-run": """
+        schema_version kind config config.schema_version config.run seed notes run_outcome
+        run_meta run_meta.source report report.residual report.lhs report.rhs report.data_term
+        report.contributions report.contributions.0 report.contributions.1
+        report.contributions.2 report.floor report.test_function report.test_function.eta_bar
+        report.test_function.scale report.test_function.q_tf report.test_function.flat_fraction
+        report.test_function.smooth_order report.test_function.reg_epsilon report.notes
+    """,
+    "simulate": """
+        schema_version kind config config.schema_version config.operator config.ell config.grid
+        config.grid.N config.grid.L config.profile config.profile.kind config.profile.width
+        config.dt config.T config.record_fields config.nonlinearity config.nonlinearity.p
+        config.nonlinearity.mu config.nonlinearity.mu.family seed notes operator
+        operator.schema_version operator.m operator.n operator.levels operator.levels.0
+        operator.levels.0[].kind operator.levels.0[].alpha operator.levels.0[].coeff
+        operator.levels.1 operator.levels.1[].kind operator.levels.1[].alpha
+        operator.levels.1[].coeff nonlinearity nonlinearity.p nonlinearity.mu
+        nonlinearity.mu.family nonlinearity.mu.value report report.outcome report.blowup_time
+        report.xnorm_sup report.xnorm_last_increase report.initial_sign_functional report.meta
+        report.meta.m report.meta.n report.meta.ell report.meta.N report.meta.L report.meta.dt
+        report.meta.T report.meta.amplitude report.meta.steps_taken report.meta.norm_power
+        report.meta.dealias_modes_kept report.meta.box_horizon report.meta.box_horizon_caveat
+        report.meta.blowup_factor report.n_records
+    """,
+    "sweep": """
+        schema_version kind config config.schema_version config.task config.parameter
+        config.values config.config config.config.operator config.config.operator.schema_version
+        config.config.operator.m config.config.operator.n config.config.operator.levels
+        config.config.operator.levels.0 config.config.operator.levels.0[].kind
+        config.config.operator.levels.0[].power config.config.operator.levels.0[].coeff
+        config.config.operator.levels.1 config.config.operator.levels.1[].kind
+        config.config.operator.levels.1[].power config.config.operator.levels.1[].coeff task
+        parameter n_values n_ok runs runs[].index runs[].parameter runs[].value runs[].dir
+        runs[].status runs[].summary runs[].summary.p_c runs[].summary.p_c_float
+        runs[].summary.degenerate runs[].message
+    """,
+}
+
+
+def _layout_artifact(case: str, tmp_path: Path, op_file: Path) -> dict:
+    """The JSON artifact one layout case writes."""
+    task, config, name = _LAYOUT_CASES[case]
+    if case == "residual-run":
+        sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
+        run_dir = tmp_path / "case" / "run"
+        assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    rc, out = _run(tmp_path / "case", task, config(str(op_file)))
+    assert rc == 0
+    return json.loads((out / name).read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_artifact_key_layout_is_pinned(case, tmp_path, op_file):
+    assert _key_paths(_layout_artifact(case, tmp_path, op_file)) == _LAYOUTS[case].split()
+
+
+def test_sigma_evolution_exponent_artifact_text_is_pinned(tmp_path):
+    # Fractions and their float() values only, so the text is the same everywhere
+    operator = sigma_evolution(2, 1, Fraction(1, 3)).to_json()
+    rc, out = _run(tmp_path, "exponent", {**SCHEMA, "operator": operator, "ell": 1})
+    assert rc == 0
+    report = {
+        "p_c": "4/3", "p_c_float": 1.3333333333333333,
+        "eta_star": "2/3", "eta_star_float": 0.6666666666666666,
+        "active_levels": [1, 2], "n": 2, "ell": 1, "regime": "effective",
+        "n_validity": ["needs n > g(eta_star) - eta_star = 0; n = 2 gives denominator 2 > 0"],
+        "degenerate": False, "notes": [],
+        "envelope": {
+            "pieces": [{"slope": "1", "intercept": "0", "levels": [2]},
+                       {"slope": "0", "intercept": "2/3", "levels": [1]},
+                       {"slope": "-1", "intercept": "2", "levels": [0]}],
+            "breakpoints": ["2/3", "4/3"],
+        },
+    }
+    want = {**SCHEMA, "kind": "exponent",
+            "config": {**SCHEMA, "operator": operator, "ell": 1}, "report": report}
+    assert (out / "exponent.json").read_text() == json.dumps(want, indent=2) + "\n"

@@ -15,6 +15,7 @@ from critevo.envelope import (
     regime_classify,
 )
 from critevo.operators import EvolutionOperator, fractional_term, laplacian_terms, sigma_evolution
+from critevo.reporting import jsonify
 from helpers import build_m5_operator, grid_refine_max, oracle_exponent, random_operator, scaling_lines
 
 F = Fraction
@@ -219,7 +220,7 @@ def test_grid_refinement_agrees():
 
 def test_report_serialization():
     rep = critical_exponent(sigma_evolution(3, 2, F(1, 2)), 0, 3)
-    doc = rep.to_json()
+    doc = jsonify(rep)
     assert doc["p_c"] == "3"
     assert doc["eta_star"] == "3"
     assert doc["envelope"]["breakpoints"]

@@ -16,6 +16,7 @@ from critevo.operators import (
     parse_operator,
     sigma_evolution,
 )
+from critevo.reporting import dumps_json
 
 
 def test_as_fraction_forms():
@@ -165,7 +166,7 @@ def test_parse_round_trip_normalizes():
         },
     }
     op = parse_operator(doc)
-    again = parse_operator(json.loads(op.dumps()))
+    again = parse_operator(json.loads(dumps_json(op)))
     assert again == op
     assert op.minimal_order(0) == 2
 

@@ -8,6 +8,7 @@ import pytest
 from critevo.errors import ValidationError
 from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import EvolutionOperator, SpatialTerm, damped_wave, sigma_evolution
+from critevo.reporting import jsonify
 from critevo.residual import TestFunctionSpec, default_q_tf, make_test_function, weak_residual
 from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional, run
 from helpers import monomial_op
@@ -302,7 +303,7 @@ def test_report_deterministic_and_serializable():
     b = weak_residual(op, 0, grid, times, frames, tf, initial_layers=init)
     assert a.residual == b.residual
     assert a.contributions == b.contributions
-    blob = a.to_json()
+    blob = jsonify(a)
     assert set(blob) >= {"residual", "lhs", "rhs", "data_term",
                          "contributions", "floor", "test_function"}
     assert blob["test_function"]["q_tf"] == 3
