@@ -95,7 +95,7 @@ MU_CHECK = {
     "c0": Key("number", None, **_POSITIVE, flag="--c0",
               help="upper limit of the integral criterion"),
     "levels": Key("int", 8, ok=lambda v: v >= 1, rule=">= 1"),
-    "tol": Key("number", 1e-9, **_POSITIVE),
+    "tol": Key("number", 1e-9, ok=lambda v: v >= 1e-15, rule=">= 1e-15"),
     "p": Key("number", 2.0),
     "cap": Key("number", None),
     "seed": Key("int", 0, **_NONNEGATIVE),

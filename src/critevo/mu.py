@@ -20,9 +20,8 @@ Families:
                               * (log^[k](-log tau))^{-gamma}
   on (0, tau*], frozen beyond, with log^[0] = identity (so depth k = 0 is
   the plain (-log tau)^{-gamma}).  Its integral converges iff gamma > 1,
-  with antiderivative (log^[k](-log c0))^{1-gamma} / (gamma - 1): under
-  u = -log tau the integrand becomes d/du log^[k+1'ish] chains, i.e.
-  substituting v = log^[k](u) turns the integral into integral v^{-gamma} dv.
+  with antiderivative (log^[k](-log c0))^{1-gamma} / (gamma - 1), since
+  v = log^[k](-log tau) turns the integral into integral v^{-gamma} dv.
 * ``custom_table``  linear interpolation of sampled (tau, mu) pairs,
   constant beyond the last sample.  No exact classification is claimed.
 
@@ -30,6 +29,10 @@ The default extension point tau* is where every inner logarithm reaches 1:
 tau* = exp(-exp^[k](1)) (= 1/e at depth 0).  Depths above 2 would push
 tau* below the double-precision floor, so they are rejected, and so is an
 extension point at which an inner logarithm is not positive.
+
+The integral is measured in u = -log tau by one Gauss-Legendre rule per
+decade of tau; a convergent value adds the exact antiderivative below the
+last decade.
 
 Verification helpers sample the conditions rather than prove them: the
 Lipschitz certificate reports the smallest empirical C over seeded sample
@@ -39,7 +42,9 @@ never a proof.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -359,9 +364,10 @@ class IntegralVerdict:
     """Verdict on integral_0^{c0} mu(tau)/tau dtau.
 
     ``classification`` is exact for the constructive families ('convergent'
-    / 'divergent') and 'unknown' for tables.  ``quadrature_value`` is the
-    full improper integral when it exists; ``partial_integrals`` are the
-    truncations at tau = c0 * 10^{-k}, whose growth feeds the label.
+    / 'divergent') and 'unknown' for tables.  ``partial_integrals`` are the
+    truncations at tau = c0 * 10^{-k}, whose growth feeds the label.  A
+    convergent ``quadrature_value`` is the numerical head plus exact tail
+    below c0·10^−levels, so it tests the quadrature of mu itself.
     """
 
     classification: str
@@ -389,86 +395,89 @@ def iterated_log_antiderivative(depth: int, gamma: float, c0: float) -> float:
     return v ** (1.0 - gamma) / (gamma - 1.0)
 
 
-def _quad_log_sub(mu: MuSpec, u_lo: float, u_hi: float, tol: float) -> float:
-    """integral of mu(e^{-u}) du, the substituted integrand (u_hi may be inf)."""
-    from scipy import integrate
-
-    val, err = integrate.quad(lambda u: eval_mu(mu, math.exp(-u)), u_lo, u_hi,
-                              epsabs=tol, epsrel=tol * 10, limit=400)
-    if not math.isfinite(val) or err > max(tol * 50, abs(val) * 1e-6):
-        raise NumericalError(
-            f"quadrature did not converge on u-window [{u_lo}, {u_hi}] "
-            f"(value {val}, error estimate {err})"
-        )
-    return val
+def _antiderivative(mu: MuSpec, tau: float) -> float | None:
+    """integral_0^tau mu(s)/s ds (tau <= tau*), or None where it diverges or is unknown."""
+    if mu.family == "power":
+        return tau**mu.epsilon / mu.epsilon
+    if mu.family == "iterated_log" and mu.gamma > 1:
+        return iterated_log_antiderivative(mu.depth, mu.gamma, tau)
+    if mu.family == "constant" and mu.value == 0:
+        return 0.0
+    return None
 
 
-def _quad_iterated_tail(mu: MuSpec, u0: float, tol: float) -> float:
-    """Improper integral for the iterated_log family, gamma > 1.
+#: panels per decade the Gauss-Legendre rule is tried on, doubling
+_PANELS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-    Integrating mu(e^{-u}) in u truncates where tau = e^{-u} underflows
-    double precision (u ~ 745), and for depth >= 1 the tail beyond still
-    carries O(1/log^[depth] u) mass, so the naive quadrature is silently
-    wrong by percents.  Substituting w = log^[depth](u) cancels the inner
-    log factors against the Jacobian exactly and leaves w^{-gamma}, whose
-    tail the infinite-interval transform handles to full accuracy.
+
+@functools.cache
+def _gauss_legendre16() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(16)  # ~1 ms to build, so built once
+
+
+def _decade_integrals(mu: MuSpec, u0: float, levels: int, tol: float) -> np.ndarray:
+    """integral of mu(e^{-u}) du over [u0 + (k-1) ln 10, u0 + k ln 10], k = 1..levels.
+
+    Each decade is cut into uniform 16-node Gauss-Legendre panels (the decay
+    module's rule), with a table's knots added as panel edges so that no
+    panel straddles a kink.  The panels per decade double from 1 until no
+    decade sum moves by more than tol * max(1, |sum|); one eval_mu call
+    covers every node of a pass.
     """
-    from scipy import integrate
-
-    w0 = u0
-    for _ in range(mu.depth):
-        w0 = math.log(w0)
-    val, err = integrate.quad(lambda w: w ** (-mu.gamma), w0, math.inf,
-                              epsabs=tol, epsrel=tol * 10, limit=400)
-    if not math.isfinite(val) or err > max(tol * 50, abs(val) * 1e-6):
-        raise NumericalError(
-            f"tail quadrature did not converge from w = {w0} "
-            f"(value {val}, error estimate {err})"
-        )
-    return val
+    gl_x, gl_w = _gauss_legendre16()
+    edges = u0 + np.arange(levels + 1) * math.log(10)
+    taus = np.asarray(mu.taus if mu.family == "custom_table" else [], dtype=float)
+    knots = np.clip(-np.log(taus[taus > 0]), edges[0], edges[-1])
+    prev = None
+    for panels in _PANELS:
+        cuts = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(panels) / panels)
+        bounds = np.unique(np.concatenate([cuts.ravel(), edges[-1:], knots]))
+        half = np.diff(bounds) / 2
+        mid = bounds[:-1] + half
+        values = eval_mu(mu, np.exp(-(mid[:, None] + half[:, None] * gl_x)))
+        decade = np.searchsorted(edges, bounds[:-1], side="right") - 1
+        sums = np.bincount(decade, weights=half * (values @ gl_w), minlength=levels)
+        if prev is not None and np.all(np.abs(sums - prev) <= tol * np.maximum(1.0, np.abs(sums))):
+            return sums
+        prev = sums
+    raise NumericalError(f"decade quadrature did not settle to tol {tol} with "
+                         f"{_PANELS[-1]} panels per decade from u = {u0}")
 
 
 def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
                        tol: float = 1e-9) -> IntegralVerdict:
     """Classify and measure the small-tau integral up to c0 (0 < c0 <= tau*)."""
     if not (0 < c0 <= mu.tau_star):
+        raise ValidationError(f"c0 must lie in (0, tau*]; got c0 = {c0}, tau* = {mu.tau_star}")
+    if not tol >= 1e-15:
         raise ValidationError(
-            f"c0 must lie in (0, tau*]; got c0 = {c0}, tau* = {mu.tau_star}"
-        )
-    if mu.family == "constant":
-        classification = "divergent" if mu.value > 0 else "convergent"
-        closed = 0.0 if mu.value == 0 else None
-    elif mu.family == "power":
-        classification = "convergent"
-        closed = c0**mu.epsilon / mu.epsilon
-    elif mu.family == "iterated_log":
-        classification = "convergent" if mu.gamma > 1 else "divergent"
-        closed = iterated_log_antiderivative(mu.depth, mu.gamma, c0) if mu.gamma > 1 else None
-    else:
-        classification = "unknown"
-        closed = None
-
+            f"tol must be >= 1e-15 (a decade sum cannot settle below rounding); got {tol}")
     u0 = -math.log(c0)
-    partials = []
-    running = 0.0
-    for k in range(1, levels + 1):
-        running += _quad_log_sub(mu, u0 + (k - 1) * math.log(10), u0 + k * math.log(10), tol)
-        partials.append(running)
+    max_levels = math.floor((-math.log(sys.float_info.min) - u0) / math.log(10))
+    if not 1 <= levels <= max_levels:
+        raise ValidationError(f"levels must be in [1, {max_levels}] at c0 = {c0}: deeper decades "
+                              "run tau = c0 * 10^-levels below the smallest normal double")
+    # a constructive family has an antiderivative exactly when it converges
+    closed = _antiderivative(mu, c0)
+    classification = ("unknown" if mu.family == "custom_table"
+                      else "divergent" if closed is None else "convergent")
 
+    partials = np.cumsum(_decade_integrals(mu, u0, levels, tol))
     quadrature_value = None
-    if classification == "convergent":
-        if mu.family == "iterated_log":
-            quadrature_value = _quad_iterated_tail(mu, u0, tol)
-        else:
-            quadrature_value = _quad_log_sub(mu, u0, math.inf, tol)
+    if closed is not None:
+        quadrature_value = float(partials[-1]) + _antiderivative(mu, c0 * 10.0**-levels)
 
-    # Growth label from the fitted local exponent of mu(e^{-u}) in u: the
-    # increments behave like u^s * log 10, and s <= -1 is the convergence line.
-    diffs = np.diff([0.0] + partials)
-    us = u0 + (np.arange(1, levels + 1) - 0.5) * math.log(10)
+    # Growth label from the fitted local exponent of the partials' increment
+    # per unit of w, the family's own variable (w = log^[depth] u for
+    # iterated_log, else u = -log tau): increments behave like w^s dw, and
+    # s <= -1 is the convergence line.
+    diffs = np.diff(partials, prepend=0.0)
+    ws = u0 + np.arange(levels + 1) * math.log(10)
+    for _ in range(mu.depth if mu.family == "iterated_log" else 0):
+        ws = np.log(ws)
     fitted_slope = None
     if np.all(diffs > 0):
-        slope, _ = np.polyfit(np.log(us), np.log(diffs), 1)
+        slope, _ = np.polyfit(np.log((ws[:-1] + ws[1:]) / 2), np.log(diffs / np.diff(ws)), 1)
         fitted_slope = float(slope)
         if fitted_slope < -1.05:
             growth_label = "saturating"

@@ -108,25 +108,24 @@ class TestFunctionSpec:
 
     @cached_property
     def _beta_norm(self) -> float:
-        from scipy import special
-
+        """B(o+1, o+1) = o!^2 / (2o+1)!."""
         o = self.smooth_order
-        return float(special.beta(o + 1, o + 1))
+        return math.factorial(o) ** 2 / math.factorial(2 * o + 1)
 
     def _chi_taylor(self, k: int, u: np.ndarray) -> np.ndarray:
         """Taylor rows chi^(i)(u)/i!, i = 0..k, of the descent polynomial.
 
-        chi is evaluated through the regularized incomplete beta and its
-        derivatives through the Leibniz expansion of u^o (1-u)^o.  Expanding
-        chi**q_tf into monomial coefficients instead is catastrophically
-        ill-conditioned (degree ~ 40, coefficients ~ 1e19, total cancellation
-        near u = 1), which corrupts the identity at the support edge.
+        chi = 1 - I_u(o+1, o+1) is the binomial tail sum_{j<=o} C(2o+1, j)
+        u^j (1-u)^{2o+1-j}, non-negative term by term, and its derivatives
+        come from the Leibniz expansion of u^o (1-u)^o.  Expanding chi**q_tf
+        into monomial coefficients instead is catastrophically ill-conditioned
+        (degree ~ 40, coefficients ~ 1e19, total cancellation near u = 1),
+        which corrupts the identity at the support edge.
         """
-        from scipy import special
-
         o = self.smooth_order
         rows = np.empty((k + 1,) + u.shape)
-        rows[0] = 1.0 - special.betainc(o + 1, o + 1, u)
+        rows[0] = sum(math.comb(2 * o + 1, j) * u**j * (1.0 - u) ** (2 * o + 1 - j)
+                      for j in range(o + 1))
         for i in range(1, k + 1):
             r = i - 1
             acc = np.zeros_like(u)

@@ -180,16 +180,6 @@ class DataProfile:
             f = f - float(np.mean(f))
         return f
 
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.kind != "custom_table":
-            doc["width"] = self.width
-        else:
-            doc["values"] = list(self.values)
-        if self.zero_mean:
-            doc["zero_mean"] = True
-        return doc
-
 
 _PROFILE = {
     "kind": Key("str", "gaussian"),

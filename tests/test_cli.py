@@ -354,6 +354,29 @@ def test_cli_import_leaves_scipy_out(module, absent):
     assert proc.stdout.strip() == "[]"
 
 
+def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
+    # inline residual runs the solver, whose propagator takes scipy.linalg's
+    # expm, so only the recorded-run form is covered here
+    run_dir = tmp_path / "run"
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    mu_cfg = write_json(tmp_path / "mu.json", {
+        **SCHEMA, "mu": {"family": "iterated_log", "depth": 1, "gamma": 2.0}})
+    res_cfg = write_json(tmp_path / "res.json",
+                         {**SCHEMA, "run": str(run_dir), "test_function": {}})
+    code = ("import sys; from critevo import cli\n"
+            f"assert cli.main(['mu-check', '--config', {str(mu_cfg)!r}, "
+            f"'--out-dir', {str(tmp_path / 'm')!r}]) == 0\n"
+            f"assert cli.main(['residual', '--config', {str(res_cfg)!r}, "
+            f"'--out-dir', {str(tmp_path / 'r')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 _OUT_OF_DOMAIN_MU = {"family": "iterated_log", "depth": 1, "gamma": 2.0, "extension_point": 0.5}
 
 
@@ -539,6 +562,23 @@ def test_out_of_range_values_are_rejected(bases, tmp_path, capsys, task, path, v
     assert not out.exists()
     err = capsys.readouterr().err
     assert path[-1] in err and "must be" in err  # names the offending key
+
+
+@pytest.mark.parametrize("key,value,rc", [
+    ("tol", 1e-16, 2), ("tol", 1e-15, 0), ("levels", 340, 2), ("levels", 306, 0),
+], ids=["tol=1e-16", "tol=1e-15", "levels=340", "levels=306"])
+def test_mu_check_tol_and_levels_ranges(tmp_path, capsys, key, value, rc):
+    # a decade sum cannot settle below rounding, and past levels 306 at
+    # c0 = 0.1 tau runs below the smallest normal double
+    cfg = {**SCHEMA, "c0": 0.1, "mu": {"family": "iterated_log", "gamma": 2.0}, key: value}
+    code, out = _run(tmp_path, "mu-check", cfg)
+    assert code == rc
+    if rc == 2:
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert key in err and "must be" in err
+    else:
+        assert (out / "mu_check.json").exists()
 
 
 def test_decay_fit_mode_typo_is_not_a_one_sided_pass(op_file, tmp_path, capsys):

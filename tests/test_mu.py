@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from critevo.errors import ValidationError
+import critevo.mu as mu_module
+from critevo.errors import NumericalError, ValidationError
 from critevo.mu import (
     MuSpec,
     NonlinearitySpec,
@@ -172,6 +173,76 @@ def test_partials_monotone_when_convergent():
     assert parts[-1] < v.quadrature_value
     assert v.quadrature_value - parts[-1] < v.quadrature_value - parts[0]
     assert v.growth_label == "saturating"
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_growth_label_follows_the_family_variable(depth):
+    # the increments are fitted per unit of w = log^[depth](-log tau), so the
+    # label sits on the same side of the convergence line as the verdict
+    want = {0.5: "growing", 1.0: "marginal", 1.5: "saturating", 2.0: "saturating"}
+    for gamma, label in want.items():
+        mu = MuSpec(family="iterated_log", gamma=gamma, depth=depth)
+        for c0 in (mu.tau_star, min(0.05, mu.tau_star / 2)):
+            v = integral_condition(mu, c0=c0)
+            assert v.growth_label == label, (gamma, c0, v.fitted_slope)
+            assert v.fitted_slope == pytest.approx(-gamma, abs=0.15)
+
+
+def test_custom_table_partials_are_exact():
+    # mu = a + b tau between knots gives a log(t2/t1) + b (t2 - t1) per piece;
+    # the knots are panel edges, so the rule never straddles a kink
+    taus, values = (0.0, 1e-3, 0.01, 0.05, 0.2), (0.0, 0.1, 0.3, 0.5, 0.9)
+    mu = MuSpec(family="custom_table", taus=taus, values=values)
+
+    def exact(lo, hi):
+        total = 0.0
+        for t1, t2, m1, m2 in zip(taus, taus[1:], values, values[1:]):
+            a, b = max(lo, t1), min(hi, t2)
+            if a < b:
+                slope = (m2 - m1) / (t2 - t1)
+                total += (m1 - slope * t1) * (math.log(b / a) if a > 0 else 0.0) + slope * (b - a)
+        return total
+
+    for c0 in (0.2, 0.03):
+        v = integral_condition(mu, c0=c0, levels=6)
+        for j, part in enumerate(v.partial_integrals, start=1):
+            assert part == pytest.approx(exact(c0 * 10.0**-j, c0), rel=1e-13), (c0, j)
+
+
+def test_quadrature_value_is_head_plus_exact_tail():
+    for mu in (MuSpec(family="power", epsilon=0.5), MuSpec(family="constant", value=0.0),
+               MuSpec(family="iterated_log", gamma=1.05, depth=1)):
+        v = integral_condition(mu, c0=0.01, levels=5)
+        assert v.quadrature_value == pytest.approx(v.closed_form_value, rel=1e-12, abs=1e-300)
+    v = integral_condition(MuSpec(family="iterated_log", gamma=1.0), c0=0.01)
+    assert v.closed_form_value is None and v.quadrature_value is None
+
+
+def test_tol_below_rounding_is_rejected():
+    mu = MuSpec(family="iterated_log", gamma=2.0)
+    assert integral_condition(mu, c0=0.1, tol=1e-15).quadrature_tol == 1e-15
+    for tol in (1e-16, 0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            integral_condition(mu, c0=0.1, tol=tol)
+
+
+def test_levels_below_the_smallest_normal_double_are_rejected():
+    # past u ~ 708 tau = e^{-u} leaves the normal doubles and the last
+    # increments would read 0
+    mu = MuSpec(family="iterated_log", gamma=2.0)
+    for levels in (0, 307):
+        with pytest.raises(ValidationError, match=r"levels must be in \[1, 306\]"):
+            integral_condition(mu, c0=0.1, levels=levels)
+    v = integral_condition(mu, c0=0.1, levels=306)
+    assert v.growth_label == "saturating"
+    assert v.quadrature_value == pytest.approx(v.closed_form_value, rel=1e-12)
+
+
+def test_unsettled_quadrature_raises(monkeypatch):
+    # one pass leaves nothing to compare against: the rule must fail closed
+    monkeypatch.setattr(mu_module, "_PANELS", (1,))
+    with pytest.raises(NumericalError, match="did not settle"):
+        integral_condition(MuSpec(family="constant"), c0=0.1)
 
 
 def test_scale_substitution_property():

@@ -62,6 +62,24 @@ def test_weight_stable_at_support_edge():
         assert np.all(vals < 1e-8), (k, vals)
 
 
+def test_descent_closed_forms_match_the_incomplete_beta():
+    # chi = 1 - I_u(o+1, o+1) as a sum of non-negative binomial terms; scipy
+    # is the independent reference (its form cancels near u = 1, so compare
+    # absolutely there and relatively on the well-conditioned half)
+    from scipy import special
+
+    u = np.linspace(0.0, 1.0, 2001)
+    for o in (1, 2, 6, 12):
+        tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, smooth_order=o)
+        assert tf._beta_norm == pytest.approx(special.beta(o + 1, o + 1), rel=1e-14)
+        ref = 1.0 - special.betainc(o + 1, o + 1, u)
+        row = tf._chi_taylor(0, u)[0]
+        assert np.max(np.abs(row - ref)) < 5e-15, o
+        low = u <= 0.5
+        assert np.max(np.abs(row - ref)[low] / ref[low]) < 1e-14, o
+        assert np.all(row >= 0) and row[0] == 1.0 and row[-1] == 0.0
+
+
 def test_default_q_tf_hand_values():
     dw = damped_wave(1)
     # worst level weight: max(2+0, 0+1, 0+2) = 2, dual of 3 is 3/2
