@@ -22,7 +22,7 @@ Subcommands:
 Exit codes: 0 success (a detected blow-up is a successful diagnosis,
 reported in the artifact), 2 invalid input or config, 3 numerical
 failure.  Artifacts carry no timestamps and are byte-identical across
-repeat runs with the same config and seed.
+repeat runs with the same config.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ _NUMBER = Key("number")
 COMMON = {
     "schema_version": Key("int", ok=lambda v: v == reporting.SCHEMA_VERSION,
                           rule=str(reporting.SCHEMA_VERSION)),
-    "output": Key("str", None, ok=lambda v: v and "/" not in v and "\\" not in v,
-                  rule="a bare file name"),
     "output_dir": Key("str", None),
 }
 OPERATOR = {
@@ -77,7 +75,7 @@ TEST_FUNCTION = {
     "scale": Key("number", "auto", words=("auto",)),
     "q_tf": Key("int", None),
     "flat_fraction": Key("number", 0.5),
-    "smooth_order": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
+    "smooth_order": Key("int", None),
     "reg_epsilon": Key("number", None),
 }
 
@@ -112,7 +110,6 @@ SIMULATE = {
     "p_for_norms": Key("number", None),
     "record_every": Key("int", 1, ok=lambda v: v >= 1, rule=">= 1"),
     "record_fields": Key("bool", False),
-    "seed": Key("int", 0, **_NONNEGATIVE),
 }
 
 
@@ -145,9 +142,10 @@ DECAY = {
     "fit_mode": Key("str", "at-least-as-fast", ok=lambda v: v in FIT_MODES,
                     rule=f"one of {list(FIT_MODES)}"),
 }
-RESIDUAL = {**SIMULATE, "test_function": Key("object", {})}
-RESIDUAL_RUN = {**COMMON, "run": Key("str"), "test_function": Key("object", {}),
-                "seed": SIMULATE["seed"]}
+# an inline residual always records its fields, so it has no record_fields key
+RESIDUAL = {**{name: key for name, key in SIMULATE.items() if name != "record_fields"},
+            "test_function": Key("object", {})}
+RESIDUAL_RUN = {**COMMON, "run": Key("str"), "test_function": Key("object", {})}
 
 
 def _operator_from(v: dict, base: Path) -> EvolutionOperator:
@@ -195,7 +193,7 @@ def cmd_exponent(cfg: dict, out_dir: Path, base: Path) -> dict:
     op = _operator_from(v, base)
     rep = critical_exponent(op, v["ell"], op.n)
     doc = reporting.artifact("exponent", {"config": cfg, "report": rep})
-    path = reporting.write_json(out_dir / (v["output"] or "exponent.json"), doc)
+    path = reporting.write_json(out_dir / "exponent.json", doc)
     print(f"p_c = {rep.p_c} at eta = {rep.eta_star} "
           f"(levels {list(rep.active_levels)}, regime {rep.regime})")
     print(f"wrote {path}")
@@ -223,7 +221,7 @@ def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
         "samples": [{"eta": e, "eta_float": float(e), "g": g, "g_float": float(g),
                      "h": h, "h_float": float(h)} for e, g, h in rows],
     })
-    path = reporting.write_json(out_dir / (v["output"] or "envelope.json"), doc)
+    path = reporting.write_json(out_dir / "envelope.json", doc)
     csv_path = reporting.write_csv(out_dir / "envelope_samples.csv", {
         "eta": [float(e) for e, _, _ in rows],
         "g": [float(g) for _, g, _ in rows],
@@ -251,21 +249,21 @@ def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
         "integral": verdict,
         "certificate": cert,
     })
-    path = reporting.write_json(out_dir / (v["output"] or "mu_check.json"), doc)
+    path = reporting.write_json(out_dir / "mu_check.json", doc)
     print(f"integral: {verdict.classification} ({verdict.growth_label}); "
           f"lipschitz constant ~ {cert.constant:.6g}")
     print(f"wrote {path}")
     return {"classification": verdict.classification, "growth": verdict.growth_label}
 
 
-def _sim_config(v: dict, base: Path, record_fields: bool = False):
+def _sim_config(v: dict, base: Path):
     op = _operator_from(v, base)
     nl, notes = _nonlinearity_from(v["nonlinearity"], op, v["ell"])
     rc = RunConfig(
         op=op, grid=_grid_from(v["grid"], op), profile=parse_profile(v["profile"]),
         ell=v["ell"], dt=v["dt"], T=v["T"], amplitude=v["amplitude"], nl=nl,
         p_for_norms=v["p_for_norms"], record_every=v["record_every"],
-        record_fields=record_fields or v["record_fields"],
+        record_fields=v.get("record_fields", True),
     )
     return rc, notes
 
@@ -281,21 +279,19 @@ _FIELD_FILES = {
 def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SIMULATE, "config")
     rc, notes = _sim_config(v, base)
-    return _write_simulate(cfg, v, rc, notes, run(rc), out_dir)
+    return _write_simulate(cfg, rc, notes, run(rc), out_dir)
 
 
-def _write_simulate(cfg: dict, v: dict, rc: RunConfig, notes: list[str], report,
-                    out_dir: Path) -> dict:
+def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir: Path) -> dict:
     """simulate.json, series.csv and any field files of one run; its summary."""
     doc = reporting.artifact("simulate", {
         "config": cfg,
-        "seed": v["seed"],
         "notes": notes,
         "operator": rc.op,
         "nonlinearity": rc.nl,
         "report": report,
     })
-    path = reporting.write_json(out_dir / (v["output"] or "simulate.json"), doc)
+    path = reporting.write_json(out_dir / "simulate.json", doc)
     columns = {"time": report.times}
     columns.update(report.series)
     csv_path = reporting.write_csv(out_dir / "series.csv", columns)
@@ -328,6 +324,11 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
         exact = _critical_power(op, ell, "p_c")
         p_c = float(exact)
         notes.append(f"p_c resolved to {exact} = {p_c}")
+    if v["mode"] == "whole-space":
+        for name in ("grid", "dt"):
+            if name in cfg:
+                raise ValidationError(f"config.{name} is read only in torus mode; "
+                                      "whole-space decay has no grid or time step")
     torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
     if v["targets"] is not None:
@@ -348,7 +349,7 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
         fit_mode=v["fit_mode"],
     )
     doc = reporting.artifact("decay", {"config": cfg, "notes": notes, "report": report})
-    path = reporting.write_json(out_dir / (v["output"] or "decay.json"), doc)
+    path = reporting.write_json(out_dir / "decay.json", doc)
     print_paths = [path]
     for entry in report.entries:
         curve = reporting.write_csv(out_dir / f"decay_curve_q{entry.q:g}.csv",
@@ -379,8 +380,9 @@ def _recorded_run(run_dir: Path):
 
 
 def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
+    v = read(cfg, RESIDUAL_RUN if "run" in cfg else RESIDUAL, "config")
+    tf = read(v["test_function"], TEST_FUNCTION, "test_function")
     if "run" in cfg:
-        v = read(cfg, RESIDUAL_RUN, "config")
         run_dir = base / v["run"]
         op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
         notes: list[str] = []
@@ -395,8 +397,7 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
             ) from exc
         run_meta = {"source": str(Path(v["run"]))}
     else:
-        v = read(cfg, RESIDUAL, "config")
-        rc, notes = _sim_config(v, base, record_fields=True)
+        rc, notes = _sim_config(v, base)
         report = run(rc)
         op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
         times = np.asarray(report.times)
@@ -405,7 +406,6 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
         run_outcome = report.outcome
         run_meta = report.meta
 
-    tf = read(v["test_function"], TEST_FUNCTION, "test_function")
     eta_bar = tf["eta_bar"]
     exp_rep = None
     if eta_bar == "critical" or tf["q_tf"] is None:
@@ -436,13 +436,12 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
                         initial_layers=initial_layers)
     doc = reporting.artifact("residual", {
         "config": cfg,
-        "seed": v["seed"],
         "notes": notes,
         "run_outcome": run_outcome,
         "run_meta": run_meta,
         "report": res,
     })
-    path = reporting.write_json(out_dir / (v["output"] or "residual.json"), doc)
+    path = reporting.write_json(out_dir / "residual.json", doc)
     print(f"residual = {res.residual:.6g} (lhs {res.lhs:.6g}, rhs {res.rhs:.6g})")
     print(f"wrote {path}")
     return {"residual": res.residual, "outcome": run_outcome}
@@ -488,15 +487,15 @@ def _simulate_batch(batch: list, out_dir: Path) -> None:
     Each value_NNN/ gets the artifacts a standalone simulate run writes.  If
     the batch fails, every value runs alone, so each gets its own status.
     """
-    configs = [rc for _, _, _, rc, _ in batch]
+    configs = [rc for _, _, rc, _ in batch]
     try:
         reports = run(configs[0], amplitudes=[rc.amplitude for rc in configs])
     except (ValidationError, NumericalError):
         reports = None
-    for k, (entry, sub, sv, rc, notes) in enumerate(batch):
+    for k, (entry, sub, rc, notes) in enumerate(batch):
         try:
             report = run(rc) if reports is None else reports[k]
-            entry.update(status="ok", summary=_write_simulate(sub, sv, rc, notes, report,
+            entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report,
                                                               out_dir / entry["dir"]))
         except (ValidationError, NumericalError) as exc:
             _failed(entry, exc)
@@ -526,8 +525,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
         try:
             _set_path(sub, path_spec, value)
             if batched:
-                sv = read(sub, SIMULATE, "config")
-                batch.append((entry, sub, sv, *_sim_config(sv, base)))
+                batch.append((entry, sub, *_sim_config(read(sub, SIMULATE, "config"), base)))
             else:
                 entry.update(status="ok",
                              summary=_COMMANDS[task](sub, out_dir / entry["dir"], base))
@@ -545,7 +543,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
         "n_ok": n_ok,
         "runs": runs,
     })
-    path = reporting.write_json(out_dir / (v["output"] or "sweep_index.json"), doc)
+    path = reporting.write_json(out_dir / "sweep_index.json", doc)
     print(f"sweep over {parameter}: {n_ok}/{len(values)} runs succeeded")
     print(f"wrote {path}")
     return {"n_ok": n_ok, "n_values": len(values)}

@@ -72,6 +72,8 @@ def sphere_area(n: int) -> float:
 
 _GAP_TOL = 1e-8
 _QTOL = 1e-8
+#: RMS of the log residuals below which a fit counts as clean
+_RMS_TOL = 0.05
 # complex exponentials per block of eigen-path nodes (128 KB): the kernel's
 # temporaries stay small next to K itself, whatever the node and time counts
 _EXP_BLOCK = 1 << 13
@@ -114,13 +116,13 @@ def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
     return K, int(fallback.size)
 
 
-def _panel_nodes(P: float, panels_per_decade: int, nodes_per_panel: int):
-    """Geometrically graded Gauss-Legendre nodes on (0, P]."""
+def _panel_nodes(P: float, panels_per_decade: int):
+    """Geometrically graded 16-node Gauss-Legendre panels on (0, P]."""
     edges = [0.0]
     lo = P * 1e-8
     count = int(math.ceil(8 * panels_per_decade))
     edges.extend(np.geomspace(lo, P, count + 1))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -184,7 +186,7 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
     floor = 1e-13 * profile.l2_norm(n)
     prev = None
     for ppd in (2, 4, 8, 16, 32, 64):
-        rhos, wts = _panel_nodes(P, ppd, 16)
+        rhos, wts = _panel_nodes(P, ppd)
         K, fallback = _kernel_matrix(op, rhos, times, layer)
         dens = (np.abs(K) ** 2) * (profile.fourier(rhos) ** 2 * rhos ** (n - 1))[:, None]
         vals = np.sqrt(np.maximum(cn * (wts[:, None] * dens).sum(axis=0), 0.0))
@@ -201,14 +203,11 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
     raise NumericalError("decay quadrature did not stabilize under panel doubling")
 
 
-def spectral_gap(op: EvolutionOperator, rho_max: float | None = None,
-                 samples: int = 4001) -> float:
-    """c1 = -sup_rho max_i Re lambda_i(A(rho)) over a dense radial grid."""
+def spectral_gap(op: EvolutionOperator) -> float:
+    """c1 = -sup_rho max_i Re lambda_i(A(rho)) over 4001 radii in [0, 10]."""
     if not op.is_radial():
         raise ValidationError("spectral gap scan needs a radial operator")
-    if rho_max is None:
-        rho_max = 10.0
-    rhos = np.linspace(0.0, rho_max, samples)
+    rhos = np.linspace(0.0, 10.0, 4001)
     A = op.radial_companion(rhos)
     lam = np.linalg.eigvals(A)
     worst = float(np.max(np.real(lam)))
@@ -221,7 +220,7 @@ class DecayFit:
 
     slope is d log(norm) / d log(1+t) for kind='power' and
     d log(norm) / dt for kind='exponential'.  ``clean`` flags whether the
-    model explains the window (RMS of log residuals below ``rms_tol``).
+    model explains the window (RMS of log residuals at most 0.05).
     """
 
     kind: str
@@ -239,7 +238,7 @@ class DecayFit:
 FIT_MODES = ("two-sided", "at-least-as-fast")
 
 
-def _fit(times, values, window, transform, kind, rms_tol, target, tol, mode) -> DecayFit:
+def _fit(times, values, window, transform, kind, target, tol, mode) -> DecayFit:
     if mode not in FIT_MODES:
         raise ValidationError(f"fit mode must be one of {list(FIT_MODES)}, got {mode!r}")
     times = np.asarray(times, dtype=float)
@@ -257,7 +256,7 @@ def _fit(times, values, window, transform, kind, rms_tol, target, tol, mode) -> 
     y = np.log(vv)
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    clean = rms <= rms_tol
+    clean = rms <= _RMS_TOL
     verdict = None
     if target is not None:
         if mode == "two-sided":
@@ -270,19 +269,15 @@ def _fit(times, values, window, transform, kind, rms_tol, target, tol, mode) -> 
 
 
 def fit_decay(times, values, window, target: float | None = None,
-              tol: float = 0.05, rms_tol: float = 0.05,
-              mode: str = "two-sided") -> DecayFit:
+              tol: float = 0.05, mode: str = "two-sided") -> DecayFit:
     """Power-law fit log(norm) ~ slope * log(1+t); verdict against a target."""
-    return _fit(times, values, window, lambda t: np.log1p(t), "power",
-                rms_tol, target, tol, mode)
+    return _fit(times, values, window, lambda t: np.log1p(t), "power", target, tol, mode)
 
 
 def fit_exponential(times, values, window, target: float | None = None,
-                    tol: float = 0.05, rms_tol: float = 0.05,
-                    mode: str = "two-sided") -> DecayFit:
+                    tol: float = 0.05, mode: str = "two-sided") -> DecayFit:
     """Exponential fit log(norm) ~ slope * t (slope = -rate)."""
-    return _fit(times, values, window, lambda t: t, "exponential",
-                rms_tol, target, tol, mode)
+    return _fit(times, values, window, lambda t: t, "exponential", target, tol, mode)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +57,9 @@ from .errors import NumericalError, ValidationError
 MAX_DEPTH = 2
 
 
-def iterated_exp(k: int, x: float = 1.0) -> float:
+def iterated_exp(k: int) -> float:
+    """exp applied k times to 1."""
+    x = 1.0
     for _ in range(k):
         x = math.exp(x)
     return x
@@ -281,10 +283,10 @@ class LipschitzCertificate:
 
 
 def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
-                          n_samples: int = 4000, seed: int = 0) -> LipschitzCertificate:
+                          seed: int = 0) -> LipschitzCertificate:
     """Sample the difference estimate and the pointwise sufficient conditions.
 
-    Pairs are drawn uniformly from [0, cap]^2 (plus a log-spaced sweep near
+    4000 pairs are drawn uniformly from [0, cap]^2 (plus a log-spaced sweep near
     zero, where the modulation varies fastest); the reported constant is
     max |F(y)-F(z)| / (|y-z| (|y|^{p-1}+|z|^{p-1}) mu(|y|+|z|)).  The
     derivative bound checked is 0 <= tau mu'(tau) <= mu(tau) (sufficient
@@ -295,8 +297,8 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
     if not (cap > 0):
         raise ValidationError("cap must be > 0")
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(0.0, cap, n_samples)
-    zs = rng.uniform(0.0, cap, n_samples)
+    ys = rng.uniform(0.0, cap, 4000)
+    zs = rng.uniform(0.0, cap, 4000)
     small = np.geomspace(cap * 1e-12, cap, 200)
     ys = np.concatenate([ys, small])
     zs = np.concatenate([zs, small * rng.uniform(0.0, 1.0, small.size)])
@@ -462,22 +464,23 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
     classification = ("unknown" if mu.family == "custom_table"
                       else "divergent" if closed is None else "convergent")
 
-    partials = np.cumsum(_decade_integrals(mu, u0, levels, tol))
+    sums = _decade_integrals(mu, u0, levels, tol)
+    partials = np.cumsum(sums)
     quadrature_value = None
     if closed is not None:
         quadrature_value = float(partials[-1]) + _antiderivative(mu, c0 * 10.0**-levels)
 
-    # Growth label from the fitted local exponent of the partials' increment
-    # per unit of w, the family's own variable (w = log^[depth] u for
-    # iterated_log, else u = -log tau): increments behave like w^s dw, and
-    # s <= -1 is the convergence line.
-    diffs = np.diff(partials, prepend=0.0)
+    # Growth label from the fitted local exponent of each decade sum per
+    # unit of w, the family's own variable (w = log^[depth] u for
+    # iterated_log, else u = -log tau): the sums behave like w^s dw, and
+    # s <= -1 is the convergence line.  The sums are fitted themselves, not
+    # differences of the partials, which lose a sum below their rounding.
     ws = u0 + np.arange(levels + 1) * math.log(10)
     for _ in range(mu.depth if mu.family == "iterated_log" else 0):
         ws = np.log(ws)
     fitted_slope = None
-    if np.all(diffs > 0):
-        slope, _ = np.polyfit(np.log((ws[:-1] + ws[1:]) / 2), np.log(diffs / np.diff(ws)), 1)
+    if np.all(sums > 0):
+        slope, _ = np.polyfit(np.log((ws[:-1] + ws[1:]) / 2), np.log(sums / np.diff(ws)), 1)
         fitted_slope = float(slope)
         if fitted_slope < -1.05:
             growth_label = "saturating"
@@ -486,7 +489,7 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
         else:
             growth_label = "growing"
     else:
-        growth_label = "saturating" if np.all(diffs <= tol * 100) else "irregular"
+        growth_label = "saturating" if np.all(sums <= tol * 100) else "irregular"
 
     return IntegralVerdict(
         classification=classification,

@@ -360,15 +360,14 @@ def fractional_term(power, coeff: float) -> SpatialTerm:
     return SpatialTerm(kind="fractional_laplacian", coeff=coeff, power=as_fraction(power))
 
 
-def sigma_evolution(n: int, sigma, delta, damping_coeff: float = 1.0,
-                    elastic_coeff: float = 1.0) -> EvolutionOperator:
+def sigma_evolution(n: int, sigma, delta) -> EvolutionOperator:
     """d_t^2 u + (-Lap)^delta d_t u + (-Lap)^sigma u as fractional terms."""
     return EvolutionOperator(
         m=2,
         n=n,
         levels={
-            0: (fractional_term(sigma, elastic_coeff),),
-            1: (fractional_term(delta, damping_coeff),),
+            0: (fractional_term(sigma, 1.0),),
+            1: (fractional_term(delta, 1.0),),
         },
     )
 
@@ -385,13 +384,13 @@ def damped_wave(n: int) -> EvolutionOperator:
     )
 
 
-def damped_klein_gordon(n: int, damping: float, mass: float, sigma=1) -> EvolutionOperator:
-    """d_t^2 u + (-Lap)^sigma u + 2a d_t u + mass^2 u."""
+def damped_klein_gordon(n: int, damping: float, mass: float) -> EvolutionOperator:
+    """d_t^2 u - Lap u + 2a d_t u + mass^2 u, with a = damping."""
     return EvolutionOperator(
         m=2,
         n=n,
         levels={
-            0: (fractional_term(sigma, 1.0), fractional_term(0, mass**2)),
+            0: (fractional_term(1, 1.0), fractional_term(0, mass**2)),
             1: (fractional_term(0, 2.0 * damping),),
         },
     )

@@ -29,11 +29,11 @@ function itself); anti-derivatives are numeric backward trapezoids over
 the recorded times.
 
 The returned relative residual is |LHS - RHS| / (|LHS| + |RHS| + floor)
-with floor defaulting to the gross scale sum_j |term_j| + |data term| (so
-a linear run, where LHS = 0 and RHS cancels to zero, is scored against
-the size of what cancelled).  Passing this check is necessary for the
-recorded field to be a weak solution, never sufficient: it is one test
-function out of the whole admissible class.
+with floor the gross scale sum_j |term_j| + |data term| (so a linear run,
+where LHS = 0 and RHS cancels to zero, is scored against the size of what
+cancelled).  Passing this check is necessary for the recorded field to be
+a weak solution, never sufficient: it is one test function out of the
+whole admissible class.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ class TestFunctionSpec:
             raise ValidationError("scale R must be > 0")
         if not (isinstance(self.q_tf, int) and self.q_tf >= 1):
             raise ValidationError("q_tf must be an integer >= 1")
+        if not (isinstance(self.smooth_order, int) and self.smooth_order >= 1):
+            raise ValidationError("smooth_order must be an integer >= 1")
         if not (0 < self.flat_fraction < 1):
             raise ValidationError("flat_fraction must be in (0, 1)")
         if self.reg_epsilon < 0:
@@ -198,7 +200,7 @@ def default_q_tf(op: EvolutionOperator, ell: int, p_c) -> int:
 
 
 def make_test_function(op: EvolutionOperator, ell: int, p_c, scale: float,
-                       eta_bar, grid: Grid | None = None,
+                       eta_bar, grid: Grid,
                        q_tf: int | None = None, flat_fraction: float = 0.5,
                        smooth_order: int | None = None,
                        reg_epsilon: float | None = None) -> TestFunctionSpec:
@@ -212,7 +214,7 @@ def make_test_function(op: EvolutionOperator, ell: int, p_c, scale: float,
         smooth_order = max(6, int(math.ceil(op.max_spatial_order())) + 2, op.m - ell + 2)
     if reg_epsilon is None:
         even_integer = eta_bar.denominator == 1 and eta_bar.numerator % 2 == 0
-        reg_epsilon = 0.0 if even_integer else (grid.h / 4.0 if grid is not None else 1e-3)
+        reg_epsilon = 0.0 if even_integer else grid.h / 4.0
     return TestFunctionSpec(eta_bar=eta_bar, scale=scale, q_tf=q_tf,
                             flat_fraction=flat_fraction, smooth_order=smooth_order,
                             reg_epsilon=reg_epsilon)
@@ -227,7 +229,6 @@ class ResidualReport:
     contributions: dict[str, float]
     floor: float
     test_function: TestFunctionSpec
-    notes: tuple[str, ...] = ()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -257,8 +258,7 @@ def _real(a, name: str) -> np.ndarray:
 def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
                   times, u_ell_frames: np.ndarray, tf: TestFunctionSpec,
                   nl: NonlinearitySpec | None = None,
-                  initial_layers: np.ndarray | None = None,
-                  floor: float | None = None) -> ResidualReport:
+                  initial_layers: np.ndarray | None = None) -> ResidualReport:
     """Evaluate the identity for one recorded run and one test function.
 
     ``u_ell_frames`` has shape (len(times), *grid.shape) holding the
@@ -386,11 +386,9 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     gross += abs(data_term)
     lhs = 0.0 if nl is None else float(np.trapezoid(lhs_ip, x=times))
 
-    used_floor = floor if floor is not None else gross + 1e-30
-    residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + used_floor)
+    floor = gross + 1e-30
+    residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
     return ResidualReport(
         residual=residual, lhs=lhs, rhs=rhs, data_term=data_term,
-        contributions=contributions, floor=used_floor,
-        test_function=tf,
-        notes=(),
+        contributions=contributions, floor=floor, test_function=tf,
     )

@@ -74,14 +74,6 @@ def test_config_requires_schema_version(op_file, tmp_path, capsys):
     assert "schema_version" in capsys.readouterr().err
 
 
-def test_output_name_must_be_bare(op_file, tmp_path, capsys):
-    cfg = write_json(tmp_path / "c.json",
-                     {**SCHEMA, "operator": str(op_file), "output": "../esc.json"})
-    assert cli.main(["exponent", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "o")]) == 2
-    assert "bare file name" in capsys.readouterr().err
-
-
 def test_out_dir_precedence(op_file, tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     monkeypatch.setenv("CRITEVO_OUT", str(env_dir))
@@ -466,6 +458,78 @@ def test_table_walk_bases_are_valid(bases, tmp_path):
         assert _run(tmp_path / task, task, cfg)[0] == 0, task
 
 
+# every artifact has its fixed name, nothing draws random numbers in a run or
+# a residual, and an inline residual always records its fields
+_REMOVED = {"output": "run.json", "seed": 0, "record_fields": True}
+_REMOVED_CASES = [("exponent", "output"), ("simulate", "output"), ("residual-run", "output"),
+                  ("simulate", "seed"), ("residual", "seed"), ("residual-run", "seed"),
+                  ("residual", "record_fields")]
+
+
+@pytest.mark.parametrize("task,key", _REMOVED_CASES, ids=[f"{t}:{k}" for t, k in _REMOVED_CASES])
+def test_removed_key_is_unknown(bases, tmp_path, capsys, task, key):
+    rc, out = _run(tmp_path, task, {**bases[task], key: _REMOVED[key]})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown keys" in err and repr(key) in err
+
+
+_TABLE_KEYS = {
+    "exponent": ["schema_version", "output_dir", "operator", "ell", "n"],
+    "envelope": ["schema_version", "output_dir", "operator", "ell", "n", "samples", "eta_max"],
+    "mu-check": ["schema_version", "output_dir", "mu", "c0", "levels", "tol", "p", "cap",
+                 "seed"],
+    "simulate": ["schema_version", "output_dir", "operator", "ell", "n", "grid", "profile",
+                 "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
+                 "record_fields"],
+    "decay": ["schema_version", "output_dir", "operator", "ell", "n", "mode", "q_list",
+              "window", "width", "targets", "p_c", "n_times", "tol", "grid", "dt", "fit_mode"],
+    "residual": ["schema_version", "output_dir", "operator", "ell", "n", "grid", "profile",
+                 "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
+                 "test_function"],
+    "sweep": ["schema_version", "output_dir", "task", "parameter", "values", "config"],
+    "residual-run": ["schema_version", "output_dir", "run", "test_function"],
+}
+
+
+def test_config_tables_are_pinned():
+    # every accepted key is one more configuration to test: adding one is a
+    # deliberate edit of this list
+    tables = {name: list(table) for name, table in cli.TABLES.items()}
+    tables["residual-run"] = list(cli.RESIDUAL_RUN)
+    assert tables == _TABLE_KEYS
+
+
+def test_whole_space_decay_rejects_torus_keys(bases, tmp_path, capsys):
+    whole = {**SCHEMA, "operator": bases["decay"]["operator"]}
+    for key, value in (("grid", {"N": 3, "L": -1}), ("dt", -5.0)):
+        rc, out = _run(tmp_path / key, "decay", {**whole, key: value})
+        assert rc == 2
+        assert not out.exists()
+        assert f"config.{key}" in capsys.readouterr().err
+    assert _run(tmp_path / "torus", "decay", bases["decay"])[0] == 0
+    rc, out = _run(tmp_path / "sweep", "sweep", {
+        **SCHEMA, "task": "decay", "parameter": "dt", "values": [0.05, 0.1], "config": whole})
+    assert rc == 0
+    runs = json.loads((out / "sweep_index.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["invalid", "invalid"]
+
+
+@pytest.mark.parametrize("test_function", [{"frobnicate": 1}, {"smooth_order": 2.5}],
+                         ids=["unknown", "fractional"])
+def test_inline_residual_checks_its_test_function_before_the_run(bases, tmp_path, capsys,
+                                                                 monkeypatch, test_function):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the solver ran before the test function was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    rc, out = _run(tmp_path, "residual", {**bases["residual"], "test_function": test_function})
+    assert rc == 2
+    assert not out.exists()
+    assert next(iter(test_function)) in capsys.readouterr().err
+
+
 def _typed_keys():
     """(task, config path, kind) of every key in every subcommand table."""
     tables = {**cli.TABLES, "residual-run": cli.RESIDUAL_RUN}
@@ -797,7 +861,7 @@ _LAYOUTS = {
         schema_version kind config config.schema_version config.operator config.ell config.grid
         config.grid.N config.grid.L config.profile config.profile.kind config.profile.width
         config.dt config.T config.nonlinearity config.nonlinearity.p config.nonlinearity.mu
-        config.nonlinearity.mu.family config.test_function seed notes run_outcome run_meta
+        config.nonlinearity.mu.family config.test_function notes run_outcome run_meta
         run_meta.m run_meta.n run_meta.ell run_meta.N run_meta.L run_meta.dt run_meta.T
         run_meta.amplitude run_meta.steps_taken run_meta.norm_power run_meta.dealias_modes_kept
         run_meta.box_horizon run_meta.box_horizon_caveat run_meta.blowup_factor report
@@ -805,21 +869,21 @@ _LAYOUTS = {
         report.contributions.0 report.contributions.1 report.contributions.2 report.floor
         report.test_function report.test_function.eta_bar report.test_function.scale
         report.test_function.q_tf report.test_function.flat_fraction
-        report.test_function.smooth_order report.test_function.reg_epsilon report.notes
+        report.test_function.smooth_order report.test_function.reg_epsilon
     """,
     "residual-run": """
-        schema_version kind config config.schema_version config.run seed notes run_outcome
+        schema_version kind config config.schema_version config.run notes run_outcome
         run_meta run_meta.source report report.residual report.lhs report.rhs report.data_term
         report.contributions report.contributions.0 report.contributions.1
         report.contributions.2 report.floor report.test_function report.test_function.eta_bar
         report.test_function.scale report.test_function.q_tf report.test_function.flat_fraction
-        report.test_function.smooth_order report.test_function.reg_epsilon report.notes
+        report.test_function.smooth_order report.test_function.reg_epsilon
     """,
     "simulate": """
         schema_version kind config config.schema_version config.operator config.ell config.grid
         config.grid.N config.grid.L config.profile config.profile.kind config.profile.width
         config.dt config.T config.record_fields config.nonlinearity config.nonlinearity.p
-        config.nonlinearity.mu config.nonlinearity.mu.family seed notes operator
+        config.nonlinearity.mu config.nonlinearity.mu.family notes operator
         operator.schema_version operator.m operator.n operator.levels operator.levels.0
         operator.levels.0[].kind operator.levels.0[].alpha operator.levels.0[].coeff
         operator.levels.1 operator.levels.1[].kind operator.levels.1[].alpha

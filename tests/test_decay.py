@@ -137,7 +137,7 @@ def test_quadrature_doubles_to_64_panels_per_decade():
     again, evidence = _decay_quadrature(op, profile, times, 1, 1e-8)
     assert np.array_equal(values, again)
     assert evidence.panels_per_decade == 64
-    assert evidence.nodes == _panel_nodes(profile.tail_cutoff(), 64, 16)[0].size
+    assert evidence.nodes == _panel_nodes(profile.tail_cutoff(), 64)[0].size
     assert evidence.last_relative_change <= 1e-8
     assert np.all(np.isfinite(values)) and np.all(values > 0)
 
@@ -311,7 +311,7 @@ def test_stacked_kernel_equals_the_per_node_loop(name):
     times = np.array([0.0, 0.01, 1.0, 37.5, 1e3, 1e4])
     P = RadialProfile(width=1.0).tail_cutoff()
     for ppd in PANEL_LEVELS:
-        rhos, _ = _panel_nodes(P, ppd, 16)
+        rhos, _ = _panel_nodes(P, ppd)
         for layer in range(op.m):
             got, fallback = _kernel_matrix(op, rhos, times, layer)
             want = per_node_kernel_matrix(op, rhos, times, layer)
@@ -323,7 +323,7 @@ def test_stacked_kernel_equals_the_per_node_loop_on_a_long_time_list():
     # more times than one block of exponentials holds: one node per block
     op = damped_wave(1)
     times = np.linspace(0.0, 50.0, 4200)
-    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2, 16)
+    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
     got, fallback = _kernel_matrix(op, rhos, times, 1)
     assert fallback == 0
     assert np.array_equal(got, per_node_kernel_matrix(op, rhos, times, 1))
@@ -344,13 +344,13 @@ def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
     op = KERNEL_OPS[name]
     P = RadialProfile(width=1.0).tail_cutoff()
     times = np.geomspace(1.0, 1e3, 7)
-    flagged = {ppd: defective_nodes(op, _panel_nodes(P, ppd, 16)[0]) for ppd in (2, 4, 8)}
+    flagged = {ppd: defective_nodes(op, _panel_nodes(P, ppd)[0]) for ppd in (2, 4, 8)}
     counts = {"eig": 0, "expm": 0}
     _counting(monkeypatch, np.linalg, "eig", counts)
     _counting(monkeypatch, scipy.linalg, "expm", counts)
     for ppd, want in flagged.items():
         counts.update(eig=0, expm=0)
-        _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd, 16)[0], times, 0)
+        _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd)[0], times, 0)
         assert counts == {"eig": 1, "expm": want} and fallback == want, ppd
     counts.update(eig=0, expm=0)
     _, evidence = _decay_quadrature(op, RadialProfile(width=1.0), times, 0, 1e-8)
@@ -378,7 +378,7 @@ def test_whole_space_entries_carry_quadrature_evidence():
     ev = entry.quadrature
     times = np.geomspace(1e2, 1e4, 40)
     assert np.array_equal(entry.values, l2_decay_curve(op, RadialProfile(), times))
-    rhos, _ = _panel_nodes(RadialProfile().tail_cutoff(), ev.panels_per_decade, 16)
+    rhos, _ = _panel_nodes(RadialProfile().tail_cutoff(), ev.panels_per_decade)
     assert ev.nodes == rhos.size
     assert 0.0 <= ev.last_relative_change <= 1e-8
     assert ev.expm_fallback_nodes == defective_nodes(op, rhos) > 0

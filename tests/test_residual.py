@@ -101,8 +101,6 @@ def test_make_test_function_defaults():
     assert tf.reg_epsilon == 0.0
     odd = make_test_function(dw, 0, 3, 12.0, 1, grid=grid)
     assert odd.reg_epsilon == pytest.approx(grid.h / 4.0)
-    no_grid = make_test_function(dw, 0, 3, 12.0, 1)
-    assert no_grid.reg_epsilon == pytest.approx(1e-3)
     override = make_test_function(dw, 0, 3, 12.0, 2, grid=grid, q_tf=9)
     assert override.q_tf == 9
 
@@ -138,6 +136,13 @@ def test_validation_and_support_errors():
     leaky = TestFunctionSpec(eta_bar=2, scale=1e4, q_tf=3)
     msgs = leaky.support_checks(grid, 2e4)
     assert any("box edge" in m for m in msgs)
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5])
+def test_smooth_order_must_be_a_positive_integer(order):
+    # checked where q_tf is, before math.factorial sees the value
+    with pytest.raises(ValidationError, match="smooth_order"):
+        TestFunctionSpec(eta_bar=2, scale=1.0, q_tf=1, smooth_order=order)
 
 
 def test_zero_frames_zero_residual():
