@@ -1,14 +1,10 @@
 """Command line driver.
 
-Every subcommand reads a single JSON config, checked against its table
-(fail-closed, see :mod:`critevo.config`), and writes deterministic
-artifacts into an output directory.  The light-weight subcommands also
-accept the flags their tables name (``exponent --operator op.json --ell
-1``); flags are merged over the config when both are given.  Config paths
-resolve against the config's directory, flag paths against the current
-one.  Directory precedence: ``--out-dir`` flag, then the CRITEVO_OUT
-environment variable, then the config's ``output_dir``, then the current
-directory.
+``critevo <task> --config FILE [--out-dir DIR]``.  Every subcommand reads
+its single JSON config, checked against its table (fail-closed, see
+:mod:`critevo.config`), and writes deterministic artifacts into ``DIR``
+(default: the current directory).  Paths inside a config resolve against
+the config's directory.
 
 Subcommands:
     exponent   critical exponent report for an operator
@@ -29,9 +25,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .config import Key, as_fraction, check, flag_value, load_json, loads, read
+from .config import Key, as_fraction, check, load_json, loads, read
 from .decay import FIT_MODES, RadialProfile, check_linear_decay_hypothesis
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
-from .mu import MU_KEYS, NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
+from .mu import NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
 from .operators import EvolutionOperator, parse_operator
 from .residual import make_test_function, weak_residual
 from .solver import Grid, RunConfig, parse_profile, run
@@ -57,15 +51,11 @@ _NUMBER = Key("number")
 COMMON = {
     "schema_version": Key("int", ok=lambda v: v == reporting.SCHEMA_VERSION,
                           rule=str(reporting.SCHEMA_VERSION)),
-    "output_dir": Key("str", None),
 }
 OPERATOR = {
-    "operator": Key("str|object", flag="--operator",
-                    help="operator spec file (alternative to --config)"),
-    "ell": Key("int", 0, **_NONNEGATIVE, flag="--ell",
-               help="time-derivative level the nonlinearity acts on"),
-    "n": Key("int", None, ok=lambda v: v >= 1, rule=">= 1", flag="--n",
-             help="override the operator's space dimension"),
+    "operator": Key("str|object"),
+    "ell": Key("int", 0, **_NONNEGATIVE),
+    "n": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
 }
 GRID = {"N": Key("int"), "L": Key("number")}
 NONLINEARITY = {"p": Key("number", words=("critical",)),
@@ -82,17 +72,15 @@ TEST_FUNCTION = {
 EXPONENT = {**COMMON, **OPERATOR}
 ENVELOPE = {
     **EXPONENT,
-    "samples": Key("int", 65, ok=lambda v: v >= 2, rule=">= 2", flag="--samples",
-                   help="number of sampled eta values"),
-    "eta_max": Key("rational", None, **_POSITIVE, flag="--eta-max",
-                   help="largest sampled eta (rational accepted)"),
+    "samples": Key("int", 65, ok=lambda v: v >= 2, rule=">= 2"),
+    "eta_max": Key("rational", None, **_POSITIVE),
 }
 MU_CHECK = {
     **COMMON,
-    "mu": Key("object", sub=MU_KEYS),
-    "c0": Key("number", None, **_POSITIVE, flag="--c0",
-              help="upper limit of the integral criterion"),
-    "levels": Key("int", 8, ok=lambda v: v >= 1, rule=">= 1"),
+    "mu": Key("object"),
+    "c0": Key("number", None, **_POSITIVE),
+    # the growth label fits a line through the decade sums: two at least
+    "levels": Key("int", 8, ok=lambda v: v >= 2, rule=">= 2"),
     "tol": Key("number", 1e-9, ok=lambda v: v >= 1e-15, rule=">= 1e-15"),
     "p": Key("number", 2.0),
     "cap": Key("number", None),
@@ -100,7 +88,7 @@ MU_CHECK = {
 }
 SIMULATE = {
     **COMMON,
-    **{name: dataclasses.replace(key, flag=None) for name, key in OPERATOR.items()},
+    **OPERATOR,
     "grid": Key("object"),
     "profile": Key("object"),
     "amplitude": Key("number", 1.0),
@@ -111,31 +99,19 @@ SIMULATE = {
     "record_every": Key("int", 1, ok=lambda v: v >= 1, rule=">= 1"),
     "record_fields": Key("bool", False),
 }
-
-
-def _every_q(text: str, cfg: dict) -> dict:
-    """The --target flag: one rate for every fitted q."""
-    rate = check(_NUMBER, loads(text, "--target"), "--target")
-    qs = check(DECAY["q_list"], cfg.get("q_list", (2.0,)), "config.q_list")
-    return {str(q): rate for q in qs}
-
-
 DECAY = {
-    # flagged keys in the order their flags enter a config
     **EXPONENT,
     "mode": Key("str", "whole-space", ok=lambda v: v in ("whole-space", "torus"),
-                rule="'whole-space' or 'torus'", flag="--mode", help="whole-space | torus"),
+                rule="'whole-space' or 'torus'"),
     "q_list": Key("number[]", (2.0,), ok=lambda v: len(v) > 0 and min(v) >= 1,
-                  rule="a non-empty list of numbers >= 1", flag="--q", nargs="append",
-                  help="Lebesgue index to fit (repeatable)"),
+                  rule="a non-empty list of numbers >= 1"),
     "window": Key("number[]", (1e2, 1e4), ok=lambda v: len(v) == 2 and 0 <= v[0] < v[1],
-                  rule="[t_min, t_max] with 0 <= t_min < t_max",
-                  flag="--window", nargs=2, help="fit window T0 T1"),
-    "width": Key("number", 1.0, flag="--width", help="gaussian data width"),
-    "targets": Key("object", None, flag="--target", from_flag=_every_q,
-                   help="explicit target rate for every fitted q"),
+                  rule="[t_min, t_max] with 0 <= t_min < t_max"),
+    "width": Key("number", 1.0),
+    "targets": Key("object", None),
     "p_c": Key("number", "critical", words=("critical",)),
-    "n_times": Key("int", 40, ok=lambda v: v >= 2, rule=">= 2"),
+    # a whole-space fit needs 10 samples in the window, and every sample lies in it
+    "n_times": Key("int", 40, ok=lambda v: v >= 10, rule=">= 10"),
     "tol": Key("number", 0.05, **_POSITIVE),
     "grid": Key("object", None),
     "dt": Key("number", 0.05),
@@ -518,7 +494,6 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
     for idx, value in enumerate(values):
         sub = copy.deepcopy(v["config"])
         sub.setdefault("schema_version", reporting.SCHEMA_VERSION)
-        sub.pop("output_dir", None)
         entry = {"index": idx, "parameter": parameter, "value": value,
                  "dir": f"value_{idx:03d}"}
         runs.append(entry)
@@ -570,15 +545,6 @@ TABLES = {"exponent": EXPONENT, "envelope": ENVELOPE, "mu-check": MU_CHECK,
           "simulate": SIMULATE, "decay": DECAY, "residual": RESIDUAL, "sweep": SWEEP}
 
 
-def _flags(table: dict, path: tuple[str, ...] = ()):
-    """(config path, key) of every table entry, nested ones too, that names a flag."""
-    for name, key in table.items():
-        if key.flag is not None:
-            yield path + (name,), key
-        if key.sub is not None:
-            yield from _flags(key.sub, path + (name,))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critevo",
@@ -586,44 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral simulations for higher-order evolution models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, table in TABLES.items():
+    for name in TABLES:
         p = sub.add_parser(name, help=f"run the {name} task from a JSON config")
-        p.add_argument("--config", default=None, help="path to the JSON config")
-        p.add_argument("--out-dir", default=None,
-                       help="artifact directory (overrides CRITEVO_OUT and the config)")
-        for _, key in _flags(table):
-            extra = {"action": "append"} if key.nargs == "append" else {"nargs": key.nargs}
-            p.add_argument(key.flag, default=None, help=key.help, **extra)
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--out-dir", type=Path, default=Path(),
+                       help="artifact directory (default: the current directory)")
     return parser
-
-
-def _resolve_out_dir(flag_value: str | None, cfg: dict, base: Path) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("CRITEVO_OUT")
-    if env:
-        return Path(env)
-    output_dir = check(COMMON["output_dir"], cfg.get("output_dir"), "config.output_dir")
-    return base / output_dir if output_dir else Path.cwd()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = Path.cwd()
     try:
-        cfg, base = {"schema_version": reporting.SCHEMA_VERSION}, Path()
-        if args.config is not None:
-            cfg, base = load_json(args.config, "config"), Path(args.config).parent
-        for path, key in _flags(TABLES[args.command]):
-            text = getattr(args, key.flag.lstrip("-").replace("-", "_"))
-            if text is not None:
-                value = flag_value(key, text, cfg)
-                # a flag path resolves against the current directory, not the config's
-                if path == ("operator",) and args.config is not None:
-                    value = os.path.abspath(value)
-                _set_path(cfg, path, value)
-        out_dir = _resolve_out_dir(args.out_dir, cfg, base)
-        _COMMANDS[args.command](cfg, out_dir, base)
+        cfg = load_json(args.config, "config")
+        _COMMANDS[args.command](cfg, args.out_dir, Path(args.config).parent)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -631,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        where = getattr(exc, "filename", None) or out_dir
+        where = getattr(exc, "filename", None) or args.out_dir
         print(f"error: cannot write artifacts at {where}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -27,15 +27,12 @@ _NAMES = {"int": "a JSON integer", "number": "a finite number", "bool": "true or
 
 @dataclass(frozen=True)
 class Key:
-    """One allowed key: JSON type, default, range predicate and CLI flag.
+    """One allowed key: JSON type, default and range predicate.
 
     ``kind`` is a type of ``_NAMES``, a list of one (``"number[]"``, read
     as a tuple) or alternatives joined by ``|``; numbers read as floats,
     rationals as Fractions.  ``words`` are strings accepted as values; a
-    None default accepts null.  ``rule`` says what ``ok`` demands.  A flag
-    takes argparse ``nargs`` ("append" repeats it), ``from_flag(text, cfg)``
-    builds a value of another shape, and the flags of ``sub`` write into
-    this object.
+    None default accepts null.  ``rule`` says what ``ok`` demands.
     """
 
     kind: str
@@ -43,11 +40,6 @@ class Key:
     ok: Callable[[Any], bool] | None = None
     rule: str = ""
     words: tuple[str, ...] = ()
-    flag: str | None = None
-    help: str | None = None
-    nargs: int | str | None = None
-    from_flag: Callable[[str, dict], Any] | None = None
-    sub: Mapping[str, "Key"] | None = None
 
 
 def as_fraction(value) -> Fraction:
@@ -153,18 +145,3 @@ def load_json(path: str | Path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
     return doc
-
-
-def flag_value(key: Key, text: str | list[str], cfg: dict):
-    """The config value a CLI flag sets, checked like the key itself.
-
-    Flag text is a JSON token, except for string and rational keys, where
-    the text is the value (a rational keeps its text, as in a config).
-    """
-    if key.from_flag is not None:
-        return key.from_flag(text, cfg)
-    raw = key.kind.split("|")[0] in ("str", "rational")
-    token = [loads(t, key.flag) for t in text] if isinstance(text, list) else (
-        text if raw else loads(text, key.flag))
-    value = check(key, token, key.flag)
-    return token if key.kind == "rational" else value

@@ -126,24 +126,20 @@ def lower_envelope(lines: list[AffinePiece]) -> PiecewiseAffine:
 
     # Decreasing-slope sweep: hull[k] is active from start[k] on.  A new
     # (flatter) line undercuts the hull tail whenever its crossing with the
-    # tail line lands at or before that line's activation point.
+    # tail line lands at or before that line's activation point.  Every
+    # crossing is finite and hull[0] starts at -inf, so hull never empties.
     hull: list[AffinePiece] = [cands[0]]
     start: list = [-INF]
     for ln in cands[1:]:
-        while hull:
+        while True:
             top = hull[-1]
             cross = (ln.intercept - top.intercept) / (top.slope - ln.slope)
-            if cross <= start[-1]:
-                hull.pop()
-                start.pop()
-            else:
+            if cross > start[-1]:
                 break
-        if not hull:
-            hull.append(ln)
-            start.append(-INF)
-        else:
-            hull.append(ln)
-            start.append(cross)
+            hull.pop()
+            start.pop()
+        hull.append(ln)
+        start.append(cross)
 
     # Clip to [0, inf).
     first = 0

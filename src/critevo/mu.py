@@ -138,13 +138,13 @@ class MuSpec:
                 if k != "extension_point" or self.extension_point is not None}
 
 
-#: every mu key, with the mu-check flag that sets it; a family reads its own
+#: every mu key; a family reads its own
 MU_KEYS = {
-    "family": Key("str", flag="--family", help="mu family: constant | power | iterated_log"),
-    "gamma": Key("number", 1.0, flag="--gamma", help="iterated_log exponent"),
-    "depth": Key("int", 0, flag="--depth", help="iterated_log depth k"),
-    "epsilon": Key("number", None, flag="--epsilon", help="power-family exponent"),
-    "value": Key("number", 1.0, flag="--value", help="constant-family value"),
+    "family": Key("str"),
+    "gamma": Key("number", 1.0),
+    "depth": Key("int", 0),
+    "epsilon": Key("number", None),
+    "value": Key("number", 1.0),
     "extension_point": Key("number", None),
     "taus": Key("number[]", None),
     "values": Key("number[]", None),
@@ -456,8 +456,9 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
             f"tol must be >= 1e-15 (a decade sum cannot settle below rounding); got {tol}")
     u0 = -math.log(c0)
     max_levels = math.floor((-math.log(sys.float_info.min) - u0) / math.log(10))
-    if not 1 <= levels <= max_levels:
-        raise ValidationError(f"levels must be in [1, {max_levels}] at c0 = {c0}: deeper decades "
+    if not 2 <= levels <= max_levels:
+        raise ValidationError(f"levels must be in [2, {max_levels}] at c0 = {c0}: the growth "
+                              "label fits a line through the decade sums, and deeper decades "
                               "run tau = c0 * 10^-levels below the smallest normal double")
     # a constructive family has an antiderivative exactly when it converges
     closed = _antiderivative(mu, c0)

@@ -551,24 +551,27 @@ def run(config: RunConfig,
 
     record()
     last_good_t = state.t
-    for step in range(1, n_steps + 1):
-        if config.nl is None and config.forcing is None:
-            linear_step(state, prop)
-        else:
-            nonlinear_step(state, prop, ell, config.nl, config.forcing, mask)
-        out = blown(state.modes, ref[live], grid)
-        if out.any():
-            for b in live[out]:
-                hist[b].outcome = "blowup_detected"
-                hist[b].blowup_time = last_good_t
-                hist[b].steps = step
-            state.modes = state.modes[~out]
-            live = live[~out]
-            if not live.size:
-                break
-        last_good_t = state.t
-        if step % config.record_every == 0 or step == n_steps:
-            record()
+    # a member that overflows is caught by blown(), which counts a non-finite
+    # value as a blow-up, so numpy's overflow warnings say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            if config.nl is None and config.forcing is None:
+                linear_step(state, prop)
+            else:
+                nonlinear_step(state, prop, ell, config.nl, config.forcing, mask)
+            out = blown(state.modes, ref[live], grid)
+            if out.any():
+                for b in live[out]:
+                    hist[b].outcome = "blowup_detected"
+                    hist[b].blowup_time = last_good_t
+                    hist[b].steps = step
+                state.modes = state.modes[~out]
+                live = live[~out]
+                if not live.size:
+                    break
+            last_good_t = state.t
+            if step % config.record_every == 0 or step == n_steps:
+                record()
 
     horizon = box_horizon(op, grid)
     reports = [_report(config, amp, h, layers, horizon, int(np.sum(grid.dealias_mask())))

@@ -44,9 +44,11 @@ def test_criterion_01_exponent_cli_closed_forms(acceptance, tmp_path):
     for i, (sig, dlt, n, want) in enumerate(cases):
         op_path = tmp_path / f"op{i}.json"
         op_path.write_text(dumps_json(sigma_evolution(n, sig, dlt)), encoding="utf-8")
+        cfg_path = tmp_path / f"exp{i}.json"
+        cfg_path.write_text(json.dumps({"schema_version": 1, "operator": str(op_path),
+                                        "ell": 0}), encoding="utf-8")
         out = tmp_path / f"out{i}"
-        rc = cli.main(["exponent", "--operator", str(op_path), "--ell", "0",
-                       "--out-dir", str(out)])
+        rc = cli.main(["exponent", "--config", str(cfg_path), "--out-dir", str(out)])
         doc = json.loads((out / "exponent.json").read_text())
         got.append((rc, doc["report"]["p_c"], want))
     elapsed = time.monotonic() - t0
@@ -264,8 +266,11 @@ def test_criterion_10_artifact_determinism(acceptance, tmp_path):
     names = sorted(os.listdir(dirs[0]))
     identical = all((dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes()
                     for f in names)
+    exp_path = tmp_path / "exp.json"
+    exp_path.write_text(json.dumps({"schema_version": 1, "operator": str(op_path), "ell": 0}),
+                        encoding="utf-8")
     exp_dirs = (tmp_path / "e1", tmp_path / "e2")
-    codes += [cli.main(["exponent", "--operator", str(op_path), "--out-dir", str(d)])
+    codes += [cli.main(["exponent", "--config", str(exp_path), "--out-dir", str(d)])
               for d in exp_dirs]
     identical = identical and ((exp_dirs[0] / "exponent.json").read_bytes()
                                == (exp_dirs[1] / "exponent.json").read_bytes())

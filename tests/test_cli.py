@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from critevo import cli
+from critevo.envelope import critical_exponent
 from critevo.errors import NumericalError
 from critevo.operators import damped_wave, sigma_evolution
 from critevo.reporting import dumps_json
@@ -49,9 +50,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_exponent_flags_and_artifact(op_file, tmp_path):
+    cfg = write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(op_file), "ell": 0})
     out = tmp_path / "e"
-    assert cli.main(["exponent", "--operator", str(op_file), "--ell", "0",
-                     "--out-dir", str(out)]) == 0
+    assert cli.main(["exponent", "--config", str(cfg), "--out-dir", str(out)]) == 0
     doc = json.loads((out / "exponent.json").read_text())
     assert doc["kind"] == "exponent"
     assert doc["report"]["p_c"] == "3"
@@ -75,23 +76,60 @@ def test_config_requires_schema_version(op_file, tmp_path, capsys):
 
 
 def test_out_dir_precedence(op_file, tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
+    # --out-dir, else the current directory; CRITEVO_OUT is not read
+    cfg = write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(op_file)})
+    env_dir, cwd = tmp_path / "env", tmp_path / "cwd"
+    cwd.mkdir()
     monkeypatch.setenv("CRITEVO_OUT", str(env_dir))
-    assert cli.main(["exponent", "--operator", str(op_file)]) == 0
-    assert (env_dir / "exponent.json").exists()
+    monkeypatch.chdir(cwd)
+    assert cli.main(["exponent", "--config", str(cfg)]) == 0
+    assert (cwd / "exponent.json").exists()
     flag_dir = tmp_path / "flag"
-    assert cli.main(["exponent", "--operator", str(op_file),
-                     "--out-dir", str(flag_dir)]) == 0
+    assert cli.main(["exponent", "--config", str(cfg), "--out-dir", str(flag_dir)]) == 0
     assert (flag_dir / "exponent.json").exists()
+    assert not env_dir.exists()
 
 
 def test_unwritable_out_dir_exit_2(op_file, tmp_path, capsys):
+    cfg = write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(op_file)})
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     out = blocker / "sub"
-    assert cli.main(["exponent", "--operator", str(op_file),
-                     "--out-dir", str(out)]) == 2
+    assert cli.main(["exponent", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert "cannot write artifacts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent"],
+    ["exponent", "--config", "exp.json", "--ell", "0"],
+], ids=["no-config", "removed-flag"])
+def test_config_is_the_only_input(op_file, tmp_path, monkeypatch, capsys, argv):
+    write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(op_file)})
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out-dir", "o"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_operator_file_dimension_override(tmp_path, capsys):
+    # "n" evaluates a dimension-free (fractional) operator file at another n
+    frac = write_json(tmp_path / "frac.json", json.loads(dumps_json(sigma_evolution(1, 2, 1))))
+    cfg = write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(frac), "n": 3})
+    out = tmp_path / "e"
+    assert cli.main(["exponent", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    want = critical_exponent(sigma_evolution(3, 2, 1), 0, 3)
+    assert want.p_c != critical_exponent(sigma_evolution(1, 2, 1), 0, 1).p_c
+    assert json.loads((out / "exponent.json").read_text())["report"]["p_c"] == str(want.p_c)
+    # a monomial operator's multi-indices fix its dimension
+    mono = write_json(tmp_path / "mono.json", json.loads(dumps_json(damped_wave(1))))
+    cfg = write_json(tmp_path / "exp.json", {**SCHEMA, "operator": str(mono), "n": 3})
+    out = tmp_path / "m"
+    assert cli.main(["exponent", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_artifacts_byte_identical(op_file, tmp_path):
@@ -226,19 +264,20 @@ def test_residual_reports_the_recorded_outcome(tmp_path):
 
 
 def test_mu_check_flags_mode(tmp_path):
+    cfg = write_json(tmp_path / "mu.json", {
+        **SCHEMA, "mu": {"family": "iterated_log", "gamma": 2.0, "depth": 1}, "c0": 0.01})
     out = tmp_path / "m"
-    assert cli.main(["mu-check", "--family", "iterated_log", "--gamma", "2.0",
-                     "--depth", "1", "--c0", "0.01", "--out-dir", str(out)]) == 0
+    assert cli.main(["mu-check", "--config", str(cfg), "--out-dir", str(out)]) == 0
     doc = json.loads((out / "mu_check.json").read_text())
     assert doc["integral"]["classification"] == "convergent"
     assert doc["certificate"]["constant"] > 0
 
 
 def test_decay_flags_with_explicit_target(op_file, tmp_path):
+    cfg = write_json(tmp_path / "decay.json", {
+        **SCHEMA, "operator": str(op_file), "ell": 0, "q_list": [2], "targets": {"2": -0.25}})
     out = tmp_path / "d"
-    assert cli.main(["decay", "--operator", str(op_file), "--ell", "0",
-                     "--q", "2", "--target", "-0.25",
-                     "--out-dir", str(out)]) == 0
+    assert cli.main(["decay", "--config", str(cfg), "--out-dir", str(out)]) == 0
     doc = json.loads((out / "decay.json").read_text())
     assert doc["report"]["all_pass"] is True
     entry = doc["report"]["entries"][0]
@@ -460,10 +499,11 @@ def test_table_walk_bases_are_valid(bases, tmp_path):
 
 # every artifact has its fixed name, nothing draws random numbers in a run or
 # a residual, and an inline residual always records its fields
-_REMOVED = {"output": "run.json", "seed": 0, "record_fields": True}
+_REMOVED = {"output": "run.json", "seed": 0, "record_fields": True, "output_dir": "out"}
 _REMOVED_CASES = [("exponent", "output"), ("simulate", "output"), ("residual-run", "output"),
                   ("simulate", "seed"), ("residual", "seed"), ("residual-run", "seed"),
-                  ("residual", "record_fields")]
+                  ("residual", "record_fields"), ("exponent", "output_dir"),
+                  ("sweep", "output_dir")]
 
 
 @pytest.mark.parametrize("task,key", _REMOVED_CASES, ids=[f"{t}:{k}" for t, k in _REMOVED_CASES])
@@ -475,21 +515,30 @@ def test_removed_key_is_unknown(bases, tmp_path, capsys, task, key):
     assert "unknown keys" in err and repr(key) in err
 
 
+def test_output_dir_in_a_sweep_config_is_invalid(bases, tmp_path):
+    cfg = {**bases["sweep"], "config": {**bases["sweep"]["config"], "output_dir": "out"}}
+    rc, out = _run(tmp_path, "sweep", cfg)
+    assert rc == 0
+    run = json.loads((out / "sweep_index.json").read_text())["runs"][0]
+    assert run["status"] == "invalid"
+    assert "output_dir" in run["message"]
+    assert not (out / "value_000").exists()
+
+
 _TABLE_KEYS = {
-    "exponent": ["schema_version", "output_dir", "operator", "ell", "n"],
-    "envelope": ["schema_version", "output_dir", "operator", "ell", "n", "samples", "eta_max"],
-    "mu-check": ["schema_version", "output_dir", "mu", "c0", "levels", "tol", "p", "cap",
-                 "seed"],
-    "simulate": ["schema_version", "output_dir", "operator", "ell", "n", "grid", "profile",
+    "exponent": ["schema_version", "operator", "ell", "n"],
+    "envelope": ["schema_version", "operator", "ell", "n", "samples", "eta_max"],
+    "mu-check": ["schema_version", "mu", "c0", "levels", "tol", "p", "cap", "seed"],
+    "simulate": ["schema_version", "operator", "ell", "n", "grid", "profile",
                  "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
                  "record_fields"],
-    "decay": ["schema_version", "output_dir", "operator", "ell", "n", "mode", "q_list",
+    "decay": ["schema_version", "operator", "ell", "n", "mode", "q_list",
               "window", "width", "targets", "p_c", "n_times", "tol", "grid", "dt", "fit_mode"],
-    "residual": ["schema_version", "output_dir", "operator", "ell", "n", "grid", "profile",
+    "residual": ["schema_version", "operator", "ell", "n", "grid", "profile",
                  "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
                  "test_function"],
-    "sweep": ["schema_version", "output_dir", "task", "parameter", "values", "config"],
-    "residual-run": ["schema_version", "output_dir", "run", "test_function"],
+    "sweep": ["schema_version", "task", "parameter", "values", "config"],
+    "residual-run": ["schema_version", "run", "test_function"],
 }
 
 
@@ -561,29 +610,15 @@ def test_wrong_json_type_exit_2(bases, tmp_path, task, path, wrong):
     ("simulate", ("record_fields",), "false"),
     ("simulate", ("profile", "zero_mean"), "no"),
     ("mu-check", ("mu", "depth"), 1.9),
+    ("mu-check", ("mu", "gamma"), NAN),
     ("simulate", ("amplitude",), NAN),
     ("simulate", ("dt",), 0.3),  # T = 1.0 is not a multiple of it
-], ids=["ell", "N", "record_fields", "zero_mean", "depth", "amplitude", "T/dt"])
+], ids=["ell", "N", "record_fields", "zero_mean", "depth", "gamma", "amplitude", "T/dt"])
 def test_coerced_values_are_rejected(bases, tmp_path, capsys, task, path, value):
     rc, out = _run(tmp_path, task, _set(bases[task], path, value))
     assert rc == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["exponent", "--ell", "1.7"],
-    ["envelope", "--samples", "2.5"],
-    ["mu-check", "--family", "iterated_log", "--depth", "1.9"],
-    ["mu-check", "--family", "iterated_log", "--gamma", "NaN"],
-    ["decay", "--mode", "sideways"],
-    ["mu-check", "--family", "constant", "--value", "-1"],
-])
-def test_flag_values_pass_the_key_checks(op_file, tmp_path, argv):
-    if argv[0] != "mu-check":
-        argv = argv + ["--operator", str(op_file)]
-    assert cli.main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_records_fractional_N_as_invalid(bases, tmp_path):
@@ -616,9 +651,10 @@ def test_config_module_imports_no_numerics():
     ("decay", ("q_list",), [0]),
     ("decay", ("q_list",), []),
     ("decay", ("window",), [100, -5]),
+    ("decay", ("mode",), "sideways"),
     ("mu-check", ("mu",), {"family": "constant", "value": -1}),
     ("mu-check", ("mu",), {"family": "custom_table", "taus": [0.0, 1.0], "values": [1, -1]}),
-], ids=["p_for_norms=0", "p_for_norms<0", "q=0", "q_list=[]", "window",
+], ids=["p_for_norms=0", "p_for_norms<0", "q=0", "q_list=[]", "window", "mode",
         "mu<0", "table_mu<0"])
 def test_out_of_range_values_are_rejected(bases, tmp_path, capsys, task, path, value):
     rc, out = _run(tmp_path, task, _set(bases[task], path, value))
@@ -630,10 +666,12 @@ def test_out_of_range_values_are_rejected(bases, tmp_path, capsys, task, path, v
 
 @pytest.mark.parametrize("key,value,rc", [
     ("tol", 1e-16, 2), ("tol", 1e-15, 0), ("levels", 340, 2), ("levels", 306, 0),
-], ids=["tol=1e-16", "tol=1e-15", "levels=340", "levels=306"])
+    ("levels", 1, 2), ("levels", 2, 0),
+], ids=["tol=1e-16", "tol=1e-15", "levels=340", "levels=306", "levels=1", "levels=2"])
 def test_mu_check_tol_and_levels_ranges(tmp_path, capsys, key, value, rc):
-    # a decade sum cannot settle below rounding, and past levels 306 at
-    # c0 = 0.1 tau runs below the smallest normal double
+    # a decade sum cannot settle below rounding, past levels 306 at c0 = 0.1
+    # tau runs below the smallest normal double, and the growth label fits a
+    # line through the decade sums, which takes two of them
     cfg = {**SCHEMA, "c0": 0.1, "mu": {"family": "iterated_log", "gamma": 2.0}, key: value}
     code, out = _run(tmp_path, "mu-check", cfg)
     assert code == rc
@@ -654,6 +692,20 @@ def test_decay_fit_mode_typo_is_not_a_one_sided_pass(op_file, tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "fit_mode" in capsys.readouterr().err
+
+
+def test_decay_n_times_below_ten_exits_before_the_quadrature(op_file, tmp_path, capsys,
+                                                            monkeypatch):
+    # the fit needs 10 samples in the window, and every whole-space sample lies in it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the decay curve was computed before n_times was checked")
+
+    monkeypatch.setattr(cli, "check_linear_decay_hypothesis", no_fit)
+    rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "n_times": 9})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "n_times" in err and "must be" in err
 
 
 def test_decay_target_for_an_unfitted_q_exits_2(op_file, tmp_path, capsys):
@@ -704,33 +756,26 @@ def test_residual_ignores_operator_edits_after_the_run(op_file, tmp_path):
 
 
 def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("CRITEVO_OUT", raising=False)
+    # "operator" and "run" resolve against the config's directory; --out-dir
+    # against the current one
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
     write_json(cfg_dir / "op.json", json.loads(dumps_json(damped_wave(1))))
-    write_json(cfg_dir / "sim.json", sim_config("op.json", record_fields=True,
-                                                output_dir="run"))
-    write_json(cfg_dir / "res.json", {**SCHEMA, "run": "run", "output_dir": "res"})
+    write_json(cfg_dir / "sim.json", sim_config("op.json", record_fields=True))
+    write_json(cfg_dir / "res.json", {**SCHEMA, "run": "run"})
     residuals = []
     for cwd in (cfg_dir, tmp_path / "elsewhere"):
         cwd.mkdir(exist_ok=True)
         monkeypatch.chdir(cwd)
         rel = os.path.relpath(cfg_dir, cwd)
-        assert cli.main(["simulate", "--config", os.path.join(rel, "sim.json")]) == 0
-        assert cli.main(["residual", "--config", os.path.join(rel, "res.json")]) == 0
+        assert cli.main(["simulate", "--config", os.path.join(rel, "sim.json"),
+                         "--out-dir", os.path.join(rel, "run")]) == 0
+        assert cli.main(["residual", "--config", os.path.join(rel, "res.json"),
+                         "--out-dir", os.path.join(rel, "res")]) == 0
         doc = json.loads((cfg_dir / "res" / "residual.json").read_text())
         residuals.append(doc["report"]["residual"])
     assert residuals[0] == residuals[1]
     assert not (tmp_path / "elsewhere" / "run").exists()
-
-
-def test_operator_flag_resolves_against_the_cwd(tmp_path, monkeypatch):
-    (tmp_path / "cfg").mkdir()
-    write_json(tmp_path / "cfg" / "exp.json", {**SCHEMA, "ell": 0})
-    write_json(tmp_path / "op.json", json.loads(dumps_json(damped_wave(1))))
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["exponent", "--config", "cfg/exp.json", "--operator", "op.json",
-                     "--out-dir", "o"]) == 0
 
 
 # --- artifact layout --------------------------------------------------------

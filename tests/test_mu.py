@@ -239,10 +239,10 @@ def test_tol_below_rounding_is_rejected():
 
 def test_levels_below_the_smallest_normal_double_are_rejected():
     # past u ~ 708 tau = e^{-u} leaves the normal doubles and the last
-    # increments would read 0
+    # increments would read 0; one decade sum is too few to fit a slope to
     mu = MuSpec(family="iterated_log", gamma=2.0)
-    for levels in (0, 307):
-        with pytest.raises(ValidationError, match=r"levels must be in \[1, 306\]"):
+    for levels in (0, 1, 307):
+        with pytest.raises(ValidationError, match=r"levels must be in \[2, 306\]"):
             integral_condition(mu, c0=0.1, levels=levels)
     v = integral_condition(mu, c0=0.1, levels=306)
     assert v.growth_label == "saturating"

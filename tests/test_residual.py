@@ -218,6 +218,29 @@ def test_exact_mode_identity_ell1():
     assert got[0] / got[1] > 3.0
 
 
+def test_exact_mode_identity_with_a_stranded_layer_in_fourier_space():
+    # level 1 of sigma-evolution (1, 1, 1) is the non-constant multiplier
+    # |k|^2 above ell = 0, so moving d_t onto psi strands u(0) there, paired
+    # with psi(0) in Fourier space; an overdamped mode (|k| > 2) is an exact
+    # real solution e^{lam t} cos(kx) with u(0) != 0
+    grid = Grid(n=1, N=64, L=20.0)
+    op = sigma_evolution(1, 1, 1)
+    k = 2.0 * math.pi / grid.L * 8
+    _, lam, layer = exact_mode(grid, (k * k, k * k), mode=8)
+    assert lam.imag == 0.0
+    T = 20.0
+    tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+    init = np.stack([layer(0.0, 0), layer(0.0, 1)])
+    got = []
+    for dt in (0.05, 0.025):
+        times = np.arange(0.0, T + dt / 2, dt)
+        frames = np.stack([layer(t, 0) for t in times])
+        rr = weak_residual(op, 0, grid, times, frames, tf, initial_layers=init)
+        got.append(rr.residual)
+    assert got[1] < 1e-4
+    assert got[0] / got[1] > 3.0
+
+
 def test_solver_frames_refine_together():
     op = damped_wave(1)
     T = 20.0

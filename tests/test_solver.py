@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,18 @@ def test_overflowing_corrector_field_still_ends_in_blowup():
         report = run(cfg)
     assert report.outcome == "blowup_detected"
     assert report.meta["steps_taken"] == 1
+
+
+def test_detected_blowup_raises_no_numpy_warning():
+    # the overflowing member is what blown() reports; numpy need not say it too
+    cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
+                    profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=1.0,
+                    amplitude=50.0, nl=NonlinearitySpec(p=20.0, mu=MuSpec(family="constant")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run(cfg)
+    assert report.outcome == "blowup_detected"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_zero_data_run_completes():
