@@ -60,13 +60,14 @@ OPERATOR = {
 GRID = {"N": Key("int"), "L": Key("number")}
 NONLINEARITY = {"p": Key("number", words=("critical",)),
                 "mu": Key("object", {"family": "constant"})}
+# the ranges TestFunctionSpec enforces, checked before an inline residual's run
 TEST_FUNCTION = {
-    "eta_bar": Key("rational", "critical", words=("critical",)),
-    "scale": Key("number", "auto", words=("auto",)),
-    "q_tf": Key("int", None),
-    "flat_fraction": Key("number", 0.5),
-    "smooth_order": Key("int", None),
-    "reg_epsilon": Key("number", None),
+    "eta_bar": Key("rational", "critical", words=("critical",), **_POSITIVE),
+    "scale": Key("number", "auto", words=("auto",), **_POSITIVE),
+    "q_tf": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
+    "flat_fraction": Key("number", 0.5, ok=lambda v: 0 < v < 1, rule="in (0, 1)"),
+    "smooth_order": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
+    "reg_epsilon": Key("number", None, **_NONNEGATIVE),
 }
 
 EXPONENT = {**COMMON, **OPERATOR}
@@ -300,11 +301,13 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
         exact = _critical_power(op, ell, "p_c")
         p_c = float(exact)
         notes.append(f"p_c resolved to {exact} = {p_c}")
-    if v["mode"] == "whole-space":
-        for name in ("grid", "dt"):
-            if name in cfg:
-                raise ValidationError(f"config.{name} is read only in torus mode; "
-                                      "whole-space decay has no grid or time step")
+    # whole-space decay has no grid or time step; torus decay fits the solver's
+    # recorded times, not n_times samples
+    other, unread = (("torus", ("grid", "dt")) if v["mode"] == "whole-space"
+                     else ("whole-space", ("n_times",)))
+    for name in unread:
+        if name in cfg:
+            raise ValidationError(f"config.{name} is read only in {other} mode")
     torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
     if v["targets"] is not None:

@@ -14,10 +14,14 @@ the tail cutoff, doubled until the curve is stable.
 
 Each panel density evaluates the kernel K with one stacked eigen-solve of
 the companion matrices at all its nodes and one stacked inverse of the
-eigenvectors of the well-separated ones.  Nearly defective nodes (two
-eigenvalues closer than 1e-8 * max(|lambda|, 1)) take scipy's expm, one
-call per node on its blocks stacked over the times.  The stacking keeps
-every node's arithmetic, so K is bit for bit a per-node loop's.
+eigenvectors of the well-separated ones.  The stacking keeps every such
+node's arithmetic, so there K is bit for bit a per-node loop's.  Nearly
+defective nodes (two eigenvalues closer than 1e-8 * max(|lambda|, 1)) are
+exponentiated directly: for m = 2 by the closed-form 2x2 exponential,
+whose divided difference of exp has no cancellation at confluence, at
+all times at once; for m >= 3 by scipy's expm, one call per node on its
+blocks stacked over the times.  So whole-space decay of an m = 2
+operator never imports scipy.
 
 Rate fitting is deliberately dumb and transparent: least squares on
 log-norm against log(1+t) (power laws) or against t (exponential decay),
@@ -74,21 +78,52 @@ _GAP_TOL = 1e-8
 _QTOL = 1e-8
 #: RMS of the log residuals below which a fit counts as clean
 _RMS_TOL = 0.05
-# complex exponentials per block of eigen-path nodes (128 KB): the kernel's
+# complex exponentials per block of nodes (128 KB): the kernel's
 # temporaries stay small next to K itself, whatever the node and time counts
 _EXP_BLOCK = 1 << 13
 
 
+def _confluent_kernel(A: np.ndarray, times: np.ndarray, layer: int) -> np.ndarray:
+    """K[i, j] = [exp(times_j A_i)]_{layer, 1} for a stack of 2x2 blocks A_i.
+
+    exp(tA) = e^{t lam2} I + D(t) (A - lam2 I), where Re lam1 >= Re lam2 and
+    D(t) = e^{t lam1} (-expm1(-t (lam1 - lam2))) / (lam1 - lam2) is the
+    divided difference of exp at the roots, t e^{t lam1} where they
+    coincide.  It has no cancellation however close the roots lie, and
+    |e^{-t (lam1 - lam2)}| <= 1 keeps it from overflowing.  The roots come
+    from the larger of mu +- nu (mu = tr/2) and det / that root (Vieta), so
+    neither one cancels when det << mu^2.
+    """
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    mu = 0.5 * (a + d)
+    nu = np.sqrt((0.5 * (a - d)) ** 2 + b * c)
+    big = np.where((np.conj(mu) * nu).real >= 0, mu + nu, mu - nu)
+    # big == 0 only where mu = nu = 0, a double root at 0
+    other = np.divide(a * d - b * c, big, out=np.zeros_like(big), where=big != 0)
+    first = other.real > big.real
+    lam1 = np.where(first, other, big)[:, None]
+    lam2 = np.where(first, big, other)[:, None]
+    gap = lam1 - lam2
+    D = np.broadcast_to(times, (A.shape[0], times.size)).astype(complex)
+    np.divide(-np.expm1(-times * gap), gap, out=D, where=gap != 0)
+    D *= np.exp(times * lam1)
+    if layer == 0:
+        return D * b[:, None]
+    # A11 - lam2 = lam1 - A00 by the trace, and A00 = 0 in a companion block
+    return np.exp(times * lam2) + D * (lam1 - a[:, None])
+
+
 def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
                    layer: int) -> tuple[np.ndarray, int]:
-    """K[i, j] = [exp(times_j A(rhos_i))]_{layer, m-1}, and the fallback node count.
+    """K[i, j] = [exp(times_j A(rhos_i))]_{layer, m-1}, and the nearly-defective node count.
 
     One stacked eigen-solve covers every node.  A node whose eigenvalues lie
-    closer than ``_GAP_TOL * max(|lambda|, 1)`` is nearly defective; it takes
-    scipy's expm instead, one call on its blocks stacked over the times.
-    The eigen path evaluates exp(times lambda) @ w a block of nodes at a
-    time.  Each node's arithmetic is the one a per-node loop would do, so
-    the stacking changes no bit of K.
+    closer than ``_GAP_TOL * max(|lambda|, 1)`` is nearly defective: for
+    m = 2 it takes the closed form of :func:`_confluent_kernel`, for m >= 3
+    scipy's expm, one call on its blocks stacked over the times.  The eigen
+    path evaluates exp(times lambda) @ w and the closed form its formula a
+    block of nodes at a time.  Each eigen-path node's arithmetic is the one
+    a per-node loop would do, so the stacking changes no bit of it.
     """
     m = op.m
     A = op.radial_companion(rhos)
@@ -107,13 +142,17 @@ def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
         E = times[:, None] * lam[nodes][:, None, :]
         np.exp(E, out=E)
         K[nodes] = (E @ w[lo:lo + step, :, None])[:, :, 0]
-    fallback = np.flatnonzero(defective)
-    if fallback.size:
+    confluent = np.flatnonzero(defective)
+    if m == 2:
+        for lo in range(0, confluent.size, step):
+            nodes = confluent[lo:lo + step]
+            K[nodes] = _confluent_kernel(A[nodes], times, layer)
+    elif confluent.size:
         from scipy.linalg import expm
 
-        for i in fallback:
+        for i in confluent:
             K[i] = expm(times[:, None, None] * A[i])[:, layer, m - 1]
-    return K, int(fallback.size)
+    return K, int(confluent.size)
 
 
 def _panel_nodes(P: float, panels_per_decade: int):
@@ -137,7 +176,8 @@ class QuadratureEvidence:
 
     ``last_relative_change`` is max|curve - previous curve| / max(previous
     curve) at the accepted panel density; ``expm_fallback_nodes`` counts the
-    nodes of that density whose eigensystem was too close to defective.
+    nodes of that density whose eigensystem was too close to defective for
+    the eigen path (closed form for m = 2, expm for m >= 3).
     """
 
     panels_per_decade: int

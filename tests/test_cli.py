@@ -408,6 +408,25 @@ def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_whole_space_decay_of_an_m2_operator_loads_no_scipy(tmp_path):
+    # sigma-evolution (3, 2, 1) has nearly defective nodes, which m = 2 takes in
+    # closed form; only m >= 3 needs scipy's expm
+    op = write_json(tmp_path / "op.json", json.loads(dumps_json(sigma_evolution(3, 2, 1))))
+    cfg = write_json(tmp_path / "decay.json", {**SCHEMA, "operator": str(op)})
+    out = tmp_path / "d"
+    code = ("import sys; from critevo import cli\n"
+            f"assert cli.main(['decay', '--config', {str(cfg)!r}, "
+            f"'--out-dir', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    report = json.loads((out / "decay.json").read_text())["report"]
+    assert report["entries"][0]["quadrature"]["expm_fallback_nodes"] > 0
+
+
 _OUT_OF_DOMAIN_MU = {"family": "iterated_log", "depth": 1, "gamma": 2.0, "extension_point": 0.5}
 
 
@@ -565,8 +584,17 @@ def test_whole_space_decay_rejects_torus_keys(bases, tmp_path, capsys):
     assert [r["status"] for r in runs] == ["invalid", "invalid"]
 
 
-@pytest.mark.parametrize("test_function", [{"frobnicate": 1}, {"smooth_order": 2.5}],
-                         ids=["unknown", "fractional"])
+_BAD_TEST_FUNCTIONS = {
+    "unknown": {"frobnicate": 1}, "fractional": {"smooth_order": 2.5},
+    "q_tf=0": {"q_tf": 0}, "smooth_order=0": {"smooth_order": 0},
+    "flat_fraction=0": {"flat_fraction": 0}, "flat_fraction=1.5": {"flat_fraction": 1.5},
+    "reg_epsilon<0": {"reg_epsilon": -1e-3}, "eta_bar=0": {"eta_bar": 0},
+    "eta_bar<0": {"eta_bar": "-1/2"}, "scale=0": {"scale": 0},
+}
+
+
+@pytest.mark.parametrize("test_function", list(_BAD_TEST_FUNCTIONS.values()),
+                         ids=list(_BAD_TEST_FUNCTIONS))
 def test_inline_residual_checks_its_test_function_before_the_run(bases, tmp_path, capsys,
                                                                  monkeypatch, test_function):
     def no_run(*args, **kwargs):
@@ -577,6 +605,14 @@ def test_inline_residual_checks_its_test_function_before_the_run(bases, tmp_path
     assert rc == 2
     assert not out.exists()
     assert next(iter(test_function)) in capsys.readouterr().err
+
+
+def test_torus_decay_rejects_n_times(bases, tmp_path, capsys):
+    # torus mode fits the solver's recorded times: n_times would change nothing
+    rc, out = _run(tmp_path, "decay", {**bases["decay"], "n_times": 10})
+    assert rc == 2
+    assert not out.exists()
+    assert "config.n_times" in capsys.readouterr().err
 
 
 def _typed_keys():
