@@ -104,8 +104,10 @@ DECAY = {
     **EXPONENT,
     "mode": Key("str", "whole-space", ok=lambda v: v in ("whole-space", "torus"),
                 rule="'whole-space' or 'torus'"),
-    "q_list": Key("number[]", (2.0,), ok=lambda v: len(v) > 0 and min(v) >= 1,
-                  rule="a non-empty list of numbers >= 1"),
+    # q names its curve file decay_curve_q{q:g}.csv, so no two may print alike
+    "q_list": Key("number[]", (2.0,),
+                  ok=lambda v: len(v) > 0 and min(v) >= 1 and len({f"{q:g}" for q in v}) == len(v),
+                  rule="a non-empty list of numbers >= 1, distinct to 6 significant digits"),
     "window": Key("number[]", (1e2, 1e4), ok=lambda v: len(v) == 2 and 0 <= v[0] < v[1],
                   rule="[t_min, t_max] with 0 <= t_min < t_max"),
     "width": Key("number", 1.0),
@@ -311,9 +313,14 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
     torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
     if v["targets"] is not None:
-        targets = {check(_NUMBER, loads(q, "targets key"), f"config.targets key {q!r}"):
-                   check(_NUMBER, rate, f"config.targets[{q!r}]")
-                   for q, rate in v["targets"].items()}
+        targets, named = {}, {}
+        for q, rate in v["targets"].items():
+            value = check(_NUMBER, loads(q, "targets key"), f"config.targets key {q!r}")
+            if value in named:
+                raise ValidationError(
+                    f"config.targets keys {named[value]!r} and {q!r} both name q = {value:g}")
+            named[value] = q
+            targets[value] = check(_NUMBER, rate, f"config.targets[{q!r}]")
     report = check_linear_decay_hypothesis(
         op, ell, p_c,
         q_list=v["q_list"],

@@ -159,7 +159,7 @@ _FAMILY_KEYS = {
 
 def parse_mu(doc: Mapping) -> MuSpec:
     family = doc.get("family") if isinstance(doc, Mapping) else None
-    if family not in _FAMILY_KEYS:
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
         raise ValidationError(f"mu must be an object with a family in {list(_FAMILY_KEYS)}")
     return MuSpec(**read(doc, {k: MU_KEYS[k] for k in _FAMILY_KEYS[family]}, "mu"))
 

@@ -22,11 +22,11 @@ i.e. second order globally.  Products are formed in physical space
 initial data and to every nonlinear transform; the linear flow is diagonal
 per mode and cannot repopulate masked modes.
 
-Several amplitudes of one config can run as one batch: the state then
-carries a leading member axis, the members share the propagator, and
-every reduction that feeds a report (norms, the X-norm, the blow-up check)
-runs on one member's own rows, so each member's report equals its single
-run bit for bit.
+The state always carries a leading member axis, (B, m, *half); a single
+run is a batch of one.  The members of a batch are amplitudes of one
+config and share the propagator, and every reduction that feeds a report
+(norms, the X-norm, the blow-up check) runs on one member's own rows, so
+each member's report equals its single run bit for bit.
 
 Periodic-box caveat: polynomial decay laws of the whole-space problem hold
 only while the box still resolves the relevant low frequencies; every run
@@ -181,50 +181,40 @@ class DataProfile:
         return f
 
 
+#: every profile key; a kind reads its own
 _PROFILE = {
     "kind": Key("str", "gaussian"),
     "width": Key("number", 1.0),
     "zero_mean": Key("bool", False),
     "values": Key("number[]", None),
 }
+_KIND_KEYS = {
+    "gaussian": ("kind", "width", "zero_mean"),
+    "bump": ("kind", "width", "zero_mean"),
+    "custom_table": ("kind", "zero_mean", "values"),
+}
 
 
 def parse_profile(doc: Mapping) -> DataProfile:
-    return DataProfile(**read(doc, _PROFILE, "profile"))
-
-
-def _layer(modes: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Layer k of (m, *shape) or batched (B, m, *shape) modes."""
-    return modes[(..., k) + (slice(None),) * n]
-
-
-@dataclass
-class SimState:
-    """Companion-state half-spectrum coefficients of one run or of a batch of runs.
-
-    ``modes`` is (m, *half), layer k holding rfftn(d_t^k u) with
-    *half = (*grid.shape[:-1], N/2 + 1), or carries a leading batch axis,
-    (B, m, *half), for B runs that share t, the grid and the operator.
-    """
-
-    t: float
-    modes: np.ndarray
-    grid: Grid
-
-    def physical(self, layer: int) -> np.ndarray:
-        return np.fft.irfftn(_layer(self.modes, layer, self.grid.n),
-                             s=self.grid.shape, axes=self.grid.space_axes)
+    kind = doc.get("kind", "gaussian") if isinstance(doc, Mapping) else None
+    # any other kind reads every key, so read() or DataProfile names what is wrong
+    keys = _KIND_KEYS.get(kind, _PROFILE) if isinstance(kind, str) else _PROFILE
+    return DataProfile(**read(doc, {k: _PROFILE[k] for k in keys}, "profile"))
 
 
 def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
-               amplitude: float = 1.0) -> SimState:
-    """Zero state except the data layer m-1 = amplitude * profile (dealiased)."""
+               amplitudes: Sequence[float]) -> np.ndarray:
+    """State (B, m, *half) at t = 0, layer k of member b holding rfftn(d_t^k u):
+    zero except the data layer m-1 = amplitudes[b] * profile (dealiased).  Each
+    member takes its own rfftn of the one rendered profile, so keeps its bits."""
     if op.n != grid.n:
         raise ValidationError("operator and grid dimensions disagree")
-    f_hat = np.fft.rfftn(amplitude * profile.render(grid)) * grid.dealias_mask()[grid.half]
-    modes = np.zeros((op.m,) + f_hat.shape, dtype=complex)
-    modes[op.m - 1] = f_hat
-    return SimState(t=0.0, modes=modes, grid=grid)
+    f = profile.render(grid)
+    mask = grid.dealias_mask()[grid.half]
+    modes = np.zeros((len(amplitudes), op.m) + mask.shape, dtype=complex)
+    for b, a in enumerate(amplitudes):
+        modes[b, op.m - 1] = np.fft.rfftn(a * f) * mask
+    return modes
 
 
 def initial_sign_functional(op: EvolutionOperator, ell: int,
@@ -266,8 +256,9 @@ class ModePropagator:
     for bit, and is gathered back to every mode; expm treats each block on
     its own, so the result equals a per-mode build exactly.  Only what
     stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half), so
-    the per-mode product runs along contiguous space, and the last column of
-    Phi as ``_phi``, (m, *half).
+    the per-mode product runs along contiguous space, the last column of
+    Phi as ``_phi``, (m, *half), and the 2/3-rule dealias mask of the half
+    spectrum as ``mask``.  Both methods act on batched (B, m, *half) modes.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -293,47 +284,36 @@ class ModePropagator:
         # Phi e_{m-1}, the weight of the source in each layer: (m, *half)
         phi = big[:, :m, 2 * m - 1][inverse].reshape(A.shape[:-1])
         self._phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0))
-        self._layer_axis = (..., None) + (slice(None),) * grid.n
+        self.mask = grid.dealias_mask()[grid.half]
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
-        """E v for every mode of (m, *half) or batched (B, m, *half) modes."""
-        if modes.ndim == self.grid.n + 1:
-            return self.apply_linear(modes[None])[0]
+        """E v for every mode of every member."""
         return np.einsum("ij...,bj...->bi...", self._E, modes)
 
     def apply_source(self, modes: np.ndarray, source_hat: np.ndarray) -> np.ndarray:
-        """modes + Phi e_{m-1} source_hat, the source broadcast over the layers."""
-        return modes + self._phi * source_hat[self._layer_axis]
+        """modes + Phi e_{m-1} source_hat, a member's source broadcast over its layers."""
+        return modes + self._phi * source_hat[:, None]
 
 
-def linear_step(state: SimState, prop: ModePropagator) -> None:
-    state.modes = prop.apply_linear(state.modes)
-    state.t += prop.dt
-
-
-def nonlinear_step(state: SimState, prop: ModePropagator, ell: int,
+def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int,
                    nl: NonlinearitySpec | None,
-                   forcing: Callable[[float], np.ndarray] | None = None,
-                   mask: np.ndarray | None = None) -> None:
-    """One exponential predictor-corrector step of size prop.dt (one run or a batch)."""
-    grid = state.grid
-    if mask is None:
-        mask = grid.dealias_mask()[grid.half]
+                   forcing: Callable[[float], np.ndarray] | None = None) -> np.ndarray:
+    """The modes one exponential predictor-corrector step of size prop.dt after t."""
+    grid = prop.grid
     axes = grid.space_axes
 
-    def source(modes: np.ndarray, t: float) -> np.ndarray:
-        w = np.fft.irfftn(_layer(modes, ell, grid.n), s=grid.shape, axes=axes)
+    def source(v: np.ndarray, t: float) -> np.ndarray:
+        w = np.fft.irfftn(v[:, ell], s=grid.shape, axes=axes)
         s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
         if forcing is not None:
             s = s + forcing(t)
-        return np.fft.rfftn(s, axes=axes) * mask
+        return np.fft.rfftn(s, axes=axes) * prop.mask
 
-    Ev = prop.apply_linear(state.modes)
-    s0 = source(state.modes, state.t)
+    Ev = prop.apply_linear(modes)
+    s0 = source(modes, t)
     pred = prop.apply_source(Ev, s0)
-    s1 = source(pred, state.t + prop.dt)
-    state.modes = prop.apply_source(Ev, 0.5 * (s0 + s1))
-    state.t += prop.dt
+    s1 = source(pred, t + prop.dt)
+    return prop.apply_source(Ev, 0.5 * (s0 + s1))
 
 
 def grid_norms(w: np.ndarray, weight: float, p: float) -> dict[str, float]:
@@ -518,10 +498,11 @@ def run(config: RunConfig,
         amplitudes: Sequence[float] | None = None) -> RunReport | list[RunReport]:
     """March to T (or blow-up), recording norms and the weighted X-history.
 
-    Returns one RunReport.  With ``amplitudes`` it returns one report per
-    amplitude, each equal to ``run(replace(config, amplitude=a))``: the
-    members share one propagator and step together as one batch, and a
-    member that blows up is finalised at that step and leaves the batch.
+    Returns one RunReport, of the batch of one ``config.amplitude``.  With
+    ``amplitudes`` it returns one report per amplitude, each equal to
+    ``run(replace(config, amplitude=a))``: the members share one propagator
+    and step together as one batch, and a member that blows up is finalised
+    at that step and leaves the batch.
     """
     amps = [config.amplitude] if amplitudes is None else list(amplitudes)
     if not amps:
@@ -529,47 +510,47 @@ def run(config: RunConfig,
     op, grid = config.op, config.grid
     ell = config.ell
     p = config.norm_power
-    states = [init_state(op, grid, config.profile, a) for a in amps]
+    modes = init_state(op, grid, config.profile, amps)
     prop = ModePropagator(op, grid, config.dt)
-    mask = grid.dealias_mask()[grid.half]
     n_steps = int(round(config.T / config.dt))
 
-    initial = [np.stack([s.physical(k) for k in range(op.m)]) for s in states]
+    initial = np.fft.irfftn(modes, s=grid.shape, axes=grid.space_axes)
     # zero data is a legitimate run (the state stays zero); keep a unit
     # reference so any numerical escape still trips the threshold
     ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
-    state = SimState(t=0.0, modes=np.stack([s.modes for s in states]), grid=grid)
+    t = 0.0
     n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
     frames_shape = (n_records,) + grid.shape if config.record_fields else None
     hist = [_History(ell, p, grid.quad_weight(), frames_shape, n_steps) for _ in amps]
     live = np.arange(len(amps))  # the member each batch row belongs to
 
     def record():
-        layers = np.fft.irfftn(state.modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
+        layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
         for row, b in enumerate(live):
-            hist[b].record(state.t, layers[row])
+            hist[b].record(t, layers[row])
 
     record()
-    last_good_t = state.t
+    last_good_t = t
     # a member that overflows is caught by blown(), which counts a non-finite
     # value as a blow-up, so numpy's overflow warnings say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             if config.nl is None and config.forcing is None:
-                linear_step(state, prop)
+                modes = prop.apply_linear(modes)
             else:
-                nonlinear_step(state, prop, ell, config.nl, config.forcing, mask)
-            out = blown(state.modes, ref[live], grid)
+                modes = nonlinear_step(modes, t, prop, ell, config.nl, config.forcing)
+            t += prop.dt
+            out = blown(modes, ref[live], grid)
             if out.any():
                 for b in live[out]:
                     hist[b].outcome = "blowup_detected"
                     hist[b].blowup_time = last_good_t
                     hist[b].steps = step
-                state.modes = state.modes[~out]
+                modes = modes[~out]
                 live = live[~out]
                 if not live.size:
                     break
-            last_good_t = state.t
+            last_good_t = t
             if step % config.record_every == 0 or step == n_steps:
                 record()
 

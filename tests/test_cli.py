@@ -686,12 +686,15 @@ def test_config_module_imports_no_numerics():
     ("simulate", ("p_for_norms",), -2),
     ("decay", ("q_list",), [0]),
     ("decay", ("q_list",), []),
+    ("decay", ("q_list",), [2, 2.0]),
+    ("decay", ("q_list",), [3.0000001, 3.0000002]),  # both would write decay_curve_q3.csv
     ("decay", ("window",), [100, -5]),
     ("decay", ("mode",), "sideways"),
     ("mu-check", ("mu",), {"family": "constant", "value": -1}),
     ("mu-check", ("mu",), {"family": "custom_table", "taus": [0.0, 1.0], "values": [1, -1]}),
-], ids=["p_for_norms=0", "p_for_norms<0", "q=0", "q_list=[]", "window", "mode",
-        "mu<0", "table_mu<0"])
+    ("mu-check", ("mu",), {"family": ["constant"]}),
+], ids=["p_for_norms=0", "p_for_norms<0", "q=0", "q_list=[]", "q_list repeats", "q_list same file",
+        "window", "mode", "mu<0", "table_mu<0", "family_list"])
 def test_out_of_range_values_are_rejected(bases, tmp_path, capsys, task, path, value):
     rc, out = _run(tmp_path, task, _set(bases[task], path, value))
     assert rc == 2
@@ -753,6 +756,35 @@ def test_decay_target_for_an_unfitted_q_exits_2(op_file, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "targets key 3.0 is not in q_list [2.0]" in err
+
+
+def test_decay_targets_naming_one_q_twice_exit_2(op_file, tmp_path, capsys):
+    # "2" and "2.0" parse to the same q: neither target may silently win
+    cfg = {**SCHEMA, "operator": str(op_file), "q_list": [2],
+           "targets": {"2": -0.25, "2.0": -0.9}}
+    rc, out = _run(tmp_path, "decay", cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert "config.targets keys '2' and '2.0' both name q = 2" in capsys.readouterr().err
+
+
+_UNREAD_PROFILE_KEYS = [
+    ({"kind": "gaussian", "width": 2.0, "values": [1.0] * 64}, "values"),
+    ({"kind": "bump", "width": 2.0, "values": [1.0] * 64}, "values"),
+    ({"kind": "custom_table", "values": [1.0] * 64, "width": 2.0}, "width"),
+]
+
+
+@pytest.mark.parametrize("profile,key", _UNREAD_PROFILE_KEYS,
+                         ids=[f"{p['kind']}:{k}" for p, k in _UNREAD_PROFILE_KEYS])
+def test_profile_key_its_kind_never_reads_exit_2(bases, tmp_path, capsys, profile, key):
+    rc, out = _run(tmp_path / "with", "simulate", {**bases["simulate"], "profile": profile})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown keys in profile" in err and repr(key) in err
+    clean = {name: value for name, value in profile.items() if name != key}
+    assert _run(tmp_path / "without", "simulate", {**bases["simulate"], "profile": clean})[0] == 0
 
 
 def test_every_module_is_reached_from_the_cli():
