@@ -249,7 +249,6 @@ def _sim_config(v: dict, base: Path):
 
 _FIELD_FILES = {
     "times": "fields_times.npy",
-    "layer0": "fields_layer0.npy",
     "layer_ell": "fields_layer_ell.npy",
     "initial_layers": "fields_initial_layers.npy",
 }
@@ -278,8 +277,7 @@ def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir:
     if rc.record_fields:
         out_dir.mkdir(parents=True, exist_ok=True)
         np.save(out_dir / _FIELD_FILES["times"], np.asarray(report.times))
-        np.save(out_dir / _FIELD_FILES["layer0"], report.fields["layer0"])
-        np.save(out_dir / _FIELD_FILES["layer_ell"], report.fields["layer_ell"])
+        np.save(out_dir / _FIELD_FILES["layer_ell"], report.frames)
         np.save(out_dir / _FIELD_FILES["initial_layers"], report.initial_layers)
         written += [out_dir / _FIELD_FILES[k] for k in _FIELD_FILES]
     msg = report.outcome
@@ -365,6 +363,20 @@ def _recorded_run(run_dir: Path):
     return op, ell, grid, nl, outcome
 
 
+def _load_field(run_dir: Path, key: str) -> np.ndarray:
+    """One recorded field file; a missing or unreadable one is a config error."""
+    path = run_dir / _FIELD_FILES[key]
+    try:
+        return np.load(path)
+    except OSError as exc:
+        raise ValidationError(
+            f"recorded run at {run_dir} has no field files (simulate needs "
+            f"\"record_fields\": true): {exc}"
+        ) from exc
+    except (ValueError, EOFError) as exc:
+        raise ValidationError(f"{path} is not a readable .npy array: {exc}") from exc
+
+
 def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, RESIDUAL_RUN if "run" in cfg else RESIDUAL, "config")
     tf = read(v["test_function"], TEST_FUNCTION, "test_function")
@@ -372,22 +384,18 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
         run_dir = base / v["run"]
         op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
         notes: list[str] = []
-        try:
-            times = np.load(run_dir / _FIELD_FILES["times"])
-            frames = np.load(run_dir / _FIELD_FILES["layer_ell"])
-            initial_layers = np.load(run_dir / _FIELD_FILES["initial_layers"])
-        except OSError as exc:
-            raise ValidationError(
-                f"recorded run at {run_dir} has no field files (simulate needs "
-                f"\"record_fields\": true): {exc}"
-            ) from exc
+        times, frames, initial_layers = (
+            _load_field(run_dir, key) for key in ("times", "layer_ell", "initial_layers"))
+        if times.ndim != 1 or not times.size:
+            raise ValidationError(f"{run_dir / _FIELD_FILES['times']} must hold a non-empty "
+                                  f"1-D array, not shape {times.shape}")
         run_meta = {"source": str(Path(v["run"]))}
     else:
         rc, notes = _sim_config(v, base)
         report = run(rc)
         op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
         times = np.asarray(report.times)
-        frames = report.fields["layer_ell"]
+        frames = report.frames
         initial_layers = report.initial_layers
         run_outcome = report.outcome
         run_meta = report.meta

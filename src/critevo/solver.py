@@ -30,8 +30,8 @@ each member's report equals its single run bit for bit.
 
 Periodic-box caveat: polynomial decay laws of the whole-space problem hold
 only while the box still resolves the relevant low frequencies; every run
-report records the estimated horizon 1/|Re lambda_max(A(xi_min))| for the
-smallest nonzero mode.
+report records the estimated horizon 1/|Re lambda_max(A(xi_min))|, the
+slowest of the smallest nonzero modes along each axis.
 """
 
 from __future__ import annotations
@@ -369,10 +369,11 @@ class RunReport:
     """Everything a run leaves behind.
 
     ``series`` maps column name -> list (one entry per recorded time);
-    norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``fields`` (only
-    when requested) holds the physical layers 0 and ell at each recorded
-    time for the weak-residual check.  ``initial_sign_functional`` is the
-    data-sign diagnostic of :func:`initial_sign_functional` at t = 0.
+    norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``frames`` (only
+    when requested) holds the physical d_t^ell u at each recorded time,
+    (records, *shape), the one field the weak residual reads.
+    ``initial_sign_functional`` is the data-sign diagnostic of
+    :func:`initial_sign_functional` at t = 0.
     """
 
     outcome: str  # completed | blowup_detected
@@ -380,7 +381,7 @@ class RunReport:
     times: list[float]
     series: dict[str, list[float]]
     meta: dict
-    fields: dict[str, np.ndarray] | None = None
+    frames: np.ndarray | None = None
     initial_layers: np.ndarray | None = None
     xnorm_sup: float = math.nan
     xnorm_last_increase: float = math.nan
@@ -399,12 +400,9 @@ class RunReport:
 
 
 def box_horizon(op: EvolutionOperator, grid: Grid) -> float:
-    """Decay horizon of the slowest retained nonzero mode (inf if undamped)."""
-    xi_min = [np.array(0.0)] * grid.n
-    xi_min[0] = np.array(2 * np.pi / grid.L)
-    A = op.companion(xi_min)
-    lam = np.linalg.eigvals(A)
-    rate = -float(np.max(np.real(lam)))
+    """Decay horizon of the slowest axis's smallest nonzero mode (inf if undamped)."""
+    A = op.companion(list(2 * np.pi / grid.L * np.eye(grid.n)))
+    rate = -float(np.max(np.real(np.linalg.eigvals(A))))
     if rate <= 1e-300:
         return math.inf
     return 1.0 / rate
@@ -438,11 +436,10 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class _History:
-    """What one member of a run records: norm series, X-norm, fields and outcome.
+    """What one member of a run records: norm series, X-norm, frames and outcome.
 
-    With ``frames_shape`` = (records, *shape), each recorded field is written
-    into a preallocated per-layer array; layer ell shares layer 0's when
-    ell = 0.
+    With ``frames_shape`` = (records, *shape), each recorded d_t^ell u is
+    written into one preallocated array.
     """
 
     def __init__(self, ell: int, p: float, weight: float,
@@ -454,10 +451,7 @@ class _History:
         }
         self.series["xnorm_weighted"] = []
         self.series["xnorm_running_sup"] = []
-        self.frames: tuple[np.ndarray, np.ndarray] | None = None
-        if frames_shape is not None:
-            layer0 = np.empty(frames_shape)
-            self.frames = (layer0, np.empty(frames_shape) if ell else layer0)
+        self.frames = None if frames_shape is None else np.empty(frames_shape)
         self.xsup = 0.0
         self.xsup_time = 0.0
         self.outcome = "completed"
@@ -465,7 +459,7 @@ class _History:
         self.steps = n_steps
 
     def record(self, t: float, layers: np.ndarray) -> None:
-        """Norms of the physical layers 0..ell at time t (and the fields, if kept)."""
+        """Norms of the physical layers 0..ell at time t (and layer ell, if kept)."""
         ell, p = self.ell, self.p
         self.times.append(t)
         xval = 0.0
@@ -480,18 +474,7 @@ class _History:
             self.xsup_time = t
         self.series["xnorm_running_sup"].append(self.xsup)
         if self.frames is not None:
-            i = len(self.times) - 1
-            self.frames[0][i] = layers[0]
-            if ell:
-                self.frames[1][i] = layers[ell]
-
-    def fields(self) -> dict[str, np.ndarray] | None:
-        """The recorded layers 0 and ell, sliced to the frames actually recorded."""
-        if self.frames is None:
-            return None
-        count = len(self.times)
-        layer0 = self.frames[0][:count]
-        return {"layer0": layer0, "layer_ell": self.frames[1][:count] if self.ell else layer0}
+            self.frames[len(self.times) - 1] = layers[ell]
 
 
 def run(config: RunConfig,
@@ -589,7 +572,7 @@ def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarra
         times=h.times,
         series=h.series,
         meta=meta,
-        fields=h.fields(),
+        frames=None if h.frames is None else h.frames[:len(h.times)],
         initial_layers=initial_layers,
         xnorm_sup=h.xsup,
         xnorm_last_increase=h.xsup_time,

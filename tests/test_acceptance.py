@@ -149,7 +149,7 @@ def test_criterion_07_solver_exactness(acceptance):
     for dt in (0.1, 0.02):
         rep = run(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt, T=1.0,
                             record_fields=True))
-        finals.append(rep.fields["layer0"][-1])
+        finals.append(rep.frames[-1])
     step_ok = float(np.max(np.abs(finals[0] - finals[1]))) < 1e-6
 
     # (b) manufactured u = sin(t) e^{-t} cos(x): pure time-stepping error
@@ -171,7 +171,7 @@ def test_criterion_07_solver_exactness(acceptance):
                             profile=SolverProfile(kind="custom_table", values=tuple(cosx)),
                             ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing,
                             record_every=1000000, record_fields=True))
-        errs.append(float(np.max(np.abs(rep.fields["layer0"][-1] - phi(1.0) * cosx))))
+        errs.append(float(np.max(np.abs(rep.frames[-1] - phi(1.0) * cosx))))
     rate = math.log2(errs[0] / errs[1])
 
     # (c) modes above the 2/3 cutoff stay exactly zero through nonlinear steps
@@ -199,7 +199,7 @@ def test_criterion_08_weak_residual_refinement(acceptance):
                             ell=0, dt=dt, T=T, record_every=2, record_fields=True))
         tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
         rr = weak_residual(op, 0, grid, np.asarray(rep.times),
-                           np.asarray(rep.fields["layer_ell"]), tf,
+                           np.asarray(rep.frames), tf,
                            initial_layers=rep.initial_layers)
         residuals.append(rr.residual)
     ok = (residuals[0] < 1e-3

@@ -139,9 +139,8 @@ def test_simulate_artifacts_byte_identical(op_file, tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(d1)]) == 0
     assert cli.main(["simulate", "--config", str(cfg), "--out-dir", str(d2)]) == 0
     names = sorted(os.listdir(d1))
-    assert names == ["fields_initial_layers.npy", "fields_layer0.npy",
-                     "fields_layer_ell.npy", "fields_times.npy",
-                     "series.csv", "simulate.json"]
+    assert names == ["fields_initial_layers.npy", "fields_layer_ell.npy",
+                     "fields_times.npy", "series.csv", "simulate.json"]
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
@@ -225,6 +224,51 @@ def test_residual_of_a_nan_field_exits_2(op_file, tmp_path, capsys):
     assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 2
     assert "NaN" in capsys.readouterr().err
     assert not (out / "residual.json").exists()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("fields_layer_ell.npy", lambda path: path.write_bytes(b"")),
+    ("fields_layer_ell.npy", lambda path: path.write_bytes(path.read_bytes()[:1000])),
+    ("fields_layer_ell.npy",
+     lambda path: np.save(path, np.array([{"t": 0.0}], dtype=object), allow_pickle=True)),
+    ("fields_times.npy", lambda path: path.write_bytes(b"not an npy file at all")),
+    ("fields_times.npy", lambda path: np.save(path, np.array(3.0))),
+], ids=["truncated", "cut", "object-dtype", "garbage", "scalar-times"])
+def test_residual_of_a_corrupt_field_file_exits_2(op_file, tmp_path, capsys, name, corrupt):
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    corrupt(run_dir / name)
+    res = write_json(tmp_path / "res.json", {**SCHEMA, "run": str(run_dir)})
+    out = tmp_path / "r"
+    assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ell, test_function, bound", [
+    (0, {}, 1e-5),
+    (1, {"eta_bar": 2, "q_tf": 8}, 1e-3),
+])
+def test_recorded_residual_equals_the_inline_one(op_file, tmp_path, ell, test_function, bound):
+    base = sim_config(op_file, ell=ell, dt=0.05, amplitude=0.3, nonlinearity={
+        "p": 3.0, "mu": {"family": "iterated_log", "gamma": 2.0}})
+    sim = write_json(tmp_path / "sim.json", {**base, "record_fields": True})
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    # one field stack whatever ell is
+    assert sorted(os.listdir(run_dir)) == ["fields_initial_layers.npy", "fields_layer_ell.npy",
+                                           "fields_times.npy", "series.csv", "simulate.json"]
+    docs = []
+    for name, cfg in (("recorded", {**SCHEMA, "run": str(run_dir)}), ("inline", base)):
+        res = write_json(tmp_path / f"{name}.json", {**cfg, "test_function": test_function})
+        out = tmp_path / name
+        assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 0
+        docs.append(json.loads((out / "residual.json").read_text()))
+    recorded, inline = docs
+    assert recorded["report"] == inline["report"]
+    assert recorded["run_outcome"] == inline["run_outcome"] == "completed"
+    assert recorded["report"]["residual"] < bound
 
 
 def test_residual_of_a_complex_field_exits_2(op_file, tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_solver_frames_refine_together():
         out = run(cfg)
         tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
         rr = weak_residual(op, 0, grid, np.asarray(out.times),
-                           np.asarray(out.fields["layer_ell"]), tf,
+                           np.asarray(out.frames), tf,
                            initial_layers=out.initial_layers)
         got.append(rr.residual)
     assert got[0] < 1e-3
@@ -269,7 +269,7 @@ def test_nonlinear_run_discriminates():
                     record_every=2, record_fields=True)
     out = run(cfg)
     times = np.asarray(out.times)
-    frames = np.asarray(out.fields["layer_ell"])
+    frames = np.asarray(out.frames)
     tf = make_test_function(op, 0, 3, 0.98 * 20.0, 2, grid=grid)
     matched = weak_residual(op, 0, grid, times, frames, tf, nl=nl,
                             initial_layers=out.initial_layers)
@@ -421,7 +421,7 @@ def _wave_2d_case():
                         ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2,
                         record_every=2, record_fields=True))
     tf = make_test_function(op, 0, 2.0, 2.94, 2, grid=grid)
-    return (op, 0, grid, np.asarray(out.times), out.fields["layer_ell"], tf,
+    return (op, 0, grid, np.asarray(out.times), out.frames, tf,
             NL2, out.initial_layers)
 
 

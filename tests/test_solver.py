@@ -12,6 +12,7 @@ from critevo.errors import ValidationError
 from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import (
     EvolutionOperator,
+    SpatialTerm,
     damped_klein_gordon,
     damped_wave,
     laplacian_terms,
@@ -207,7 +208,7 @@ def test_manufactured_solution_convergence():
                         record_fields=True)
         rep = run(cfg)
         assert rep.outcome == "completed"
-        u_T = rep.fields["layer0"][-1]
+        u_T = rep.frames[-1]
         errs.append(float(np.max(np.abs(u_T - phi(T) * cosx))))
     rate = math.log2(errs[0] / errs[1])
     assert rate >= 1.9, (errs, rate)
@@ -366,6 +367,11 @@ def test_box_horizon_values():
     assert box_horizon(op, grid) == pytest.approx(2.0, rel=1e-9)
     free = EvolutionOperator(m=2, n=1, levels={0: tuple(laplacian_terms(1, 1, 1.0))})
     assert box_horizon(free, grid) == math.inf
+    # u_tt - d_x^2 u_t - Lap u damps no mode along y, so the box never decays
+    x_damped = EvolutionOperator(m=2, n=2, levels={
+        0: tuple(laplacian_terms(2, 1, 1.0)),
+        1: (SpatialTerm(kind="monomial", coeff=-1.0, alpha=(2, 0)),)})
+    assert box_horizon(x_damped, Grid(n=2, N=32, L=40.0)) == math.inf
 
 
 def test_record_every_thins_series():
@@ -430,11 +436,10 @@ def _assert_reports_equal(got, want):
     assert got.xnorm_last_increase == want.xnorm_last_increase
     assert got.initial_sign_functional == want.initial_sign_functional
     assert got.initial_layers.tobytes() == want.initial_layers.tobytes()
-    assert (got.fields is None) == (want.fields is None)
-    if want.fields is not None:
-        for name, frames in want.fields.items():
-            assert got.fields[name].shape == frames.shape, name
-            assert got.fields[name].tobytes() == frames.tobytes(), name
+    assert (got.frames is None) == (want.frames is None)
+    if want.frames is not None:
+        assert got.frames.shape == want.frames.shape
+        assert got.frames.tobytes() == want.frames.tobytes()
 
 
 @pytest.mark.parametrize("cfg, amplitudes", [
@@ -629,9 +634,8 @@ def test_half_spectrum_matches_full_spectrum(cfg, amplitudes):
         assert (got.outcome, got.meta["steps_taken"]) == (outcome, steps)
         assert got.blowup_time == blowup_time
         assert got.times == times
-        for name, k in (("layer0", 0), ("layer_ell", cfg.ell)):
-            for have, want in zip(got.fields[name], frames[:, k]):
-                assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
+        for have, want in zip(got.frames, frames[:, cfg.ell]):
+            assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
         for k in range(cfg.ell + 1):
             want = [grid_norms(frame, weight, p) for frame in frames[:, k]]
             for norm in ("L1", "L2", "Lp", "Linf"):
