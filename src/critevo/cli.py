@@ -117,7 +117,6 @@ DECAY = {
     "n_times": Key("int", 40, ok=lambda v: v >= 10, rule=">= 10"),
     "tol": Key("number", 0.05, **_POSITIVE),
     "grid": Key("object", None),
-    "dt": Key("number", 0.05),
     "fit_mode": Key("str", "at-least-as-fast", ok=lambda v: v in FIT_MODES,
                     rule=f"one of {list(FIT_MODES)}"),
 }
@@ -301,13 +300,12 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
         exact = _critical_power(op, ell, "p_c")
         p_c = float(exact)
         notes.append(f"p_c resolved to {exact} = {p_c}")
-    # whole-space decay has no grid or time step; torus decay fits the solver's
-    # recorded times, not n_times samples
-    other, unread = (("torus", ("grid", "dt")) if v["mode"] == "whole-space"
-                     else ("whole-space", ("n_times",)))
-    for name in unread:
-        if name in cfg:
-            raise ValidationError(f"config.{name} is read only in {other} mode")
+    # whole-space decay has no grid; torus decay fits the solver's recorded
+    # times, not n_times samples
+    other, unread = (("torus", "grid") if v["mode"] == "whole-space"
+                     else ("whole-space", "n_times"))
+    if unread in cfg:
+        raise ValidationError(f"config.{unread} is read only in {other} mode")
     torus_grid = _grid_from(v["grid"], op) if v["mode"] == "torus" else None
     targets = None
     if v["targets"] is not None:
@@ -328,7 +326,6 @@ def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
         n_times=v["n_times"],
         tol=v["tol"],
         torus_grid=torus_grid,
-        torus_dt=v["dt"],
         targets=targets,
         fit_mode=v["fit_mode"],
     )
@@ -441,25 +438,6 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
     return {"residual": res.residual, "outcome": run_outcome}
 
 
-_SWEEPABLE = {
-    # parameter -> {task: path into the config}
-    "gamma": {"mu-check": ("mu", "gamma"),
-              "simulate": ("nonlinearity", "mu", "gamma"),
-              "residual": ("nonlinearity", "mu", "gamma")},
-    "amplitude": {"simulate": ("amplitude",), "residual": ("amplitude",)},
-    "p": {"mu-check": ("p",), "simulate": ("nonlinearity", "p"),
-          "residual": ("nonlinearity", "p")},
-    # "critical" powers re-resolve inside each run, so an n sweep stays
-    # consistent; the operator must be inline and dimension-free (fractional
-    # terms), else per-value validation rejects it
-    "n": {"exponent": ("operator", "n"), "envelope": ("operator", "n"),
-          "simulate": ("operator", "n"), "residual": ("operator", "n"),
-          "decay": ("operator", "n")},
-    "N": {"simulate": ("grid", "N"), "residual": ("grid", "N")},
-    "dt": {"simulate": ("dt",), "residual": ("dt",), "decay": ("dt",)},
-}
-
-
 def _set_path(doc: dict, path: tuple[str, ...], value) -> None:
     """doc[path[0]]...[path[-1]] = value, creating missing objects on the way."""
     node = doc
@@ -478,36 +456,36 @@ def _failed(entry: dict, exc: ValidationError | NumericalError) -> None:
 def _simulate_batch(batch: list, out_dir: Path) -> None:
     """Run validated simulate values that differ only in amplitude as one batch.
 
-    Each value_NNN/ gets the artifacts a standalone simulate run writes.  If
-    the batch fails, every value runs alone, so each gets its own status.
+    Each value_NNN/ gets the artifacts a standalone simulate run writes.
+    Nothing that run checks depends on the amplitude, so an error of the
+    batch is the error of every value.
     """
-    configs = [rc for _, _, rc, _ in batch]
     try:
-        reports = run(configs[0], amplitudes=[rc.amplitude for rc in configs])
-    except (ValidationError, NumericalError):
-        reports = None
-    for k, (entry, sub, rc, notes) in enumerate(batch):
-        try:
-            report = run(rc) if reports is None else reports[k]
-            entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report,
-                                                              out_dir / entry["dir"]))
-        except (ValidationError, NumericalError) as exc:
+        reports = run(batch[0][2], amplitudes=[rc.amplitude for _, _, rc, _ in batch])
+    except (ValidationError, NumericalError) as exc:
+        for entry, *_ in batch:
             _failed(entry, exc)
+        return
+    for (entry, sub, rc, notes), report in zip(batch, reports):
+        entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report,
+                                                          out_dir / entry["dir"]))
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SWEEP, "config")
     task, parameter, values = v["task"], v["parameter"], v["values"]
-    if task not in _SWEEPABLE[parameter]:
+    # the first key is checked against the table the task reads its base
+    # config with; the keys below it are judged per value by the task itself
+    path = tuple(parameter.split("."))
+    table = RESIDUAL_RUN if task == "residual" and "run" in v["config"] else TABLES[task]
+    if not all(path) or path[0] not in table:
         raise ValidationError(
-            f"parameter {parameter!r} cannot be swept for task {task!r} "
-            f"(supported tasks: {sorted(_SWEEPABLE[parameter])})"
-        )
-    path_spec = _SWEEPABLE[parameter][task]
+            f"parameter {parameter!r} is not a dotted path into the {task} config "
+            f"(its keys: {sorted(table)})")
 
     # an amplitude sweep of simulate changes nothing but the amplitude, so its
     # valid values step together as one batch
-    batched = task == "simulate" and parameter == "amplitude"
+    batched = task == "simulate" and path == ("amplitude",)
     runs, batch = [], []
     for idx, value in enumerate(values):
         sub = copy.deepcopy(v["config"])
@@ -516,7 +494,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
                  "dir": f"value_{idx:03d}"}
         runs.append(entry)
         try:
-            _set_path(sub, path_spec, value)
+            _set_path(sub, path, value)
             if batched:
                 batch.append((entry, sub, *_sim_config(read(sub, SIMULATE, "config"), base)))
             else:
@@ -555,7 +533,7 @@ _TASKS = sorted(set(_COMMANDS) - {"sweep"})
 SWEEP = {
     **COMMON,
     "task": Key("str", ok=lambda v: v in _TASKS, rule=f"one of {_TASKS}"),
-    "parameter": Key("str", ok=lambda v: v in _SWEEPABLE, rule=f"one of {sorted(_SWEEPABLE)}"),
+    "parameter": Key("str"),
     "values": Key("list", ok=lambda v: len(v) > 0, rule="a non-empty list"),
     "config": Key("object"),
 }

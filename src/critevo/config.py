@@ -43,7 +43,7 @@ class Key:
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '7/3', and exactly-representable floats."""
+    """Coerce ints, strings like '7/3', and floats equal to a fraction a/b, b <= 10**9."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -58,7 +58,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError("rational value must be finite")
-        return Fraction(value).limit_denominator(10**9)
+        frac = Fraction(value).limit_denominator(10**9)
+        if float(frac) != value:
+            raise ValidationError(f"{value!r} is not a/b with b <= 10**9; pass it as \"a/b\"")
+        return frac
     raise ValidationError(f"cannot parse rational from {value!r}")
 
 

@@ -334,9 +334,13 @@ def parse_operator(doc: Mapping) -> EvolutionOperator:
     """Validate and build an operator from its JSON document (fail-closed)."""
     v = read(doc, _OPERATOR, "operator")
     levels: dict[int, tuple[SpatialTerm, ...]] = {}
+    named: dict[int, str] = {}
     for key, terms_doc in v["levels"].items():
         where = f"operator.levels[{key!r}]"
         j = check(Key("int"), loads(str(key), f"{where} key"), f"{where} key")
+        if j in named:
+            raise ValidationError(f"operator.levels keys {named[j]!r} and {key!r} name level {j}")
+        named[j] = key
         levels[j] = tuple(_parse_term(t) for t in check(Key("list"), terms_doc, where))
     return EvolutionOperator(m=v["m"], n=v["n"], levels=levels)
 

@@ -63,8 +63,8 @@ class Grid:
             raise ValidationError("grid supports n = 1 or 2")
         if not (isinstance(self.N, int) and self.N >= 8 and self.N % 2 == 0):
             raise ValidationError("N must be an even integer >= 8")
-        if not (self.L > 0):
-            raise ValidationError("box length L must be > 0")
+        if not (self.L > 0 and 0 < math.prod([self.L / self.N] * self.n) < math.inf):
+            raise ValidationError(f"box length L must be > 0 with (L/N)^n a float, got {self.L!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -143,8 +143,9 @@ class DataProfile:
     def __post_init__(self):
         if self.kind not in ("gaussian", "bump", "custom_table"):
             raise ValidationError(f"unknown profile kind {self.kind!r}")
-        if self.kind != "custom_table" and not (self.width > 0):
-            raise ValidationError("profile width must be > 0")
+        square = self.width * self.width
+        if self.kind != "custom_table" and not (self.width > 0 and 0 < square < math.inf):
+            raise ValidationError(f"profile width must be > 0 with a float square: {self.width!r}")
         if self.kind == "custom_table" and not self.values:
             raise ValidationError("custom_table profile needs values")
 
@@ -245,6 +246,15 @@ def initial_sign_functional(op: EvolutionOperator, ell: int,
     return 0.0 if abs(total) <= bound else total
 
 
+def _grid_companion(op: EvolutionOperator, grid: Grid, xi: list[np.ndarray]) -> np.ndarray:
+    """op.companion(xi) at wavenumbers of the grid; a non-finite symbol is invalid input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = op.companion(xi)
+    if not np.isfinite(A).all():
+        raise ValidationError(f"the symbol overflows on a grid of L = {grid.L!r}; enlarge grid.L")
+    return A
+
+
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
@@ -269,7 +279,7 @@ class ModePropagator:
         self.grid = grid
         self.dt = float(dt)
         m = op.m
-        A = op.companion([k[grid.half] for k in grid.wavenumbers()])
+        A = _grid_companion(op, grid, [k[grid.half] for k in grid.wavenumbers()])
         rows = np.ascontiguousarray(A).reshape(-1, m * m)
         # a void view compares the raw bytes, so -0.0 and 0.0 stay apart
         keys = rows.view(np.dtype((np.void, rows.itemsize * m * m))).ravel()
@@ -401,7 +411,7 @@ class RunReport:
 
 def box_horizon(op: EvolutionOperator, grid: Grid) -> float:
     """Decay horizon of the slowest axis's smallest nonzero mode (inf if undamped)."""
-    A = op.companion(list(2 * np.pi / grid.L * np.eye(grid.n)))
+    A = _grid_companion(op, grid, list(2 * np.pi / grid.L * np.eye(grid.n)))
     rate = -float(np.max(np.real(np.linalg.eigvals(A))))
     if rate <= 1e-300:
         return math.inf

@@ -10,7 +10,6 @@ import pytest
 
 from critevo import cli
 from critevo.envelope import critical_exponent
-from critevo.errors import NumericalError
 from critevo.operators import damped_wave, sigma_evolution
 from critevo.reporting import dumps_json
 from critevo.solver import Grid, parse_profile
@@ -335,7 +334,7 @@ def test_decay_flags_with_explicit_target(op_file, tmp_path):
 
 def test_sweep_isolates_invalid_values(op_file, tmp_path):
     cfg = write_json(tmp_path / "sweep.json", {
-        "schema_version": 1, "task": "simulate", "parameter": "N",
+        "schema_version": 1, "task": "simulate", "parameter": "grid.N",
         "values": [32, 7],
         "config": sim_config(op_file, T=1.0),
     })
@@ -363,14 +362,14 @@ def _amplitude_sweep(op_file, tmp_path, values):
     return base, out, json.loads((out / "sweep_index.json").read_text())
 
 
-def _assert_same_as_standalone(base, value, run_dir, tmp_path):
-    sub = write_json(tmp_path / f"alone_{value}.json", {**base, "amplitude": value})
-    alone = tmp_path / f"alone_{value}"
-    assert cli.main(["simulate", "--config", str(sub), "--out-dir", str(alone)]) == 0
+def _assert_same_as_standalone(task, config, run_dir, tmp_path):
+    sub = write_json(tmp_path / f"alone_{run_dir.name}.json", config)
+    alone = tmp_path / f"alone_{run_dir.name}"
+    assert cli.main([task, "--config", str(sub), "--out-dir", str(alone)]) == 0
     names = sorted(os.listdir(alone))
     assert sorted(os.listdir(run_dir)) == names
     for name in names:
-        assert (run_dir / name).read_bytes() == (alone / name).read_bytes(), (value, name)
+        assert (run_dir / name).read_bytes() == (alone / name).read_bytes(), (run_dir, name)
 
 
 def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
@@ -384,31 +383,53 @@ def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
     assert doc["runs"][3]["summary"]["blowup_time"] != doc["runs"][4]["summary"]["blowup_time"]
     for entry in doc["runs"]:
         if entry["status"] == "ok":
-            _assert_same_as_standalone(base, entry["value"], out / entry["dir"], tmp_path)
+            _assert_same_as_standalone("simulate", {**base, "amplitude": entry["value"]},
+                                       out / entry["dir"], tmp_path)
 
 
-def test_amplitude_sweep_reruns_values_alone_when_the_batch_fails(op_file, tmp_path,
-                                                                   monkeypatch):
-    real_run = cli.run
-    calls = []
+@pytest.mark.parametrize("task, parameter", [
+    ("simulate", "gird.N"), ("simulate", "N"), ("simulate", "gamma"), ("simulate", "p"),
+    ("simulate", "grid..N"), ("simulate", "grid."), ("mu-check", "gamma"),
+    ("residual-run", "amplitude"),
+])
+def test_sweep_path_outside_the_task_table_exits_2(bases, tmp_path, capsys, task, parameter):
+    # the path is checked against the table the task reads its base config with
+    config = {k: v for k, v in bases[task].items() if k != "schema_version"}
+    rc, out = _run(tmp_path, "sweep", {**SCHEMA, "task": task.replace("-run", ""),
+                                       "parameter": parameter, "values": [1, 2],
+                                       "config": config})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"parameter {parameter!r} is not a dotted path" in err
+    assert repr(sorted(cli.RESIDUAL_RUN if task == "residual-run" else cli.TABLES[task])) in err
 
-    def flaky(config, amplitudes=None):
-        calls.append(amplitudes)
-        if amplitudes is not None:
-            raise NumericalError("batch failed")
-        if config.amplitude == 0.3:
-            raise NumericalError("diverged at 0.3")
-        return real_run(config)
 
-    monkeypatch.setattr(cli, "run", flaky)
-    base, out, doc = _amplitude_sweep(op_file, tmp_path, [0.0, 0.3, "big", 0.9])
-    assert calls == [[0.0, 0.3, 0.9], None, None, None]
-    assert [r["status"] for r in doc["runs"]] == ["ok", "numerical_failure", "invalid", "ok"]
-    assert doc["runs"][1]["message"] == "diverged at 0.3"
-    assert not (out / "value_001").exists()
-    monkeypatch.setattr(cli, "run", real_run)
-    for entry in (doc["runs"][0], doc["runs"][3]):
-        _assert_same_as_standalone(base, entry["value"], out / entry["dir"], tmp_path)
+def test_sweep_of_a_nested_path_writes_standalone_artifacts(op_file, tmp_path):
+    base = sim_config(op_file, T=1.0, record_fields=True)
+    rc, out = _run(tmp_path / "sweep", "sweep", {
+        **SCHEMA, "task": "simulate", "parameter": "profile.width", "values": [1.5, 2.0],
+        "config": base})
+    assert rc == 0
+    doc = json.loads((out / "sweep_index.json").read_text())
+    assert [r["status"] for r in doc["runs"]] == ["ok", "ok"]
+    for entry in doc["runs"]:
+        sub = {**base, "profile": {**base["profile"], "width": entry["value"]}}
+        _assert_same_as_standalone("simulate", sub, out / entry["dir"], tmp_path)
+
+
+def test_n_sweep_of_an_operator_file(tmp_path):
+    # "n" is the top-level dimension override, so the operator need not be inline
+    frac = write_json(tmp_path / "frac.json", json.loads(dumps_json(sigma_evolution(1, 2, 0))))
+    base = {**SCHEMA, "operator": str(frac)}
+    rc, out = _run(tmp_path / "sweep", "sweep", {
+        **SCHEMA, "task": "exponent", "parameter": "n", "values": [1, 3], "config": base})
+    assert rc == 0
+    doc = json.loads((out / "sweep_index.json").read_text())
+    assert [r["summary"]["p_c"] for r in doc["runs"]] == ["5", "7/3"]
+    for entry in doc["runs"]:
+        _assert_same_as_standalone("exponent", {**base, "n": entry["value"]},
+                                   out / entry["dir"], tmp_path)
 
 
 @pytest.mark.parametrize("module, absent", [
@@ -501,7 +522,7 @@ def test_simulate_with_an_out_of_domain_mu_exits_2_and_writes_nothing(op_file, t
 
 def test_sweep_empty_values_exit_2(op_file, tmp_path, capsys):
     cfg = write_json(tmp_path / "sweep.json", {
-        "schema_version": 1, "task": "simulate", "parameter": "N",
+        "schema_version": 1, "task": "simulate", "parameter": "grid.N",
         "values": [], "config": sim_config(op_file),
     })
     assert cli.main(["sweep", "--config", str(cfg),
@@ -596,7 +617,7 @@ _TABLE_KEYS = {
                  "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
                  "record_fields"],
     "decay": ["schema_version", "operator", "ell", "n", "mode", "q_list",
-              "window", "width", "targets", "p_c", "n_times", "tol", "grid", "dt", "fit_mode"],
+              "window", "width", "targets", "p_c", "n_times", "tol", "grid", "fit_mode"],
     "residual": ["schema_version", "operator", "ell", "n", "grid", "profile",
                  "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
                  "test_function"],
@@ -615,17 +636,23 @@ def test_config_tables_are_pinned():
 
 def test_whole_space_decay_rejects_torus_keys(bases, tmp_path, capsys):
     whole = {**SCHEMA, "operator": bases["decay"]["operator"]}
-    for key, value in (("grid", {"N": 3, "L": -1}), ("dt", -5.0)):
-        rc, out = _run(tmp_path / key, "decay", {**whole, key: value})
+    rc, out = _run(tmp_path / "grid", "decay", {**whole, "grid": {"N": 3, "L": -1}})
+    assert rc == 2
+    assert not out.exists()
+    assert "config.grid" in capsys.readouterr().err
+    # neither mode has a time step: torus decay steps once per record
+    for mode in ("whole-space", "torus"):
+        cfg = {**bases["decay"], "mode": mode, "dt": 0.05}
+        rc, out = _run(tmp_path / f"dt-{mode}", "decay", cfg)
         assert rc == 2
         assert not out.exists()
-        assert f"config.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and "'dt'" in err
     assert _run(tmp_path / "torus", "decay", bases["decay"])[0] == 0
     rc, out = _run(tmp_path / "sweep", "sweep", {
         **SCHEMA, "task": "decay", "parameter": "dt", "values": [0.05, 0.1], "config": whole})
-    assert rc == 0
-    runs = json.loads((out / "sweep_index.json").read_text())["runs"]
-    assert [r["status"] for r in runs] == ["invalid", "invalid"]
+    assert rc == 2
+    assert not out.exists()
 
 
 _BAD_TEST_FUNCTIONS = {
@@ -702,7 +729,7 @@ def test_coerced_values_are_rejected(bases, tmp_path, capsys, task, path, value)
 
 
 def test_sweep_records_fractional_N_as_invalid(bases, tmp_path):
-    cfg = {**SCHEMA, "task": "simulate", "parameter": "N", "values": [32.9],
+    cfg = {**SCHEMA, "task": "simulate", "parameter": "grid.N", "values": [32.9],
            "config": bases["simulate"]}
     rc, out = _run(tmp_path, "sweep", cfg)
     assert rc == 0
@@ -810,6 +837,66 @@ def test_decay_targets_naming_one_q_twice_exit_2(op_file, tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "config.targets keys '2' and '2.0' both name q = 2" in capsys.readouterr().err
+
+
+def test_operator_levels_naming_one_level_twice_exit_2(tmp_path, capsys):
+    # "0" and " 0" parse to the same level: neither may silently win
+    term = {"kind": "fractional_laplacian", "coeff": 1.0}
+    operator = {**SCHEMA, "m": 2, "n": 1, "levels": {
+        "0": [{**term, "power": "1"}], " 0": [{**term, "power": "2", "coeff": 5.0}],
+        "1": [{**term, "power": "0"}]}}
+    rc, out = _run(tmp_path, "exponent", {**SCHEMA, "operator": operator})
+    assert rc == 2
+    assert not out.exists()
+    assert "operator.levels keys '0' and ' 0' name level 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, config", [
+    # r_0 = 2e-12 > 0, which the old rounding to power 0 read as degenerate
+    ("exponent", {"operator": {**SCHEMA, "m": 2, "n": 1, "levels": {
+        "0": [{"kind": "fractional_laplacian", "power": 1e-12, "coeff": 1.0}],
+        "1": [{"kind": "fractional_laplacian", "power": "0", "coeff": 1.0}]}}}),
+    ("envelope", {"eta_max": 1e-300}),
+], ids=["power", "eta_max"])
+def test_float_rational_that_is_no_small_fraction_exits_2(bases, tmp_path, capsys, task,
+                                                          config):
+    rc, out = _run(tmp_path, task, {**bases[task], **config})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "10**9" in err and '"a/b"' in err and "must be > 0" not in err
+
+
+_EXTREME = {
+    # task, config entries, the key its error names
+    "decay-width-small": ("decay", {"width": 1e-200}, "width"),
+    "decay-width-large": ("decay", {"width": 1e200}, "width"),
+    "decay-tail-symbol": ("decay", {"operator": "sigma", "p_c": 3.0, "width": 1e-100}, "width"),
+    "torus-decay-symbol": ("decay", {"mode": "torus", "grid": {"N": 64, "L": 1e-160},
+                                     "width": 2e-162, "window": [1.0, 10.0]}, "grid.L"),
+    "simulate-L-small": ("simulate", {"grid": {"N": 64, "L": 1e-160},
+                                      "profile": {"width": 1e-162}}, "profile width"),
+    "simulate-L-symbol": ("simulate", {"grid": {"N": 64, "L": 1e-160},
+                                       "profile": {"width": 2e-162}}, "grid.L"),
+    "simulate-L-large": ("simulate", {"grid": {"N": 64, "L": 1e200},
+                                      "profile": {"width": 1e198}}, "profile width"),
+    "simulate-2d-cell": ("simulate", {"operator": "2d", "grid": {"N": 64, "L": 1e200},
+                                      "profile": {"width": 1e150}}, "box length L"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME))
+def test_extreme_numbers_exit_2_naming_the_key(op_file, tmp_path, capsys, case):
+    task, entries, named = _EXTREME[case]
+    base = {**SCHEMA, "operator": str(op_file)}
+    cfg = {**(sim_config(op_file, T=1.0) if task == "simulate" else base), **entries}
+    inline = {"sigma": sigma_evolution(1, 2, 1), "2d": damped_wave(2)}
+    if cfg["operator"] in inline:
+        cfg["operator"] = json.loads(dumps_json(inline[cfg["operator"]]))
+    rc, out = _run(tmp_path, task, cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
 
 
 _UNREAD_PROFILE_KEYS = [

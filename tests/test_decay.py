@@ -225,7 +225,7 @@ def test_torus_mode_entries():
     grid = Grid(n=1, N=128, L=60.0)
     rep = check_linear_decay_hypothesis(
         op, ell=0, p_c=3.0, q_list=[3.0, math.inf], mode="torus",
-        torus_grid=grid, torus_dt=0.05, window=(1.0, 30.0))
+        torus_grid=grid, window=(1.0, 30.0))
     assert rep.mode == "torus"
     qs = [e.q for e in rep.entries]
     assert qs == [3.0, math.inf]
@@ -236,7 +236,7 @@ def test_torus_mode_entries():
     small = Grid(n=1, N=64, L=12.0)
     rep2 = check_linear_decay_hypothesis(
         op, ell=0, p_c=3.0, q_list=[3.0], mode="torus",
-        torus_grid=small, torus_dt=0.05, window=(1.0, 30.0),
+        torus_grid=small, window=(1.0, 30.0),
         profile=RadialProfile(width=0.7))
     assert any("horizon" in note for note in rep2.notes)
 
