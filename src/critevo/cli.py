@@ -60,7 +60,8 @@ OPERATOR = {
 GRID = {"N": Key("int"), "L": Key("number")}
 NONLINEARITY = {"p": Key("number", words=("critical",)),
                 "mu": Key("object", {"family": "constant"})}
-# the ranges TestFunctionSpec enforces, checked before an inline residual's run
+# make_test_function's keywords and defaults, with the ranges TestFunctionSpec
+# enforces, so an inline residual's test function is checked before its run
 TEST_FUNCTION = {
     "eta_bar": Key("rational", "critical", words=("critical",), **_POSITIVE),
     "scale": Key("number", "auto", words=("auto",), **_POSITIVE),
@@ -397,32 +398,11 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
         run_outcome = report.outcome
         run_meta = report.meta
 
-    eta_bar = tf["eta_bar"]
-    exp_rep = None
-    if eta_bar == "critical" or tf["q_tf"] is None:
-        exp_rep = critical_exponent(op, ell, op.n)
-    if eta_bar == "critical":
-        if exp_rep.eta_star == INF:
-            raise ValidationError(
-                "critical scaling weight is infinite; pass test_function.eta_bar"
-            )
-        eta_bar = as_fraction(exp_rep.eta_star)
-        notes.append(f"eta_bar resolved to {eta_bar}")
-        if eta_bar <= 0:
-            raise ValidationError(
-                "critical eta is 0; pass a positive test_function.eta_bar"
-            )
-    t_end = float(times[-1])
-    scale = tf["scale"]
-    if scale == "auto":
-        scale = 0.98 * min(t_end, (grid.L / 2.0) ** float(eta_bar))
-        notes.append(f"test function scale resolved to {scale!r}")
-    p_c_for_q = exp_rep.p_c if exp_rep is not None else INF
-    spec = make_test_function(
-        op, ell, p_c_for_q, scale, eta_bar, grid=grid, q_tf=tf["q_tf"],
-        flat_fraction=tf["flat_fraction"], smooth_order=tf["smooth_order"],
-        reg_epsilon=tf["reg_epsilon"],
-    )
+    spec = make_test_function(op, ell, grid, float(times[-1]), **tf)
+    if tf["eta_bar"] == "critical":
+        notes.append(f"eta_bar resolved to {spec.eta_bar}")
+    if tf["scale"] == "auto":
+        notes.append(f"test function scale resolved to {spec.scale!r}")
     res = weak_residual(op, ell, grid, times, frames, spec, nl=nl,
                         initial_layers=initial_layers)
     doc = reporting.artifact("residual", {

@@ -46,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import as_fraction
+from .envelope import critical_exponent
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator
@@ -81,15 +82,16 @@ class TestFunctionSpec:
     ``eta_bar`` sets the parabolic-type spatial scaling |x|^eta_bar;
     ``scale`` is R; ``flat_fraction`` the end of the chi == 1 core;
     ``reg_epsilon`` regularizes |x|^eta_bar at the origin when eta_bar/2
-    is not an integer (0 keeps the bare power).
+    is not an integer (0 keeps the bare power).  Every field is the resolved
+    value; ``make_test_function`` derives the defaults from the operator.
     """
 
     eta_bar: Fraction
     scale: float
     q_tf: int
-    flat_fraction: float = 0.5
-    smooth_order: int = 6
-    reg_epsilon: float = 0.0
+    flat_fraction: float
+    smooth_order: int
+    reg_epsilon: float
 
     __test__ = False  # keep pytest from collecting the Test* name
 
@@ -199,17 +201,29 @@ def default_q_tf(op: EvolutionOperator, ell: int, p_c) -> int:
     return max(1, math.ceil(worst * dual))
 
 
-def make_test_function(op: EvolutionOperator, ell: int, p_c, scale: float,
-                       eta_bar, grid: Grid,
-                       q_tf: int | None = None, flat_fraction: float = 0.5,
-                       smooth_order: int | None = None,
+def make_test_function(op: EvolutionOperator, ell: int, grid: Grid, t_end: float,
+                       eta_bar="critical", scale="auto", q_tf: int | None = None,
+                       flat_fraction: float = 0.5, smooth_order: int | None = None,
                        reg_epsilon: float | None = None) -> TestFunctionSpec:
-    """Defaults wired to the operator: q_tf from the dual exponent, smoothness
-    covering every derivative the identity takes, regularization only when
-    |x|^eta_bar itself is not smooth."""
+    """The test function for a run of (op, ell) on ``grid`` recorded up to
+    ``t_end``, every default resolved: "critical" eta_bar is eta* of (op, ell);
+    "auto" scale is 0.98 min(t_end, (L/2)^eta_bar), inside the recorded times
+    and the box; q_tf is ``default_q_tf`` at p_c; smooth_order is
+    max(6, ceil(d) + 2, m - ell + 2), covering every derivative the identity
+    takes (d the largest spatial order); reg_epsilon is 0 when eta_bar is an
+    even integer (|x|^eta_bar is then smooth) and h/4 otherwise."""
+    rep = critical_exponent(op, ell, op.n) if eta_bar == "critical" or q_tf is None else None
+    if eta_bar == "critical":
+        if rep.eta_star == math.inf:
+            raise ValidationError("critical scaling weight is infinite; pass test_function.eta_bar")
+        if rep.eta_star <= 0:
+            raise ValidationError("critical eta is 0; pass a positive test_function.eta_bar")
+        eta_bar = rep.eta_star
     eta_bar = as_fraction(eta_bar)
+    if scale == "auto":
+        scale = 0.98 * min(t_end, (grid.L / 2.0) ** float(eta_bar))
     if q_tf is None:
-        q_tf = default_q_tf(op, ell, p_c)
+        q_tf = default_q_tf(op, ell, rep.p_c)
     if smooth_order is None:
         smooth_order = max(6, int(math.ceil(op.max_spatial_order())) + 2, op.m - ell + 2)
     if reg_epsilon is None:
@@ -328,8 +342,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     lhs_ip = np.empty(times.size)
     acc = None  # acc[d] = (D_t^-d psi)^ at the current frame
     for t in range(times.size - 1, -1, -1):
-        s = (times[t] + rho) / tf.scale
-        G = {k: tf.weight(k, s) / tf.scale**k for k in orders}
+        G = {k: tf.time_derivative(k, times[t], rho) for k in orders}
         G_hat = {k: np.fft.rfftn(G[k]) for k in transformed}
         frame = frames[t]
         f_hat = np.fft.rfftn(frame) if transformed else None

@@ -197,7 +197,7 @@ def test_criterion_08_weak_residual_refinement(acceptance):
         rep = run(RunConfig(op=op, grid=grid,
                             profile=SolverProfile(kind="gaussian", width=2.0),
                             ell=0, dt=dt, T=T, record_every=2, record_fields=True))
-        tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+        tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(rep.times),
                            np.asarray(rep.frames), tf,
                            initial_layers=rep.initial_layers)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from critevo import cli
 from critevo.envelope import critical_exponent
 from critevo.operators import damped_wave, sigma_evolution
 from critevo.reporting import dumps_json
+from critevo.residual import make_test_function
 from critevo.solver import Grid, parse_profile
 
 SCHEMA = {"schema_version": 1}
@@ -209,6 +211,29 @@ def test_residual_on_recorded_run(op_file, tmp_path):
     assert cli.main(["simulate", "--config", str(sim2), "--out-dir", str(bare_dir)]) == 0
     res2 = write_json(tmp_path / "res2.json", {**SCHEMA, "run": str(bare_dir)})
     assert cli.main(["residual", "--config", str(res2), "--out-dir", str(out)]) == 2
+
+
+def test_test_function_table_defaults_are_the_resolvers():
+    # the table checks an inline residual's test function before its run;
+    # make_test_function alone resolves it, so the defaults must be its own
+    params = inspect.signature(make_test_function).parameters
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert {name: key.default for name, key in cli.TEST_FUNCTION.items()} == defaults
+
+
+def test_recorded_residual_reports_the_resolved_test_function(op_file, tmp_path):
+    sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=4.0, record_fields=True))
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
+    res = write_json(tmp_path / "res.json", {**SCHEMA, "run": str(run_dir)})
+    out = tmp_path / "r"
+    assert cli.main(["residual", "--config", str(res), "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "residual.json").read_text())
+    t_end = float(np.load(run_dir / "fields_times.npy")[-1])
+    spec = make_test_function(damped_wave(1), 0, Grid(n=1, N=64, L=40.0), t_end)
+    assert doc["report"]["test_function"] == json.loads(dumps_json(spec))
+    assert doc["notes"] == ["eta_bar resolved to 2",
+                            f"test function scale resolved to {spec.scale!r}"]
 
 
 def test_residual_of_a_nan_field_exits_2(op_file, tmp_path, capsys):

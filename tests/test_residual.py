@@ -14,6 +14,7 @@ from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional
 from helpers import monomial_op
 
 BOX = dict(n=1, N=128, L=40.0)
+VALID = dict(eta_bar=2, scale=1.0, q_tf=1, flat_fraction=0.5, smooth_order=6, reg_epsilon=0.0)
 
 
 def exact_mode(grid, op_roots_coeffs, mode=3):
@@ -30,7 +31,8 @@ def exact_mode(grid, op_roots_coeffs, mode=3):
 
 
 def test_weight_matches_finite_differences():
-    tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3)
+    tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, flat_fraction=0.5, smooth_order=6,
+                          reg_epsilon=0.0)
     s = np.linspace(0.05, 1.1, 1501)
     h = 1e-6
     keep = (np.abs(s - tf.flat_fraction) > 1e-4) & (np.abs(s - 1.0) > 1e-4)
@@ -42,7 +44,8 @@ def test_weight_matches_finite_differences():
 
 
 def test_weight_piecewise_support():
-    tf = TestFunctionSpec(eta_bar=2, scale=5.0, q_tf=4)
+    tf = TestFunctionSpec(eta_bar=2, scale=5.0, q_tf=4, flat_fraction=0.5, smooth_order=6,
+                          reg_epsilon=0.0)
     s = np.array([0.0, 0.2, 0.5])
     assert np.all(tf.weight(0, s) == 1.0)
     for k in (1, 2):
@@ -55,7 +58,8 @@ def test_weight_piecewise_support():
 def test_weight_stable_at_support_edge():
     # chi^q has a high-multiplicity zero at s = 1; naive monomial expansion
     # of the power loses all significant digits there
-    tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, smooth_order=6)
+    tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, flat_fraction=0.5, smooth_order=6,
+                          reg_epsilon=0.0)
     s = np.array([1.0 - 1e-3, 1.0 - 1e-5])
     for k in (0, 1, 2):
         vals = np.abs(tf.weight(k, s))
@@ -70,7 +74,8 @@ def test_descent_closed_forms_match_the_incomplete_beta():
 
     u = np.linspace(0.0, 1.0, 2001)
     for o in (1, 2, 6, 12):
-        tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, smooth_order=o)
+        tf = TestFunctionSpec(eta_bar=2, scale=10.0, q_tf=3, flat_fraction=0.5, smooth_order=o,
+                              reg_epsilon=0.0)
         assert tf._beta_norm == pytest.approx(special.beta(o + 1, o + 1), rel=1e-14)
         ref = 1.0 - special.betainc(o + 1, o + 1, u)
         row = tf._chi_taylor(0, u)[0]
@@ -95,29 +100,71 @@ def test_default_q_tf_hand_values():
 def test_make_test_function_defaults():
     grid = Grid(**BOX)
     dw = damped_wave(1)
-    tf = make_test_function(dw, 0, 3, 12.0, 2, grid=grid)
-    assert tf.q_tf == 3
-    assert tf.smooth_order == 6
-    assert tf.reg_epsilon == 0.0
-    odd = make_test_function(dw, 0, 3, 12.0, 1, grid=grid)
+    tf = make_test_function(dw, 0, grid, 12.0)
+    # eta* = 2 and p_c = 3 for the damped wave; R stops short of the run's end
+    assert tf == TestFunctionSpec(eta_bar=2, scale=0.98 * 12.0, q_tf=3, flat_fraction=0.5,
+                                  smooth_order=6, reg_epsilon=0.0)
+    # ... or of the box edge, (L/2)^eta_bar = 20 for eta_bar = 1
+    odd = make_test_function(dw, 0, grid, 100.0, eta_bar=1)
+    assert odd.scale == 0.98 * 20.0
     assert odd.reg_epsilon == pytest.approx(grid.h / 4.0)
-    override = make_test_function(dw, 0, 3, 12.0, 2, grid=grid, q_tf=9)
-    assert override.q_tf == 9
+    override = make_test_function(dw, 0, grid, 12.0, eta_bar=2, scale=5.0, q_tf=9,
+                                  flat_fraction=0.25, smooth_order=8, reg_epsilon=0.1)
+    assert override == TestFunctionSpec(eta_bar=2, scale=5.0, q_tf=9, flat_fraction=0.25,
+                                        smooth_order=8, reg_epsilon=0.1)
+    # (-Lap)^3 of sigma-evolution (1, 3, 1) takes 6 + 2 derivatives
+    sigma3 = make_test_function(sigma_evolution(1, 3, 1), 0, grid, 12.0, eta_bar=2, q_tf=3)
+    assert sigma3.smooth_order == 8
+
+
+def test_make_test_function_computes_the_exponent_once_and_only_when_needed(monkeypatch):
+    from critevo import residual
+
+    calls = []
+    exact = residual.critical_exponent
+    monkeypatch.setattr(residual, "critical_exponent",
+                        lambda *args: calls.append(args) or exact(*args))
+    grid = Grid(**BOX)
+    dw = damped_wave(1)
+    make_test_function(dw, 0, grid, 12.0)
+    assert calls == [(dw, 0, 1)]
+    make_test_function(dw, 0, grid, 12.0, eta_bar=2, q_tf=3)
+    assert len(calls) == 1
+    make_test_function(dw, 0, grid, 12.0, eta_bar=2)
+    make_test_function(dw, 0, grid, 12.0, q_tf=3)
+    assert len(calls) == 3
+
+
+def test_make_test_function_errors():
+    grid = Grid(**BOX)
+    with pytest.raises(ValidationError, match="critical eta is 0"):
+        make_test_function(damped_wave(1), 1, grid, 12.0)
+    with pytest.raises(ValidationError, match="q_tf default needs p_c > 1"):
+        make_test_function(damped_wave(1), 1, grid, 12.0, eta_bar=2)
+    bare = EvolutionOperator(m=1, n=1, levels={})
+    with pytest.raises(ValidationError, match="critical scaling weight is infinite"):
+        make_test_function(bare, 0, grid, 12.0)
+    # an explicit non-positive eta_bar is the spec's own error
+    with pytest.raises(ValidationError, match="eta_bar must be > 0"):
+        make_test_function(damped_wave(1), 0, grid, 12.0, eta_bar=0, scale=1.0)
+    # the spec is a resolved value: it has no defaults of its own
+    with pytest.raises(TypeError):
+        TestFunctionSpec(eta_bar=2, scale=1.0, q_tf=1)
 
 
 def test_validation_and_support_errors():
     grid = Grid(**BOX)
     op = damped_wave(1)
     with pytest.raises(ValidationError):
-        TestFunctionSpec(eta_bar=0, scale=1.0, q_tf=1)
+        TestFunctionSpec(**{**VALID, "eta_bar": 0})
     with pytest.raises(ValidationError):
-        TestFunctionSpec(eta_bar=2, scale=-1.0, q_tf=1)
+        TestFunctionSpec(**{**VALID, "scale": -1.0})
     with pytest.raises(ValidationError):
-        TestFunctionSpec(eta_bar=2, scale=1.0, q_tf=0)
+        TestFunctionSpec(**{**VALID, "q_tf": 0})
     with pytest.raises(ValidationError):
-        TestFunctionSpec(eta_bar=2, scale=1.0, q_tf=1, flat_fraction=1.0)
+        TestFunctionSpec(**{**VALID, "flat_fraction": 1.0})
 
-    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
     times = np.linspace(0.0, 12.0, 40)
     frames = np.zeros((40,) + grid.shape)
     with pytest.raises(ValidationError):
@@ -133,7 +180,8 @@ def test_validation_and_support_errors():
     with pytest.raises(ValidationError):
         weak_residual(op, 0, grid, times[:20], frames[:20], tf)
     # support leaking through the box edge
-    leaky = TestFunctionSpec(eta_bar=2, scale=1e4, q_tf=3)
+    leaky = TestFunctionSpec(eta_bar=2, scale=1e4, q_tf=3, flat_fraction=0.5, smooth_order=6,
+                             reg_epsilon=0.0)
     msgs = leaky.support_checks(grid, 2e4)
     assert any("box edge" in m for m in msgs)
 
@@ -142,13 +190,13 @@ def test_validation_and_support_errors():
 def test_smooth_order_must_be_a_positive_integer(order):
     # checked where q_tf is, before math.factorial sees the value
     with pytest.raises(ValidationError, match="smooth_order"):
-        TestFunctionSpec(eta_bar=2, scale=1.0, q_tf=1, smooth_order=order)
+        TestFunctionSpec(**{**VALID, "smooth_order": order})
 
 
 def test_zero_frames_zero_residual():
     grid = Grid(**BOX)
     op = damped_wave(1)
-    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
     times = np.linspace(0.0, 12.0, 60)
     frames = np.zeros((60,) + grid.shape)
     rr = weak_residual(op, 0, grid, times, frames, tf)
@@ -162,7 +210,7 @@ def test_exact_mode_identity_converges():
     op = damped_wave(1)
     k, lam, layer = exact_mode(grid, (1.0, (2.0 * math.pi / grid.L * 3) ** 2))
     T = 20.0
-    tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     got = []
     for dt in (0.1, 0.05, 0.025):
@@ -182,7 +230,7 @@ def test_exact_mode_boundary_layers_matter():
     op = damped_wave(1)
     k, lam, layer = exact_mode(grid, (1.0, (2.0 * math.pi / grid.L * 3) ** 2))
     T = 20.0
-    tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     dt = 0.05
     times = np.arange(0.0, T + dt / 2, dt)
@@ -205,7 +253,7 @@ def test_exact_mode_identity_ell1():
     k = 2.0 * math.pi / grid.L * 3
     _, lam, layer = exact_mode(grid, (k * k, k**4))
     T = 20.0
-    tf = make_test_function(op, 1, 3, 0.98 * T, 2, grid=grid)
+    tf = make_test_function(op, 1, grid, T, eta_bar=2, scale=0.98 * T)
     assert tf.q_tf == 6
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     got = []
@@ -229,7 +277,7 @@ def test_exact_mode_identity_with_a_stranded_layer_in_fourier_space():
     _, lam, layer = exact_mode(grid, (k * k, k * k), mode=8)
     assert lam.imag == 0.0
     T = 20.0
-    tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T, q_tf=5)
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     got = []
     for dt in (0.05, 0.025):
@@ -250,7 +298,7 @@ def test_solver_frames_refine_together():
         cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                         ell=0, dt=dt, T=T, record_every=2, record_fields=True)
         out = run(cfg)
-        tf = make_test_function(op, 0, 3, 0.98 * T, 2, grid=grid)
+        tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(out.times),
                            np.asarray(out.frames), tf,
                            initial_layers=out.initial_layers)
@@ -270,7 +318,7 @@ def test_nonlinear_run_discriminates():
     out = run(cfg)
     times = np.asarray(out.times)
     frames = np.asarray(out.frames)
-    tf = make_test_function(op, 0, 3, 0.98 * 20.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     matched = weak_residual(op, 0, grid, times, frames, tf, nl=nl,
                             initial_layers=out.initial_layers)
     dropped = weak_residual(op, 0, grid, times, frames, tf,
@@ -341,7 +389,7 @@ def test_report_deterministic_and_serializable():
     grid = Grid(**BOX)
     op = damped_wave(1)
     k, lam, layer = exact_mode(grid, (1.0, (2.0 * math.pi / grid.L * 3) ** 2))
-    tf = make_test_function(op, 0, 3, 0.98 * 20.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     times = np.arange(0.0, 20.0 + 0.05, 0.1)
     frames = np.stack([layer(t, 0) for t in times])
@@ -420,7 +468,7 @@ def _wave_2d_case():
     out = run(RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                         ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2,
                         record_every=2, record_fields=True))
-    tf = make_test_function(op, 0, 2.0, 2.94, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 3.0, eta_bar=2, scale=2.94)
     return (op, 0, grid, np.asarray(out.times), out.frames, tf,
             NL2, out.initial_layers)
 
@@ -435,7 +483,7 @@ def _sigma_ell1_case():
     frames = np.stack([layer(t, 1) for t in times])
     init = np.stack([layer(0.0, 0), layer(0.0, 1)])
     assert np.all(np.any(init, axis=1))
-    tf = make_test_function(op, 1, 3, 0.98 * 20.0, 2, grid=grid)
+    tf = make_test_function(op, 1, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     return op, 1, grid, times, frames, tf, NL2, init
 
 
@@ -448,7 +496,7 @@ def _monomial_case():
     times = np.linspace(0.0, 6.0, 40)
     frames = rng.standard_normal((times.size,) + grid.shape)
     init = rng.standard_normal((op.m,) + grid.shape)
-    tf = make_test_function(op, 0, 3, 5.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 6.0, eta_bar=2, scale=5.0, q_tf=3)
     return op, 0, grid, times, frames, tf, NL2, init
 
 
@@ -485,7 +533,7 @@ def test_each_frame_is_transformed_once(op, ell, per_frame, monkeypatch):
     times = np.linspace(0.0, 12.0, 30)
     x = grid.coords()[0]
     frames = np.stack([np.exp(-x**2) * math.cos(t) for t in times])
-    tf = make_test_function(op, ell, 3, 10.0, 2, grid=grid)
+    tf = make_test_function(op, ell, grid, 12.0, eta_bar=2, scale=10.0, q_tf=3)
     calls = {name: 0 for name in ("rfftn", "irfftn", "fftn", "ifftn")}
 
     def counting(name):
@@ -508,7 +556,7 @@ def test_memory_does_not_grow_with_the_frame_count():
     times = np.linspace(0.0, 3.0, 200)
     r2 = sum(c**2 for c in grid.coords())
     frames = np.stack([np.exp(-r2 / 4.0) * math.cos(t) for t in times])
-    tf = make_test_function(op, 0, 2.0, 2.94, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 3.0, eta_bar=2, scale=2.94)
     weak_residual(op, 0, grid, times, frames, tf, nl=NL2)  # lazy imports settle untraced
     tracemalloc.start()
     try:
@@ -525,7 +573,7 @@ def test_memory_does_not_grow_with_the_frame_count():
 def test_non_finite_input_is_rejected(where, bad):
     grid = Grid(**BOX)
     op = damped_wave(1)
-    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
     args = {"times": np.linspace(0.0, 12.0, 40),
             "frames": np.zeros((40,) + grid.shape),
             "initial_layers": np.zeros((op.m,) + grid.shape)}
@@ -541,7 +589,7 @@ def test_complex_input_is_rejected(where):
     # would score residual = 0 with no more than a ComplexWarning
     grid = Grid(n=1, N=16, L=40.0)
     op = damped_wave(1)
-    tf = make_test_function(op, 0, 3, 10.0, 2, grid=grid)
+    tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
     x = grid.coords()[0]
     times = np.linspace(0.0, 12.0, 40)
     args = {"times": times,
