@@ -33,6 +33,7 @@ nothing here derives its own target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -230,6 +231,10 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
     # curves can be legitimately ~0 (e.g. layer 0 at t = 0); anything below
     # roundoff of the linear flow applied to the data counts as stable
     floor = 1e-13 * profile.l2_norm(n)
+    if (n - 1) * math.log(P) >= math.log(sys.float_info.max):
+        raise ValidationError(
+            f"width {profile.width!r} puts the radial weight rho^{n - 1} in R^{n} out of "
+            f"float range at the data's Fourier cutoff {P:.3g}; enlarge width")
     prev = None
     for ppd in (2, 4, 8, 16, 32, 64):
         rhos, wts = _panel_nodes(P, ppd)

@@ -364,6 +364,24 @@ class RunConfig:
             raise ValidationError("record_every must be >= 1")
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
+        self.check_amplitudes([self.amplitude])
+
+    def check_amplitudes(self, amplitudes: Sequence[float]) -> None:
+        """Each amplitude must keep the norms of a field at the blow-up
+        threshold, BLOWUP_FACTOR * |amplitude| * max|profile|, finite on the
+        box; a larger one would record infinite norms before the blow-up
+        check could trip, or overflow the data itself."""
+        peak = float(np.max(np.abs(self.profile.render(self.grid))))
+        for a in amplitudes:
+            limit = BLOWUP_FACTOR * abs(a) * peak
+            with np.errstate(over="ignore"):
+                norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(),
+                                   self.norm_power)
+            if not all(math.isfinite(v) for v in norms.values()):
+                raise ValidationError(
+                    f"amplitude {a!r} puts the blow-up threshold {BLOWUP_FACTOR:g} * "
+                    f"|amplitude| * max|profile| = {limit:.3g} out of the float range of "
+                    "the norms on the box")
 
     @property
     def norm_power(self) -> float:
@@ -500,6 +518,8 @@ def run(config: RunConfig,
     amps = [config.amplitude] if amplitudes is None else list(amplitudes)
     if not amps:
         raise ValidationError("amplitudes must be a non-empty list")
+    if amplitudes is not None:
+        config.check_amplitudes(amps)
     op, grid = config.op, config.grid
     ell = config.ell
     p = config.norm_power

@@ -412,6 +412,29 @@ def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
                                        out / entry["dir"], tmp_path)
 
 
+@pytest.mark.parametrize("amplitude", [1e200, 1e303, 1e307, -1e200])
+def test_amplitude_past_the_float_range_of_the_norms_exits_2(op_file, tmp_path, capsys,
+                                                             amplitude):
+    # a field at the blow-up threshold 1e6 * |amplitude| has an infinite L2 norm on the
+    # box: 1e200 completed with infinite norms, 1e303 left the threshold itself
+    # infinite, and 1e307 overflowed the first inverse transform
+    rc, out = _run(tmp_path, "simulate", sim_config(op_file, T=2.0, amplitude=amplitude))
+    assert rc == 2
+    assert not out.exists()
+    assert f"amplitude {amplitude!r}" in capsys.readouterr().err
+
+
+def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
+    # each value is judged alone before the batch, so the others still run
+    base, out, doc = _amplitude_sweep(op_file, tmp_path, [0.3, 1e200, 0.9])
+    assert [r["status"] for r in doc["runs"]] == ["ok", "invalid", "ok"]
+    assert "amplitude 1e+200" in doc["runs"][1]["message"]
+    assert not (out / "value_001").exists()
+    for entry in (doc["runs"][0], doc["runs"][2]):
+        _assert_same_as_standalone("simulate", {**base, "amplitude": entry["value"]},
+                                   out / entry["dir"], tmp_path)
+
+
 @pytest.mark.parametrize("task, parameter", [
     ("simulate", "gird.N"), ("simulate", "N"), ("simulate", "gamma"), ("simulate", "p"),
     ("simulate", "grid..N"), ("simulate", "grid."), ("mu-check", "gamma"),
@@ -897,6 +920,9 @@ _EXTREME = {
     "decay-width-small": ("decay", {"width": 1e-200}, "width"),
     "decay-width-large": ("decay", {"width": 1e200}, "width"),
     "decay-tail-symbol": ("decay", {"operator": "sigma", "p_c": 3.0, "width": 1e-100}, "width"),
+    # rho^4 overflows at the Fourier cutoff 1e101 before the symbol does
+    "decay-radial-weight": ("decay", {"operator": "sigma5", "p_c": 3.0, "width": 1e-100},
+                            "width"),
     "torus-decay-symbol": ("decay", {"mode": "torus", "grid": {"N": 64, "L": 1e-160},
                                      "width": 2e-162, "window": [1.0, 10.0]}, "grid.L"),
     "simulate-L-small": ("simulate", {"grid": {"N": 64, "L": 1e-160},
@@ -915,7 +941,8 @@ def test_extreme_numbers_exit_2_naming_the_key(op_file, tmp_path, capsys, case):
     task, entries, named = _EXTREME[case]
     base = {**SCHEMA, "operator": str(op_file)}
     cfg = {**(sim_config(op_file, T=1.0) if task == "simulate" else base), **entries}
-    inline = {"sigma": sigma_evolution(1, 2, 1), "2d": damped_wave(2)}
+    inline = {"sigma": sigma_evolution(1, 2, 1), "sigma5": sigma_evolution(5, 1, 1),
+              "2d": damped_wave(2)}
     if cfg["operator"] in inline:
         cfg["operator"] = json.loads(dumps_json(inline[cfg["operator"]]))
     rc, out = _run(tmp_path, task, cfg)

@@ -248,10 +248,12 @@ def test_reality_preserved():
 
 def test_overflowing_corrector_field_still_ends_in_blowup():
     # the predictor's source overflows, so the corrector field is all NaN:
-    # F must carry the NaN on to the blow-up check, not reject it as input
+    # F must carry the NaN on to the blow-up check, not reject it as input.
+    # L2 norms keep the amplitude valid: |1e126|^3 would overflow an L3 norm
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.1, T=1.0,
-                    amplitude=1e120, nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")))
+                    amplitude=1e120, nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")),
+                    p_for_norms=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         report = run(cfg)
     assert report.outcome == "blowup_detected"
@@ -424,6 +426,16 @@ def test_T_must_be_a_multiple_of_dt():
                   ell=0, dt=0.3, T=1.0)
     RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0), profile=prof,
               ell=0, dt=0.1, T=0.3)  # 0.3 / 0.1 = 2.9999999999999996
+
+
+def test_amplitude_must_keep_the_threshold_norms_finite():
+    # 1e6 * 1e200 squared overflows the L2 sum of a field at the blow-up threshold
+    cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
+                    profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.1, T=1.0)
+    with pytest.raises(ValidationError, match=r"amplitude 1e\+200"):
+        dataclasses.replace(cfg, amplitude=1e200)
+    with pytest.raises(ValidationError, match=r"amplitude 1e\+307"):
+        run(cfg, amplitudes=[0.5, 1e307])
 
 
 def _assert_reports_equal(got, want):
