@@ -552,7 +552,7 @@ def run(config: RunConfig,
                 modes = prop.apply_linear(modes)
             else:
                 modes = nonlinear_step(modes, t, prop, ell, config.nl, config.forcing)
-            t += prop.dt
+            t = step * prop.dt  # not a running sum, which drifts
             out = blown(modes, ref[live], grid)
             if out.any():
                 for b in live[out]:

@@ -387,6 +387,15 @@ def test_record_every_thins_series():
     assert len(rep.times) == 1 + len([s for s in range(1, 11) if s % 4 == 0 or s == 10])
 
 
+def test_recorded_times_are_whole_multiples_of_dt():
+    # a running sum of 0.1 reads 0.9999999999999999 after ten steps
+    cfg = RunConfig(op=damped_wave(1), grid=small_grid(N=16, L=10.0),
+                    profile=DataProfile(kind="gaussian", width=0.6), ell=0, dt=0.1, T=2.0,
+                    record_every=3)
+    # records every third step, and the last step, 20
+    assert run(cfg).times == [k * 3 * cfg.dt for k in range(7)] + [20 * cfg.dt]
+
+
 def test_profile_validation():
     grid = small_grid(N=16, L=4.0)
     with pytest.raises(ValidationError):
@@ -578,7 +587,7 @@ def _full_spectrum_run(cfg):
             s0 = source(modes, t)
             s1 = source(Ev + phi * s0, t + dt)
             modes = Ev + phi * (0.5 * (s0 + s1))
-        last_good_t, t = t, t + dt
+        last_good_t, t = t, step * dt
         if (not np.all(np.isfinite(modes))
                 or np.max(np.abs(physical(modes))) > BLOWUP_FACTOR * ref):
             return "blowup_detected", step, last_good_t, times, np.stack(frames)
