@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import EvolutionOperator
+from .operators import EvolutionOperator, exp2_parts
 from . import solver as _solver
 
 
@@ -90,31 +90,15 @@ _EXP_BLOCK = 1 << 13
 def _confluent_kernel(A: np.ndarray, times: np.ndarray, layer: int) -> np.ndarray:
     """K[i, j] = [exp(times_j A_i)]_{layer, 1} for a stack of 2x2 blocks A_i.
 
-    exp(tA) = e^{t lam2} I + D(t) (A - lam2 I), where Re lam1 >= Re lam2 and
-    D(t) = e^{t lam1} (-expm1(-t (lam1 - lam2))) / (lam1 - lam2) is the
-    divided difference of exp at the roots, t e^{t lam1} where they
-    coincide.  It has no cancellation however close the roots lie, and
-    |e^{-t (lam1 - lam2)}| <= 1 keeps it from overflowing.  The roots come
-    from the larger of mu +- nu (mu = tr/2) and det / that root (Vieta), so
-    neither one cancels when det << mu^2.
+    exp(tA) = e^{t lam2} I + D(t) (A - lam2 I) with the roots and the
+    divided difference D of :func:`~critevo.operators.exp2_parts`, which
+    has no cancellation however close the roots lie.
     """
-    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    mu = 0.5 * (a + d)
-    nu = np.sqrt((0.5 * (a - d)) ** 2 + b * c)
-    big = np.where((np.conj(mu) * nu).real >= 0, mu + nu, mu - nu)
-    # big == 0 only where mu = nu = 0, a double root at 0
-    other = np.divide(a * d - b * c, big, out=np.zeros_like(big), where=big != 0)
-    first = other.real > big.real
-    lam1 = np.where(first, other, big)[:, None]
-    lam2 = np.where(first, big, other)[:, None]
-    gap = lam1 - lam2
-    D = np.broadcast_to(times, (A.shape[0], times.size)).astype(complex)
-    np.divide(-np.expm1(-times * gap), gap, out=D, where=gap != 0)
-    D *= np.exp(times * lam1)
+    lam1, lam2, D = exp2_parts(A, times)
     if layer == 0:
-        return D * b[:, None]
+        return D * A[:, 0, 1][:, None]
     # A11 - lam2 = lam1 - A00 by the trace, and A00 = 0 in a companion block
-    return np.exp(times * lam2) + D * (lam1 - a[:, None])
+    return np.exp(times * lam2) + D * (lam1 - A[:, 0, 0][:, None])
 
 
 def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,

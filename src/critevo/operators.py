@@ -301,6 +301,35 @@ class EvolutionOperator:
         }
 
 
+def exp2_parts(A: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots and divided difference of exp that give exp(tA) of 2x2 blocks.
+
+    For a stack A of shape (k, 2, 2) and times of shape (T,),
+    exp(t A_i) = e^{t lam2} I + D(t) (A_i - lam2 I), where Re lam1 >= Re lam2
+    and D(t) = e^{t lam1} (-expm1(-t (lam1 - lam2))) / (lam1 - lam2) is the
+    divided difference of exp at the roots, t e^{t lam1} where they
+    coincide.  It has no cancellation however close the roots lie, and
+    |e^{-t (lam1 - lam2)}| <= 1 keeps it from overflowing.  The roots come
+    from the larger of mu +- nu (mu = tr/2) and det / that root (Vieta), so
+    neither one cancels when det << mu^2.  Returns lam1 and lam2 as (k, 1)
+    columns and D as (k, T).
+    """
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    mu = 0.5 * (a + d)
+    nu = np.sqrt((0.5 * (a - d)) ** 2 + b * c)
+    big = np.where((np.conj(mu) * nu).real >= 0, mu + nu, mu - nu)
+    # big == 0 only where mu = nu = 0, a double root at 0
+    other = np.divide(a * d - b * c, big, out=np.zeros_like(big), where=big != 0)
+    first = other.real > big.real
+    lam1 = np.where(first, other, big)[:, None]
+    lam2 = np.where(first, big, other)[:, None]
+    gap = lam1 - lam2
+    D = np.broadcast_to(times, (A.shape[0], times.size)).astype(complex)
+    np.divide(-np.expm1(-times * gap), gap, out=D, where=gap != 0)
+    D *= np.exp(times * lam1)
+    return lam1, lam2, D
+
+
 def _multinomial_betas(k: int, n: int) -> dict[tuple[int, ...], int]:
     """Multi-indices |beta| = k with multinomial weights k!/beta!."""
     out: dict[tuple[int, ...], int] = {}

@@ -7,10 +7,12 @@ other modes are conjugate mirrors; irfftn(..., s=grid.shape) maps it back
 to a field that is real by construction.  Each kept Fourier mode carries
 the companion state v = (u, d_t u, ..., d_t^{m-1} u)^ and evolves by
 v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
-exact matrix exponential E = exp(dt A); the Duhamel weight
-Phi = integral_0^dt exp(s A) ds comes from the same scaling-and-squaring
-call on the augmented block [[A, I], [0, 0]] (top-right block of its
-exponential), so no quadrature in time is involved.  The nonlinear term is
+exact matrix exponential E = exp(dt A), and the source enters through the
+Duhamel weight Phi = integral_0^dt exp(s A) ds, so no quadrature in time
+is involved.  For m = 2, the order of every radial preset, both come in
+closed form from the two roots of each block, without scipy; any other m
+takes scipy's expm of the augmented block [[A, I], [0, 0]], whose
+exponential holds E top-left and Phi top-right.  The nonlinear term is
 advanced by an exponential predictor-corrector,
 
     v* = E v + Phi e F^(t),      v+ = E v + Phi e (F^(t) + F^*(t+dt)) / 2,
@@ -45,7 +47,7 @@ import numpy as np
 from .config import Key, read
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
-from .operators import EvolutionOperator
+from .operators import EvolutionOperator, exp2_parts
 
 BLOWUP_FACTOR = 1e6
 
@@ -255,16 +257,78 @@ def _grid_companion(op: EvolutionOperator, grid: Grid, xi: list[np.ndarray]) -> 
     return A
 
 
+#: |dt (lam1 - lam2)| at or below which G is a contour mean, not a difference quotient
+_CONTOUR_GAP = 0.1
+# 16 points on the unit circle, offset by half a step so that none is real
+_CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+
+
+def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """E = exp(dt A_i), (k, 2, 2), and Phi e_1, (k, 2), of 2x2 blocks in closed form.
+
+    E = e^{dt lam2} I + D (A - lam2 I) with the roots and divided difference
+    D of :func:`~critevo.operators.exp2_parts`.  Integrating it over [0, dt]
+    gives Phi = g(lam2) I + G (A - lam2 I), with g(lam) = expm1(dt lam) / lam
+    (g(0) = dt) and G = g[lam1, lam2] its divided difference.  G is the
+    difference quotient where |dt (lam1 - lam2)| > 0.1; closer roots would
+    cancel in it, so there G = dt^2 phi1[z1, z2] (z = dt lam, phi1(z) =
+    expm1(z) / z) is Cauchy's integral on the unit circle about the mean
+    root, whose 16-point trapezoid rule errs by about 0.05^16 plus the 17th
+    Taylor coefficient of phi1 (Kassam & Trefethen 2005).  A11 - lam2 is
+    taken as lam1 - A00, equal by the trace and free of cancellation.
+    """
+    lam1, lam2, D = (x[:, 0] for x in exp2_parts(A, np.array([dt])))
+    a = A[:, 0, 0]
+    e2 = np.exp(dt * lam2)
+    E = np.empty_like(A)
+    E[:, 0, 0] = e2 + D * (a - lam2)
+    E[:, 0, 1] = D * A[:, 0, 1]
+    E[:, 1, 0] = D * A[:, 1, 0]
+    E[:, 1, 1] = e2 + D * (lam1 - a)
+
+    def g(lam):
+        return np.divide(np.expm1(dt * lam), lam, out=np.full_like(lam, dt), where=lam != 0)
+
+    z1, z2 = dt * lam1, dt * lam2
+    near = np.abs(z1 - z2) <= _CONTOUR_GAP
+    far = ~near
+    G = np.empty_like(lam1)
+    G[far] = (g(lam1[far]) - g(lam2[far])) / (lam1[far] - lam2[far])
+    # phi1(w) (w - c) / ((w - z1)(w - z2)) at w = c + u, c the mean root
+    u, h = _CIRCLE, 0.5 * (z1[near] - z2[near])[:, None]
+    w = 0.5 * (z1[near] + z2[near])[:, None] + u
+    G[near] = dt * dt * np.mean(np.expm1(w) / w * u / (u * u - h * h), axis=1)
+    phi = np.stack([G * A[:, 0, 1], g(lam2) + G * (lam1 - a)], axis=-1)
+    return E, phi
+
+
+def _flow_expm(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """E = exp(dt A_i) and Phi e_{m-1} of m x m blocks by scipy's expm of the
+    augmented block [[A, I], [0, 0]]: E is its top-left block, Phi its top-right."""
+    from scipy.linalg import expm
+
+    k, m, _ = A.shape
+    aug = np.zeros((k, 2 * m, 2 * m), dtype=complex)
+    aug[:, :m, :m] = A
+    for i in range(m):
+        aug[:, i, m + i] = 1.0
+    big = expm(dt * aug)
+    return big[:, :m, :m], big[:, :m, 2 * m - 1]
+
+
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
     Built once per (operator, grid, dt) on the half-spectrum wavenumbers:
-    exp(dt [[A, I], [0, 0]]) yields E = exp(dt A) in the top-left block and
-    Phi = integral_0^dt exp(sA) ds in the top-right.  A(xi) takes far fewer
-    values than there are modes (a radial symbol depends on |xi|^2 only),
-    so the exponential runs once per distinct companion block, compared bit
-    for bit, and is gathered back to every mode; expm treats each block on
-    its own, so the result equals a per-mode build exactly.  Only what
+    E = exp(dt A) and the last column of Phi = integral_0^dt exp(sA) ds.
+    A(xi) takes far fewer values than there are modes (a radial symbol
+    depends on |xi|^2 only), so both are computed once per distinct
+    companion block, compared bit for bit, and gathered back to every mode.
+    An m = 2 block takes the closed form of :func:`_flow2`, which loads no
+    scipy; any other m takes scipy's expm of the augmented block
+    (:func:`_flow_expm`), which treats each block on its own, so the result
+    equals a per-mode build exactly.  dt must be finite and > 0, and a flow
+    that overflows at it is rejected rather than stepped.  Only what
     stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half), so
     the per-mode product runs along contiguous space, the last column of
     Phi as ``_phi``, (m, *half), and the 2/3-rule dealias mask of the half
@@ -272,10 +336,8 @@ class ModePropagator:
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
-        from scipy.linalg import expm
-
-        if not (dt > 0):
-            raise ValidationError("dt must be > 0")
+        if not (0 < dt < math.inf):
+            raise ValidationError(f"dt must be a finite number > 0, got {dt!r}")
         self.grid = grid
         self.dt = float(dt)
         m = op.m
@@ -284,15 +346,17 @@ class ModePropagator:
         # a void view compares the raw bytes, so -0.0 and 0.0 stay apart
         keys = rows.view(np.dtype((np.void, rows.itemsize * m * m))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        aug = np.zeros((first.size, 2 * m, 2 * m), dtype=complex)
-        aug[:, :m, :m] = rows[first].reshape(-1, m, m)
-        for i in range(m):
-            aug[:, i, m + i] = 1.0
-        big = expm(self.dt * aug)
-        E = big[:, :m, :m][inverse].reshape(A.shape)
+        blocks = rows[first].reshape(-1, m, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E, phi = _flow2(blocks, self.dt) if m == 2 else _flow_expm(blocks, self.dt)
+        if not (np.isfinite(E).all() and np.isfinite(phi).all()):
+            raise ValidationError(
+                f"exp(dt A) overflows at dt = {dt!r} on a grid of L = {grid.L!r}; "
+                "take a smaller dt")
+        E = E[inverse].reshape(A.shape)
         self._E = np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
         # Phi e_{m-1}, the weight of the source in each layer: (m, *half)
-        phi = big[:, :m, 2 * m - 1][inverse].reshape(A.shape[:-1])
+        phi = phi[inverse].reshape(A.shape[:-1])
         self._phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0))
         self.mask = grid.dealias_mask()[grid.half]
 
@@ -355,10 +419,11 @@ class RunConfig:
     def __post_init__(self):
         if not (isinstance(self.ell, int) and 0 <= self.ell < self.op.m):
             raise ValidationError(f"ell must be an integer in [0, {self.op.m - 1}]")
-        if not (self.dt > 0 and self.T > 0):
-            raise ValidationError("dt and T must be > 0")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ValidationError(f"dt and T must be finite and > 0, got dt = {self.dt!r}, "
+                                  f"T = {self.T!r}")
         steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationError(f"T = {self.T} must be a multiple of dt = {self.dt}")
         if self.record_every < 1:
             raise ValidationError("record_every must be >= 1")

@@ -11,7 +11,7 @@ import pytest
 
 from critevo import cli
 from critevo.envelope import critical_exponent
-from critevo.operators import damped_wave, sigma_evolution
+from critevo.operators import EvolutionOperator, damped_wave, fractional_term, sigma_evolution
 from critevo.reporting import dumps_json
 from critevo.residual import make_test_function
 from critevo.solver import Grid, parse_profile
@@ -499,8 +499,7 @@ def test_cli_import_leaves_scipy_out(module, absent):
 
 
 def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
-    # inline residual runs the solver, whose propagator takes scipy.linalg's
-    # expm, so only the recorded-run form is covered here
+    # the recorded-run form; test_m2_tasks_load_no_scipy covers the inline one
     run_dir = tmp_path / "run"
     sim = write_json(tmp_path / "sim.json", sim_config(op_file, T=2.0, record_fields=True))
     assert cli.main(["simulate", "--config", str(sim), "--out-dir", str(run_dir)]) == 0
@@ -519,6 +518,42 @@ def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _scipy_after(task: str, cfg: Path, out: Path) -> list[str]:
+    """The scipy modules a fresh interpreter holds after ``critevo <task>`` on cfg."""
+    code = ("import sys; from critevo import cli\n"
+            f"assert cli.main([{task!r}, '--config', {str(cfg)!r}, "
+            f"'--out-dir', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
+@pytest.mark.parametrize("task", ["simulate", "sweep", "residual"])
+def test_m2_tasks_load_no_scipy(op_file, tmp_path, task):
+    # an m = 2 propagator is built in closed form: a cold run, an amplitude
+    # sweep and an inline residual never import scipy
+    sim = sim_config(op_file, T=2.0)
+    cfg = {"simulate": sim,
+           "sweep": {**SCHEMA, "task": "simulate", "parameter": "amplitude",
+                     "values": [0.5, 1.0], "config": sim},
+           "residual": {**sim, "test_function": {}}}[task]
+    assert _scipy_after(task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out") == []
+
+
+def test_m3_simulate_runs_on_scipy(tmp_path):
+    # any m but 2 keeps scipy's expm of the augmented block
+    op = EvolutionOperator(m=3, n=1, levels={0: (fractional_term(1, 1.0),),
+                                              2: (fractional_term(0, 3.0),)})
+    op_path = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))
+    cfg = write_json(tmp_path / "cfg.json", sim_config(op_path, T=2.0))
+    assert "scipy.linalg" in _scipy_after("simulate", cfg, tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "simulate.json").read_text())
+    assert report["report"]["outcome"] == "completed"
 
 
 def test_whole_space_decay_of_an_m2_operator_loads_no_scipy(tmp_path):

@@ -15,6 +15,7 @@ from critevo.operators import (
     SpatialTerm,
     damped_klein_gordon,
     damped_wave,
+    fractional_term,
     laplacian_terms,
     sigma_evolution,
 )
@@ -119,6 +120,36 @@ def _per_mode_propagator(op, grid, dt, ks=None):
     return E, Phi, np.moveaxis(Phi[..., :, m - 1], -1, 0)
 
 
+# d_t^3 u + 3 d_t^2 u + (-Lap) d_t u + (-Lap) u, the m = 3 operator of the decay tests
+THIRD_ORDER = EvolutionOperator(m=3, n=2, levels={
+    0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),), 2: (fractional_term(0, 3.0),)})
+
+
+def _mp_flow(mpmath, A, dt):
+    """E = exp(dt A) and Phi e_1 of one 2x2 block, from the 40-digit exponential
+    of the augmented block [[A, I], [0, 0]]."""
+    M = mpmath.zeros(4, 4)
+    for i in range(2):
+        M[i, 2 + i] = 1
+        for j in range(2):
+            M[i, j] = mpmath.mpc(complex(A[i, j]))
+    with mpmath.workdps(40):
+        big = mpmath.expm(mpmath.mpf(float(dt)) * M)
+    return (np.array([[complex(big[i, j]) for j in range(2)] for i in range(2)]),
+            np.array([complex(big[i, 3]) for i in range(2)]))
+
+
+def _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode):
+    """The propagator's E and Phi e_1 at one half-spectrum mode (a flat index)
+    lie within 1e-12 of each block's maximum of the 40-digit flow."""
+    A = op.companion(_half_wavenumbers(grid)).reshape(-1, 2, 2)[mode]
+    want_E, want_phi = _mp_flow(mpmath, A, prop.dt)
+    got_E = _E(prop).reshape(-1, 2, 2)[mode]
+    got_phi = np.moveaxis(prop._phi, 0, -1).reshape(-1, 2)[mode]
+    for got, want in ((got_E, want_E), (got_phi, want_phi)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (mode, A)
+
+
 @pytest.mark.parametrize("op, grid", [
     (damped_wave(1), Grid(n=1, N=64, L=40.0)),
     (damped_wave(2), Grid(n=2, N=16, L=40.0)),
@@ -127,19 +158,52 @@ def _per_mode_propagator(op, grid, dt, ks=None):
     (monomial_op((2, 0)), Grid(n=2, N=16, L=12.0)),   # anisotropic
     (monomial_op((1, 0)), Grid(n=2, N=16, L=12.0)),   # odd order, complex symbol
     (EvolutionOperator(m=3, n=2), Grid(n=2, N=16, L=12.0)),  # A singular
-], ids=["wave-1d", "wave-2d", "sigma", "klein-gordon", "alpha-20", "alpha-10", "empty-m3"])
+    (THIRD_ORDER, Grid(n=2, N=16, L=12.0)),
+], ids=["wave-1d", "wave-2d", "sigma", "klein-gordon", "alpha-20", "alpha-10", "empty-m3",
+        "third-order"])
 def test_propagator_bits_match_per_mode_expm(op, grid):
+    # m = 3 takes expm once per distinct block, which keeps every bit of a
+    # per-mode call; m = 2 takes the closed form, checked against 40-digit
+    # mpmath on the modes where it and expm differ most and on the zero mode
+    # (sigma's double root at 0, the damped wave's root pair 0 and -1)
     prop = ModePropagator(op, grid, dt=0.05)
     E, _, phi = _per_mode_propagator(op, grid, 0.05)
-    for got, want in ((prop._E, np.moveaxis(E, (-2, -1), (0, 1))), (prop._phi, phi)):
-        assert np.array_equal(got, want)
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    if op.m != 2:
+        for got, want in ((prop._E, np.moveaxis(E, (-2, -1), (0, 1))), (prop._phi, phi)):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        return
+    mpmath = pytest.importorskip("mpmath")
+    E, phi = E.reshape(-1, 2, 2), np.moveaxis(phi, 0, -1).reshape(-1, 2)
+    off_E = np.max(np.abs(_E(prop).reshape(-1, 2, 2) - E), axis=(1, 2)) / np.max(
+        np.abs(E), axis=(1, 2))
+    off_phi = np.max(np.abs(np.moveaxis(prop._phi, 0, -1).reshape(-1, 2) - phi), axis=1) / np.max(
+        np.abs(phi), axis=1)
+    for mode in {0, int(np.argmax(off_E)), int(np.argmax(off_phi))}:
+        _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode)
+
+
+@pytest.mark.parametrize("grid, dt, mode", [
+    # rho = 1/2: A = [[0, 1], [-1/4, -1]] is a Jordan block at -1/2
+    (Grid(n=1, N=16, L=4 * math.pi), 0.05, 1),
+    # the zero mode has roots 0 and -1, so |dt (lam1 - lam2)| = dt sits on
+    # either side of the 0.1 at which G leaves the contour mean
+    (small_grid(), 0.0999, 0),
+    (small_grid(), 0.1001, 0),
+], ids=["jordan-block", "contour-mean", "difference-quotient"])
+def test_closed_form_flow_matches_mpmath(grid, dt, mode):
+    mpmath = pytest.importorskip("mpmath")
+    op = damped_wave(1)
+    if mode == 1:
+        A = op.companion(_half_wavenumbers(grid))[mode]
+        assert np.array_equal(A, [[0, 1], [-0.25, -1]])
+    _assert_mode_matches_mpmath(mpmath, op, grid, ModePropagator(op, grid, dt), mode)
 
 
 def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
     import scipy.linalg
 
-    op, grid = damped_wave(2), Grid(n=2, N=16, L=40.0)
+    op, grid = THIRD_ORDER, Grid(n=2, N=16, L=40.0)
     rows = op.companion(_half_wavenumbers(grid)).reshape(-1, op.m * op.m)
     distinct = len(np.unique(rows, axis=0))
     assert distinct < grid.N**2 // 4  # a radial symbol repeats its blocks
@@ -152,6 +216,30 @@ def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     ModePropagator(op, grid, dt=0.05)
     assert calls == [(distinct, 2 * op.m, 2 * op.m)]
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
+def test_propagator_needs_a_finite_positive_dt(dt):
+    with pytest.raises(ValidationError, match="dt must be a finite number > 0"):
+        ModePropagator(damped_wave(1), small_grid(), dt)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_propagator_rejects_a_flow_that_overflows(m):
+    # u^(m) = u has the growth rate 1, so exp(800 A) is past the float range
+    op = EvolutionOperator(m=m, n=1, levels={0: (fractional_term(0, -1.0),)})
+    with pytest.raises(ValidationError, match="overflows at dt = 800.0"):
+        ModePropagator(op, small_grid(), 800.0)
+
+
+@pytest.mark.parametrize("dt, T", [(math.inf, 1.0), (0.1, math.inf), (math.nan, 1.0),
+                                   (0.1, math.nan), (1e-300, 1e300)])
+def test_run_config_needs_a_finite_dt_and_T(dt, T):
+    # an infinite dt made T / dt = 0 "a multiple" and ran 0 steps; 1e300 / 1e-300
+    # overflows the step count
+    with pytest.raises(ValidationError, match="finite and > 0|multiple of dt"):
+        RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0),
+                  profile=DataProfile(kind="gaussian", width=0.6), ell=0, dt=dt, T=T)
 
 
 def test_step_doubling_consistency():
