@@ -257,11 +257,18 @@ _FIELD_FILES = {
 def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SIMULATE, "config")
     rc, notes = _sim_config(v, base)
-    return _write_simulate(cfg, rc, notes, run(rc), out_dir)
+    return _write_simulate(cfg, rc, notes, run(rc, field_files=_layer_files(rc, [out_dir])),
+                           out_dir)
+
+
+def _layer_files(rc: RunConfig, out_dirs: list[Path]) -> list[Path] | None:
+    """Where each run of ``out_dirs`` streams its recorded frames, if it records any."""
+    return [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if rc.record_fields else None
 
 
 def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir: Path) -> dict:
-    """simulate.json, series.csv and any field files of one run; its summary."""
+    """simulate.json, series.csv and the field files of one run, whose frames
+    the run already streamed to fields_layer_ell.npy; its summary."""
     doc = reporting.artifact("simulate", {
         "config": cfg,
         "notes": notes,
@@ -277,7 +284,6 @@ def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir:
     if rc.record_fields:
         out_dir.mkdir(parents=True, exist_ok=True)
         np.save(out_dir / _FIELD_FILES["times"], np.asarray(report.times))
-        np.save(out_dir / _FIELD_FILES["layer_ell"], report.frames)
         np.save(out_dir / _FIELD_FILES["initial_layers"], report.initial_layers)
         written += [out_dir / _FIELD_FILES[k] for k in _FIELD_FILES]
     msg = report.outcome
@@ -361,11 +367,12 @@ def _recorded_run(run_dir: Path):
     return op, ell, grid, nl, outcome
 
 
-def _load_field(run_dir: Path, key: str) -> np.ndarray:
-    """One recorded field file; a missing or unreadable one is a config error."""
+def _load_field(run_dir: Path, key: str, read=None):
+    """One recorded field file, by ``read`` (np.load when None); a missing or
+    unreadable one is a config error."""
     path = run_dir / _FIELD_FILES[key]
     try:
-        return np.load(path)
+        return (read or np.load)(path)
     except OSError as exc:
         raise ValidationError(
             f"recorded run at {run_dir} has no field files (simulate needs "
@@ -382,11 +389,14 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
         run_dir = base / v["run"]
         op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
         notes: list[str] = []
-        times, frames, initial_layers = (
-            _load_field(run_dir, key) for key in ("times", "layer_ell", "initial_layers"))
+        times = _load_field(run_dir, "times")
         if times.ndim != 1 or not times.size:
             raise ValidationError(f"{run_dir / _FIELD_FILES['times']} must hold a non-empty "
                                   f"1-D array, not shape {times.shape}")
+        # the frames are read one at a time by the residual's pass
+        frames = _load_field(run_dir, "layer_ell", lambda path: reporting.FrameReader(
+            path, (times.size,) + grid.shape))
+        initial_layers = _load_field(run_dir, "initial_layers")
         run_meta = {"source": str(Path(v["run"]))}
     else:
         rc, notes = _sim_config(v, base)
@@ -440,15 +450,17 @@ def _simulate_batch(batch: list, out_dir: Path) -> None:
     Nothing that run checks depends on the amplitude, so an error of the
     batch is the error of every value.
     """
+    first = batch[0][2]
+    dirs = [out_dir / entry["dir"] for entry, *_ in batch]
     try:
-        reports = run(batch[0][2], amplitudes=[rc.amplitude for _, _, rc, _ in batch])
+        reports = run(first, amplitudes=[rc.amplitude for _, _, rc, _ in batch],
+                      field_files=_layer_files(first, dirs))
     except (ValidationError, NumericalError) as exc:
         for entry, *_ in batch:
             _failed(entry, exc)
         return
-    for (entry, sub, rc, notes), report in zip(batch, reports):
-        entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report,
-                                                          out_dir / entry["dir"]))
+    for (entry, sub, rc, notes), report, run_dir in zip(batch, reports, dirs):
+        entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report, run_dir))
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:

@@ -50,6 +50,7 @@ from .envelope import critical_exponent
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator
+from .reporting import FrameReader
 from .solver import Grid
 
 
@@ -143,30 +144,45 @@ class TestFunctionSpec:
             rows[i] = -acc / (self._beta_norm * math.factorial(i))
         return rows
 
-    def weight(self, k: int, s: np.ndarray) -> np.ndarray:
-        """k-th s-derivative of chi(s)^q_tf, piecewise closed form."""
+    def weights(self, k: int, s: np.ndarray) -> np.ndarray:
+        """The s-derivatives 0..k of chi(s)^q_tf, (k + 1, *s.shape), piecewise closed form.
+
+        One Taylor pass to order k gives every row: row i of a truncated
+        Cauchy product reads only rows <= i of its factors, so it holds the
+        bits a pass to order i would.
+        """
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
+        out = np.zeros((k + 1,) + s.shape)
         s0 = self.flat_fraction
         core = s <= s0
-        if k == 0:
-            out[core] = 1.0
+        out[0][core] = 1.0
         mid = (~core) & (s < 1.0)
         if np.any(mid):
             u = (s[mid] - s0) / (1.0 - s0)
             series = _series_pow(self._chi_taylor(k, u), self.q_tf)
-            out[mid] = series[k] * math.factorial(k) / (1.0 - s0) ** k
+            for i in range(k + 1):
+                out[i][mid] = series[i] * math.factorial(i) / (1.0 - s0) ** i
         return out
+
+    def weight(self, k: int, s: np.ndarray) -> np.ndarray:
+        """k-th s-derivative of chi(s)^q_tf."""
+        return self.weights(k, s)[k]
 
     def rho(self, grid: Grid) -> np.ndarray:
         coords = grid.coords()
         r2 = sum(c**2 for c in coords) + self.reg_epsilon**2
         return r2 ** (float(self.eta_bar) / 2.0)
 
+    def time_derivatives(self, k: int, t: float, rho: np.ndarray) -> np.ndarray:
+        """d_t^i psi(t, .) on the grid for i = 0..k, (k + 1, *rho.shape)."""
+        out = self.weights(k, (t + rho) / self.scale)
+        for i in range(1, k + 1):
+            out[i] /= self.scale**i
+        return out
+
     def time_derivative(self, k: int, t: float, rho: np.ndarray) -> np.ndarray:
         """d_t^k psi(t, .) on the grid (k >= 0)."""
-        s = (t + rho) / self.scale
-        return self.weight(k, s) / self.scale**k
+        return self.time_derivatives(k, t, rho)[k]
 
     def support_checks(self, grid: Grid, t_end: float) -> list[str]:
         msgs = []
@@ -270,34 +286,38 @@ def _real(a, name: str) -> np.ndarray:
 
 
 def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
-                  times, u_ell_frames: np.ndarray, tf: TestFunctionSpec,
+                  times, u_ell_frames: np.ndarray | FrameReader, tf: TestFunctionSpec,
                   nl: NonlinearitySpec | None = None,
                   initial_layers: np.ndarray | None = None) -> ResidualReport:
     """Evaluate the identity for one recorded run and one test function.
 
     ``u_ell_frames`` has shape (len(times), *grid.shape) holding the
-    physical d_t^l u; ``initial_layers`` has shape (m, *grid.shape) with
-    the physical initial layers (zero rows for absent data).  Every entry
-    must be real and finite.
+    physical d_t^l u: an array, or a :class:`~critevo.reporting.FrameReader`
+    of a recorded run's file; either way it is read one frame at a time,
+    as ``u_ell_frames[t]``.  ``initial_layers`` has shape (m, *grid.shape)
+    with the physical initial layers (zero rows for absent data).  Every
+    entry must be real and finite; a frame is checked as the pass reaches it.
 
     One pass runs over the frames from the last recorded time back to the
-    first and keeps only per-frame arrays.  A level with a real constant
+    first and keeps only per-frame arrays, so a recorded run's stack is
+    never in memory whole.  A level with a real constant
     multiplier pairs the frame with its psi weight directly; every other
     level pairs them in Fourier space by Parseval on the real half spectrum,
     sum_x f * ifft(m fft G) = N^-n sum_k conj(f^) m G^.  Levels j < l carry
     their backward anti-derivatives of psi^ as running trapezoids, one per
     nesting depth, whose values at the first time give the stranded layers.
+    The psi weights of a frame come from one Taylor pass to the largest
+    order the levels need.
     """
     times = _real(times, "times")
     if times.ndim != 1 or times.size < 3 or not _finite(times) or np.any(np.diff(times) <= 0):
         raise ValidationError("times must be finite and strictly increasing, length >= 3")
-    frames = _real(u_ell_frames, "u_ell_frames")
+    frames = (u_ell_frames if isinstance(u_ell_frames, FrameReader)
+              else _real(u_ell_frames, "u_ell_frames"))
     if frames.shape != (times.size,) + grid.shape:
         raise ValidationError(
             f"u_ell_frames shape {frames.shape} != {(times.size,) + grid.shape}"
         )
-    if not _finite(frames):
-        raise ValidationError("u_ell_frames holds a NaN or infinite value")
     problems = tf.support_checks(grid, float(times[-1]))
     if problems:
         raise ValidationError("; ".join(problems))
@@ -331,9 +351,6 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
         herm = 0.5 * (mult + np.conj(mult[mirror]))
         levels.append((j, herm[grid.half] * grid.half_weights() / N**n, None))
     depth = max((ell - j for j in op.order_set() if j < ell), default=0)
-    orders = {j - ell for j in op.order_set() if j >= ell}
-    if depth or nl is not None:
-        orders.add(0)
     transformed = {j - ell for j, mw, _ in levels if mw is not None and j >= ell}
     if depth:
         transformed.add(0)
@@ -342,9 +359,13 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     lhs_ip = np.empty(times.size)
     acc = None  # acc[d] = (D_t^-d psi)^ at the current frame
     for t in range(times.size - 1, -1, -1):
-        G = {k: tf.time_derivative(k, times[t], rho) for k in orders}
-        G_hat = {k: np.fft.rfftn(G[k]) for k in transformed}
         frame = frames[t]
+        if not _finite(frame):
+            raise ValidationError(
+                f"u_ell_frames holds a NaN or infinite value at t = {float(times[t])!r}")
+        # d_t^k psi for every order k <= m - ell a level j >= ell takes
+        G = tf.time_derivatives(op.m - ell, times[t], rho)
+        G_hat = {k: np.fft.rfftn(G[k]) for k in transformed}
         f_hat = np.fft.rfftn(frame) if transformed else None
         if depth and acc is None:
             acc = [G_hat[0]] + [np.zeros_like(G_hat[0])] * depth

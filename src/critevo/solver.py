@@ -38,8 +38,10 @@ slowest of the smallest nonzero modes along each axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -48,8 +50,17 @@ from .config import Key, read
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
 from .operators import EvolutionOperator, exp2_parts
+from .reporting import FrameWriter
 
 BLOWUP_FACTOR = 1e6
+
+
+@functools.cache
+def _half_weights(N: int) -> np.ndarray:
+    w = np.full(N // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,9 @@ class Grid:
         Columns 0 and N/2 are their own mirrors; every other column also
         stands for its mirror, so for a Hermitian spectrum the weighted half
         sum of |u^|, or of Re(conj f^ g^), equals the full-spectrum sum.
+        The array is built once per N and is read-only.
         """
-        w = np.full(self.N // 2 + 1, 2.0)
-        w[[0, -1]] = 1.0
-        return w
+        return _half_weights(self.N)
 
     def dealias_mask(self) -> np.ndarray:
         k_int = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
@@ -366,7 +376,9 @@ class ModePropagator:
 
     def apply_source(self, modes: np.ndarray, source_hat: np.ndarray) -> np.ndarray:
         """modes + Phi e_{m-1} source_hat, a member's source broadcast over its layers."""
-        return modes + self._phi * source_hat[:, None]
+        out = self._phi * source_hat[:, None]
+        out += modes
+        return out
 
 
 def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int,
@@ -381,13 +393,17 @@ def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int,
         s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
         if forcing is not None:
             s = s + forcing(t)
-        return np.fft.rfftn(s, axes=axes) * prop.mask
+        # passing s spares numpy's own derivation of the transform shape
+        s_hat = np.fft.rfftn(s, s=grid.shape, axes=axes)
+        s_hat *= prop.mask
+        return s_hat
 
     Ev = prop.apply_linear(modes)
     s0 = source(modes, t)
     pred = prop.apply_source(Ev, s0)
-    s1 = source(pred, t + prop.dt)
-    return prop.apply_source(Ev, 0.5 * (s0 + s1))
+    s0 += source(pred, t + prop.dt)
+    s0 *= 0.5
+    return prop.apply_source(Ev, s0)
 
 
 def grid_norms(w: np.ndarray, weight: float, p: float) -> dict[str, float]:
@@ -462,9 +478,11 @@ class RunReport:
     """Everything a run leaves behind.
 
     ``series`` maps column name -> list (one entry per recorded time);
-    norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``frames`` (only
-    when requested) holds the physical d_t^ell u at each recorded time,
-    (records, *shape), the one field the weak residual reads.
+    norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``frames`` holds
+    the physical d_t^ell u at each recorded time, (records, *shape), the
+    one field the weak residual reads, when the run records fields in
+    memory; it is None when the run records none or streams them to a
+    field file (``run``'s ``field_files``).
     ``initial_sign_functional`` is the data-sign diagnostic of
     :func:`initial_sign_functional` at t = 0.
     """
@@ -521,6 +539,8 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
     # weighted sum along the last axis, then a plain one along the other (n = 2)
     sums = (np.abs(modes) @ grid.half_weights()).sum(axis=grid.space_axes[1:]).max(axis=1)
     out = ~(sums <= (1.0 - SCREEN_MARGIN) * grid.N**grid.n * limit)
+    if not out.any():
+        return out
     for b in np.flatnonzero(out):
         if np.isfinite(modes[b]).all():
             layers = np.fft.irfftn(modes[b], s=grid.shape, axes=grid.space_axes)
@@ -531,12 +551,14 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
 class _History:
     """What one member of a run records: norm series, X-norm, frames and outcome.
 
-    With ``frames_shape`` = (records, *shape), each recorded d_t^ell u is
-    written into one preallocated array.
+    ``frames`` is where each recorded d_t^ell u goes, as ``frames[i] =
+    layer`` for the i-th record: a preallocated (records, *shape) array, a
+    :class:`~critevo.reporting.FrameWriter` that streams it to disk, or
+    None when no field is recorded.
     """
 
     def __init__(self, ell: int, p: float, weight: float,
-                 frames_shape: tuple[int, ...] | None, n_steps: int):
+                 frames: np.ndarray | FrameWriter | None, n_steps: int):
         self.ell, self.p, self.weight = ell, p, weight
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {
@@ -544,7 +566,7 @@ class _History:
         }
         self.series["xnorm_weighted"] = []
         self.series["xnorm_running_sup"] = []
-        self.frames = None if frames_shape is None else np.empty(frames_shape)
+        self.frames = frames
         self.xsup = 0.0
         self.xsup_time = 0.0
         self.outcome = "completed"
@@ -570,8 +592,8 @@ class _History:
             self.frames[len(self.times) - 1] = layers[ell]
 
 
-def run(config: RunConfig,
-        amplitudes: Sequence[float] | None = None) -> RunReport | list[RunReport]:
+def run(config: RunConfig, amplitudes: Sequence[float] | None = None,
+        field_files: Sequence[str | Path] | None = None) -> RunReport | list[RunReport]:
     """March to T (or blow-up), recording norms and the weighted X-history.
 
     Returns one RunReport, of the batch of one ``config.amplitude``.  With
@@ -579,10 +601,18 @@ def run(config: RunConfig,
     ``run(replace(config, amplitude=a))``: the members share one propagator
     and step together as one batch, and a member that blows up is finalised
     at that step and leaves the batch.
+
+    A run with ``config.record_fields`` keeps each member's frames in
+    memory, unless ``field_files`` names one .npy path per member: then each
+    frame is written to its member's file as it is recorded, the file holds
+    exactly what ``np.save`` of the in-memory stack would, and the report's
+    ``frames`` is None.  A run that raises leaves none of these files.
     """
     amps = [config.amplitude] if amplitudes is None else list(amplitudes)
     if not amps:
         raise ValidationError("amplitudes must be a non-empty list")
+    if field_files is not None and (not config.record_fields or len(field_files) != len(amps)):
+        raise ValidationError("field_files needs record_fields and one path per member")
     if amplitudes is not None:
         config.check_amplitudes(amps)
     op, grid = config.op, config.grid
@@ -591,15 +621,37 @@ def run(config: RunConfig,
     modes = init_state(op, grid, config.profile, amps)
     prop = ModePropagator(op, grid, config.dt)
     n_steps = int(round(config.T / config.dt))
+    n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
+    writers: list[FrameWriter] = []
+    try:
+        if field_files is not None:
+            for path in field_files:
+                writers.append(FrameWriter(path, n_records, grid.shape))
+            frames = writers
+        elif config.record_fields:
+            frames = [np.empty((n_records,) + grid.shape) for _ in amps]
+        else:
+            frames = [None] * len(amps)
+        hist = [_History(ell, p, grid.quad_weight(), f, n_steps) for f in frames]
+        reports = _march(config, amps, modes, prop, n_steps, hist)
+        for w in writers:
+            w.close()
+    except BaseException:
+        for w in writers:
+            w.discard()
+        raise
+    return reports[0] if amplitudes is None else reports
 
+
+def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagator,
+           n_steps: int, hist: list[_History]) -> list[RunReport]:
+    """Step the batch from t = 0, recording into ``hist``; one report per member."""
+    grid, ell = config.grid, config.ell
     initial = np.fft.irfftn(modes, s=grid.shape, axes=grid.space_axes)
     # zero data is a legitimate run (the state stays zero); keep a unit
     # reference so any numerical escape still trips the threshold
     ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
     t = 0.0
-    n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
-    frames_shape = (n_records,) + grid.shape if config.record_fields else None
-    hist = [_History(ell, p, grid.quad_weight(), frames_shape, n_steps) for _ in amps]
     live = np.arange(len(amps))  # the member each batch row belongs to
 
     def record():
@@ -632,10 +684,9 @@ def run(config: RunConfig,
             if step % config.record_every == 0 or step == n_steps:
                 record()
 
-    horizon = box_horizon(op, grid)
-    reports = [_report(config, amp, h, layers, horizon, int(np.sum(grid.dealias_mask())))
-               for amp, h, layers in zip(amps, hist, initial)]
-    return reports[0] if amplitudes is None else reports
+    horizon = box_horizon(config.op, grid)
+    return [_report(config, amp, h, layers, horizon, int(np.sum(grid.dealias_mask())))
+            for amp, h, layers in zip(amps, hist, initial)]
 
 
 def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarray,
@@ -667,7 +718,7 @@ def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarra
         times=h.times,
         series=h.series,
         meta=meta,
-        frames=None if h.frames is None else h.frames[:len(h.times)],
+        frames=h.frames[:len(h.times)] if isinstance(h.frames, np.ndarray) else None,
         initial_layers=initial_layers,
         xnorm_sup=h.xsup,
         xnorm_last_increase=h.xsup_time,
