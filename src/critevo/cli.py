@@ -19,6 +19,11 @@ Exit codes: 0 success (a detected blow-up is a successful diagnosis,
 reported in the artifact), 2 invalid input or config, 3 numerical
 failure.  Artifacts carry no timestamps and are byte-identical across
 repeat runs with the same config.
+
+A subcommand loads only the layers it uses.  ``exponent`` runs on the
+exact layer and loads no numpy; ``envelope`` loads numpy only to write its
+CSV; ``mu-check`` adds :mod:`critevo.mu`; only ``simulate``, ``decay`` and
+``residual`` load the solver.
 """
 
 from __future__ import annotations
@@ -29,18 +34,61 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import reporting
-from .config import Key, as_fraction, check, load_json, loads, read
-from .decay import FIT_MODES, RadialProfile, check_linear_decay_hypothesis
+from .config import FIT_MODES, Key, as_fraction, check, load_json, loads, read
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
-from .mu import NonlinearitySpec, integral_condition, lipschitz_certificate, parse_mu
 from .operators import EvolutionOperator, parse_operator
-from .residual import make_test_function, weak_residual
-from .solver import Grid, RunConfig, parse_profile, run
+
+if TYPE_CHECKING:
+    from .solver import Grid, RunConfig
+
+
+# --- numeric entry points, loaded on first call -----------------------------
+# perfbench/trace.py patches run, integral_condition, lipschitz_certificate,
+# make_test_function and weak_residual as names of this module, and tests
+# replace run and check_linear_decay_hypothesis here.  So each stays a
+# function of this module that imports its layer when first called and
+# forwards to it, and every call site below goes through it.  They stay
+# until the package records its own spans (ROADMAP item 9).
+
+def run(*args, **kwargs):
+    """:func:`critevo.solver.run`."""
+    from . import solver
+    return solver.run(*args, **kwargs)
+
+
+def integral_condition(*args, **kwargs):
+    """:func:`critevo.mu.integral_condition`."""
+    from . import mu
+    return mu.integral_condition(*args, **kwargs)
+
+
+def lipschitz_certificate(*args, **kwargs):
+    """:func:`critevo.mu.lipschitz_certificate`."""
+    from . import mu
+    return mu.lipschitz_certificate(*args, **kwargs)
+
+
+def make_test_function(*args, **kwargs):
+    """:func:`critevo.residual.make_test_function`."""
+    from . import residual
+    return residual.make_test_function(*args, **kwargs)
+
+
+def weak_residual(*args, **kwargs):
+    """:func:`critevo.residual.weak_residual`."""
+    from . import residual
+    return residual.weak_residual(*args, **kwargs)
+
+
+def check_linear_decay_hypothesis(*args, **kwargs):
+    """:func:`critevo.decay.check_linear_decay_hypothesis`."""
+    from . import decay
+    return decay.check_linear_decay_hypothesis(*args, **kwargs)
+
 
 # --- config tables ----------------------------------------------------------
 
@@ -138,6 +186,8 @@ def _operator_from(v: dict, base: Path) -> EvolutionOperator:
 
 
 def _grid_from(doc, op: EvolutionOperator) -> Grid:
+    from .solver import Grid
+
     return Grid(n=op.n, **read(doc, GRID, "grid"))
 
 
@@ -155,6 +205,8 @@ def _nonlinearity_from(doc, op: EvolutionOperator, ell: int):
     """The nonlinearity (None without one), its power resolved; plus notes."""
     if doc is None:
         return None, []
+    from .mu import NonlinearitySpec, parse_mu
+
     v = read(doc, NONLINEARITY, "nonlinearity")
     notes: list[str] = []
     p = v["p"]
@@ -213,6 +265,8 @@ def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
 
 
 def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
+    from .mu import NonlinearitySpec, parse_mu
+
     v = read(cfg, MU_CHECK, "config")
     mu = parse_mu(v["mu"])
     c0 = v["c0"]
@@ -236,6 +290,8 @@ def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
 
 
 def _sim_config(v: dict, base: Path):
+    from .solver import RunConfig, parse_profile
+
     op = _operator_from(v, base)
     nl, notes = _nonlinearity_from(v["nonlinearity"], op, v["ell"])
     rc = RunConfig(
@@ -269,6 +325,8 @@ def _layer_files(rc: RunConfig, out_dirs: list[Path]) -> list[Path] | None:
 def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir: Path) -> dict:
     """simulate.json, series.csv and the field files of one run, whose frames
     the run already streamed to fields_layer_ell.npy; its summary."""
+    import numpy as np
+
     doc = reporting.artifact("simulate", {
         "config": cfg,
         "notes": notes,
@@ -298,6 +356,8 @@ def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir:
 
 
 def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
+    from .decay import RadialProfile
+
     v = read(cfg, DECAY, "config")
     op = _operator_from(v, base)
     ell = v["ell"]
@@ -370,6 +430,8 @@ def _recorded_run(run_dir: Path):
 def _load_field(run_dir: Path, key: str, read=None):
     """One recorded field file, by ``read`` (np.load when None); a missing or
     unreadable one is a config error."""
+    import numpy as np
+
     path = run_dir / _FIELD_FILES[key]
     try:
         return (read or np.load)(path)
@@ -383,6 +445,8 @@ def _load_field(run_dir: Path, key: str, read=None):
 
 
 def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
+    import numpy as np
+
     v = read(cfg, RESIDUAL_RUN if "run" in cfg else RESIDUAL, "config")
     tf = read(v["test_function"], TEST_FUNCTION, "test_function")
     if "run" in cfg:

@@ -20,6 +20,10 @@ from .errors import ValidationError
 
 REQUIRED = object()
 
+#: how a decay fit judges its slope against the target (the decay module's
+#: ``mode``); defined here so the CLI's decay table reads it without numpy
+FIT_MODES = ("two-sided", "at-least-as-fast")
+
 _NAMES = {"int": "a JSON integer", "number": "a finite number", "bool": "true or false",
           "str": "a string", "rational": "a rational (number or \"a/b\" string)",
           "object": "an object", "list": "a list"}

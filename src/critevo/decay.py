@@ -39,7 +39,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import FIT_MODES
 from .errors import NumericalError, ValidationError
+from .mu import GAUSS_LEGENDRE16
 from .operators import EvolutionOperator, exp2_parts
 from . import solver as _solver
 
@@ -152,7 +154,7 @@ def _panel_nodes(P: float, panels_per_decade: int):
     lo = P * 1e-8
     count = int(math.ceil(8 * panels_per_decade))
     edges.extend(np.geomspace(lo, P, count + 1))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    gl_x, gl_w = GAUSS_LEGENDRE16
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -268,9 +270,6 @@ class DecayFit:
     target: float | None = None
     tol: float | None = None
     verdict: str | None = None
-
-
-FIT_MODES = ("two-sided", "at-least-as-fast")
 
 
 def _fit(times, values, window, transform, kind, target, tol, mode) -> DecayFit:

@@ -42,7 +42,6 @@ never a proof.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -314,7 +313,7 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
     constant = float(ratios[worst])
 
     # (i) monotonicity on a mixed linear/log grid
-    taus = np.unique(np.concatenate([
+    taus = _sorted_distinct(np.concatenate([
         np.linspace(0.0, cap, 800),
         np.geomspace(cap * 1e-12, cap, 400),
     ]))
@@ -408,13 +407,32 @@ def _antiderivative(mu: MuSpec, tau: float) -> float | None:
     return None
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array without NaNs, which np.unique checks
+    for a mask through numpy.ma, importing it."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 #: panels per decade the Gauss-Legendre rule is tried on, doubling
 _PANELS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-@functools.cache
-def _gauss_legendre16() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(16)  # ~1 ms to build, so built once
+#: the 16-node Gauss-Legendre rule on [-1, 1], (nodes, weights), written out bit
+#: for bit as numpy.polynomial.legendre.leggauss(16) returns it: building it
+#: costs ~1 ms and importing numpy.polynomial loads numpy.ma.  The decay
+#: module's panels use it too.
+GAUSS_LEGENDRE16 = (np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+]), np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+]))
 
 
 def _decade_integrals(mu: MuSpec, u0: float, levels: int, tol: float) -> np.ndarray:
@@ -426,14 +444,14 @@ def _decade_integrals(mu: MuSpec, u0: float, levels: int, tol: float) -> np.ndar
     decade sum moves by more than tol * max(1, |sum|); one eval_mu call
     covers every node of a pass.
     """
-    gl_x, gl_w = _gauss_legendre16()
+    gl_x, gl_w = GAUSS_LEGENDRE16
     edges = u0 + np.arange(levels + 1) * math.log(10)
     taus = np.asarray(mu.taus if mu.family == "custom_table" else [], dtype=float)
     knots = np.clip(-np.log(taus[taus > 0]), edges[0], edges[-1])
     prev = None
     for panels in _PANELS:
         cuts = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(panels) / panels)
-        bounds = np.unique(np.concatenate([cuts.ravel(), edges[-1:], knots]))
+        bounds = _sorted_distinct(np.concatenate([cuts.ravel(), edges[-1:], knots]))
         half = np.diff(bounds) / 2
         mid = bounds[:-1] + half
         values = eval_mu(mu, np.exp(-(mid[:, None] + half[:, None] * gl_x)))

@@ -17,7 +17,8 @@ from which per-frequency companion matrices are assembled for the solver
 and the decay verifier.
 
 Exact quantities (term orders, fractional powers) are kept as
-``fractions.Fraction``; coefficients are floats.
+``fractions.Fraction``; coefficients are floats.  numpy is imported only by
+the functions that build arrays, so the exact layer runs without it.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .config import Key, as_fraction, check, format_fraction, loads, read
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OPERATOR_SCHEMA_VERSION = 1
 
@@ -201,6 +203,8 @@ class EvolutionOperator:
         adjoint level (real coefficients), which the weak-residual check
         relies on.
         """
+        import numpy as np
+
         if len(xi) != self.n:
             raise ValidationError("xi must supply one component array per dimension")
         shape = np.broadcast(*[np.asarray(x) for x in xi]).shape
@@ -231,6 +235,8 @@ class EvolutionOperator:
         Real operator coefficients give A(-xi) = conj(A(xi)), which keeps
         physical fields real under propagation.
         """
+        import numpy as np
+
         mults = [self.multiplier(j, xi) for j in range(self.m)]
         shape = mults[0].shape if self.m else ()
         A = np.zeros(shape + (self.m, self.m), dtype=complex)
@@ -285,6 +291,8 @@ class EvolutionOperator:
 
     def radial_companion(self, rho: np.ndarray) -> np.ndarray:
         """companion() at xi = (rho, 0, ..., 0): A(|xi| = rho) for a radial operator."""
+        import numpy as np
+
         return self.companion([rho] + [np.zeros_like(rho)] * (self.n - 1))
 
     # ------------------------------------------------------------------
@@ -314,6 +322,8 @@ def exp2_parts(A: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     neither one cancels when det << mu^2.  Returns lam1 and lam2 as (k, 1)
     columns and D as (k, T).
     """
+    import numpy as np
+
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     mu = 0.5 * (a + d)
     nu = np.sqrt((0.5 * (a - d)) ** 2 + b * c)

@@ -16,6 +16,9 @@ frame at a time by :class:`FrameWriter` and :class:`FrameReader`, so its
 length costs disk, not memory.  Neither maps the file: a memory map's
 touched pages count towards the process's resident set, which is the
 whole-stack cost the streaming avoids.
+
+numpy is imported only where arrays are built: a JSON artifact of exact
+values is written without it.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ import math
 import os
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import format_fraction
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -48,18 +53,12 @@ def jsonify(obj):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python values
+        return jsonify(obj.tolist())
     if isinstance(obj, float):
-        if np.isnan(obj):
+        if math.isnan(obj):
             return "nan"
-        if np.isinf(obj):
+        if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
     if isinstance(obj, complex):
@@ -86,17 +85,20 @@ def write_json(path: str | Path, obj) -> Path:
 
 
 def format_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if np.isnan(v):
+    if hasattr(v, "tolist"):  # a numpy scalar
+        v = v.tolist()
+    if isinstance(v, float):
+        if math.isnan(v):
             return "nan"
-        if np.isinf(v):
+        if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return repr(v)
     return str(v)
 
 
 def dumps_csv(columns: dict[str, "np.ndarray | list"]) -> str:
+    import numpy as np
+
     names = list(columns)
     cols = [np.asarray(columns[k]).ravel() for k in names]
     lengths = {c.size for c in cols}
@@ -115,7 +117,7 @@ def write_csv(path: str | Path, columns: dict) -> Path:
     return path
 
 
-_FRAME_DTYPE = np.dtype("<f8")
+_FRAME_DTYPE = "<f8"
 
 
 def _frame_header(frames: int, shape: tuple[int, ...]) -> bytes:
@@ -124,10 +126,11 @@ def _frame_header(frames: int, shape: tuple[int, ...]) -> bytes:
     numpy pads it for a first axis of GROWTH_AXIS_MAX_DIGITS digits, so its
     length does not depend on ``frames``.
     """
+    import numpy as np
+
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        buf, {"descr": np.lib.format.dtype_to_descr(_FRAME_DTYPE), "fortran_order": False,
-              "shape": (int(frames),) + shape})
+        buf, {"descr": _FRAME_DTYPE, "fortran_order": False, "shape": (int(frames),) + shape})
     return buf.getvalue()
 
 
@@ -153,6 +156,8 @@ class FrameWriter:
         self._fp.write(self._header)
 
     def __setitem__(self, index: int, frame: np.ndarray) -> None:
+        import numpy as np
+
         if index != self.written:
             raise IndexError(f"frame {index} written after {self.written} frames")
         frame = np.ascontiguousarray(frame, dtype=_FRAME_DTYPE)
@@ -190,6 +195,8 @@ class FrameReader:
     """
 
     def __init__(self, path: str | Path, shape: tuple[int, ...]):
+        import numpy as np
+
         self.path = Path(path)
         self.shape = tuple(shape)
         with open(self.path, "rb") as fp:
@@ -215,6 +222,8 @@ class FrameReader:
                                   "header gives; the file is cut or padded")
 
     def __getitem__(self, index: int) -> np.ndarray:
+        import numpy as np
+
         if not 0 <= index < self.shape[0]:
             raise IndexError(f"frame {index} of {self.shape[0]}")
         frame = np.empty(self.shape[1:], dtype=self.dtype)

@@ -486,7 +486,12 @@ def test_n_sweep_of_an_operator_file(tmp_path):
     ("critevo.errors", ("numpy",)),
     ("critevo.envelope", tuple(f"critevo.{m}" for m in ("solver", "decay", "residual", "mu",
                                                          "cli"))),
-], ids=["cli-scipy", "config-numpy", "errors-numpy", "envelope-numerics"])
+    ("critevo.cli", ("numpy",)),
+    ("critevo.operators", ("numpy",)),
+    ("critevo.reporting", ("numpy",)),
+    ("critevo.envelope", ("numpy",)),
+], ids=["cli-scipy", "config-numpy", "errors-numpy", "envelope-numerics", "cli-numpy",
+        "operators-numpy", "reporting-numpy", "envelope-numpy"])
 def test_cli_import_leaves_scipy_out(module, absent):
     # each layer loads only what it needs: the package itself imports nothing
     code = (f"import sys, {module}; print(sorted(m for m in sys.modules if any("
@@ -520,17 +525,39 @@ def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-def _scipy_after(task: str, cfg: Path, out: Path) -> list[str]:
-    """The scipy modules a fresh interpreter holds after ``critevo <task>`` on cfg."""
+def _modules_after(task: str, cfg: Path, out: Path, names=("scipy",)) -> list[str]:
+    """The modules of ``names`` (each with its submodules) a fresh
+    interpreter holds after ``critevo <task>`` on cfg."""
     code = ("import sys; from critevo import cli\n"
             f"assert cli.main([{task!r}, '--config', {str(cfg)!r}, "
             f"'--out-dir', {str(out)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if any("
+            f"m == a or m.startswith(a + '.') for a in {tuple(names)!r})))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
+def test_a_cold_exponent_loads_no_numpy(tmp_path):
+    # the exact layer runs on Fractions: numpy is never imported
+    op = json.loads(dumps_json(sigma_evolution(3, 2, 1)))
+    cfg = write_json(tmp_path / "exponent.json", {**SCHEMA, "operator": op})
+    assert _modules_after("exponent", cfg, tmp_path / "out", ("numpy",)) == []
+    assert json.loads((tmp_path / "out" / "exponent.json").read_text())["report"]["p_c"] == str(
+        critical_exponent(sigma_evolution(3, 2, 1), 0, 3).p_c)
+
+
+def test_a_cold_mu_check_loads_no_solver_layer(tmp_path):
+    # mu-check needs critevo.mu and numpy, nothing of the solver, decay or
+    # residual, and no numpy.polynomial or numpy.ma
+    cfg = write_json(tmp_path / "mu.json", {
+        **SCHEMA, "mu": {"family": "custom_table", "taus": [0.001, 0.01], "values": [0.0, 1.0]}})
+    absent = ("critevo.solver", "critevo.decay", "critevo.residual", "numpy.polynomial",
+              "numpy.ma")
+    assert _modules_after("mu-check", cfg, tmp_path / "out", absent) == []
+    assert (tmp_path / "out" / "mu_check.json").is_file()
 
 
 @pytest.mark.parametrize("task", ["simulate", "sweep", "residual"])
@@ -542,7 +569,7 @@ def test_m2_tasks_load_no_scipy(op_file, tmp_path, task):
            "sweep": {**SCHEMA, "task": "simulate", "parameter": "amplitude",
                      "values": [0.5, 1.0], "config": sim},
            "residual": {**sim, "test_function": {}}}[task]
-    assert _scipy_after(task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out") == []
+    assert _modules_after(task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out") == []
 
 
 def test_m3_simulate_runs_on_scipy(tmp_path):
@@ -551,7 +578,7 @@ def test_m3_simulate_runs_on_scipy(tmp_path):
                                               2: (fractional_term(0, 3.0),)})
     op_path = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))
     cfg = write_json(tmp_path / "cfg.json", sim_config(op_path, T=2.0))
-    assert "scipy.linalg" in _scipy_after("simulate", cfg, tmp_path / "out")
+    assert "scipy.linalg" in _modules_after("simulate", cfg, tmp_path / "out")
     report = json.loads((tmp_path / "out" / "simulate.json").read_text())
     assert report["report"]["outcome"] == "completed"
 

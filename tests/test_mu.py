@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import critevo.mu as mu_module
 from critevo.errors import NumericalError, ValidationError
 from critevo.mu import (
+    GAUSS_LEGENDRE16,
     MuSpec,
     NonlinearitySpec,
     eval_F,
@@ -485,3 +486,10 @@ def test_iterated_log_rejects_a_tau_star_outside_the_log_domain(depth, tau_star)
     nl = NonlinearitySpec(p=2.0, mu=mu)
     field = np.array([0.01, -0.2, 0.3, 0.9])
     assert eval_F(nl, field).tobytes() == _reference_F(nl, field).tobytes()
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    # the written-out rule the mu and decay quadratures share
+    for table, built in zip(GAUSS_LEGENDRE16, np.polynomial.legendre.leggauss(16)):
+        assert table.dtype == built.dtype and table.shape == built.shape
+        assert table.tobytes() == built.tobytes()
