@@ -298,7 +298,6 @@ def _sim_config(v: dict, base: Path):
         op=op, grid=_grid_from(v["grid"], op), profile=parse_profile(v["profile"]),
         ell=v["ell"], dt=v["dt"], T=v["T"], amplitude=v["amplitude"], nl=nl,
         p_for_norms=v["p_for_norms"], record_every=v["record_every"],
-        record_fields=v.get("record_fields", True),
     )
     return rc, notes
 
@@ -313,13 +312,13 @@ _FIELD_FILES = {
 def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SIMULATE, "config")
     rc, notes = _sim_config(v, base)
-    return _write_simulate(cfg, rc, notes, run(rc, field_files=_layer_files(rc, [out_dir])),
+    return _write_simulate(cfg, rc, notes, run(rc, field_files=_layer_files(cfg, [out_dir])),
                            out_dir)
 
 
-def _layer_files(rc: RunConfig, out_dirs: list[Path]) -> list[Path] | None:
-    """Where each run of ``out_dirs`` streams its recorded frames, if it records any."""
-    return [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if rc.record_fields else None
+def _layer_files(cfg: dict, out_dirs: list[Path]) -> list[Path] | None:
+    """Where each run of ``out_dirs`` streams its frames, if the validated ``cfg`` records any."""
+    return [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if cfg.get("record_fields") else None
 
 
 def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir: Path) -> dict:
@@ -339,8 +338,7 @@ def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir:
     columns.update(report.series)
     csv_path = reporting.write_csv(out_dir / "series.csv", columns)
     written = [path, csv_path]
-    if rc.record_fields:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if cfg.get("record_fields"):
         np.save(out_dir / _FIELD_FILES["times"], np.asarray(report.times))
         np.save(out_dir / _FIELD_FILES["initial_layers"], report.initial_layers)
         written += [out_dir / _FIELD_FILES[k] for k in _FIELD_FILES]
@@ -445,40 +443,46 @@ def _load_field(run_dir: Path, key: str, read=None):
 
 
 def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
+    import contextlib
+    import tempfile
+
     import numpy as np
 
     v = read(cfg, RESIDUAL_RUN if "run" in cfg else RESIDUAL, "config")
     tf = read(v["test_function"], TEST_FUNCTION, "test_function")
-    if "run" in cfg:
-        run_dir = base / v["run"]
-        op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
-        notes: list[str] = []
-        times = _load_field(run_dir, "times")
-        if times.ndim != 1 or not times.size:
-            raise ValidationError(f"{run_dir / _FIELD_FILES['times']} must hold a non-empty "
-                                  f"1-D array, not shape {times.shape}")
-        # the frames are read one at a time by the residual's pass
-        frames = _load_field(run_dir, "layer_ell", lambda path: reporting.FrameReader(
-            path, (times.size,) + grid.shape))
-        initial_layers = _load_field(run_dir, "initial_layers")
-        run_meta = {"source": str(Path(v["run"]))}
-    else:
-        rc, notes = _sim_config(v, base)
-        report = run(rc)
-        op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
-        times = np.asarray(report.times)
-        frames = report.frames
-        initial_layers = report.initial_layers
-        run_outcome = report.outcome
-        run_meta = report.meta
+    # an inline run streams its field to a scratch file, kept until the residual is taken
+    with contextlib.ExitStack() as scratch:
+        if "run" in cfg:
+            run_dir = base / v["run"]
+            op, ell, grid, nl, run_outcome = _recorded_run(run_dir)
+            notes: list[str] = []
+            times = _load_field(run_dir, "times")
+            if times.ndim != 1 or not times.size:
+                raise ValidationError(f"{run_dir / _FIELD_FILES['times']} must hold a non-empty "
+                                      f"1-D array, not shape {times.shape}")
+            # the frames are read one at a time by the residual's pass
+            frames = _load_field(run_dir, "layer_ell", lambda path: reporting.FrameReader(
+                path, (times.size,) + grid.shape))
+            initial_layers = _load_field(run_dir, "initial_layers")
+            run_meta = {"source": str(Path(v["run"]))}
+        else:
+            rc, notes = _sim_config(v, base)
+            path = Path(scratch.enter_context(tempfile.TemporaryDirectory())) / "frames.npy"
+            report = run(rc, field_files=[path])
+            op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
+            times = np.asarray(report.times)
+            frames = reporting.FrameReader(path, (times.size,) + grid.shape)
+            initial_layers = report.initial_layers
+            run_outcome = report.outcome
+            run_meta = report.meta
 
-    spec = make_test_function(op, ell, grid, float(times[-1]), **tf)
-    if tf["eta_bar"] == "critical":
-        notes.append(f"eta_bar resolved to {spec.eta_bar}")
-    if tf["scale"] == "auto":
-        notes.append(f"test function scale resolved to {spec.scale!r}")
-    res = weak_residual(op, ell, grid, times, frames, spec, nl=nl,
-                        initial_layers=initial_layers)
+        spec = make_test_function(op, ell, grid, float(times[-1]), **tf)
+        if tf["eta_bar"] == "critical":
+            notes.append(f"eta_bar resolved to {spec.eta_bar}")
+        if tf["scale"] == "auto":
+            notes.append(f"test function scale resolved to {spec.scale!r}")
+        res = weak_residual(op, ell, grid, times, frames, spec, nl=nl,
+                            initial_layers=initial_layers)
     doc = reporting.artifact("residual", {
         "config": cfg,
         "notes": notes,
@@ -518,7 +522,7 @@ def _simulate_batch(batch: list, out_dir: Path) -> None:
     dirs = [out_dir / entry["dir"] for entry, *_ in batch]
     try:
         reports = run(first, amplitudes=[rc.amplitude for _, _, rc, _ in batch],
-                      field_files=_layer_files(first, dirs))
+                      field_files=_layer_files(batch[0][1], dirs))
     except (ValidationError, NumericalError) as exc:
         for entry, *_ in batch:
             _failed(entry, exc)

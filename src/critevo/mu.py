@@ -289,7 +289,8 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
     zero, where the modulation varies fastest); the reported constant is
     max |F(y)-F(z)| / (|y-z| (|y|^{p-1}+|z|^{p-1}) mu(|y|+|z|)).  The
     derivative bound checked is 0 <= tau mu'(tau) <= mu(tau) (sufficient
-    for admissibility), by central differences.
+    for admissibility), by central differences.  A non-finite sample, or no
+    pair whose bound clears 1e-300, leaves no certificate: ValidationError.
     """
     if cap is None:
         cap = nl.mu.tau_star if math.isfinite(nl.mu.tau_star) else 1.0
@@ -302,11 +303,20 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
     ys = np.concatenate([ys, small])
     zs = np.concatenate([zs, small * rng.uniform(0.0, 1.0, small.size)])
 
-    Fy = np.asarray(eval_F(nl, ys))
-    Fz = np.asarray(eval_F(nl, zs))
-    mu_sum = np.asarray(eval_mu(nl.mu, np.abs(ys) + np.abs(zs)))
-    denom = np.abs(ys - zs) * (np.abs(ys) ** (nl.p - 1) + np.abs(zs) ** (nl.p - 1)) * mu_sum
+    ss = np.linspace(0.0, cap, 1201)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Fy, Fz, Fs = (np.asarray(eval_F(nl, s)) for s in (ys, zs, ss))
+        mu_sum = np.asarray(eval_mu(nl.mu, np.abs(ys) + np.abs(zs)))
+        denom = np.abs(ys - zs) * (np.abs(ys) ** (nl.p - 1) + np.abs(zs) ** (nl.p - 1)) * mu_sum
+        d2 = Fs[:-2] - 2 * Fs[1:-1] + Fs[2:]
+    where = f"on [0, cap] at cap = {cap!r}, p = {nl.p!r}"
+    if not all(np.isfinite(a).all() for a in (Fy, Fz, denom, d2)):
+        raise ValidationError(f"a sampled F, difference bound or second difference is not "
+                              f"finite {where}; take a smaller cap or p")
     ok = denom > 1e-300
+    if not ok.any():
+        raise ValidationError(f"every sampled difference bound underflows below 1e-300 "
+                              f"{where}; take a larger cap or a smaller p")
     ratios = np.zeros_like(denom)
     ratios[ok] = np.abs(Fy - Fz)[ok] / denom[ok]
     worst = int(np.argmax(ratios))
@@ -333,9 +343,6 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
     derivative_witness = None if derivative_bound else float(inner[np.nonzero(bad)[0][0]])
 
     # (iii) convexity of F via second differences on [0, cap]
-    ss = np.linspace(0.0, cap, 1201)
-    Fs = np.asarray(eval_F(nl, ss))
-    d2 = Fs[:-2] - 2 * Fs[1:-1] + Fs[2:]
     fscale = max(float(np.max(np.abs(Fs))), 1e-300)
     cbad = np.nonzero(d2 < -1e-9 * fscale)[0]
     convex = cbad.size == 0

@@ -429,11 +429,11 @@ class RunConfig:
     nl: NonlinearitySpec | None = None
     p_for_norms: float | None = None
     record_every: int = 1
-    record_fields: bool = False
     forcing: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.ell, int) and 0 <= self.ell < self.op.m):
+        # type() is int, not isinstance(): a bool is an int subclass
+        if not (type(self.ell) is int and 0 <= self.ell < self.op.m):
             raise ValidationError(f"ell must be an integer in [0, {self.op.m - 1}]")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ValidationError(f"dt and T must be finite and > 0, got dt = {self.dt!r}, "
@@ -441,8 +441,8 @@ class RunConfig:
         steps = self.T / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationError(f"T = {self.T} must be a multiple of dt = {self.dt}")
-        if self.record_every < 1:
-            raise ValidationError("record_every must be >= 1")
+        if not (type(self.record_every) is int and self.record_every >= 1):
+            raise ValidationError("record_every must be an integer >= 1")
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
         self.check_amplitudes([self.amplitude])
@@ -478,11 +478,8 @@ class RunReport:
     """Everything a run leaves behind.
 
     ``series`` maps column name -> list (one entry per recorded time);
-    norm columns are per layer k <= ell, e.g. 'L2[0]'.  ``frames`` holds
-    the physical d_t^ell u at each recorded time, (records, *shape), the
-    one field the weak residual reads, when the run records fields in
-    memory; it is None when the run records none or streams them to a
-    field file (``run``'s ``field_files``).
+    norm columns are per layer k <= ell, e.g. 'L2[0]'.  A recorded field
+    is not part of the report: ``run`` streams it to a field file.
     ``initial_sign_functional`` is the data-sign diagnostic of
     :func:`initial_sign_functional` at t = 0.
     """
@@ -492,7 +489,6 @@ class RunReport:
     times: list[float]
     series: dict[str, list[float]]
     meta: dict
-    frames: np.ndarray | None = None
     initial_layers: np.ndarray | None = None
     xnorm_sup: float = math.nan
     xnorm_last_increase: float = math.nan
@@ -551,14 +547,13 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
 class _History:
     """What one member of a run records: norm series, X-norm, frames and outcome.
 
-    ``frames`` is where each recorded d_t^ell u goes, as ``frames[i] =
-    layer`` for the i-th record: a preallocated (records, *shape) array, a
-    :class:`~critevo.reporting.FrameWriter` that streams it to disk, or
-    None when no field is recorded.
+    ``frames`` is the :class:`~critevo.reporting.FrameWriter` each
+    recorded d_t^ell u is streamed to, as ``frames[i] = layer`` for the i-th
+    record, or None when the run records no field.
     """
 
     def __init__(self, ell: int, p: float, weight: float,
-                 frames: np.ndarray | FrameWriter | None, n_steps: int):
+                 frames: FrameWriter | None, n_steps: int):
         self.ell, self.p, self.weight = ell, p, weight
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {
@@ -574,7 +569,7 @@ class _History:
         self.steps = n_steps
 
     def record(self, t: float, layers: np.ndarray) -> None:
-        """Norms of the physical layers 0..ell at time t (and layer ell, if kept)."""
+        """Norms of the physical layers 0..ell at time t (and layer ell, if streamed)."""
         ell, p = self.ell, self.p
         self.times.append(t)
         xval = 0.0
@@ -602,17 +597,16 @@ def run(config: RunConfig, amplitudes: Sequence[float] | None = None,
     and step together as one batch, and a member that blows up is finalised
     at that step and leaves the batch.
 
-    A run with ``config.record_fields`` keeps each member's frames in
-    memory, unless ``field_files`` names one .npy path per member: then each
-    frame is written to its member's file as it is recorded, the file holds
-    exactly what ``np.save`` of the in-memory stack would, and the report's
-    ``frames`` is None.  A run that raises leaves none of these files.
+    A run records fields exactly when ``field_files`` names one .npy path
+    per member: each member's d_t^ell u is written to its file as it is
+    recorded, and the file ends byte-identical to ``np.save`` of its
+    (records, *shape) stack.  A run that raises leaves none of these files.
     """
     amps = [config.amplitude] if amplitudes is None else list(amplitudes)
     if not amps:
         raise ValidationError("amplitudes must be a non-empty list")
-    if field_files is not None and (not config.record_fields or len(field_files) != len(amps)):
-        raise ValidationError("field_files needs record_fields and one path per member")
+    if field_files is not None and len(field_files) != len(amps):
+        raise ValidationError("field_files needs one path per member")
     if amplitudes is not None:
         config.check_amplitudes(amps)
     op, grid = config.op, config.grid
@@ -624,15 +618,10 @@ def run(config: RunConfig, amplitudes: Sequence[float] | None = None,
     n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
     writers: list[FrameWriter] = []
     try:
-        if field_files is not None:
-            for path in field_files:
-                writers.append(FrameWriter(path, n_records, grid.shape))
-            frames = writers
-        elif config.record_fields:
-            frames = [np.empty((n_records,) + grid.shape) for _ in amps]
-        else:
-            frames = [None] * len(amps)
-        hist = [_History(ell, p, grid.quad_weight(), f, n_steps) for f in frames]
+        for path in field_files or ():
+            writers.append(FrameWriter(path, n_records, grid.shape))
+        hist = [_History(ell, p, grid.quad_weight(), f, n_steps)
+                for f in writers or [None] * len(amps)]
         reports = _march(config, amps, modes, prop, n_steps, hist)
         for w in writers:
             w.close()
@@ -718,7 +707,6 @@ def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarra
         times=h.times,
         series=h.series,
         meta=meta,
-        frames=h.frames[:len(h.times)] if isinstance(h.frames, np.ndarray) else None,
         initial_layers=initial_layers,
         xnorm_sup=h.xsup,
         xnorm_last_increase=h.xsup_time,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from critevo.operators import EvolutionOperator, SpatialTerm, fractional_term
+from critevo.solver import run
 
 INF = math.inf
 
@@ -133,3 +135,16 @@ def monomial_op(alpha) -> EvolutionOperator:
         0: (SpatialTerm(kind="monomial", coeff=1.0, alpha=alpha),),
         1: (SpatialTerm(kind="monomial", coeff=1.0, alpha=(0, 0)),),
     })
+
+
+def run_recording(config, directory, amplitudes=None):
+    """``run`` with each member's d_t^ell u streamed to directory/member_{i}.npy.
+
+    Returns the report and its frame stack as ``np.load`` reads it back,
+    or, with ``amplitudes``, the list of reports and the list of stacks.
+    """
+    n = 1 if amplitudes is None else len(amplitudes)
+    paths = [Path(directory) / f"member_{i}.npy" for i in range(n)]
+    reports = run(config, amplitudes=amplitudes, field_files=paths)
+    stacks = [np.load(path) for path in paths]
+    return (reports, stacks[0]) if amplitudes is None else (reports, stacks)

@@ -29,7 +29,13 @@ from critevo.solver import (
     run,
 )
 
-from helpers import build_m5_operator, oracle_exponent, random_operator, scaling_lines
+from helpers import (
+    build_m5_operator,
+    oracle_exponent,
+    random_operator,
+    run_recording,
+    scaling_lines,
+)
 
 
 def test_criterion_01_exponent_cli_closed_forms(acceptance, tmp_path):
@@ -139,7 +145,7 @@ def test_criterion_06_linear_decay_rates(acceptance):
                    f"vs gap {-gap:.4f}")
 
 
-def test_criterion_07_solver_exactness(acceptance):
+def test_criterion_07_solver_exactness(acceptance, tmp_path):
     op = damped_wave(1)
     grid = Grid(n=1, N=64, L=40.0)
     prof = SolverProfile(kind="gaussian", width=2.0)
@@ -147,9 +153,9 @@ def test_criterion_07_solver_exactness(acceptance):
     # (a) the linear stepper is a matrix exponential: dt-independent
     finals = []
     for dt in (0.1, 0.02):
-        rep = run(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt, T=1.0,
-                            record_fields=True))
-        finals.append(rep.frames[-1])
+        _, frames = run_recording(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt,
+                                            T=1.0), tmp_path)
+        finals.append(frames[-1])
     step_ok = float(np.max(np.abs(finals[0] - finals[1]))) < 1e-6
 
     # (b) manufactured u = sin(t) e^{-t} cos(x): pure time-stepping error
@@ -167,11 +173,10 @@ def test_criterion_07_solver_exactness(acceptance):
 
     errs = []
     for dt in (0.02, 0.01):
-        rep = run(RunConfig(op=op, grid=g2,
-                            profile=SolverProfile(kind="custom_table", values=tuple(cosx)),
-                            ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing,
-                            record_every=1000000, record_fields=True))
-        errs.append(float(np.max(np.abs(rep.frames[-1] - phi(1.0) * cosx))))
+        _, frames = run_recording(RunConfig(
+            op=op, grid=g2, profile=SolverProfile(kind="custom_table", values=tuple(cosx)),
+            ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing, record_every=1000000), tmp_path)
+        errs.append(float(np.max(np.abs(frames[-1] - phi(1.0) * cosx))))
     rate = math.log2(errs[0] / errs[1])
 
     # (c) modes above the 2/3 cutoff stay exactly zero through nonlinear steps
@@ -188,18 +193,17 @@ def test_criterion_07_solver_exactness(acceptance):
                f"dt-diff ok={step_ok}, order={rate:.2f}, dealias={dealias_ok}")
 
 
-def test_criterion_08_weak_residual_refinement(acceptance):
+def test_criterion_08_weak_residual_refinement(acceptance, tmp_path):
     op = damped_wave(1)
     T = 20.0
     residuals = []
     for N, dt in ((64, 0.1), (128, 0.05), (256, 0.025)):
         grid = Grid(n=1, N=N, L=40.0)
-        rep = run(RunConfig(op=op, grid=grid,
-                            profile=SolverProfile(kind="gaussian", width=2.0),
-                            ell=0, dt=dt, T=T, record_every=2, record_fields=True))
+        rep, frames = run_recording(RunConfig(
+            op=op, grid=grid, profile=SolverProfile(kind="gaussian", width=2.0),
+            ell=0, dt=dt, T=T, record_every=2), tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
-        rr = weak_residual(op, 0, grid, np.asarray(rep.times),
-                           np.asarray(rep.frames), tf,
+        rr = weak_residual(op, 0, grid, np.asarray(rep.times), frames, tf,
                            initial_layers=rep.initial_layers)
         residuals.append(rr.residual)
     ok = (residuals[0] < 1e-3

@@ -686,6 +686,20 @@ def _run(tmp_path, task: str, cfg: dict) -> tuple[int, Path]:
                      "--out-dir", str(out)]), out
 
 
+@pytest.mark.parametrize("extra, words", [
+    ({"cap": 1e300}, "not finite"),
+    ({"cap": 100, "p": 200}, "not finite"),
+    ({"cap": 1e-200}, "underflows"),
+], ids=["cap=1e300", "cap=100-p=200", "cap=1e-200"])
+def test_mu_check_without_a_valid_lipschitz_sample_exits_2(tmp_path, capsys, extra, words):
+    # these wrote "constant": "nan", or 0.0 with every bound underflowing, and exited 0
+    code, out = _run(tmp_path, "mu-check", {**SCHEMA, "mu": {"family": "constant"}, **extra})
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert words in err and f"cap = {float(extra['cap'])!r}" in err and "p = " in err
+
+
 def test_table_walk_bases_are_valid(bases, tmp_path):
     for task, cfg in bases.items():
         assert _run(tmp_path / task, task, cfg)[0] == 0, task

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ SQUARE = NonlinearitySpec(p=2.0, mu=parse_mu({"family": "constant", "value": 1.0
 # u_t = u^2 from a peak of 22: blows up at the 12th of 401 records
 BLOWUP_1D = RunConfig(op=parse_operator({"schema_version": 1, "m": 1, "n": 1, "levels": {}}),
                       grid=Grid(n=1, N=32, L=20.0), profile=DataProfile(width=1.2), ell=0,
-                      dt=0.005, T=2.0, amplitude=22.0, nl=SQUARE, record_fields=True)
+                      dt=0.005, T=2.0, amplitude=22.0, nl=SQUARE)
 
 
 def _saved(tmp_path, name, frames):
@@ -33,21 +34,23 @@ def _saved(tmp_path, name, frames):
 
 @pytest.mark.parametrize("config", [
     RunConfig(op=damped_wave(2), grid=Grid(n=2, N=32, L=40.0), profile=DataProfile(width=2.0),
-              ell=0, dt=0.05, T=1.0, amplitude=0.5, nl=CUBIC, record_every=3,
-              record_fields=True),
+              ell=0, dt=0.05, T=1.0, amplitude=0.5, nl=CUBIC, record_every=3),
     BLOWUP_1D,
     RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0), profile=DataProfile(width=2.0),
-              ell=1, dt=0.05, T=2.0, amplitude=0.3, nl=CUBIC, record_fields=True),
+              ell=1, dt=0.05, T=2.0, amplitude=0.3, nl=CUBIC),
 ], ids=["2d-completed", "1d-blowup-12-of-401", "ell1"])
 def test_a_streamed_stack_is_np_save_of_the_in_memory_one(config, tmp_path):
+    # the file, whose header was written for every planned record, ends as
+    # np.save of the stack np.load reads from it: one frame per record taken
+    # (the frames' values are checked against the full-spectrum reference
+    # in test_solver)
     path = tmp_path / "run" / "fields_layer_ell.npy"
-    streamed = run(config, field_files=[path])
-    kept = run(config)
-    assert streamed.frames is None
-    assert kept.times == streamed.times
+    report = run(config, field_files=[path])
     if config is BLOWUP_1D:
-        assert kept.outcome == "blowup_detected" and len(kept.times) == 12
-    assert path.read_bytes() == _saved(tmp_path, "kept", kept.frames)
+        assert report.outcome == "blowup_detected" and len(report.times) == 12
+    stack = np.load(path)
+    assert stack.shape == (len(report.times),) + config.grid.shape
+    assert path.read_bytes() == _saved(tmp_path, "loaded", stack)
     assert os.listdir(path.parent) == [path.name]
 
 
@@ -55,18 +58,18 @@ def test_a_streamed_batch_is_np_save_of_each_member(tmp_path):
     config = replace(BLOWUP_1D, T=0.2)
     amplitudes = [0.5, 22.0, 2.0]
     paths = [tmp_path / f"value_{i:03d}" / "fields_layer_ell.npy" for i in range(3)]
-    streamed = run(config, amplitudes=amplitudes, field_files=paths)
-    kept = run(config, amplitudes=amplitudes)
-    assert [r.outcome for r in kept] == ["completed", "blowup_detected", "completed"]
-    for i, (s, k, path) in enumerate(zip(streamed, kept, paths)):
-        assert s.frames is None and s.times == k.times
-        assert path.read_bytes() == _saved(tmp_path, f"kept{i}", k.frames)
+    reports = run(config, amplitudes=amplitudes, field_files=paths)
+    assert [r.outcome for r in reports] == ["completed", "blowup_detected", "completed"]
+    for i, (report, path) in enumerate(zip(reports, paths)):
+        stack = np.load(path)
+        assert stack.shape == (len(report.times),) + config.grid.shape
+        assert path.read_bytes() == _saved(tmp_path, f"loaded{i}", stack)
 
 
-def test_field_files_need_record_fields_and_one_path_per_member(tmp_path):
+def test_field_files_need_one_path_per_member(tmp_path):
     path = tmp_path / "f.npy"
     with pytest.raises(ValueError, match="one path per member"):
-        run(replace(BLOWUP_1D, record_fields=False), field_files=[path])
+        run(BLOWUP_1D, field_files=[])
     with pytest.raises(ValueError, match="one path per member"):
         run(BLOWUP_1D, amplitudes=[1.0, 2.0], field_files=[path])
     assert not path.exists()
@@ -126,12 +129,12 @@ def test_a_recorded_run_streams_in_memory_of_a_few_frames(tmp_path):
     # 2-D N = 128, 101 records: the stack is 13 MB, one frame 131 kB
     grid = Grid(n=2, N=128, L=40.0)
     config = RunConfig(op=damped_wave(2), grid=grid, profile=DataProfile(width=2.0), ell=0,
-                       dt=0.05, T=5.0, nl=CUBIC, amplitude=0.3, record_fields=True)
+                       dt=0.05, T=5.0, nl=CUBIC, amplitude=0.3)
     frame = grid.N**2 * 8
     path = tmp_path / "fields_layer_ell.npy"
     _, short = _peak(lambda: run(replace(config, T=0.5), field_files=[path]))
     report, peak = _peak(lambda: run(config, field_files=[path]))
-    assert len(report.times) == 101 and report.frames is None
+    assert len(report.times) == 101
     # ten times the records cost no more than a frame's worth of memory
     assert peak < short + frame, (peak, short, frame)
     assert peak < 101 * frame / 3, (peak, frame)
@@ -225,3 +228,56 @@ def test_a_nan_frame_is_found_during_the_pass(recorded, tmp_path, capsys):
     code, err = _residual_exit(recorded, tmp_path, capsys)
     assert code == 2
     assert "NaN" in err and "t = 0.0" in err
+
+
+def _inline_residual(tmp_path, name, n, **config):
+    """Exit code of an inline residual of the n-D damped wave (a gaussian of width 2
+    unless ``config`` names a profile)."""
+    op = tmp_path / f"op{n}.json"
+    op.write_text(dumps_json(damped_wave(n)))
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "operator": str(op), "ell": 0,
+                               "profile": {"kind": "gaussian", "width": 2.0}, **config}))
+    return cli.main(["residual", "--config", str(cfg), "--out-dir", str(tmp_path / name)])
+
+
+def test_an_inline_residual_streams_in_memory_of_a_few_frames(tmp_path):
+    # 2-D N = 128, 101 records, as above: the stack is 13 MB, one frame 131 kB
+    config = {"grid": {"N": 128, "L": 40.0}, "dt": 0.05, "amplitude": 0.3,
+              "nonlinearity": {"p": 3.0, "mu": {"family": "iterated_log", "gamma": 2.0}}}
+    # a short run first, so that lazy imports settle untraced
+    assert _inline_residual(tmp_path, "short", 2, T=0.5, **config) == 0
+    code, peak = _peak(lambda: _inline_residual(tmp_path, "long", 2, T=5.0, **config))
+    assert code == 0
+    report = json.loads((tmp_path / "long" / "residual.json").read_text())
+    assert report["run_meta"]["steps_taken"] == 100
+    assert peak < 101 * 128**2 * 8 / 3, peak
+
+
+@pytest.mark.parametrize("amplitude, record_every, code", [
+    (0.3, 1, 0),
+    # u^2 forcing from 0.9 blows up at step 132, after the records at steps 0
+    # and 100, so the residual, which needs 3 records, exits 2
+    (0.9, 100, 2),
+], ids=["completed", "blowup-after-2-records"])
+def test_an_inline_residual_removes_its_scratch_file(amplitude, record_every, code, tmp_path,
+                                                     monkeypatch, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    seen = []
+    weak = cli.weak_residual
+
+    def spy(*args, **kwargs):
+        seen.append(len(list(scratch.rglob("*.npy"))))
+        return weak(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "weak_residual", spy)
+    config = {"grid": {"N": 32, "L": 20.0}, "profile": {"kind": "gaussian", "width": 1.2},
+              "dt": 0.05, "T": 8.0, "amplitude": amplitude, "record_every": record_every,
+              "nonlinearity": {"p": 2.0, "mu": {"family": "constant", "value": 1.0}}}
+    assert _inline_residual(tmp_path, "res", 1, **config) == code
+    assert code == 0 or "length >= 3" in capsys.readouterr().err
+    # the field file was there while the residual read it, and is gone after
+    assert seen == [1]
+    assert list(scratch.iterdir()) == []

@@ -10,8 +10,8 @@ from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import EvolutionOperator, SpatialTerm, damped_wave, sigma_evolution
 from critevo.reporting import jsonify
 from critevo.residual import TestFunctionSpec, default_q_tf, make_test_function, weak_residual
-from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional, run
-from helpers import monomial_op
+from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional
+from helpers import monomial_op, run_recording
 
 BOX = dict(n=1, N=128, L=40.0)
 VALID = dict(eta_bar=2, scale=1.0, q_tf=1, flat_fraction=0.5, smooth_order=6, reg_epsilon=0.0)
@@ -289,18 +289,17 @@ def test_exact_mode_identity_with_a_stranded_layer_in_fourier_space():
     assert got[0] / got[1] > 3.0
 
 
-def test_solver_frames_refine_together():
+def test_solver_frames_refine_together(tmp_path):
     op = damped_wave(1)
     T = 20.0
     got = []
     for N, dt in ((64, 0.1), (128, 0.05)):
         grid = Grid(n=1, N=N, L=40.0)
         cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-                        ell=0, dt=dt, T=T, record_every=2, record_fields=True)
-        out = run(cfg)
+                        ell=0, dt=dt, T=T, record_every=2)
+        out, frames = run_recording(cfg, tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
-        rr = weak_residual(op, 0, grid, np.asarray(out.times),
-                           np.asarray(out.frames), tf,
+        rr = weak_residual(op, 0, grid, np.asarray(out.times), frames, tf,
                            initial_layers=out.initial_layers)
         got.append(rr.residual)
     assert got[0] < 1e-3
@@ -308,16 +307,14 @@ def test_solver_frames_refine_together():
     assert got[0] / got[1] > 2.0
 
 
-def test_nonlinear_run_discriminates():
+def test_nonlinear_run_discriminates(tmp_path):
     op = damped_wave(1)
     grid = Grid(**BOX)
     nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-                    ell=0, dt=0.05, T=20.0, amplitude=0.1, nl=nl,
-                    record_every=2, record_fields=True)
-    out = run(cfg)
+                    ell=0, dt=0.05, T=20.0, amplitude=0.1, nl=nl, record_every=2)
+    out, frames = run_recording(cfg, tmp_path)
     times = np.asarray(out.times)
-    frames = np.asarray(out.frames)
     tf = make_test_function(op, 0, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     matched = weak_residual(op, 0, grid, times, frames, tf, nl=nl,
                             initial_layers=out.initial_layers)
@@ -462,18 +459,18 @@ def whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=None, initial
 NL2 = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
 
 
-def _wave_2d_case():
+def _wave_2d_case(tmp_path):
     op = damped_wave(2)
     grid = Grid(n=2, N=64, L=40.0)
-    out = run(RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-                        ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2,
-                        record_every=2, record_fields=True))
+    out, frames = run_recording(RunConfig(
+        op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
+        ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2, record_every=2), tmp_path)
     tf = make_test_function(op, 0, grid, 3.0, eta_bar=2, scale=2.94)
-    return (op, 0, grid, np.asarray(out.times), out.frames, tf,
+    return (op, 0, grid, np.asarray(out.times), frames, tf,
             NL2, out.initial_layers)
 
 
-def _sigma_ell1_case():
+def _sigma_ell1_case(tmp_path):
     # j = 0 < ell strands layer 0 through the anti-derivative, j = 2 strands layer 1
     grid = Grid(**BOX)
     op = sigma_evolution(1, 2, 1)
@@ -487,7 +484,7 @@ def _sigma_ell1_case():
     return op, 1, grid, times, frames, tf, NL2, init
 
 
-def _monomial_case():
+def _monomial_case(tmp_path):
     # an odd symbol is complex, and random frames fill the Nyquist row and
     # column, where the half-spectrum weights and mirrors matter
     op = monomial_op((1, 0))
@@ -502,8 +499,8 @@ def _monomial_case():
 
 @pytest.mark.parametrize("case", [_wave_2d_case, _sigma_ell1_case, _monomial_case],
                          ids=["wave-2d", "sigma-ell1", "monomial-10"])
-def test_streamed_pass_matches_whole_stack(case):
-    op, ell, grid, times, frames, tf, nl, init = case()
+def test_streamed_pass_matches_whole_stack(case, tmp_path):
+    op, ell, grid, times, frames, tf, nl, init = case(tmp_path)
     got = weak_residual(op, ell, grid, times, frames, tf, nl=nl, initial_layers=init)
     want = whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=nl,
                                      initial_layers=init)

@@ -33,7 +33,7 @@ from critevo.solver import (
     parse_profile,
     run,
 )
-from helpers import monomial_op
+from helpers import monomial_op, run_recording
 
 
 def small_grid(n=1, N=16, L=2 * math.pi):
@@ -242,6 +242,17 @@ def test_run_config_needs_a_finite_dt_and_T(dt, T):
                   profile=DataProfile(kind="gaussian", width=0.6), ell=0, dt=dt, T=T)
 
 
+@pytest.mark.parametrize("key, value", [("ell", True), ("record_every", True),
+                                        ("record_every", 2.5), ("record_every", 2.0)])
+def test_run_config_takes_an_integer_ell_and_record_every(key, value):
+    # ell = True ran as ell = 1, and record_every = 2.5 recorded only where
+    # step % 2.5 == 0: 3 records at T = 1, dt = 0.1
+    with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+        RunConfig(op=damped_wave(1), grid=small_grid(N=32, L=10.0),
+                  profile=DataProfile(kind="gaussian", width=0.6), dt=0.1, T=1.0,
+                  **{"ell": 0, key: value})
+
+
 def test_step_doubling_consistency():
     op = damped_wave(1)
     grid = small_grid()
@@ -263,7 +274,7 @@ def test_zero_mode_closed_form():
     assert np.allclose(_E(prop)[0], E_exact, atol=1e-10)
 
 
-def test_manufactured_solution_convergence():
+def test_manufactured_solution_convergence(tmp_path):
     # u(t,x) = sin(t) e^{-t} cos(x) for u_tt + u_t - u_xx = u^2 + g;
     # space is exact on the grid, so the error is pure time stepping
     op = damped_wave(1)
@@ -292,11 +303,10 @@ def test_manufactured_solution_convergence():
     errs = []
     for dt in (0.02, 0.01):
         cfg = RunConfig(op=op, grid=grid, profile=profile, ell=0, dt=dt, T=T,
-                        nl=nl, forcing=forcing, record_every=1000000,
-                        record_fields=True)
-        rep = run(cfg)
+                        nl=nl, forcing=forcing, record_every=1000000)
+        rep, frames = run_recording(cfg, tmp_path)
         assert rep.outcome == "completed"
-        u_T = rep.frames[-1]
+        u_T = frames[-1]
         errs.append(float(np.max(np.abs(u_T - phi(T) * cosx))))
     rate = math.log2(errs[0] / errs[1])
     assert rate >= 1.9, (errs, rate)
@@ -545,10 +555,6 @@ def _assert_reports_equal(got, want):
     assert got.xnorm_last_increase == want.xnorm_last_increase
     assert got.initial_sign_functional == want.initial_sign_functional
     assert got.initial_layers.tobytes() == want.initial_layers.tobytes()
-    assert (got.frames is None) == (want.frames is None)
-    if want.frames is not None:
-        assert got.frames.shape == want.frames.shape
-        assert got.frames.tobytes() == want.frames.tobytes()
 
 
 @pytest.mark.parametrize("cfg, amplitudes", [
@@ -557,13 +563,13 @@ def _assert_reports_equal(got, want):
     (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
                profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
                nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
-               record_every=3, record_fields=True),
+               record_every=3),
      [0.0, 0.3, 0.7, 0.9]),
     # 2-D, (u_t)^2 forcing: 3 and 5 blow up at steps 17 and 9
     (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=16, L=20.0),
                profile=DataProfile(kind="gaussian", width=1.2), ell=1, dt=0.05, T=4.0,
                nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
-               record_every=2, record_fields=True),
+               record_every=2),
      [0.0, 0.3, 3.0, 5.0]),
     # linear flow, iterated-log modulation off
     (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=16, L=10.0),
@@ -571,13 +577,18 @@ def _assert_reports_equal(got, want):
                ell=1, dt=0.1, T=1.0, record_every=4),
      [0.0, -0.5, 2]),
 ])
-def test_batched_run_equals_single_runs(cfg, amplitudes):
-    reports = run(cfg, amplitudes=amplitudes)
+def test_batched_run_equals_single_runs(cfg, amplitudes, tmp_path):
+    reports, _ = run_recording(cfg, tmp_path / "batch", amplitudes)
     assert len(reports) == len(amplitudes)
     with pytest.raises(ValidationError, match="non-empty"):
         run(cfg, amplitudes=[])
-    for amp, got in zip(amplitudes, reports):
-        _assert_reports_equal(got, run(dataclasses.replace(cfg, amplitude=amp)))
+    for i, (amp, got) in enumerate(zip(amplitudes, reports)):
+        single = tmp_path / f"single_{i}"
+        want, _ = run_recording(dataclasses.replace(cfg, amplitude=amp), single)
+        _assert_reports_equal(got, want)
+        # each member's field file holds the bytes of its single run's
+        got_bytes = (tmp_path / "batch" / f"member_{i}.npy").read_bytes()
+        assert got_bytes == (single / "member_0.npy").read_bytes()
     outcomes = [(r.outcome, r.meta["steps_taken"]) for r in reports]
     if cfg.nl is not None:
         blown_steps = {steps for outcome, steps in outcomes if outcome == "blowup_detected"}
@@ -733,17 +744,17 @@ _CONSTANT_P3 = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
      [0.5]),
 ], ids=["c7a-dt0.1", "c7a-dt0.02", "c7b-dt0.02", "c7b-dt0.01", "c7c", "batch-1d",
         "wave-2d-64", "alpha-10"])
-def test_half_spectrum_matches_full_spectrum(cfg, amplitudes):
-    cfg = dataclasses.replace(cfg, record_fields=True)
-    reports = run(cfg, amplitudes=amplitudes)
+def test_half_spectrum_matches_full_spectrum(cfg, amplitudes, tmp_path):
+    reports, stacks = run_recording(cfg, tmp_path, amplitudes)
     p, weight = cfg.norm_power, cfg.grid.quad_weight()
-    for amp, got in zip(amplitudes, reports):
+    for amp, got, got_frames in zip(amplitudes, reports, stacks):
         outcome, steps, blowup_time, times, frames = _full_spectrum_run(
             dataclasses.replace(cfg, amplitude=amp))
         assert (got.outcome, got.meta["steps_taken"]) == (outcome, steps)
         assert got.blowup_time == blowup_time
         assert got.times == times
-        for have, want in zip(got.frames, frames[:, cfg.ell]):
+        assert len(got_frames) == len(times)
+        for have, want in zip(got_frames, frames[:, cfg.ell]):
             assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
         for k in range(cfg.ell + 1):
             want = [grid_norms(frame, weight, p) for frame in frames[:, k]]
