@@ -43,16 +43,16 @@ from .errors import NumericalError, ValidationError
 from .operators import EvolutionOperator, parse_operator
 
 if TYPE_CHECKING:
-    from .solver import Grid, RunConfig
+    from .solver import Grid
 
 
 # --- numeric entry points, loaded on first call -----------------------------
 # perfbench/trace.py patches run, integral_condition, lipschitz_certificate,
 # make_test_function and weak_residual as names of this module, and tests
-# replace run and check_linear_decay_hypothesis here.  So each stays a
-# function of this module that imports its layer when first called and
-# forwards to it, and every call site below goes through it.  They stay
-# until the package records its own spans (ROADMAP item 9).
+# replace run and weak_residual here.  So each stays a function of this
+# module that imports its layer when first called and forwards to it, and
+# every call site below goes through it.  They stay until the package
+# records its own spans (ROADMAP item 9).
 
 def run(*args, **kwargs):
     """:func:`critevo.solver.run`."""
@@ -82,12 +82,6 @@ def weak_residual(*args, **kwargs):
     """:func:`critevo.residual.weak_residual`."""
     from . import residual
     return residual.weak_residual(*args, **kwargs)
-
-
-def check_linear_decay_hypothesis(*args, **kwargs):
-    """:func:`critevo.decay.check_linear_decay_hypothesis`."""
-    from . import decay
-    return decay.check_linear_decay_hypothesis(*args, **kwargs)
 
 
 # --- config tables ----------------------------------------------------------
@@ -296,7 +290,7 @@ def _sim_config(v: dict, base: Path):
     nl, notes = _nonlinearity_from(v["nonlinearity"], op, v["ell"])
     rc = RunConfig(
         op=op, grid=_grid_from(v["grid"], op), profile=parse_profile(v["profile"]),
-        ell=v["ell"], dt=v["dt"], T=v["T"], amplitude=v["amplitude"], nl=nl,
+        ell=v["ell"], dt=v["dt"], T=v["T"], nl=nl,
         p_for_norms=v["p_for_norms"], record_every=v["record_every"],
     )
     return rc, notes
@@ -311,50 +305,54 @@ _FIELD_FILES = {
 
 def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SIMULATE, "config")
-    rc, notes = _sim_config(v, base)
-    return _write_simulate(cfg, rc, notes, run(rc, field_files=_layer_files(cfg, [out_dir])),
-                           out_dir)
+    return _simulate([(cfg, *_sim_config(v, base), v["amplitude"])], [out_dir])[0]
 
 
-def _layer_files(cfg: dict, out_dirs: list[Path]) -> list[Path] | None:
-    """Where each run of ``out_dirs`` streams its frames, if the validated ``cfg`` records any."""
-    return [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if cfg.get("record_fields") else None
+def _simulate(members: list, out_dirs: list[Path]) -> list[dict]:
+    """Run validated simulate members as one batch; each member's summary.
 
-
-def _write_simulate(cfg: dict, rc: RunConfig, notes: list[str], report, out_dir: Path) -> dict:
-    """simulate.json, series.csv and the field files of one run, whose frames
-    the run already streamed to fields_layer_ell.npy; its summary."""
+    A member is (config, RunConfig, notes, amplitude), and the members
+    differ only in amplitude.  Each out dir gets the simulate.json,
+    series.csv and, with record_fields, the field files of its member, whose
+    frames the run streams to fields_layer_ell.npy.
+    """
     import numpy as np
 
-    doc = reporting.artifact("simulate", {
-        "config": cfg,
-        "notes": notes,
-        "operator": rc.op,
-        "nonlinearity": rc.nl,
-        "report": report,
-    })
-    path = reporting.write_json(out_dir / "simulate.json", doc)
-    columns = {"time": report.times}
-    columns.update(report.series)
-    csv_path = reporting.write_csv(out_dir / "series.csv", columns)
-    written = [path, csv_path]
-    if cfg.get("record_fields"):
-        np.save(out_dir / _FIELD_FILES["times"], np.asarray(report.times))
-        np.save(out_dir / _FIELD_FILES["initial_layers"], report.initial_layers)
-        written += [out_dir / _FIELD_FILES[k] for k in _FIELD_FILES]
-    msg = report.outcome
-    if report.blowup_time is not None:
-        msg += f" at t = {report.blowup_time:.6g}"
-    print(f"{msg}; xnorm sup {report.xnorm_sup:.6g} "
-          f"(last increase t = {report.xnorm_last_increase:.6g})")
-    for w in written:
-        print(f"wrote {w}")
-    return {"outcome": report.outcome, "blowup_time": report.blowup_time,
-            "xnorm_sup": report.xnorm_sup}
+    record = members[0][0].get("record_fields")
+    files = [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if record else None
+    reports = run(members[0][1], [amp for *_, amp in members], field_files=files)
+    summaries = []
+    for (cfg, rc, notes, _), report, out_dir in zip(members, reports, out_dirs):
+        doc = reporting.artifact("simulate", {
+            "config": cfg,
+            "notes": notes,
+            "operator": rc.op,
+            "nonlinearity": rc.nl,
+            "report": report,
+        })
+        path = reporting.write_json(out_dir / "simulate.json", doc)
+        columns = {"time": report.times}
+        columns.update(report.series)
+        csv_path = reporting.write_csv(out_dir / "series.csv", columns)
+        written = [path, csv_path]
+        if record:
+            np.save(out_dir / _FIELD_FILES["times"], np.asarray(report.times))
+            np.save(out_dir / _FIELD_FILES["initial_layers"], report.initial_layers)
+            written += [out_dir / _FIELD_FILES[k] for k in _FIELD_FILES]
+        msg = report.outcome
+        if report.blowup_time is not None:
+            msg += f" at t = {report.blowup_time:.6g}"
+        print(f"{msg}; xnorm sup {report.xnorm_sup:.6g} "
+              f"(last increase t = {report.xnorm_last_increase:.6g})")
+        for w in written:
+            print(f"wrote {w}")
+        summaries.append({"outcome": report.outcome, "blowup_time": report.blowup_time,
+                          "xnorm_sup": report.xnorm_sup})
+    return summaries
 
 
 def cmd_decay(cfg: dict, out_dir: Path, base: Path) -> dict:
-    from .decay import RadialProfile
+    from .decay import RadialProfile, check_linear_decay_hypothesis
 
     v = read(cfg, DECAY, "config")
     op = _operator_from(v, base)
@@ -468,7 +466,7 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
         else:
             rc, notes = _sim_config(v, base)
             path = Path(scratch.enter_context(tempfile.TemporaryDirectory())) / "frames.npy"
-            report = run(rc, field_files=[path])
+            report, = run(rc, [v["amplitude"]], field_files=[path])
             op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
             times = np.asarray(report.times)
             frames = reporting.FrameReader(path, (times.size,) + grid.shape)
@@ -511,26 +509,6 @@ def _failed(entry: dict, exc: ValidationError | NumericalError) -> None:
     entry.update(status=status, message=str(exc))
 
 
-def _simulate_batch(batch: list, out_dir: Path) -> None:
-    """Run validated simulate values that differ only in amplitude as one batch.
-
-    Each value_NNN/ gets the artifacts a standalone simulate run writes.
-    Nothing that run checks depends on the amplitude, so an error of the
-    batch is the error of every value.
-    """
-    first = batch[0][2]
-    dirs = [out_dir / entry["dir"] for entry, *_ in batch]
-    try:
-        reports = run(first, amplitudes=[rc.amplitude for _, _, rc, _ in batch],
-                      field_files=_layer_files(batch[0][1], dirs))
-    except (ValidationError, NumericalError) as exc:
-        for entry, *_ in batch:
-            _failed(entry, exc)
-        return
-    for (entry, sub, rc, notes), report, run_dir in zip(batch, reports, dirs):
-        entry.update(status="ok", summary=_write_simulate(sub, rc, notes, report, run_dir))
-
-
 def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
     v = read(cfg, SWEEP, "config")
     task, parameter, values = v["task"], v["parameter"], v["values"]
@@ -546,7 +524,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
     # an amplitude sweep of simulate changes nothing but the amplitude, so its
     # valid values step together as one batch
     batched = task == "simulate" and path == ("amplitude",)
-    runs, batch = [], []
+    runs, entries, members = [], [], []
     for idx, value in enumerate(values):
         sub = copy.deepcopy(v["config"])
         sub.setdefault("schema_version", reporting.SCHEMA_VERSION)
@@ -556,14 +534,27 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
         try:
             _set_path(sub, path, value)
             if batched:
-                batch.append((entry, sub, *_sim_config(read(sub, SIMULATE, "config"), base)))
+                sv = read(sub, SIMULATE, "config")
+                rc, notes = _sim_config(sv, base)
+                # each value on its own, so only those past the float range are invalid
+                rc.check_amplitudes([sv["amplitude"]])
+                entries.append(entry)
+                members.append((sub, rc, notes, sv["amplitude"]))
             else:
                 entry.update(status="ok",
                              summary=_COMMANDS[task](sub, out_dir / entry["dir"], base))
         except (ValidationError, NumericalError) as exc:
             _failed(entry, exc)
-    if batch:
-        _simulate_batch(batch, out_dir)
+    if members:
+        # nothing the batch checks depends on the amplitude, so its error is every value's
+        try:
+            summaries = _simulate(members, [out_dir / entry["dir"] for entry in entries])
+        except (ValidationError, NumericalError) as exc:
+            for entry in entries:
+                _failed(entry, exc)
+        else:
+            for entry, summary in zip(entries, summaries):
+                entry.update(status="ok", summary=summary)
     n_ok = sum(entry["status"] == "ok" for entry in runs)
 
     doc = reporting.artifact("sweep", {

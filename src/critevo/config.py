@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -86,9 +87,12 @@ def _typed(kind: str, value):
         raise TypeError
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{value!r} is not a finite number")
-    if kind == "number":
-        return float(value)
-    return as_fraction(value) if kind == "rational" else value
+    out = as_fraction(value) if kind == "rational" else value
+    # an int or a Fraction compares with a float exactly
+    if isinstance(out, (int, Fraction)) and abs(out) > sys.float_info.max:
+        raise ValidationError(f"a value of magnitude above {sys.float_info.max:.4g} "
+                              "leaves the double range")
+    return float(out) if kind == "number" else out
 
 
 def check(key: Key, value, where: str):

@@ -422,7 +422,7 @@ def check_linear_decay_hypothesis(
                 op=op, grid=torus_grid, profile=prof, ell=ell, dt=window[1] / 400,
                 T=window[1], nl=None, p_for_norms=2.0 if math.isinf(q) else float(q),
             )
-            report = _solver.run(cfg)
+            report, = _solver.run(cfg, [1.0])
             fit = fit_decay(report.times, report.series[col], window,
                             target=target_for(q), tol=tol, mode=fit_mode)
             entries.append(HypothesisEntry(q=float(q), fit=fit,

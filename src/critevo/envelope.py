@@ -153,7 +153,7 @@ def lower_envelope(lines: list[AffinePiece]) -> PiecewiseAffine:
 
 def build_envelope(op: EvolutionOperator, ell: int) -> PiecewiseAffine:
     """Envelope g for the operator and nonlinearity derivative order ell."""
-    if not (isinstance(ell, int) and 0 <= ell < op.m):
+    if not (type(ell) is int and 0 <= ell < op.m):
         raise ValidationError(f"ell must be an integer in [0, {op.m - 1}]")
     lines = [
         AffinePiece(Fraction(j - ell), op.minimal_order(j), (j,))
@@ -176,7 +176,7 @@ def limit_at_infinity(env: PiecewiseAffine):
 
 def evaluate_h(env: PiecewiseAffine, n: int, eta):
     """h(eta) = 1 + g/(n + eta - g)_+ exactly; eta may be math.inf."""
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValidationError("space dimension n must be an integer >= 1")
     if eta == INF:
         return limit_at_infinity(env)
@@ -239,7 +239,7 @@ def maximize(env: PiecewiseAffine, n: int, ell: int | None = None) -> CriticalEx
     denominator D = n + eta - g is minimized at segment ends as well, so a
     non-positive D (h = inf) cannot hide strictly inside a segment.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValidationError("space dimension n must be an integer >= 1")
     candidates: list = [Fraction(0)]
     candidates.extend(env.breakpoints)

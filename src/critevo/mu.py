@@ -93,7 +93,7 @@ class MuSpec:
             if self.epsilon is None or not (self.epsilon > 0):
                 raise ValidationError("power family needs epsilon > 0")
         if self.family == "iterated_log":
-            if not (isinstance(self.depth, int) and 0 <= self.depth <= MAX_DEPTH):
+            if not (type(self.depth) is int and 0 <= self.depth <= MAX_DEPTH):
                 raise ValidationError(
                     f"iterated_log depth must be an integer in [0, {MAX_DEPTH}] "
                     "(deeper extension points underflow double precision)"

@@ -60,7 +60,7 @@ class SpatialTerm:
         if self.kind == "monomial":
             if self.alpha is None or self.power is not None:
                 raise ValidationError("monomial term needs alpha and no power")
-            if any((not isinstance(a, int)) or a < 0 for a in self.alpha):
+            if any(type(a) is not int or a < 0 for a in self.alpha):
                 raise ValidationError("alpha entries must be non-negative ints")
         else:
             if self.power is None or self.alpha is not None:
@@ -135,13 +135,13 @@ class EvolutionOperator:
     levels: Mapping[int, tuple[SpatialTerm, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not (type(self.m) is int and self.m >= 1):
             raise ValidationError("time order m must be an integer >= 1")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise ValidationError("space dimension n must be an integer >= 1")
         clean: dict[int, tuple[SpatialTerm, ...]] = {}
         for j, terms in self.levels.items():
-            if not (isinstance(j, int) and 0 <= j < self.m):
+            if not (type(j) is int and 0 <= j < self.m):
                 if j == self.m:
                     raise ValidationError(
                         f"level {j} is the top order and is implicitly monic; "

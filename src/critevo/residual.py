@@ -102,9 +102,9 @@ class TestFunctionSpec:
             raise ValidationError("eta_bar must be > 0")
         if not (self.scale > 0):
             raise ValidationError("scale R must be > 0")
-        if not (isinstance(self.q_tf, int) and self.q_tf >= 1):
+        if not (type(self.q_tf) is int and self.q_tf >= 1):
             raise ValidationError("q_tf must be an integer >= 1")
-        if not (isinstance(self.smooth_order, int) and self.smooth_order >= 1):
+        if not (type(self.smooth_order) is int and self.smooth_order >= 1):
             raise ValidationError("smooth_order must be an integer >= 1")
         if not (0 < self.flat_fraction < 1):
             raise ValidationError("flat_fraction must be in (0, 1)")
@@ -164,10 +164,6 @@ class TestFunctionSpec:
                 out[i][mid] = series[i] * math.factorial(i) / (1.0 - s0) ** i
         return out
 
-    def weight(self, k: int, s: np.ndarray) -> np.ndarray:
-        """k-th s-derivative of chi(s)^q_tf."""
-        return self.weights(k, s)[k]
-
     def rho(self, grid: Grid) -> np.ndarray:
         coords = grid.coords()
         r2 = sum(c**2 for c in coords) + self.reg_epsilon**2
@@ -179,10 +175,6 @@ class TestFunctionSpec:
         for i in range(1, k + 1):
             out[i] /= self.scale**i
         return out
-
-    def time_derivative(self, k: int, t: float, rho: np.ndarray) -> np.ndarray:
-        """d_t^k psi(t, .) on the grid (k >= 0)."""
-        return self.time_derivatives(k, t, rho)[k]
 
     def support_checks(self, grid: Grid, t_end: float) -> list[str]:
         msgs = []
@@ -321,7 +313,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     problems = tf.support_checks(grid, float(times[-1]))
     if problems:
         raise ValidationError("; ".join(problems))
-    if not (isinstance(ell, int) and 0 <= ell < op.m):
+    if not (type(ell) is int and 0 <= ell < op.m):
         raise ValidationError(f"ell must be an integer in [0, {op.m - 1}]")
     if initial_layers is None:
         initial_layers = np.zeros((op.m,) + grid.shape)
@@ -409,7 +401,7 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
             layer = initial_layers[j - 1 - i]
             if not np.any(layer):
                 continue
-            psi_i0 = tf.time_derivative(i, 0.0, rho)
+            psi_i0 = tf.time_derivatives(i, 0.0, rho)[i]
             if c is not None:
                 pair = c * _dot(layer, psi_i0)
             else:

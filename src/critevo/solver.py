@@ -72,9 +72,10 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        if self.n not in (1, 2):
+        # type() is int, not isinstance(): a bool is an int subclass
+        if type(self.n) is not int or self.n not in (1, 2):
             raise ValidationError("grid supports n = 1 or 2")
-        if not (isinstance(self.N, int) and self.N >= 8 and self.N % 2 == 0):
+        if not (type(self.N) is int and self.N >= 8 and self.N % 2 == 0):
             raise ValidationError("N must be an even integer >= 8")
         if not (self.L > 0 and 0 < math.prod([self.L / self.N] * self.n) < math.inf):
             raise ValidationError(f"box length L must be > 0 with (L/N)^n a float, got {self.L!r}")
@@ -419,20 +420,20 @@ def grid_norms(w: np.ndarray, weight: float, p: float) -> dict[str, float]:
 
 @dataclass
 class RunConfig:
+    """A run's settings: everything but each member's data amplitude, which :func:`run` takes."""
+
     op: EvolutionOperator
     grid: Grid
     profile: DataProfile
     ell: int
     dt: float
     T: float
-    amplitude: float = 1.0
     nl: NonlinearitySpec | None = None
     p_for_norms: float | None = None
     record_every: int = 1
     forcing: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        # type() is int, not isinstance(): a bool is an int subclass
         if not (type(self.ell) is int and 0 <= self.ell < self.op.m):
             raise ValidationError(f"ell must be an integer in [0, {self.op.m - 1}]")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
@@ -445,7 +446,6 @@ class RunConfig:
             raise ValidationError("record_every must be an integer >= 1")
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
-        self.check_amplitudes([self.amplitude])
 
     def check_amplitudes(self, amplitudes: Sequence[float]) -> None:
         """Each amplitude must keep the norms of a field at the blow-up
@@ -587,28 +587,28 @@ class _History:
             self.frames[len(self.times) - 1] = layers[ell]
 
 
-def run(config: RunConfig, amplitudes: Sequence[float] | None = None,
-        field_files: Sequence[str | Path] | None = None) -> RunReport | list[RunReport]:
+def run(config: RunConfig, amplitudes: Sequence[float],
+        field_files: Sequence[str | Path] | None = None) -> list[RunReport]:
     """March to T (or blow-up), recording norms and the weighted X-history.
 
-    Returns one RunReport, of the batch of one ``config.amplitude``.  With
-    ``amplitudes`` it returns one report per amplitude, each equal to
-    ``run(replace(config, amplitude=a))``: the members share one propagator
-    and step together as one batch, and a member that blows up is finalised
-    at that step and leaves the batch.
+    Returns one RunReport per amplitude, the data of member b being
+    ``amplitudes[b] * config.profile``.  The members share one propagator and
+    step together as one batch, a member that blows up is finalised at that
+    step and leaves the batch, and each report equals that of a batch of its
+    amplitude alone.  ``config.check_amplitudes`` judges every amplitude
+    before any file is opened.
 
     A run records fields exactly when ``field_files`` names one .npy path
     per member: each member's d_t^ell u is written to its file as it is
     recorded, and the file ends byte-identical to ``np.save`` of its
     (records, *shape) stack.  A run that raises leaves none of these files.
     """
-    amps = [config.amplitude] if amplitudes is None else list(amplitudes)
+    amps = list(amplitudes)
     if not amps:
         raise ValidationError("amplitudes must be a non-empty list")
     if field_files is not None and len(field_files) != len(amps):
         raise ValidationError("field_files needs one path per member")
-    if amplitudes is not None:
-        config.check_amplitudes(amps)
+    config.check_amplitudes(amps)
     op, grid = config.op, config.grid
     ell = config.ell
     p = config.norm_power
@@ -629,7 +629,7 @@ def run(config: RunConfig, amplitudes: Sequence[float] | None = None,
         for w in writers:
             w.discard()
         raise
-    return reports[0] if amplitudes is None else reports
+    return reports
 
 
 def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagator,

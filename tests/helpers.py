@@ -137,14 +137,13 @@ def monomial_op(alpha) -> EvolutionOperator:
     })
 
 
-def run_recording(config, directory, amplitudes=None):
-    """``run`` with each member's d_t^ell u streamed to directory/member_{i}.npy.
+def run_recording(config, amplitudes, directory):
+    """``run(config, amplitudes)`` with member i's d_t^ell u streamed to
+    directory/member_{i}.npy.
 
-    Returns the report and its frame stack as ``np.load`` reads it back,
-    or, with ``amplitudes``, the list of reports and the list of stacks.
+    Returns the list of reports and the list of frame stacks as ``np.load``
+    reads them back, one of each per member.
     """
-    n = 1 if amplitudes is None else len(amplitudes)
-    paths = [Path(directory) / f"member_{i}.npy" for i in range(n)]
-    reports = run(config, amplitudes=amplitudes, field_files=paths)
-    stacks = [np.load(path) for path in paths]
-    return (reports, stacks[0]) if amplitudes is None else (reports, stacks)
+    paths = [Path(directory) / f"member_{i}.npy" for i in range(len(amplitudes))]
+    reports = run(config, amplitudes, field_files=paths)
+    return reports, [np.load(path) for path in paths]

@@ -153,8 +153,8 @@ def test_criterion_07_solver_exactness(acceptance, tmp_path):
     # (a) the linear stepper is a matrix exponential: dt-independent
     finals = []
     for dt in (0.1, 0.02):
-        _, frames = run_recording(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt,
-                                            T=1.0), tmp_path)
+        _, (frames,) = run_recording(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt,
+                                               T=1.0), [1.0], tmp_path)
         finals.append(frames[-1])
     step_ok = float(np.max(np.abs(finals[0] - finals[1]))) < 1e-6
 
@@ -173,9 +173,9 @@ def test_criterion_07_solver_exactness(acceptance, tmp_path):
 
     errs = []
     for dt in (0.02, 0.01):
-        _, frames = run_recording(RunConfig(
+        _, (frames,) = run_recording(RunConfig(
             op=op, grid=g2, profile=SolverProfile(kind="custom_table", values=tuple(cosx)),
-            ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing, record_every=1000000), tmp_path)
+            ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing, record_every=1000000), [1.0], tmp_path)
         errs.append(float(np.max(np.abs(frames[-1] - phi(1.0) * cosx))))
     rate = math.log2(errs[0] / errs[1])
 
@@ -199,9 +199,9 @@ def test_criterion_08_weak_residual_refinement(acceptance, tmp_path):
     residuals = []
     for N, dt in ((64, 0.1), (128, 0.05), (256, 0.025)):
         grid = Grid(n=1, N=N, L=40.0)
-        rep, frames = run_recording(RunConfig(
+        (rep,), (frames,) = run_recording(RunConfig(
             op=op, grid=grid, profile=SolverProfile(kind="gaussian", width=2.0),
-            ell=0, dt=dt, T=T, record_every=2), tmp_path)
+            ell=0, dt=dt, T=T, record_every=2), [1.0], tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(rep.times), frames, tf,
                            initial_layers=rep.initial_layers)
@@ -219,28 +219,25 @@ def test_criterion_09_nonlinear_regimes(acceptance):
 
     # (a) critical power with admissible modulation: small data survives long
     nl_a = NonlinearitySpec(p=3.0, mu=MuSpec(family="iterated_log", depth=0, gamma=2.0))
-    rep_a = run(RunConfig(op=op, grid=grid,
-                          profile=SolverProfile(kind="gaussian", width=2.0, zero_mean=True),
-                          ell=0, dt=0.05, T=1000.0, amplitude=0.5, nl=nl_a,
-                          record_every=100))
+    rep_a, = run(RunConfig(op=op, grid=grid,
+                           profile=SolverProfile(kind="gaussian", width=2.0, zero_mean=True),
+                           ell=0, dt=0.05, T=1000.0, nl=nl_a, record_every=100), [0.5])
     a_ok = rep_a.outcome == "completed" and rep_a.xnorm_last_increase < 100.0
 
     # (b) below-critical power with positive data: finite-time blow-up
     nl_b = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
-    rep_b = run(RunConfig(op=op, grid=grid,
-                          profile=SolverProfile(kind="gaussian", width=2.0),
-                          ell=0, dt=0.02, T=100.0, amplitude=1.0, nl=nl_b,
-                          record_every=20))
+    rep_b, = run(RunConfig(op=op, grid=grid,
+                           profile=SolverProfile(kind="gaussian", width=2.0),
+                           ell=0, dt=0.02, T=100.0, nl=nl_b, record_every=20), [1.0])
     b_ok = rep_b.outcome == "blowup_detected" and rep_b.blowup_time < 100.0
 
     # (c) spectral gap survives a gentle nonlinearity: exponential fit passes
     kg = damped_klein_gordon(1, damping=2.0, mass=1.0)
     gap = spectral_gap(kg)
     nl_c = NonlinearitySpec(p=1.0, mu=MuSpec(family="power", epsilon=1.0))
-    rep_c = run(RunConfig(op=kg, grid=grid,
-                          profile=SolverProfile(kind="gaussian", width=2.0),
-                          ell=0, dt=0.05, T=80.0, amplitude=0.1, nl=nl_c,
-                          record_every=4))
+    rep_c, = run(RunConfig(op=kg, grid=grid,
+                           profile=SolverProfile(kind="gaussian", width=2.0),
+                           ell=0, dt=0.05, T=80.0, nl=nl_c, record_every=4), [0.1])
     fit_c = fit_exponential(np.asarray(rep_c.times), np.asarray(rep_c.series["L2[0]"]),
                             window=(20.0, 60.0), target=-gap, tol=0.05,
                             mode="at-least-as-fast")

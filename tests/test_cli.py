@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critevo import cli
+from critevo import cli, decay
 from critevo.envelope import critical_exponent
 from critevo.operators import EvolutionOperator, damped_wave, fractional_term, sigma_evolution
 from critevo.reporting import dumps_json
@@ -480,6 +480,23 @@ def test_n_sweep_of_an_operator_file(tmp_path):
                                    out / entry["dir"], tmp_path)
 
 
+def _modules_after(*runs, names=("scipy",), imports="from critevo import cli") -> list[str]:
+    """The modules of ``names`` (each with its submodules) a fresh interpreter
+    holds after ``imports`` and, for each (task, cfg, out) of ``runs``,
+    ``critevo <task>`` on cfg into out, which must exit 0."""
+    code = "\n".join(
+        ["import sys", imports]
+        + [f"assert cli.main([{task!r}, '--config', {str(cfg)!r}, '--out-dir', {str(out)!r}]) == 0"
+           for task, cfg, out in runs]
+        + ["print(sorted(m for m in sys.modules if any("
+           f"m == a or m.startswith(a + '.') for a in {tuple(names)!r})))"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
 @pytest.mark.parametrize("module, absent", [
     ("critevo.cli", ("scipy",)),
     ("critevo.config", ("numpy",)),
@@ -494,13 +511,7 @@ def test_n_sweep_of_an_operator_file(tmp_path):
         "operators-numpy", "reporting-numpy", "envelope-numpy"])
 def test_cli_import_leaves_scipy_out(module, absent):
     # each layer loads only what it needs: the package itself imports nothing
-    code = (f"import sys, {module}; print(sorted(m for m in sys.modules if any("
-            f"m == a or m.startswith(a + '.') for a in {absent!r})))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _modules_after(names=absent, imports=f"import {module}") == []
 
 
 def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
@@ -512,39 +523,15 @@ def test_mu_check_and_recorded_residual_load_no_scipy(op_file, tmp_path):
         **SCHEMA, "mu": {"family": "iterated_log", "depth": 1, "gamma": 2.0}})
     res_cfg = write_json(tmp_path / "res.json",
                          {**SCHEMA, "run": str(run_dir), "test_function": {}})
-    code = ("import sys; from critevo import cli\n"
-            f"assert cli.main(['mu-check', '--config', {str(mu_cfg)!r}, "
-            f"'--out-dir', {str(tmp_path / 'm')!r}]) == 0\n"
-            f"assert cli.main(['residual', '--config', {str(res_cfg)!r}, "
-            f"'--out-dir', {str(tmp_path / 'r')!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-
-
-def _modules_after(task: str, cfg: Path, out: Path, names=("scipy",)) -> list[str]:
-    """The modules of ``names`` (each with its submodules) a fresh
-    interpreter holds after ``critevo <task>`` on cfg."""
-    code = ("import sys; from critevo import cli\n"
-            f"assert cli.main([{task!r}, '--config', {str(cfg)!r}, "
-            f"'--out-dir', {str(out)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if any("
-            f"m == a or m.startswith(a + '.') for a in {tuple(names)!r})))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+    assert _modules_after(("mu-check", mu_cfg, tmp_path / "m"),
+                          ("residual", res_cfg, tmp_path / "r")) == []
 
 
 def test_a_cold_exponent_loads_no_numpy(tmp_path):
     # the exact layer runs on Fractions: numpy is never imported
     op = json.loads(dumps_json(sigma_evolution(3, 2, 1)))
     cfg = write_json(tmp_path / "exponent.json", {**SCHEMA, "operator": op})
-    assert _modules_after("exponent", cfg, tmp_path / "out", ("numpy",)) == []
+    assert _modules_after(("exponent", cfg, tmp_path / "out"), names=("numpy",)) == []
     assert json.loads((tmp_path / "out" / "exponent.json").read_text())["report"]["p_c"] == str(
         critical_exponent(sigma_evolution(3, 2, 1), 0, 3).p_c)
 
@@ -556,7 +543,7 @@ def test_a_cold_mu_check_loads_no_solver_layer(tmp_path):
         **SCHEMA, "mu": {"family": "custom_table", "taus": [0.001, 0.01], "values": [0.0, 1.0]}})
     absent = ("critevo.solver", "critevo.decay", "critevo.residual", "numpy.polynomial",
               "numpy.ma")
-    assert _modules_after("mu-check", cfg, tmp_path / "out", absent) == []
+    assert _modules_after(("mu-check", cfg, tmp_path / "out"), names=absent) == []
     assert (tmp_path / "out" / "mu_check.json").is_file()
 
 
@@ -569,7 +556,7 @@ def test_m2_tasks_load_no_scipy(op_file, tmp_path, task):
            "sweep": {**SCHEMA, "task": "simulate", "parameter": "amplitude",
                      "values": [0.5, 1.0], "config": sim},
            "residual": {**sim, "test_function": {}}}[task]
-    assert _modules_after(task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out") == []
+    assert _modules_after((task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out")) == []
 
 
 def test_m3_simulate_runs_on_scipy(tmp_path):
@@ -578,7 +565,7 @@ def test_m3_simulate_runs_on_scipy(tmp_path):
                                               2: (fractional_term(0, 3.0),)})
     op_path = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))
     cfg = write_json(tmp_path / "cfg.json", sim_config(op_path, T=2.0))
-    assert "scipy.linalg" in _modules_after("simulate", cfg, tmp_path / "out")
+    assert "scipy.linalg" in _modules_after(("simulate", cfg, tmp_path / "out"))
     report = json.loads((tmp_path / "out" / "simulate.json").read_text())
     assert report["report"]["outcome"] == "completed"
 
@@ -589,15 +576,7 @@ def test_whole_space_decay_of_an_m2_operator_loads_no_scipy(tmp_path):
     op = write_json(tmp_path / "op.json", json.loads(dumps_json(sigma_evolution(3, 2, 1))))
     cfg = write_json(tmp_path / "decay.json", {**SCHEMA, "operator": str(op)})
     out = tmp_path / "d"
-    code = ("import sys; from critevo import cli\n"
-            f"assert cli.main(['decay', '--config', {str(cfg)!r}, "
-            f"'--out-dir', {str(out)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert _modules_after(("decay", cfg, out)) == []
     report = json.loads((out / "decay.json").read_text())["report"]
     assert report["entries"][0]["quadrature"]["expm_fallback_nodes"] > 0
 
@@ -852,6 +831,39 @@ def test_coerced_values_are_rejected(bases, tmp_path, capsys, task, path, value)
     assert "error:" in capsys.readouterr().err
 
 
+def _fractional_wave(power, coeff=1.0):
+    """u_tt + u_t + coeff (-Lap)^power u in one dimension, as inline JSON."""
+    return {**SCHEMA, "m": 2, "n": 1, "levels": {
+        "0": [{"kind": "fractional_laplacian", "power": power, "coeff": coeff}],
+        "1": [{"kind": "fractional_laplacian", "power": 0, "coeff": 1.0}]}}
+
+
+_BIG = 10**400  # a JSON integer of 401 digits, past the double range
+
+
+@pytest.mark.parametrize("task, over, key", [
+    ("simulate", {"amplitude": _BIG}, "config.amplitude"),
+    ("simulate", {"grid": {"N": 2 * _BIG, "L": 40.0}}, "grid.N"),
+    ("simulate", {"operator": _fractional_wave(1, coeff=_BIG)}, "term.coeff"),
+    ("simulate", {"operator": _fractional_wave(_BIG)}, "term.power"),
+    ("exponent", {"operator": _fractional_wave(_BIG)}, "term.power"),
+    ("exponent", {"operator": _fractional_wave(str(_BIG))}, "term.power"),
+    ("exponent", {"operator": _fractional_wave(f"{_BIG}/3")}, "term.power"),
+    ("mu-check", {"mu": {"family": "constant"}, "p": _BIG}, "config.p"),
+    ("decay", {"n_times": _BIG}, "config.n_times"),
+], ids=["amplitude", "N", "coeff", "power", "exponent-power", "exponent-power-string",
+        "exponent-power-ratio", "mu-check-p", "n_times"])
+def test_an_integer_past_the_double_range_exits_2(op_file, tmp_path, capsys, task, over, key):
+    # each ended in an OverflowError traceback and exit 1
+    base = {"simulate": sim_config(op_file, T=1.0), "mu-check": SCHEMA}.get(
+        task, {**SCHEMA, "operator": str(op_file)})
+    rc, out = _run(tmp_path, task, {**base, **over})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and "double range" in err
+
+
 def test_sweep_records_fractional_N_as_invalid(bases, tmp_path):
     cfg = {**SCHEMA, "task": "simulate", "parameter": "grid.N", "values": [32.9],
            "config": bases["simulate"]}
@@ -934,7 +946,7 @@ def test_decay_n_times_below_ten_exits_before_the_quadrature(op_file, tmp_path, 
     def no_fit(*args, **kwargs):
         raise AssertionError("the decay curve was computed before n_times was checked")
 
-    monkeypatch.setattr(cli, "check_linear_decay_hypothesis", no_fit)
+    monkeypatch.setattr(decay, "check_linear_decay_hypothesis", no_fit)
     rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "n_times": 9})
     assert rc == 2
     assert not out.exists()

@@ -14,6 +14,7 @@ from critevo.envelope import (
     maximize,
     regime_classify,
 )
+from critevo.errors import ValidationError
 from critevo.operators import EvolutionOperator, fractional_term, laplacian_terms, sigma_evolution
 from critevo.reporting import jsonify
 from helpers import build_m5_operator, grid_refine_max, oracle_exponent, random_operator, scaling_lines
@@ -232,3 +233,14 @@ def test_envelope_active_levels():
     env = build_envelope(op, 0)
     rep = maximize(env, 1, 0)
     assert rep.active_levels == (0, 1)  # both lines meet g at eta = 2
+
+
+def test_integer_arguments_take_no_bool():
+    # a bool is an int subclass: ell = True returned the ell = 1 exponent
+    op = sigma_evolution(1, 2, 0)
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        critical_exponent(op, True, 1)
+    env = build_envelope(op, 0)
+    for fn in (maximize, lambda env, n: evaluate_h(env, n, 1)):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            fn(env, True)

@@ -493,3 +493,9 @@ def test_gauss_legendre_table_is_leggauss_bit_for_bit():
     for table, built in zip(GAUSS_LEGENDRE16, np.polynomial.legendre.leggauss(16)):
         assert table.dtype == built.dtype and table.shape == built.shape
         assert table.tobytes() == built.tobytes()
+
+
+def test_iterated_log_depth_takes_no_bool():
+    # a bool is an int subclass: depth = True ran as depth 1
+    with pytest.raises(ValidationError, match="depth must be an integer"):
+        MuSpec("iterated_log", depth=True)

@@ -190,3 +190,15 @@ def test_parse_fail_closed():
             {"kind": "monomial", "alpha": [2], "coeff": 1.0, "power": 1}]}})
     with pytest.raises(ValidationError):
         parse_operator({**base, "schema_version": 99})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EvolutionOperator(m=True, n=1),
+    lambda: EvolutionOperator(m=1, n=True),
+    lambda: EvolutionOperator(m=2, n=1, levels={True: (fractional_term(0, 1.0),)}),
+    lambda: SpatialTerm(kind="monomial", coeff=1.0, alpha=(True,)),
+], ids=["m", "n", "level", "alpha"])
+def test_integer_fields_take_no_bool(build):
+    # a bool is an int subclass: m = True built a first-order operator
+    with pytest.raises(ValidationError, match="integer|ints|level True outside"):
+        build()

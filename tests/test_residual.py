@@ -37,9 +37,9 @@ def test_weight_matches_finite_differences():
     h = 1e-6
     keep = (np.abs(s - tf.flat_fraction) > 1e-4) & (np.abs(s - 1.0) > 1e-4)
     for k in (1, 2, 3):
-        fd = (tf.weight(k - 1, s + h) - tf.weight(k - 1, s - h)) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(tf.weight(k, s)))))
-        err = np.max(np.abs(fd - tf.weight(k, s))[keep]) / scale
+        fd = (tf.weights(k - 1, s + h)[k - 1] - tf.weights(k - 1, s - h)[k - 1]) / (2.0 * h)
+        scale = max(1.0, float(np.max(np.abs(tf.weights(k, s)[k]))))
+        err = np.max(np.abs(fd - tf.weights(k, s)[k])[keep]) / scale
         assert err < 1e-5, k
 
 
@@ -47,12 +47,12 @@ def test_weight_piecewise_support():
     tf = TestFunctionSpec(eta_bar=2, scale=5.0, q_tf=4, flat_fraction=0.5, smooth_order=6,
                           reg_epsilon=0.0)
     s = np.array([0.0, 0.2, 0.5])
-    assert np.all(tf.weight(0, s) == 1.0)
+    assert np.all(tf.weights(0, s)[0] == 1.0)
     for k in (1, 2):
-        assert np.all(tf.weight(k, s) == 0.0)
+        assert np.all(tf.weights(k, s)[k] == 0.0)
     beyond = np.array([1.0, 1.5, 30.0])
     for k in (0, 1, 2):
-        assert np.all(tf.weight(k, beyond) == 0.0)
+        assert np.all(tf.weights(k, beyond)[k] == 0.0)
 
 
 def test_weight_stable_at_support_edge():
@@ -62,7 +62,7 @@ def test_weight_stable_at_support_edge():
                           reg_epsilon=0.0)
     s = np.array([1.0 - 1e-3, 1.0 - 1e-5])
     for k in (0, 1, 2):
-        vals = np.abs(tf.weight(k, s))
+        vals = np.abs(tf.weights(k, s)[k])
         assert np.all(vals < 1e-8), (k, vals)
 
 
@@ -239,7 +239,7 @@ def test_exact_mode_boundary_layers_matter():
 
     rho = tf.rho(grid)
     dx = grid.quad_weight()
-    psi0 = tf.time_derivative(0, 0.0, rho)
+    psi0 = tf.time_derivatives(0, 0.0, rho)[0]
     naive = float(np.sum((init[0] + init[1]) * psi0) * dx)
     assert abs(rr.data_term - naive) > 1e-2
     assert rr.residual < 2e-5
@@ -297,7 +297,7 @@ def test_solver_frames_refine_together(tmp_path):
         grid = Grid(n=1, N=N, L=40.0)
         cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                         ell=0, dt=dt, T=T, record_every=2)
-        out, frames = run_recording(cfg, tmp_path)
+        (out,), (frames,) = run_recording(cfg, [1.0], tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(out.times), frames, tf,
                            initial_layers=out.initial_layers)
@@ -312,8 +312,8 @@ def test_nonlinear_run_discriminates(tmp_path):
     grid = Grid(**BOX)
     nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-                    ell=0, dt=0.05, T=20.0, amplitude=0.1, nl=nl, record_every=2)
-    out, frames = run_recording(cfg, tmp_path)
+                    ell=0, dt=0.05, T=20.0, nl=nl, record_every=2)
+    (out,), (frames,) = run_recording(cfg, [0.1], tmp_path)
     times = np.asarray(out.times)
     tf = make_test_function(op, 0, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     matched = weak_residual(op, 0, grid, times, frames, tf, nl=nl,
@@ -426,9 +426,9 @@ def whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=None, initial
     for j in op.order_set():
         mult = np.conj(op.multiplier(j, ks))
         if j >= ell:
-            G = tf.weight(j - ell, s) / tf.scale ** (j - ell)
+            G = tf.weights(j - ell, s)[j - ell] / tf.scale ** (j - ell)
         else:
-            G = tf.weight(0, s)
+            G = tf.weights(0, s)[0]
         term = np.real(np.fft.ifftn(mult[None, ...] * np.fft.fftn(G, axes=space_axes),
                                     axes=space_axes))
         if j < ell:
@@ -445,13 +445,13 @@ def whole_stack_weak_residual(op, ell, grid, times, frames, tf, nl=None, initial
             layer = initial_layers[j - 1 - i]
             if not np.any(layer):
                 continue
-            psi_i0 = tf.time_derivative(i, 0.0, rho)
+            psi_i0 = tf.time_derivatives(i, 0.0, rho)[i]
             adj = np.real(np.fft.ifftn(mult * np.fft.fftn(psi_i0)))
             data_term += (-1) ** i * float(np.sum(layer * adj) * dx)
     lhs = 0.0
     if nl is not None:
         F = np.asarray(eval_F(nl, frames))
-        lhs = float(np.trapezoid(np.sum(F * tf.weight(0, s), axis=space_axes) * dx, x=times))
+        lhs = float(np.trapezoid(np.sum(F * tf.weights(0, s)[0], axis=space_axes) * dx, x=times))
     return {"lhs": lhs, "rhs": rhs_sum - data_term, "data_term": data_term,
             "contributions": contributions}
 
@@ -462,9 +462,9 @@ NL2 = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
 def _wave_2d_case(tmp_path):
     op = damped_wave(2)
     grid = Grid(n=2, N=64, L=40.0)
-    out, frames = run_recording(RunConfig(
+    (out,), (frames,) = run_recording(RunConfig(
         op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-        ell=0, dt=0.05, T=3.0, amplitude=0.5, nl=NL2, record_every=2), tmp_path)
+        ell=0, dt=0.05, T=3.0, nl=NL2, record_every=2), [0.5], tmp_path)
     tf = make_test_function(op, 0, grid, 3.0, eta_bar=2, scale=2.94)
     return (op, 0, grid, np.asarray(out.times), frames, tf,
             NL2, out.initial_layers)
@@ -596,3 +596,14 @@ def test_complex_input_is_rejected(where):
     with pytest.raises(ValidationError, match="real"):
         weak_residual(op, 0, grid, args["times"], args["frames"], tf,
                       initial_layers=args["initial_layers"])
+
+
+def test_integer_arguments_take_no_bool():
+    # a bool is an int subclass: q_tf = True was a test function of power 1
+    for key in ("q_tf", "smooth_order"):
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            TestFunctionSpec(**{**VALID, key: True})
+    op, grid = damped_wave(1), Grid(**BOX)
+    tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
+    with pytest.raises(ValidationError, match="ell must be an integer"):
+        weak_residual(op, True, grid, np.linspace(0.0, 12.0, 40), np.zeros((40,) + grid.shape), tf)

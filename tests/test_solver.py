@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -304,7 +303,7 @@ def test_manufactured_solution_convergence(tmp_path):
     for dt in (0.02, 0.01):
         cfg = RunConfig(op=op, grid=grid, profile=profile, ell=0, dt=dt, T=T,
                         nl=nl, forcing=forcing, record_every=1000000)
-        rep, frames = run_recording(cfg, tmp_path)
+        (rep,), (frames,) = run_recording(cfg, [1.0], tmp_path)
         assert rep.outcome == "completed"
         u_T = frames[-1]
         errs.append(float(np.max(np.abs(u_T - phi(T) * cosx))))
@@ -350,10 +349,9 @@ def test_overflowing_corrector_field_still_ends_in_blowup():
     # L2 norms keep the amplitude valid: |1e126|^3 would overflow an L3 norm
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.1, T=1.0,
-                    amplitude=1e120, nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")),
-                    p_for_norms=2.0)
+                    nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")), p_for_norms=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = run(cfg)
+        report, = run(cfg, [1e120])
     assert report.outcome == "blowup_detected"
     assert report.meta["steps_taken"] == 1
 
@@ -362,10 +360,10 @@ def test_detected_blowup_raises_no_numpy_warning():
     # the overflowing member is what blown() reports; numpy need not say it too
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=1.0,
-                    amplitude=50.0, nl=NonlinearitySpec(p=20.0, mu=MuSpec(family="constant")))
+                    nl=NonlinearitySpec(p=20.0, mu=MuSpec(family="constant")))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = run(cfg)
+        report, = run(cfg, [50.0])
     assert report.outcome == "blowup_detected"
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -374,9 +372,9 @@ def test_zero_data_run_completes():
     op = damped_wave(1)
     grid = small_grid(N=16, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
-                    ell=0, dt=0.1, T=1.0, amplitude=0.0,
+                    ell=0, dt=0.1, T=1.0,
                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))
-    rep = run(cfg)
+    rep, = run(cfg, [0.0])
     assert rep.outcome == "completed"
     for col, vals in rep.series.items():
         assert all(v == 0.0 for v in vals), col
@@ -388,10 +386,10 @@ def test_blowup_detected_for_supercritical_ode():
     op = EvolutionOperator(m=1, n=1, levels={})
     grid = Grid(n=1, N=32, L=20.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=1.0),
-                    ell=0, dt=0.005, T=1.0, amplitude=5.0,
+                    ell=0, dt=0.005, T=1.0,
                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
                     record_every=10)
-    rep = run(cfg)
+    rep, = run(cfg, [5.0])
     assert rep.outcome == "blowup_detected"
     assert 0.15 < rep.blowup_time < 0.35
     assert rep.meta["blowup_factor"] == 1e6
@@ -402,11 +400,11 @@ def test_vanishing_nonlinearity_equals_linear_flow():
     grid = small_grid(N=32, L=10.0)
     prof = DataProfile(kind="gaussian", width=0.6)
     base = RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=0.05, T=0.5)
-    rep_lin = run(base)
+    rep_lin, = run(base, [1.0])
     off = RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=0.05, T=0.5,
                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=0.0)),
                     p_for_norms=2.0)
-    rep_off = run(off)
+    rep_off, = run(off, [1.0])
     for col in rep_lin.series:
         assert rep_lin.series[col] == pytest.approx(rep_off.series[col], rel=1e-12)
 
@@ -416,7 +414,7 @@ def test_norm_columns_and_xnorm_consistency():
     grid = small_grid(N=32, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
                     ell=1, dt=0.05, T=1.0, p_for_norms=3.0)
-    rep = run(cfg)
+    rep, = run(cfg, [1.0])
     for k in (0, 1):
         for name in ("L1", "L2", "Lp", "Linf"):
             assert f"{name}[{k}]" in rep.series
@@ -450,7 +448,7 @@ def test_derivative_layer_decays_faster():
     grid = Grid(n=1, N=256, L=300.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                     ell=1, dt=0.05, T=50.0, record_every=20)
-    rep = run(cfg)
+    rep, = run(cfg, [1.0])
     ts = np.asarray(rep.times)
     sel = ts >= 15.0
     lt = np.log(1.0 + ts[sel])
@@ -479,7 +477,7 @@ def test_record_every_thins_series():
     grid = small_grid(N=16, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
                     ell=0, dt=0.1, T=1.0, record_every=4)
-    rep = run(cfg)
+    rep, = run(cfg, [1.0])
     assert rep.times[0] == 0.0
     assert rep.times[-1] == pytest.approx(1.0)
     assert len(rep.times) == 1 + len([s for s in range(1, 11) if s % 4 == 0 or s == 10])
@@ -491,7 +489,7 @@ def test_recorded_times_are_whole_multiples_of_dt():
                     profile=DataProfile(kind="gaussian", width=0.6), ell=0, dt=0.1, T=2.0,
                     record_every=3)
     # records every third step, and the last step, 20
-    assert run(cfg).times == [k * 3 * cfg.dt for k in range(7)] + [20 * cfg.dt]
+    assert run(cfg, [1.0])[0].times == [k * 3 * cfg.dt for k in range(7)] + [20 * cfg.dt]
 
 
 def test_profile_validation():
@@ -521,7 +519,7 @@ def test_run_determinism():
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
                     ell=0, dt=0.05, T=0.5,
                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=1.0, depth=0)))
-    r1, r2 = run(cfg), run(cfg)
+    (r1,), (r2,) = run(cfg, [1.0]), run(cfg, [1.0])
     assert r1.series == r2.series
     assert r1.xnorm_sup == r2.xnorm_sup
 
@@ -540,9 +538,9 @@ def test_amplitude_must_keep_the_threshold_norms_finite():
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.1, T=1.0)
     with pytest.raises(ValidationError, match=r"amplitude 1e\+200"):
-        dataclasses.replace(cfg, amplitude=1e200)
+        run(cfg, [1e200])
     with pytest.raises(ValidationError, match=r"amplitude 1e\+307"):
-        run(cfg, amplitudes=[0.5, 1e307])
+        run(cfg, [0.5, 1e307])
 
 
 def _assert_reports_equal(got, want):
@@ -578,13 +576,13 @@ def _assert_reports_equal(got, want):
      [0.0, -0.5, 2]),
 ])
 def test_batched_run_equals_single_runs(cfg, amplitudes, tmp_path):
-    reports, _ = run_recording(cfg, tmp_path / "batch", amplitudes)
+    reports, _ = run_recording(cfg, amplitudes, tmp_path / "batch")
     assert len(reports) == len(amplitudes)
     with pytest.raises(ValidationError, match="non-empty"):
-        run(cfg, amplitudes=[])
+        run(cfg, [])
     for i, (amp, got) in enumerate(zip(amplitudes, reports)):
         single = tmp_path / f"single_{i}"
-        want, _ = run_recording(dataclasses.replace(cfg, amplitude=amp), single)
+        (want,), _ = run_recording(cfg, [amp], single)
         _assert_reports_equal(got, want)
         # each member's field file holds the bytes of its single run's
         got_bytes = (tmp_path / "batch" / f"member_{i}.npy").read_bytes()
@@ -648,8 +646,8 @@ def test_blown_screen_matches_exact_decision(n, N):
         assert blown(modes[b:b + 1], ref[b:b + 1], grid)[0] == want[b]
 
 
-def _full_spectrum_run(cfg):
-    """``cfg`` stepped as first written, on the full complex spectrum.
+def _full_spectrum_run(cfg, amplitude):
+    """``cfg`` at ``amplitude`` stepped as first written, on the full complex spectrum.
 
     The state holds every fftn mode, the fields are np.real(ifftn(...)), the
     propagator is the per-mode reference over all N^n modes and the blow-up
@@ -673,7 +671,7 @@ def _full_spectrum_run(cfg):
         return np.fft.fftn(s, axes=axes) * mask
 
     modes = np.zeros((op.m,) + grid.shape, dtype=complex)
-    modes[-1] = np.fft.fftn(cfg.amplitude * cfg.profile.render(grid)) * mask
+    modes[-1] = np.fft.fftn(amplitude * cfg.profile.render(grid)) * mask
     ref = float(np.max(np.abs(physical(modes)))) or 1.0
     n_steps = round(cfg.T / dt)
     t = 0.0
@@ -745,11 +743,10 @@ _CONSTANT_P3 = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
 ], ids=["c7a-dt0.1", "c7a-dt0.02", "c7b-dt0.02", "c7b-dt0.01", "c7c", "batch-1d",
         "wave-2d-64", "alpha-10"])
 def test_half_spectrum_matches_full_spectrum(cfg, amplitudes, tmp_path):
-    reports, stacks = run_recording(cfg, tmp_path, amplitudes)
+    reports, stacks = run_recording(cfg, amplitudes, tmp_path)
     p, weight = cfg.norm_power, cfg.grid.quad_weight()
     for amp, got, got_frames in zip(amplitudes, reports, stacks):
-        outcome, steps, blowup_time, times, frames = _full_spectrum_run(
-            dataclasses.replace(cfg, amplitude=amp))
+        outcome, steps, blowup_time, times, frames = _full_spectrum_run(cfg, amp)
         assert (got.outcome, got.meta["steps_taken"]) == (outcome, steps)
         assert got.blowup_time == blowup_time
         assert got.times == times
@@ -761,3 +758,9 @@ def test_half_spectrum_matches_full_spectrum(cfg, amplitudes, tmp_path):
             for norm in ("L1", "L2", "Lp", "Linf"):
                 np.testing.assert_allclose(got.series[f"{norm}[{k}]"],
                                            [w[norm] for w in want], rtol=1e-12, atol=0)
+
+
+def test_grid_takes_no_bool_dimension():
+    # a bool is an int subclass: n = True built a 1-D grid
+    with pytest.raises(ValidationError, match="n = 1 or 2"):
+        Grid(n=True, N=16, L=1.0)
