@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import reporting
-from .config import FIT_MODES, Key, as_fraction, check, load_json, loads, read
+from .config import FIT_MODES, MAX_SMOOTH_ORDER, Key, as_fraction, check, load_json, loads, read
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
 from .operators import EvolutionOperator, parse_operator
@@ -109,14 +109,16 @@ TEST_FUNCTION = {
     "scale": Key("number", "auto", words=("auto",), **_POSITIVE),
     "q_tf": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
     "flat_fraction": Key("number", 0.5, ok=lambda v: 0 < v < 1, rule="in (0, 1)"),
-    "smooth_order": Key("int", None, ok=lambda v: v >= 1, rule=">= 1"),
+    "smooth_order": Key("int", None, ok=lambda v: 1 <= v <= MAX_SMOOTH_ORDER,
+                        rule=f"in [1, {MAX_SMOOTH_ORDER}]"),
     "reg_epsilon": Key("number", None, **_NONNEGATIVE),
 }
 
 EXPONENT = {**COMMON, **OPERATOR}
 ENVELOPE = {
     **EXPONENT,
-    "samples": Key("int", 65, ok=lambda v: v >= 2, rule=">= 2"),
+    # 10 000 samples take about 1 s and write 2.3 MB
+    "samples": Key("int", 65, ok=lambda v: 2 <= v <= 10_000, rule="in [2, 10000]"),
     "eta_max": Key("rational", None, **_POSITIVE),
 }
 MU_CHECK = {
@@ -156,8 +158,10 @@ DECAY = {
     "width": Key("number", 1.0),
     "targets": Key("object", None),
     "p_c": Key("number", "critical", words=("critical",)),
-    # a whole-space fit needs 10 samples in the window, and every sample lies in it
-    "n_times": Key("int", 40, ok=lambda v: v >= 10, rule=">= 10"),
+    # a whole-space fit needs 10 samples in the window, and every sample lies in it;
+    # the kernel matrix at 64 panels per decade holds 8 192 x n_times complex
+    # values, 131 MB at the bound
+    "n_times": Key("int", 40, ok=lambda v: 10 <= v <= 1000, rule="in [10, 1000]"),
     "tol": Key("number", 0.05, **_POSITIVE),
     "grid": Key("object", None),
     "fit_mode": Key("str", "at-least-as-fast", ok=lambda v: v in FIT_MODES,
@@ -290,10 +294,10 @@ def _sim_config(v: dict, base: Path):
     nl, notes = _nonlinearity_from(v["nonlinearity"], op, v["ell"])
     rc = RunConfig(
         op=op, grid=_grid_from(v["grid"], op), profile=parse_profile(v["profile"]),
-        ell=v["ell"], dt=v["dt"], T=v["T"], nl=nl,
+        ell=v["ell"], dt=v["dt"], T=v["T"],
         p_for_norms=v["p_for_norms"], record_every=v["record_every"],
     )
-    return rc, notes
+    return rc, nl, notes
 
 
 _FIELD_FILES = {
@@ -311,23 +315,23 @@ def cmd_simulate(cfg: dict, out_dir: Path, base: Path) -> dict:
 def _simulate(members: list, out_dirs: list[Path]) -> list[dict]:
     """Run validated simulate members as one batch; each member's summary.
 
-    A member is (config, RunConfig, notes, amplitude), and the members
-    differ only in amplitude.  Each out dir gets the simulate.json,
-    series.csv and, with record_fields, the field files of its member, whose
-    frames the run streams to fields_layer_ell.npy.
+    A member is (config, RunConfig, nonlinearity, notes, amplitude); the
+    members share the first one's RunConfig and record_fields.  Each out dir
+    gets the simulate.json, series.csv and, with record_fields, the field
+    files of its member, whose frames the run streams to fields_layer_ell.npy.
     """
     import numpy as np
 
     record = members[0][0].get("record_fields")
     files = [d / _FIELD_FILES["layer_ell"] for d in out_dirs] if record else None
-    reports = run(members[0][1], [amp for *_, amp in members], field_files=files)
+    reports = run(members[0][1], [(a, nl) for _, _, nl, _, a in members], field_files=files)
     summaries = []
-    for (cfg, rc, notes, _), report, out_dir in zip(members, reports, out_dirs):
+    for (cfg, rc, nl, notes, _), report, out_dir in zip(members, reports, out_dirs):
         doc = reporting.artifact("simulate", {
             "config": cfg,
             "notes": notes,
             "operator": rc.op,
-            "nonlinearity": rc.nl,
+            "nonlinearity": nl,
             "report": report,
         })
         path = reporting.write_json(out_dir / "simulate.json", doc)
@@ -464,10 +468,10 @@ def cmd_residual(cfg: dict, out_dir: Path, base: Path) -> dict:
             initial_layers = _load_field(run_dir, "initial_layers")
             run_meta = {"source": str(Path(v["run"]))}
         else:
-            rc, notes = _sim_config(v, base)
+            rc, nl, notes = _sim_config(v, base)
             path = Path(scratch.enter_context(tempfile.TemporaryDirectory())) / "frames.npy"
-            report, = run(rc, [v["amplitude"]], field_files=[path])
-            op, ell, grid, nl = rc.op, rc.ell, rc.grid, rc.nl
+            report, = run(rc, [(v["amplitude"], nl)], field_files=[path])
+            op, ell, grid = rc.op, rc.ell, rc.grid
             times = np.asarray(report.times)
             frames = reporting.FrameReader(path, (times.size,) + grid.shape)
             initial_layers = report.initial_layers
@@ -521,10 +525,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
             f"parameter {parameter!r} is not a dotted path into the {task} config "
             f"(its keys: {sorted(table)})")
 
-    # an amplitude sweep of simulate changes nothing but the amplitude, so its
-    # valid values step together as one batch
-    batched = task == "simulate" and path == ("amplitude",)
-    runs, entries, members = [], [], []
+    runs, keys, groups = [], [], []
     for idx, value in enumerate(values):
         sub = copy.deepcopy(v["config"])
         sub.setdefault("schema_version", reporting.SCHEMA_VERSION)
@@ -533,22 +534,27 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
         runs.append(entry)
         try:
             _set_path(sub, path, value)
-            if batched:
+            if task == "simulate":
                 sv = read(sub, SIMULATE, "config")
-                rc, notes = _sim_config(sv, base)
+                rc, nl, notes = _sim_config(sv, base)
                 # each value on its own, so only those past the float range are invalid
-                rc.check_amplitudes([sv["amplitude"]])
-                entries.append(entry)
-                members.append((sub, rc, notes, sv["amplitude"]))
+                rc.check_amplitudes([(sv["amplitude"], nl)])
+                key = (rc, sv["record_fields"], nl is None)
+                if key not in keys:
+                    keys.append(key)
+                    groups.append([])
+                groups[keys.index(key)].append((entry, (sub, rc, nl, notes, sv["amplitude"])))
             else:
                 entry.update(status="ok",
                              summary=_COMMANDS[task](sub, out_dir / entry["dir"], base))
         except (ValidationError, NumericalError) as exc:
             _failed(entry, exc)
-    if members:
-        # nothing the batch checks depends on the amplitude, so its error is every value's
+    # the simulate values that share a RunConfig and record_fields, and all have a
+    # nonlinearity or none has, step as one batch, whose error is each of its values'
+    for group in groups:
+        entries = [entry for entry, _ in group]
         try:
-            summaries = _simulate(members, [out_dir / entry["dir"] for entry in entries])
+            summaries = _simulate([m for _, m in group], [out_dir / e["dir"] for e in entries])
         except (ValidationError, NumericalError) as exc:
             for entry in entries:
                 _failed(entry, exc)

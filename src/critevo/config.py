@@ -24,6 +24,9 @@ REQUIRED = object()
 #: how a decay fit judges its slope against the target (the decay module's
 #: ``mode``); defined here so the CLI's decay table reads it without numpy
 FIT_MODES = ("two-sided", "at-least-as-fast")
+#: the largest test-function smooth_order: C(2o + 1, o), a coefficient of the
+#: descent polynomial, leaves the double range at o = 515
+MAX_SMOOTH_ORDER = 500
 
 _NAMES = {"int": "a JSON integer", "number": "a finite number", "bool": "true or false",
           "str": "a string", "rational": "a rational (number or \"a/b\" string)",

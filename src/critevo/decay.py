@@ -420,9 +420,9 @@ def check_linear_decay_hypothesis(
             # a linear step is the exact flow exp(dt A): step once per record
             cfg = _solver.RunConfig(
                 op=op, grid=torus_grid, profile=prof, ell=ell, dt=window[1] / 400,
-                T=window[1], nl=None, p_for_norms=2.0 if math.isinf(q) else float(q),
+                T=window[1], p_for_norms=2.0 if math.isinf(q) else float(q),
             )
-            report, = _solver.run(cfg, [1.0])
+            report, = _solver.run(cfg, [(1.0, None)])
             fit = fit_decay(report.times, report.series[col], window,
                             target=target_for(q), tol=tol, mode=fit_mode)
             entries.append(HypothesisEntry(q=float(q), fit=fit,

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import as_fraction
+from .config import MAX_SMOOTH_ORDER, as_fraction
 from .envelope import critical_exponent
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
@@ -104,8 +104,9 @@ class TestFunctionSpec:
             raise ValidationError("scale R must be > 0")
         if not (type(self.q_tf) is int and self.q_tf >= 1):
             raise ValidationError("q_tf must be an integer >= 1")
-        if not (type(self.smooth_order) is int and self.smooth_order >= 1):
-            raise ValidationError("smooth_order must be an integer >= 1")
+        if not (type(self.smooth_order) is int and 1 <= self.smooth_order <= MAX_SMOOTH_ORDER):
+            raise ValidationError(f"smooth_order must be an integer in [1, {MAX_SMOOTH_ORDER}], "
+                                  f"got {self.smooth_order!r}")
         if not (0 < self.flat_fraction < 1):
             raise ValidationError("flat_fraction must be in (0, 1)")
         if self.reg_epsilon < 0:

@@ -25,10 +25,10 @@ initial data and to every nonlinear transform; the linear flow is diagonal
 per mode and cannot repopulate masked modes.
 
 The state always carries a leading member axis, (B, m, *half); a single
-run is a batch of one.  The members of a batch are amplitudes of one
-config and share the propagator, and every reduction that feeds a report
-(norms, the X-norm, the blow-up check) runs on one member's own rows, so
-each member's report equals its single run bit for bit.
+run is a batch of one.  A member is an amplitude and a nonlinearity of one
+config, whose propagator the batch shares; F is elementwise, and every
+reduction that feeds a report (norms, the X-norm, the blow-up check) runs
+on one member's own rows, so each member's report equals its single run.
 
 Periodic-box caveat: polynomial decay laws of the whole-space problem hold
 only while the box still resolves the relevant low frequencies; every run
@@ -382,16 +382,30 @@ class ModePropagator:
         return out
 
 
-def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int,
-                   nl: NonlinearitySpec | None,
+def row_groups(nls: Sequence[NonlinearitySpec | None]) -> list[tuple]:
+    """(nonlinearity, rows) of each distinct nonlinearity of the batch rows, first
+    seen first, so a step takes one F per group; one shared by all covers slice(None)."""
+    rows: dict = {}
+    for r, nl in enumerate(nls):
+        rows.setdefault(nl, []).append(r)
+    return [(nls[0], slice(None))] if len(rows) == 1 else list(rows.items())
+
+
+def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int, groups: list,
                    forcing: Callable[[float], np.ndarray] | None = None) -> np.ndarray:
-    """The modes one exponential predictor-corrector step of size prop.dt after t."""
-    grid = prop.grid
-    axes = grid.space_axes
+    """The modes one exponential predictor-corrector step of size prop.dt after t,
+    the rows' nonlinearities given as their :func:`row_groups`."""
+    grid, axes = prop.grid, prop.grid.space_axes
 
     def source(v: np.ndarray, t: float) -> np.ndarray:
         w = np.fft.irfftn(v[:, ell], s=grid.shape, axes=axes)
-        s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
+        if len(groups) == 1:
+            nl = groups[0][0]
+            s = eval_F(nl, w) if nl is not None else np.zeros_like(w)
+        else:
+            s = np.empty_like(w)
+            for nl, rows in groups:
+                s[rows] = eval_F(nl, w[rows])
         if forcing is not None:
             s = s + forcing(t)
         # passing s spares numpy's own derivation of the transform shape
@@ -420,7 +434,7 @@ def grid_norms(w: np.ndarray, weight: float, p: float) -> dict[str, float]:
 
 @dataclass
 class RunConfig:
-    """A run's settings: everything but each member's data amplitude, which :func:`run` takes."""
+    """What a run's members share: all but their amplitude and nonlinearity (see :func:`run`)."""
 
     op: EvolutionOperator
     grid: Grid
@@ -428,7 +442,6 @@ class RunConfig:
     ell: int
     dt: float
     T: float
-    nl: NonlinearitySpec | None = None
     p_for_norms: float | None = None
     record_every: int = 1
     forcing: Callable[[float], np.ndarray] | None = None
@@ -447,30 +460,28 @@ class RunConfig:
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
 
-    def check_amplitudes(self, amplitudes: Sequence[float]) -> None:
-        """Each amplitude must keep the norms of a field at the blow-up
-        threshold, BLOWUP_FACTOR * |amplitude| * max|profile|, finite on the
-        box; a larger one would record infinite norms before the blow-up
-        check could trip, or overflow the data itself."""
+    def check_amplitudes(self, members: Sequence[tuple]) -> None:
+        """Each (amplitude, nonlinearity) must keep the norms of a field at the
+        blow-up threshold, BLOWUP_FACTOR * |amplitude| * max|profile|, finite on the
+        box in its norm power; a larger one would record infinite norms before
+        the blow-up check could trip, or overflow the data itself."""
         peak = float(np.max(np.abs(self.profile.render(self.grid))))
-        for a in amplitudes:
+        for a, nl in members:
             limit = BLOWUP_FACTOR * abs(a) * peak
             with np.errstate(over="ignore"):
                 norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(),
-                                   self.norm_power)
+                                   self.norm_power(nl))
             if not all(math.isfinite(v) for v in norms.values()):
                 raise ValidationError(
                     f"amplitude {a!r} puts the blow-up threshold {BLOWUP_FACTOR:g} * "
                     f"|amplitude| * max|profile| = {limit:.3g} out of the float range of "
                     "the norms on the box")
 
-    @property
-    def norm_power(self) -> float:
+    def norm_power(self, nl: NonlinearitySpec | None) -> float:
+        """p_for_norms if set, else the power of the member's nonlinearity ``nl``, else 2."""
         if self.p_for_norms is not None:
             return self.p_for_norms
-        if self.nl is not None:
-            return self.nl.p
-        return 2.0
+        return nl.p if nl is not None else 2.0
 
 
 @dataclass
@@ -587,31 +598,30 @@ class _History:
             self.frames[len(self.times) - 1] = layers[ell]
 
 
-def run(config: RunConfig, amplitudes: Sequence[float],
+def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | None]],
         field_files: Sequence[str | Path] | None = None) -> list[RunReport]:
     """March to T (or blow-up), recording norms and the weighted X-history.
 
-    Returns one RunReport per amplitude, the data of member b being
-    ``amplitudes[b] * config.profile``.  The members share one propagator and
-    step together as one batch, a member that blows up is finalised at that
-    step and leaves the batch, and each report equals that of a batch of its
-    amplitude alone.  ``config.check_amplitudes`` judges every amplitude
-    before any file is opened.
+    Returns one RunReport per (amplitude, nonlinearity or None) of ``members``,
+    a member's data being its amplitude times ``config.profile``; all members
+    have a nonlinearity or none has.  They share one propagator and step
+    together as one batch, a member that blows up is finalised at that step and
+    leaves the batch, and each report equals its member's alone.
+    ``config.check_amplitudes`` judges them before any file is opened.
 
     A run records fields exactly when ``field_files`` names one .npy path
     per member: each member's d_t^ell u is written to its file as it is
     recorded, and the file ends byte-identical to ``np.save`` of its
     (records, *shape) stack.  A run that raises leaves none of these files.
     """
-    amps = list(amplitudes)
-    if not amps:
-        raise ValidationError("amplitudes must be a non-empty list")
-    if field_files is not None and len(field_files) != len(amps):
+    members = list(members)
+    if not members or len({nl is None for _, nl in members}) > 1:
+        raise ValidationError("members must be a non-empty list, all with a nonlinearity or none")
+    if field_files is not None and len(field_files) != len(members):
         raise ValidationError("field_files needs one path per member")
-    config.check_amplitudes(amps)
+    config.check_amplitudes(members)
     op, grid = config.op, config.grid
-    ell = config.ell
-    p = config.norm_power
+    amps, nls = zip(*members)
     modes = init_state(op, grid, config.profile, amps)
     prop = ModePropagator(op, grid, config.dt)
     n_steps = int(round(config.T / config.dt))
@@ -620,9 +630,9 @@ def run(config: RunConfig, amplitudes: Sequence[float],
     try:
         for path in field_files or ():
             writers.append(FrameWriter(path, n_records, grid.shape))
-        hist = [_History(ell, p, grid.quad_weight(), f, n_steps)
-                for f in writers or [None] * len(amps)]
-        reports = _march(config, amps, modes, prop, n_steps, hist)
+        hist = [_History(config.ell, config.norm_power(nl), grid.quad_weight(), f, n_steps)
+                for nl, f in zip(nls, writers or [None] * len(members))]
+        reports = _march(config, amps, nls, modes, prop, n_steps, hist)
         for w in writers:
             w.close()
     except BaseException:
@@ -632,8 +642,8 @@ def run(config: RunConfig, amplitudes: Sequence[float],
     return reports
 
 
-def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagator,
-           n_steps: int, hist: list[_History]) -> list[RunReport]:
+def _march(config: RunConfig, amps: tuple, nls: tuple, modes: np.ndarray,
+           prop: ModePropagator, n_steps: int, hist: list[_History]) -> list[RunReport]:
     """Step the batch from t = 0, recording into ``hist``; one report per member."""
     grid, ell = config.grid, config.ell
     initial = np.fft.irfftn(modes, s=grid.shape, axes=grid.space_axes)
@@ -642,6 +652,8 @@ def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagato
     ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
     t = 0.0
     live = np.arange(len(amps))  # the member each batch row belongs to
+    linear = config.forcing is None and nls[0] is None
+    groups = row_groups(nls)
 
     def record():
         layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
@@ -654,10 +666,10 @@ def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagato
     # value as a blow-up, so numpy's overflow warnings say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            if config.nl is None and config.forcing is None:
+            if linear:
                 modes = prop.apply_linear(modes)
             else:
-                modes = nonlinear_step(modes, t, prop, ell, config.nl, config.forcing)
+                modes = nonlinear_step(modes, t, prop, ell, groups, config.forcing)
             t = step * prop.dt  # not a running sum, which drifts
             out = blown(modes, ref[live], grid)
             if out.any():
@@ -669,6 +681,7 @@ def _march(config: RunConfig, amps: list, modes: np.ndarray, prop: ModePropagato
                 live = live[~out]
                 if not live.size:
                     break
+                groups = row_groups([nls[b] for b in live])
             last_good_t = t
             if step % config.record_every == 0 or step == n_steps:
                 record()

@@ -137,13 +137,13 @@ def monomial_op(alpha) -> EvolutionOperator:
     })
 
 
-def run_recording(config, amplitudes, directory):
-    """``run(config, amplitudes)`` with member i's d_t^ell u streamed to
+def run_recording(config, members, directory):
+    """``run(config, members)`` with member i's d_t^ell u streamed to
     directory/member_{i}.npy.
 
     Returns the list of reports and the list of frame stacks as ``np.load``
     reads them back, one of each per member.
     """
-    paths = [Path(directory) / f"member_{i}.npy" for i in range(len(amplitudes))]
-    reports = run(config, amplitudes, field_files=paths)
+    paths = [Path(directory) / f"member_{i}.npy" for i in range(len(members))]
+    reports = run(config, members, field_files=paths)
     return reports, [np.load(path) for path in paths]

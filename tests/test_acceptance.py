@@ -26,6 +26,7 @@ from critevo.solver import (
     RunConfig,
     init_state,
     nonlinear_step,
+    row_groups,
     run,
 )
 
@@ -154,7 +155,7 @@ def test_criterion_07_solver_exactness(acceptance, tmp_path):
     finals = []
     for dt in (0.1, 0.02):
         _, (frames,) = run_recording(RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=dt,
-                                               T=1.0), [1.0], tmp_path)
+                                               T=1.0), [(1.0, None)], tmp_path)
         finals.append(frames[-1])
     step_ok = float(np.max(np.abs(finals[0] - finals[1]))) < 1e-6
 
@@ -175,7 +176,7 @@ def test_criterion_07_solver_exactness(acceptance, tmp_path):
     for dt in (0.02, 0.01):
         _, (frames,) = run_recording(RunConfig(
             op=op, grid=g2, profile=SolverProfile(kind="custom_table", values=tuple(cosx)),
-            ell=0, dt=dt, T=1.0, nl=nl, forcing=forcing, record_every=1000000), [1.0], tmp_path)
+            ell=0, dt=dt, T=1.0, forcing=forcing, record_every=1000000), [(1.0, nl)], tmp_path)
         errs.append(float(np.max(np.abs(frames[-1] - phi(1.0) * cosx))))
     rate = math.log2(errs[0] / errs[1])
 
@@ -185,7 +186,8 @@ def test_criterion_07_solver_exactness(acceptance, tmp_path):
     propagator = ModePropagator(op, g3, dt=0.05)
     nl3 = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
     for i in range(5):
-        modes = nonlinear_step(modes, i * propagator.dt, propagator, ell=0, nl=nl3)
+        modes = nonlinear_step(modes, i * propagator.dt, propagator, ell=0,
+                               groups=row_groups([nl3]))
     dealias_ok = bool(np.all(modes[:, :, ~g3.dealias_mask()[g3.half]] == 0.0))
 
     acceptance("criterion 7 (solver: exponential stepping, order 2, dealiasing)",
@@ -201,7 +203,7 @@ def test_criterion_08_weak_residual_refinement(acceptance, tmp_path):
         grid = Grid(n=1, N=N, L=40.0)
         (rep,), (frames,) = run_recording(RunConfig(
             op=op, grid=grid, profile=SolverProfile(kind="gaussian", width=2.0),
-            ell=0, dt=dt, T=T, record_every=2), [1.0], tmp_path)
+            ell=0, dt=dt, T=T, record_every=2), [(1.0, None)], tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(rep.times), frames, tf,
                            initial_layers=rep.initial_layers)
@@ -221,14 +223,14 @@ def test_criterion_09_nonlinear_regimes(acceptance):
     nl_a = NonlinearitySpec(p=3.0, mu=MuSpec(family="iterated_log", depth=0, gamma=2.0))
     rep_a, = run(RunConfig(op=op, grid=grid,
                            profile=SolverProfile(kind="gaussian", width=2.0, zero_mean=True),
-                           ell=0, dt=0.05, T=1000.0, nl=nl_a, record_every=100), [0.5])
+                           ell=0, dt=0.05, T=1000.0, record_every=100), [(0.5, nl_a)])
     a_ok = rep_a.outcome == "completed" and rep_a.xnorm_last_increase < 100.0
 
     # (b) below-critical power with positive data: finite-time blow-up
     nl_b = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
     rep_b, = run(RunConfig(op=op, grid=grid,
                            profile=SolverProfile(kind="gaussian", width=2.0),
-                           ell=0, dt=0.02, T=100.0, nl=nl_b, record_every=20), [1.0])
+                           ell=0, dt=0.02, T=100.0, record_every=20), [(1.0, nl_b)])
     b_ok = rep_b.outcome == "blowup_detected" and rep_b.blowup_time < 100.0
 
     # (c) spectral gap survives a gentle nonlinearity: exponential fit passes
@@ -237,7 +239,7 @@ def test_criterion_09_nonlinear_regimes(acceptance):
     nl_c = NonlinearitySpec(p=1.0, mu=MuSpec(family="power", epsilon=1.0))
     rep_c, = run(RunConfig(op=kg, grid=grid,
                            profile=SolverProfile(kind="gaussian", width=2.0),
-                           ell=0, dt=0.05, T=80.0, nl=nl_c, record_every=4), [0.1])
+                           ell=0, dt=0.05, T=80.0, record_every=4), [(0.1, nl_c)])
     fit_c = fit_exponential(np.asarray(rep_c.times), np.asarray(rep_c.series["L2[0]"]),
                             window=(20.0, 60.0), target=-gap, tol=0.05,
                             mode="at-least-as-fast")

@@ -374,13 +374,14 @@ def test_sweep_isolates_invalid_values(op_file, tmp_path):
     assert "even integer" in doc["runs"][1]["message"]
 
 
-def _amplitude_sweep(op_file, tmp_path, values):
-    # u_tt + u_t - u_xx = u^2: 0.9 and 1.2 blow up, at different steps
-    base = sim_config(op_file, grid={"N": 32, "L": 40.0}, dt=0.05, T=8.0,
-                      record_every=4, record_fields=True,
-                      nonlinearity={"p": 2.0, "mu": {"family": "constant"}})
+def _simulate_sweep(op_file, tmp_path, parameter, values, **over):
+    # u_tt + u_t - u_xx = u^2: amplitudes 0.9 and 1.2 blow up, at different steps
+    base = sim_config(op_file, **{"grid": {"N": 32, "L": 40.0}, "dt": 0.05, "T": 8.0,
+                                  "record_every": 4, "record_fields": True,
+                                  "nonlinearity": {"p": 2.0, "mu": {"family": "constant"}},
+                                  **over})
     cfg = write_json(tmp_path / "sweep.json", {
-        "schema_version": 1, "task": "simulate", "parameter": "amplitude",
+        "schema_version": 1, "task": "simulate", "parameter": parameter,
         "values": values, "config": base})
     out = tmp_path / "s"
     assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -399,7 +400,7 @@ def _assert_same_as_standalone(task, config, run_dir, tmp_path):
 
 def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
     values = [0.0, 0.3, "big", 0.9, 1.2]
-    base, out, doc = _amplitude_sweep(op_file, tmp_path, values)
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", values)
     assert [r["status"] for r in doc["runs"]] == ["ok", "ok", "invalid", "ok", "ok"]
     assert doc["n_ok"] == 4
     assert not (out / "value_002").exists()
@@ -410,6 +411,73 @@ def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
         if entry["status"] == "ok":
             _assert_same_as_standalone("simulate", {**base, "amplitude": entry["value"]},
                                        out / entry["dir"], tmp_path)
+
+
+def _assert_members_same_as_standalone(base, out, doc, tmp_path):
+    """Each ok value's directory equals a standalone simulate of its sub-config."""
+    for entry in doc["runs"]:
+        if entry["status"] == "ok":
+            sub = json.loads(json.dumps(base))
+            cli._set_path(sub, tuple(entry["parameter"].split(".")), entry["value"])
+            _assert_same_as_standalone("simulate", sub, out / entry["dir"], tmp_path)
+
+
+def test_power_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
+    # "critical" is p_c = 3 here, the same power as the values 3; 0.5 is below 1
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "nonlinearity.p",
+                                     [2, 3, "critical", 4, 0.5, 3], amplitude=0.6)
+    assert [r["status"] for r in doc["runs"]] == ["ok"] * 4 + ["invalid", "ok"]
+    outcomes = [r["summary"]["outcome"] for r in doc["runs"] if r["status"] == "ok"]
+    assert outcomes == ["blowup_detected"] + ["completed"] * 4
+    notes = json.loads((out / "value_002" / "simulate.json").read_text())["notes"]
+    assert notes == ["p resolved to the critical exponent 3 = 3.0"]
+    _assert_members_same_as_standalone(base, out, doc, tmp_path)
+
+
+def test_nonlinearity_sweep_mixing_null_with_specs_equals_standalone_runs(op_file, tmp_path):
+    # the two linear values step as one batch, the two nonlinear ones as another
+    specs = [None, {"p": 2.0, "mu": {"family": "constant"}},
+             {"p": 3.0, "mu": {"family": "iterated_log", "gamma": 2.0}}, None]
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "nonlinearity", specs, amplitude=1.2)
+    assert [r["summary"]["outcome"] for r in doc["runs"]] == [
+        "completed", "blowup_detected", "blowup_detected", "completed"]
+    recorded = [json.loads((out / r["dir"] / "simulate.json").read_text())["nonlinearity"]
+                for r in doc["runs"]]
+    assert [nl and nl["p"] for nl in recorded] == [None, 2.0, 3.0, None]
+    _assert_members_same_as_standalone(base, out, doc, tmp_path)
+
+
+def test_record_fields_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "record_fields", [True, False, True],
+                                     amplitude=0.5)
+    assert doc["n_ok"] == 3
+    assert (out / "value_000" / "fields_layer_ell.npy").exists()
+    assert not (out / "value_001" / "fields_layer_ell.npy").exists()
+    _assert_members_same_as_standalone(base, out, doc, tmp_path)
+
+
+@pytest.mark.parametrize("parameter, values, builds", [
+    ("nonlinearity.p", [2, 3, "critical", 4, 0.5], 1),
+    ("amplitude", [0.1, 0.3, 0.9], 1),
+    ("dt", [0.05, 0.1, 0.05], 2),
+])
+def test_a_simulate_sweep_builds_one_propagator_per_group(op_file, tmp_path, monkeypatch,
+                                                          parameter, values, builds):
+    # the values that share a RunConfig step as one batch through one propagator,
+    # so a power sweep builds one, not one per value
+    from critevo import solver
+
+    init = solver.ModePropagator.__init__
+    calls = []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.ModePropagator, "__init__", counting_init)
+    _, _, doc = _simulate_sweep(op_file, tmp_path, parameter, values, T=1.0)
+    assert doc["n_ok"] == len(values) - (parameter == "nonlinearity.p")
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("amplitude", [1e200, 1e303, 1e307, -1e200])
@@ -426,7 +494,7 @@ def test_amplitude_past_the_float_range_of_the_norms_exits_2(op_file, tmp_path, 
 
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
     # each value is judged alone before the batch, so the others still run
-    base, out, doc = _amplitude_sweep(op_file, tmp_path, [0.3, 1e200, 0.9])
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.3, 1e200, 0.9])
     assert [r["status"] for r in doc["runs"]] == ["ok", "invalid", "ok"]
     assert "amplitude 1e+200" in doc["runs"][1]["message"]
     assert not (out / "value_001").exists()
@@ -952,6 +1020,38 @@ def test_decay_n_times_below_ten_exits_before_the_quadrature(op_file, tmp_path, 
     assert not out.exists()
     err = capsys.readouterr().err
     assert "n_times" in err and "must be" in err
+
+
+_PAST_THE_BOUND = {
+    # 10^300 lies inside the double range, but np.geomspace cannot build that many times
+    "n_times=1e300": ("decay", {"n_times": 10**300}, "config.n_times", "in [10, 1000]"),
+    "n_times=1001": ("decay", {"n_times": 1001}, "config.n_times", "in [10, 1000]"),
+    # 10^11 samples would build their list until memory runs out
+    "samples=10001": ("envelope", {"samples": 10_001}, "config.samples", "in [2, 10000]"),
+    # 600 overflows C(2o + 1, o), which the residual computes only after its run
+    "smooth_order=600": ("residual", {"test_function": {"smooth_order": 600}},
+                         "test_function.smooth_order", "in [1, 500]"),
+    "recorded-smooth_order=501": ("residual-run", {"test_function": {"smooth_order": 501}},
+                                  "test_function.smooth_order", "in [1, 500]"),
+}
+
+
+@pytest.mark.parametrize("task, over, key, rule", list(_PAST_THE_BOUND.values()),
+                         ids=list(_PAST_THE_BOUND))
+def test_a_count_past_its_bound_exits_2_before_any_work(bases, op_file, tmp_path, capsys,
+                                                        monkeypatch, task, over, key, rule):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{task} started its work before {key} was checked")
+
+    for module, name in [(decay, "check_linear_decay_hypothesis"), (cli, "envelope_samples"),
+                         (cli, "run"), (cli, "make_test_function")]:
+        monkeypatch.setattr(module, name, no_work)
+    base = {"decay": {**SCHEMA, "operator": str(op_file)}}.get(task, bases[task])
+    rc, out = _run(tmp_path, task, {**base, **over})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and rule in err
 
 
 def test_decay_target_for_an_unfitted_q_exits_2(op_file, tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_torus_and_plancherel_agree():
     grid = Grid(n=1, N=512, L=80.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=1.0),
                     ell=0, dt=0.02, T=20.0, record_every=50)
-    rep, = run(cfg, [1.0])
+    rep, = run(cfg, [(1.0, None)])
     ts = np.asarray(rep.times)
     sel = ts >= 5.0
     # physical gaussian peak 1 has fourier amplitude sqrt(2 pi) w vs the

@@ -20,10 +20,10 @@ from critevo.solver import DataProfile, Grid, RunConfig, run
 
 CUBIC = NonlinearitySpec(p=3.0, mu=parse_mu({"family": "iterated_log", "gamma": 2.0}))
 SQUARE = NonlinearitySpec(p=2.0, mu=parse_mu({"family": "constant", "value": 1.0}))
-# u_t = u^2 from a peak of 22: blows up at the 12th of 401 records
+# u_t = u^2 (SQUARE) from a peak of 22: blows up at the 12th of 401 records
 BLOWUP_1D = RunConfig(op=parse_operator({"schema_version": 1, "m": 1, "n": 1, "levels": {}}),
                       grid=Grid(n=1, N=32, L=20.0), profile=DataProfile(width=1.2), ell=0,
-                      dt=0.005, T=2.0, nl=SQUARE)
+                      dt=0.005, T=2.0)
 
 
 def _saved(tmp_path, name, frames):
@@ -32,20 +32,20 @@ def _saved(tmp_path, name, frames):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("config, amplitude", [
+@pytest.mark.parametrize("config, member", [
     (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=32, L=40.0), profile=DataProfile(width=2.0),
-               ell=0, dt=0.05, T=1.0, nl=CUBIC, record_every=3), 0.5),
-    (BLOWUP_1D, 22.0),
+               ell=0, dt=0.05, T=1.0, record_every=3), (0.5, CUBIC)),
+    (BLOWUP_1D, (22.0, SQUARE)),
     (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0), profile=DataProfile(width=2.0),
-               ell=1, dt=0.05, T=2.0, nl=CUBIC), 0.3),
+               ell=1, dt=0.05, T=2.0), (0.3, CUBIC)),
 ], ids=["2d-completed", "1d-blowup-12-of-401", "ell1"])
-def test_a_streamed_stack_is_np_save_of_the_in_memory_one(config, amplitude, tmp_path):
+def test_a_streamed_stack_is_np_save_of_the_in_memory_one(config, member, tmp_path):
     # the file, whose header was written for every planned record, ends as
     # np.save of the stack np.load reads from it: one frame per record taken
     # (the frames' values are checked against the full-spectrum reference
     # in test_solver)
     path = tmp_path / "run" / "fields_layer_ell.npy"
-    report, = run(config, [amplitude], field_files=[path])
+    report, = run(config, [member], field_files=[path])
     if config is BLOWUP_1D:
         assert report.outcome == "blowup_detected" and len(report.times) == 12
     stack = np.load(path)
@@ -56,9 +56,8 @@ def test_a_streamed_stack_is_np_save_of_the_in_memory_one(config, amplitude, tmp
 
 def test_a_streamed_batch_is_np_save_of_each_member(tmp_path):
     config = replace(BLOWUP_1D, T=0.2)
-    amplitudes = [0.5, 22.0, 2.0]
     paths = [tmp_path / f"value_{i:03d}" / "fields_layer_ell.npy" for i in range(3)]
-    reports = run(config, amplitudes, field_files=paths)
+    reports = run(config, [(a, SQUARE) for a in (0.5, 22.0, 2.0)], field_files=paths)
     assert [r.outcome for r in reports] == ["completed", "blowup_detected", "completed"]
     for i, (report, path) in enumerate(zip(reports, paths)):
         stack = np.load(path)
@@ -69,9 +68,9 @@ def test_a_streamed_batch_is_np_save_of_each_member(tmp_path):
 def test_field_files_need_one_path_per_member(tmp_path):
     path = tmp_path / "f.npy"
     with pytest.raises(ValueError, match="one path per member"):
-        run(BLOWUP_1D, [22.0], field_files=[])
+        run(BLOWUP_1D, [(22.0, SQUARE)], field_files=[])
     with pytest.raises(ValueError, match="one path per member"):
-        run(BLOWUP_1D, [1.0, 2.0], field_files=[path])
+        run(BLOWUP_1D, [(1.0, SQUARE), (2.0, SQUARE)], field_files=[path])
     assert not path.exists()
 
 
@@ -84,7 +83,7 @@ def test_a_run_that_raises_leaves_no_field_file(tmp_path):
     config = replace(BLOWUP_1D, forcing=forcing)
     paths = [tmp_path / f"value_{i:03d}" / "fields_layer_ell.npy" for i in range(2)]
     with pytest.raises(NumericalError):
-        run(config, [0.5, 1.0], field_files=paths)
+        run(config, [(0.5, SQUARE), (1.0, SQUARE)], field_files=paths)
     assert [list(p.parent.iterdir()) for p in paths] == [[], []]
 
 
@@ -129,11 +128,11 @@ def test_a_recorded_run_streams_in_memory_of_a_few_frames(tmp_path):
     # 2-D N = 128, 101 records: the stack is 13 MB, one frame 131 kB
     grid = Grid(n=2, N=128, L=40.0)
     config = RunConfig(op=damped_wave(2), grid=grid, profile=DataProfile(width=2.0), ell=0,
-                       dt=0.05, T=5.0, nl=CUBIC)
+                       dt=0.05, T=5.0)
     frame = grid.N**2 * 8
     path = tmp_path / "fields_layer_ell.npy"
-    _, short = _peak(lambda: run(replace(config, T=0.5), [0.3], field_files=[path]))
-    (report,), peak = _peak(lambda: run(config, [0.3], field_files=[path]))
+    _, short = _peak(lambda: run(replace(config, T=0.5), [(0.3, CUBIC)], field_files=[path]))
+    (report,), peak = _peak(lambda: run(config, [(0.3, CUBIC)], field_files=[path]))
     assert len(report.times) == 101
     # ten times the records cost no more than a frame's worth of memory
     assert peak < short + frame, (peak, short, frame)

@@ -297,7 +297,7 @@ def test_solver_frames_refine_together(tmp_path):
         grid = Grid(n=1, N=N, L=40.0)
         cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                         ell=0, dt=dt, T=T, record_every=2)
-        (out,), (frames,) = run_recording(cfg, [1.0], tmp_path)
+        (out,), (frames,) = run_recording(cfg, [(1.0, None)], tmp_path)
         tf = make_test_function(op, 0, grid, T, eta_bar=2, scale=0.98 * T)
         rr = weak_residual(op, 0, grid, np.asarray(out.times), frames, tf,
                            initial_layers=out.initial_layers)
@@ -312,8 +312,8 @@ def test_nonlinear_run_discriminates(tmp_path):
     grid = Grid(**BOX)
     nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=1.0))
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-                    ell=0, dt=0.05, T=20.0, nl=nl, record_every=2)
-    (out,), (frames,) = run_recording(cfg, [0.1], tmp_path)
+                    ell=0, dt=0.05, T=20.0, record_every=2)
+    (out,), (frames,) = run_recording(cfg, [(0.1, nl)], tmp_path)
     times = np.asarray(out.times)
     tf = make_test_function(op, 0, grid, 20.0, eta_bar=2, scale=0.98 * 20.0)
     matched = weak_residual(op, 0, grid, times, frames, tf, nl=nl,
@@ -464,7 +464,7 @@ def _wave_2d_case(tmp_path):
     grid = Grid(n=2, N=64, L=40.0)
     (out,), (frames,) = run_recording(RunConfig(
         op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
-        ell=0, dt=0.05, T=3.0, nl=NL2, record_every=2), [0.5], tmp_path)
+        ell=0, dt=0.05, T=3.0, record_every=2), [(0.5, NL2)], tmp_path)
     tf = make_test_function(op, 0, grid, 3.0, eta_bar=2, scale=2.94)
     return (op, 0, grid, np.asarray(out.times), frames, tf,
             NL2, out.initial_layers)
@@ -607,3 +607,14 @@ def test_integer_arguments_take_no_bool():
     tf = make_test_function(op, 0, grid, 12.0, eta_bar=2, scale=10.0)
     with pytest.raises(ValidationError, match="ell must be an integer"):
         weak_residual(op, True, grid, np.linspace(0.0, 12.0, 40), np.zeros((40,) + grid.shape), tf)
+
+
+def test_smooth_order_past_the_double_range_of_chi_is_rejected():
+    # C(2o + 1, o) leaves the double range at o = 515, so 500 is the bound
+    TestFunctionSpec(**{**VALID, "smooth_order": 500})
+    with pytest.raises(ValidationError, match=r"smooth_order must be an integer in \[1, 500\]"):
+        TestFunctionSpec(**{**VALID, "smooth_order": 501})
+    # the resolved default max(6, ceil(d) + 2, m - ell + 2) is checked too: d = 600 here
+    op = sigma_evolution(1, 300, 1)
+    with pytest.raises(ValidationError, match="got 602"):
+        make_test_function(op, 0, Grid(**BOX), 12.0, eta_bar=2, scale=10.0, q_tf=1)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from critevo import solver
 from critevo.errors import ValidationError
 from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import (
@@ -30,6 +32,7 @@ from critevo.solver import (
     init_state,
     nonlinear_step,
     parse_profile,
+    row_groups,
     run,
 )
 from helpers import monomial_op, run_recording
@@ -302,8 +305,8 @@ def test_manufactured_solution_convergence(tmp_path):
     errs = []
     for dt in (0.02, 0.01):
         cfg = RunConfig(op=op, grid=grid, profile=profile, ell=0, dt=dt, T=T,
-                        nl=nl, forcing=forcing, record_every=1000000)
-        (rep,), (frames,) = run_recording(cfg, [1.0], tmp_path)
+                        forcing=forcing, record_every=1000000)
+        (rep,), (frames,) = run_recording(cfg, [(1.0, nl)], tmp_path)
         assert rep.outcome == "completed"
         u_T = frames[-1]
         errs.append(float(np.max(np.abs(u_T - phi(T) * cosx))))
@@ -318,7 +321,7 @@ def test_dealiasing_masks_high_modes():
     modes = init_state(op, grid, DataProfile(kind="gaussian", width=0.4), [1.0])
     prop = ModePropagator(op, grid, dt=0.05)
     for i in range(5):
-        modes = nonlinear_step(modes, i * prop.dt, prop, ell=0, nl=nl)
+        modes = nonlinear_step(modes, i * prop.dt, prop, ell=0, groups=row_groups([nl]))
     dropped = ~grid.dealias_mask()[grid.half]
     assert np.all(modes[:, :, dropped] == 0.0)
 
@@ -333,7 +336,7 @@ def test_reality_preserved():
     modes = init_state(op, grid, DataProfile(kind="bump", width=4.0), [0.3])
     prop = ModePropagator(op, grid, dt=0.1)
     for i in range(10):
-        modes = nonlinear_step(modes, i * prop.dt, prop, ell=1, nl=nl)
+        modes = nonlinear_step(modes, i * prop.dt, prop, ell=1, groups=row_groups([nl]))
     mirror = (-np.arange(grid.N)) % grid.N
     for layer in modes[0]:
         scale = np.max(np.abs(layer))
@@ -349,9 +352,9 @@ def test_overflowing_corrector_field_still_ends_in_blowup():
     # L2 norms keep the amplitude valid: |1e126|^3 would overflow an L3 norm
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.1, T=1.0,
-                    nl=NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")), p_for_norms=2.0)
+                    p_for_norms=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        report, = run(cfg, [1e120])
+        report, = run(cfg, [(1e120, NonlinearitySpec(p=3.0, mu=MuSpec(family="constant")))])
     assert report.outcome == "blowup_detected"
     assert report.meta["steps_taken"] == 1
 
@@ -359,11 +362,10 @@ def test_overflowing_corrector_field_still_ends_in_blowup():
 def test_detected_blowup_raises_no_numpy_warning():
     # the overflowing member is what blown() reports; numpy need not say it too
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
-                    profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=1.0,
-                    nl=NonlinearitySpec(p=20.0, mu=MuSpec(family="constant")))
+                    profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report, = run(cfg, [50.0])
+        report, = run(cfg, [(50.0, NonlinearitySpec(p=20.0, mu=MuSpec(family="constant")))])
     assert report.outcome == "blowup_detected"
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -372,9 +374,8 @@ def test_zero_data_run_completes():
     op = damped_wave(1)
     grid = small_grid(N=16, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
-                    ell=0, dt=0.1, T=1.0,
-                    nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))
-    rep, = run(cfg, [0.0])
+                    ell=0, dt=0.1, T=1.0)
+    rep, = run(cfg, [(0.0, NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))])
     assert rep.outcome == "completed"
     for col, vals in rep.series.items():
         assert all(v == 0.0 for v in vals), col
@@ -386,10 +387,8 @@ def test_blowup_detected_for_supercritical_ode():
     op = EvolutionOperator(m=1, n=1, levels={})
     grid = Grid(n=1, N=32, L=20.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=1.0),
-                    ell=0, dt=0.005, T=1.0,
-                    nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
-                    record_every=10)
-    rep, = run(cfg, [5.0])
+                    ell=0, dt=0.005, T=1.0, record_every=10)
+    rep, = run(cfg, [(5.0, NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))])
     assert rep.outcome == "blowup_detected"
     assert 0.15 < rep.blowup_time < 0.35
     assert rep.meta["blowup_factor"] == 1e6
@@ -400,11 +399,10 @@ def test_vanishing_nonlinearity_equals_linear_flow():
     grid = small_grid(N=32, L=10.0)
     prof = DataProfile(kind="gaussian", width=0.6)
     base = RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=0.05, T=0.5)
-    rep_lin, = run(base, [1.0])
-    off = RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=0.05, T=0.5,
-                    nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant", value=0.0)),
-                    p_for_norms=2.0)
-    rep_off, = run(off, [1.0])
+    rep_lin, = run(base, [(1.0, None)])
+    off = RunConfig(op=op, grid=grid, profile=prof, ell=0, dt=0.05, T=0.5, p_for_norms=2.0)
+    rep_off, = run(off, [(1.0, NonlinearitySpec(p=2.0, mu=MuSpec(family="constant",
+                                                                  value=0.0)))])
     for col in rep_lin.series:
         assert rep_lin.series[col] == pytest.approx(rep_off.series[col], rel=1e-12)
 
@@ -414,7 +412,7 @@ def test_norm_columns_and_xnorm_consistency():
     grid = small_grid(N=32, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
                     ell=1, dt=0.05, T=1.0, p_for_norms=3.0)
-    rep, = run(cfg, [1.0])
+    rep, = run(cfg, [(1.0, None)])
     for k in (0, 1):
         for name in ("L1", "L2", "Lp", "Linf"):
             assert f"{name}[{k}]" in rep.series
@@ -448,7 +446,7 @@ def test_derivative_layer_decays_faster():
     grid = Grid(n=1, N=256, L=300.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
                     ell=1, dt=0.05, T=50.0, record_every=20)
-    rep, = run(cfg, [1.0])
+    rep, = run(cfg, [(1.0, None)])
     ts = np.asarray(rep.times)
     sel = ts >= 15.0
     lt = np.log(1.0 + ts[sel])
@@ -477,7 +475,7 @@ def test_record_every_thins_series():
     grid = small_grid(N=16, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
                     ell=0, dt=0.1, T=1.0, record_every=4)
-    rep, = run(cfg, [1.0])
+    rep, = run(cfg, [(1.0, None)])
     assert rep.times[0] == 0.0
     assert rep.times[-1] == pytest.approx(1.0)
     assert len(rep.times) == 1 + len([s for s in range(1, 11) if s % 4 == 0 or s == 10])
@@ -489,7 +487,7 @@ def test_recorded_times_are_whole_multiples_of_dt():
                     profile=DataProfile(kind="gaussian", width=0.6), ell=0, dt=0.1, T=2.0,
                     record_every=3)
     # records every third step, and the last step, 20
-    assert run(cfg, [1.0])[0].times == [k * 3 * cfg.dt for k in range(7)] + [20 * cfg.dt]
+    assert run(cfg, [(1.0, None)])[0].times == [k * 3 * cfg.dt for k in range(7)] + [20 * cfg.dt]
 
 
 def test_profile_validation():
@@ -517,9 +515,9 @@ def test_run_determinism():
     op = damped_wave(1)
     grid = small_grid(N=32, L=10.0)
     cfg = RunConfig(op=op, grid=grid, profile=DataProfile(kind="gaussian", width=0.6),
-                    ell=0, dt=0.05, T=0.5,
-                    nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=1.0, depth=0)))
-    (r1,), (r2,) = run(cfg, [1.0]), run(cfg, [1.0])
+                    ell=0, dt=0.05, T=0.5)
+    nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=1.0, depth=0))
+    (r1,), (r2,) = run(cfg, [(1.0, nl)]), run(cfg, [(1.0, nl)])
     assert r1.series == r2.series
     assert r1.xnorm_sup == r2.xnorm_sup
 
@@ -538,9 +536,9 @@ def test_amplitude_must_keep_the_threshold_norms_finite():
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.1, T=1.0)
     with pytest.raises(ValidationError, match=r"amplitude 1e\+200"):
-        run(cfg, [1e200])
+        run(cfg, [(1e200, None)])
     with pytest.raises(ValidationError, match=r"amplitude 1e\+307"):
-        run(cfg, [0.5, 1e307])
+        run(cfg, [(0.5, None), (1e307, None)])
 
 
 def _assert_reports_equal(got, want):
@@ -555,42 +553,80 @@ def _assert_reports_equal(got, want):
     assert got.initial_layers.tobytes() == want.initial_layers.tobytes()
 
 
+_SQUARE = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant"))
+_CUBIC_LOG = NonlinearitySpec(p=3.0, mu=MuSpec(family="iterated_log", gamma=2.0))
+_BATCH_1D = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
+                      profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
+                      record_every=3)
+
+
+# each case's "amplitudes" (a name kept so the case ids stay) is its list of
+# members, (amplitude, nonlinearity)
 @pytest.mark.parametrize("cfg, amplitudes", [
     # 1-D, u^2 forcing: 0 stays zero (unit reference), 0.3 survives, 0.7 and
     # 0.9 blow up at steps 159 and 132
-    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
-               profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
-               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
-               record_every=3),
-     [0.0, 0.3, 0.7, 0.9]),
+    (_BATCH_1D, [(a, _SQUARE) for a in (0.0, 0.3, 0.7, 0.9)]),
     # 2-D, (u_t)^2 forcing: 3 and 5 blow up at steps 17 and 9
     (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=16, L=20.0),
                profile=DataProfile(kind="gaussian", width=1.2), ell=1, dt=0.05, T=4.0,
-               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")),
                record_every=2),
-     [0.0, 0.3, 3.0, 5.0]),
+     [(a, _SQUARE) for a in (0.0, 0.3, 3.0, 5.0)]),
     # linear flow, iterated-log modulation off
     (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=16, L=10.0),
                profile=DataProfile(kind="gaussian", width=0.6, zero_mean=True),
                ell=1, dt=0.1, T=1.0, record_every=4),
-     [0.0, -0.5, 2]),
+     [(0.0, None), (-0.5, None), (2, None)]),
+    # two nonlinearities interleaved, u^2 and |u|^3 mu(|u|) with an iterated-log
+    # mu: each keeps its rows through the blow-ups of 0.9 and 4.0, which regroup them
+    (_BATCH_1D, [(0.3, _SQUARE), (0.3, _CUBIC_LOG), (0.9, _SQUARE), (4.0, _CUBIC_LOG),
+                 (0.0, _CUBIC_LOG), (0.5, _SQUARE)]),
 ])
 def test_batched_run_equals_single_runs(cfg, amplitudes, tmp_path):
-    reports, _ = run_recording(cfg, amplitudes, tmp_path / "batch")
-    assert len(reports) == len(amplitudes)
+    members = amplitudes
+    reports, _ = run_recording(cfg, members, tmp_path / "batch")
+    assert len(reports) == len(members)
     with pytest.raises(ValidationError, match="non-empty"):
         run(cfg, [])
-    for i, (amp, got) in enumerate(zip(amplitudes, reports)):
+    for i, (member, got) in enumerate(zip(members, reports)):
         single = tmp_path / f"single_{i}"
-        (want,), _ = run_recording(cfg, [amp], single)
+        (want,), _ = run_recording(cfg, [member], single)
         _assert_reports_equal(got, want)
         # each member's field file holds the bytes of its single run's
         got_bytes = (tmp_path / "batch" / f"member_{i}.npy").read_bytes()
         assert got_bytes == (single / "member_0.npy").read_bytes()
     outcomes = [(r.outcome, r.meta["steps_taken"]) for r in reports]
-    if cfg.nl is not None:
-        blown_steps = {steps for outcome, steps in outcomes if outcome == "blowup_detected"}
-        assert len(blown_steps) == 2, outcomes
+    blown_steps = {steps for outcome, steps in outcomes if outcome == "blowup_detected"}
+    assert len(blown_steps) == (2 if members[0][1] is not None else 0), outcomes
+
+
+def test_a_batch_mixing_members_with_and_without_a_nonlinearity_is_rejected():
+    # a member without one steps by the linear flow alone, not by a zero source
+    with pytest.raises(ValidationError, match="all with a nonlinearity or none"):
+        run(_BATCH_1D, [(0.3, _SQUARE), (0.3, None)])
+
+
+def test_row_groups_share_one_F_per_nonlinearity():
+    assert row_groups([_SQUARE] * 3) == [(_SQUARE, slice(None))]
+    assert row_groups([None, None]) == [(None, slice(None))]
+    same = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant"))
+    assert row_groups([_SQUARE, _CUBIC_LOG, same]) == [(_SQUARE, [0, 2]), (_CUBIC_LOG, [1])]
+
+
+def test_a_batch_of_one_nonlinearity_evaluates_F_once_per_source(monkeypatch):
+    # the whole (B, *shape) field at once: two sources per step, as for one member
+    calls = []
+
+    def counting_eval_F(nl, w):
+        calls.append(w.shape)
+        return eval_F(nl, w)
+
+    monkeypatch.setattr(solver, "eval_F", counting_eval_F)
+    cfg = replace(_BATCH_1D, T=0.5)
+    run(cfg, [(a, _SQUARE) for a in (0.1, 0.2, 0.3)])
+    assert calls == [(3, 32)] * 20
+    calls.clear()
+    run(cfg, [(0.1, _SQUARE), (0.2, _CUBIC_LOG), (0.3, _SQUARE)])
+    assert calls == [(2, 32), (1, 32)] * 20
 
 
 def _worst(member, grid):
@@ -646,8 +682,8 @@ def test_blown_screen_matches_exact_decision(n, N):
         assert blown(modes[b:b + 1], ref[b:b + 1], grid)[0] == want[b]
 
 
-def _full_spectrum_run(cfg, amplitude):
-    """``cfg`` at ``amplitude`` stepped as first written, on the full complex spectrum.
+def _full_spectrum_run(cfg, amplitude, nl):
+    """``cfg`` at ``amplitude`` and ``nl`` stepped as first written, on the full complex spectrum.
 
     The state holds every fftn mode, the fields are np.real(ifftn(...)), the
     propagator is the per-mode reference over all N^n modes and the blow-up
@@ -665,7 +701,7 @@ def _full_spectrum_run(cfg, amplitude):
 
     def source(v, t):
         w = physical(v[ell])
-        s = np.asarray(eval_F(cfg.nl, w)) if cfg.nl is not None else np.zeros_like(w)
+        s = np.asarray(eval_F(nl, w)) if nl is not None else np.zeros_like(w)
         if cfg.forcing is not None:
             s = s + cfg.forcing(t)
         return np.fft.fftn(s, axes=axes) * mask
@@ -678,7 +714,7 @@ def _full_spectrum_run(cfg, amplitude):
     times, frames = [t], [physical(modes[:ell + 1])]
     for step in range(1, n_steps + 1):
         Ev = np.einsum("ij...,j...->i...", E, modes)
-        if cfg.nl is None and cfg.forcing is None:
+        if nl is None and cfg.forcing is None:
             modes = Ev
         else:
             s0 = source(modes, t)
@@ -706,47 +742,43 @@ def _manufactured_config(dt):
 
     return RunConfig(op=damped_wave(1), grid=grid,
                      profile=DataProfile(kind="custom_table", values=tuple(cosx)),
-                     ell=0, dt=dt, T=1.0, record_every=1000000, forcing=forcing,
-                     nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")))
+                     ell=0, dt=dt, T=1.0, record_every=1000000, forcing=forcing)
 
 
 _CONSTANT_P3 = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
 
 
-@pytest.mark.parametrize("cfg, amplitudes", [
+@pytest.mark.parametrize("cfg, members", [
     # criterion 7 (a): linear flow at two step sizes
     *[(RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                  profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=dt, T=1.0),
-       [1.0]) for dt in (0.1, 0.02)],
+       [(1.0, None)]) for dt in (0.1, 0.02)],
     # criterion 7 (b): manufactured solution with forcing
-    *[(_manufactured_config(dt), [1.0]) for dt in (0.02, 0.01)],
+    *[(_manufactured_config(dt), [(1.0, _SQUARE)]) for dt in (0.02, 0.01)],
     # criterion 7 (c): five cubic steps next to the dealiasing cutoff
     (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=24, L=2 * math.pi),
-               profile=DataProfile(kind="gaussian", width=0.4), ell=0, dt=0.05, T=0.25,
-               nl=_CONSTANT_P3), [1.0]),
+               profile=DataProfile(kind="gaussian", width=0.4), ell=0, dt=0.05, T=0.25),
+     [(1.0, _CONSTANT_P3)]),
     # a batch in 1-D with blow-ups at steps 159 and 132
-    (RunConfig(op=damped_wave(1), grid=Grid(n=1, N=32, L=20.0),
-               profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=8.0,
-               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")), record_every=3),
-     [0.0, 0.3, 0.7, 0.9]),
+    (_BATCH_1D, [(a, _SQUARE) for a in (0.0, 0.3, 0.7, 0.9)]),
     # 2-D N=64 at the critical power with an iterated-log modulation
     (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=64, L=40.0),
                profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.05, T=2.0,
-               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=2.0)),
                record_every=5),
-     [0.45]),
+     [(0.45, NonlinearitySpec(p=2.0, mu=MuSpec(family="iterated_log", gamma=2.0)))]),
     # the odd monomial alpha = (1, 0), whose symbol is complex, at ell = 1
     (RunConfig(op=monomial_op((1, 0)), grid=Grid(n=2, N=32, L=20.0),
                profile=DataProfile(kind="gaussian", width=1.0), ell=1, dt=0.05, T=1.0,
-               nl=NonlinearitySpec(p=2.0, mu=MuSpec(family="constant")), record_every=2),
-     [0.5]),
+               record_every=2),
+     [(0.5, _SQUARE)]),
 ], ids=["c7a-dt0.1", "c7a-dt0.02", "c7b-dt0.02", "c7b-dt0.01", "c7c", "batch-1d",
         "wave-2d-64", "alpha-10"])
-def test_half_spectrum_matches_full_spectrum(cfg, amplitudes, tmp_path):
-    reports, stacks = run_recording(cfg, amplitudes, tmp_path)
-    p, weight = cfg.norm_power, cfg.grid.quad_weight()
-    for amp, got, got_frames in zip(amplitudes, reports, stacks):
-        outcome, steps, blowup_time, times, frames = _full_spectrum_run(cfg, amp)
+def test_half_spectrum_matches_full_spectrum(cfg, members, tmp_path):
+    reports, stacks = run_recording(cfg, members, tmp_path)
+    weight = cfg.grid.quad_weight()
+    for (amp, nl), got, got_frames in zip(members, reports, stacks):
+        p = cfg.norm_power(nl)
+        outcome, steps, blowup_time, times, frames = _full_spectrum_run(cfg, amp, nl)
         assert (got.outcome, got.meta["steps_taken"]) == (outcome, steps)
         assert got.blowup_time == blowup_time
         assert got.times == times
