@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -53,6 +53,8 @@ from .operators import EvolutionOperator, exp2_parts
 from .reporting import FrameWriter
 
 BLOWUP_FACTOR = 1e6
+#: the most grid points N^n a run may take: 1-D N <= 4 194 304, 2-D N <= 2 048
+MAX_GRID_POINTS = 2**22
 
 
 @functools.cache
@@ -77,6 +79,9 @@ class Grid:
             raise ValidationError("grid supports n = 1 or 2")
         if not (type(self.N) is int and self.N >= 8 and self.N % 2 == 0):
             raise ValidationError("N must be an even integer >= 8")
+        if self.N**self.n > MAX_GRID_POINTS:
+            raise ValidationError(f"N^n = {self.N}^{self.n} grid points must be at most "
+                                  f"2^22 = {MAX_GRID_POINTS}")
         if not (self.L > 0 and 0 < math.prod([self.L / self.N] * self.n) < math.inf):
             raise ValidationError(f"box length L must be > 0 with (L/N)^n a float, got {self.L!r}")
 
@@ -464,18 +469,20 @@ class RunConfig:
         """Each (amplitude, nonlinearity) must keep the norms of a field at the
         blow-up threshold, BLOWUP_FACTOR * |amplitude| * max|profile|, finite on the
         box in its norm power; a larger one would record infinite norms before
-        the blow-up check could trip, or overflow the data itself."""
+        the blow-up check could trip, or overflow the data itself.  The error
+        names the amplitude, the norm power and the norms that leave the range."""
         peak = float(np.max(np.abs(self.profile.render(self.grid))))
         for a, nl in members:
             limit = BLOWUP_FACTOR * abs(a) * peak
+            p = self.norm_power(nl)
             with np.errstate(over="ignore"):
-                norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(),
-                                   self.norm_power(nl))
-            if not all(math.isfinite(v) for v in norms.values()):
+                norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(), p)
+            bad = [name for name, v in norms.items() if not math.isfinite(v)]
+            if bad:
                 raise ValidationError(
-                    f"amplitude {a!r} puts the blow-up threshold {BLOWUP_FACTOR:g} * "
-                    f"|amplitude| * max|profile| = {limit:.3g} out of the float range of "
-                    "the norms on the box")
+                    f"amplitude {a!r} in norm power {p!r} puts the blow-up threshold "
+                    f"{BLOWUP_FACTOR:g} * |amplitude| * max|profile| = {limit:.3g} out of "
+                    f"the float range of the norms on the box: {', '.join(bad)}")
 
     def norm_power(self, nl: NonlinearitySpec | None) -> float:
         """p_for_norms if set, else the power of the member's nonlinearity ``nl``, else 2."""
@@ -486,24 +493,29 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    """Everything a run leaves behind.
+    """Everything one member of a run leaves behind, filled as the run steps.
 
-    ``series`` maps column name -> list (one entry per recorded time);
-    norm columns are per layer k <= ell, e.g. 'L2[0]'.  A recorded field
-    is not part of the report: ``run`` streams it to a field file.
-    ``initial_sign_functional`` is the data-sign diagnostic of
-    :func:`initial_sign_functional` at t = 0.
+    :func:`run` builds it before the first step with the member's ``meta``,
+    its physical ``initial_layers`` (m, *shape), their data-sign diagnostic
+    :func:`initial_sign_functional` and an empty ``series``, which maps
+    column name -> list (one entry per recorded time); norm columns are per
+    layer k <= ell, e.g. 'L2[0]', then 'xnorm_weighted' and
+    'xnorm_running_sup'.  Each record appends to ``times`` and ``series`` and
+    raises ``xnorm_sup``, stamping ``xnorm_last_increase``; a blow-up sets
+    ``outcome``, ``blowup_time`` (the last time before it) and
+    ``meta["steps_taken"]``.  A recorded field is not part of the report:
+    ``run`` streams it to a field file.
     """
 
-    outcome: str  # completed | blowup_detected
-    blowup_time: float | None
-    times: list[float]
-    series: dict[str, list[float]]
     meta: dict
-    initial_layers: np.ndarray | None = None
-    xnorm_sup: float = math.nan
-    xnorm_last_increase: float = math.nan
-    initial_sign_functional: float = math.nan
+    initial_layers: np.ndarray
+    initial_sign_functional: float
+    series: dict[str, list[float]]
+    times: list[float] = field(default_factory=list)
+    outcome: str = "completed"  # completed | blowup_detected
+    blowup_time: float | None = None
+    xnorm_sup: float = 0.0
+    xnorm_last_increase: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -555,49 +567,6 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-class _History:
-    """What one member of a run records: norm series, X-norm, frames and outcome.
-
-    ``frames`` is the :class:`~critevo.reporting.FrameWriter` each
-    recorded d_t^ell u is streamed to, as ``frames[i] = layer`` for the i-th
-    record, or None when the run records no field.
-    """
-
-    def __init__(self, ell: int, p: float, weight: float,
-                 frames: FrameWriter | None, n_steps: int):
-        self.ell, self.p, self.weight = ell, p, weight
-        self.times: list[float] = []
-        self.series: dict[str, list[float]] = {
-            f"{name}[{k}]": [] for k in range(ell + 1) for name in ("L1", "L2", "Lp", "Linf")
-        }
-        self.series["xnorm_weighted"] = []
-        self.series["xnorm_running_sup"] = []
-        self.frames = frames
-        self.xsup = 0.0
-        self.xsup_time = 0.0
-        self.outcome = "completed"
-        self.blowup_time: float | None = None
-        self.steps = n_steps
-
-    def record(self, t: float, layers: np.ndarray) -> None:
-        """Norms of the physical layers 0..ell at time t (and layer ell, if streamed)."""
-        ell, p = self.ell, self.p
-        self.times.append(t)
-        xval = 0.0
-        for k in range(ell + 1):
-            norms = grid_norms(layers[k], self.weight, p)
-            for name, val in norms.items():
-                self.series[f"{name}[{k}]"].append(val)
-            xval += (1.0 + t) ** (1.0 / p + k - ell) * max(norms["Lp"], norms["Linf"])
-        self.series["xnorm_weighted"].append(xval)
-        if xval > self.xsup * (1.0 + 1e-12):
-            self.xsup = xval
-            self.xsup_time = t
-        self.series["xnorm_running_sup"].append(self.xsup)
-        if self.frames is not None:
-            self.frames[len(self.times) - 1] = layers[ell]
-
-
 def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | None]],
         field_files: Sequence[str | Path] | None = None) -> list[RunReport]:
     """March to T (or blow-up), recording norms and the weighted X-history.
@@ -605,9 +574,12 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
     Returns one RunReport per (amplitude, nonlinearity or None) of ``members``,
     a member's data being its amplitude times ``config.profile``; all members
     have a nonlinearity or none has.  They share one propagator and step
-    together as one batch, a member that blows up is finalised at that step and
-    leaves the batch, and each report equals its member's alone.
-    ``config.check_amplitudes`` judges them before any file is opened.
+    together as one batch, and each report equals its member's alone.
+    ``config.check_amplitudes`` judges them before any file is opened.  Each
+    report is built before the first step with its initial layers, sign
+    functional and meta, and filled as the batch steps: every record appends
+    to its series, and a member that blows up has its outcome set at that
+    step and leaves the batch.
 
     A run records fields exactly when ``field_files`` names one .npy path
     per member: each member's d_t^ell u is written to its file as it is
@@ -620,93 +592,19 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
     if field_files is not None and len(field_files) != len(members):
         raise ValidationError("field_files needs one path per member")
     config.check_amplitudes(members)
-    op, grid = config.op, config.grid
+    op, grid, ell = config.op, config.grid, config.ell
     amps, nls = zip(*members)
     modes = init_state(op, grid, config.profile, amps)
     prop = ModePropagator(op, grid, config.dt)
     n_steps = int(round(config.T / config.dt))
-    n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
-    writers: list[FrameWriter] = []
-    try:
-        for path in field_files or ():
-            writers.append(FrameWriter(path, n_records, grid.shape))
-        hist = [_History(config.ell, config.norm_power(nl), grid.quad_weight(), f, n_steps)
-                for nl, f in zip(nls, writers or [None] * len(members))]
-        reports = _march(config, amps, nls, modes, prop, n_steps, hist)
-        for w in writers:
-            w.close()
-    except BaseException:
-        for w in writers:
-            w.discard()
-        raise
-    return reports
-
-
-def _march(config: RunConfig, amps: tuple, nls: tuple, modes: np.ndarray,
-           prop: ModePropagator, n_steps: int, hist: list[_History]) -> list[RunReport]:
-    """Step the batch from t = 0, recording into ``hist``; one report per member."""
-    grid, ell = config.grid, config.ell
     initial = np.fft.irfftn(modes, s=grid.shape, axes=grid.space_axes)
-    # zero data is a legitimate run (the state stays zero); keep a unit
-    # reference so any numerical escape still trips the threshold
-    ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
-    t = 0.0
-    live = np.arange(len(amps))  # the member each batch row belongs to
-    linear = config.forcing is None and nls[0] is None
-    groups = row_groups(nls)
-
-    def record():
-        layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
-        for row, b in enumerate(live):
-            hist[b].record(t, layers[row])
-
-    record()
-    last_good_t = t
-    # a member that overflows is caught by blown(), which counts a non-finite
-    # value as a blow-up, so numpy's overflow warnings say nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            if linear:
-                modes = prop.apply_linear(modes)
-            else:
-                modes = nonlinear_step(modes, t, prop, ell, groups, config.forcing)
-            t = step * prop.dt  # not a running sum, which drifts
-            out = blown(modes, ref[live], grid)
-            if out.any():
-                for b in live[out]:
-                    hist[b].outcome = "blowup_detected"
-                    hist[b].blowup_time = last_good_t
-                    hist[b].steps = step
-                modes = modes[~out]
-                live = live[~out]
-                if not live.size:
-                    break
-                groups = row_groups([nls[b] for b in live])
-            last_good_t = t
-            if step % config.record_every == 0 or step == n_steps:
-                record()
-
-    horizon = box_horizon(config.op, grid)
-    return [_report(config, amp, h, layers, horizon, int(np.sum(grid.dealias_mask())))
-            for amp, h, layers in zip(amps, hist, initial)]
-
-
-def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarray,
-            horizon: float, modes_kept: int) -> RunReport:
-    op, grid = config.op, config.grid
-    meta = {
-        "m": op.m,
-        "n": op.n,
-        "ell": config.ell,
-        "N": grid.N,
-        "L": grid.L,
-        "dt": config.dt,
-        "T": config.T,
-        "amplitude": amplitude,
-        "steps_taken": h.steps,
-        "norm_power": h.p,
-        "dealias_modes_kept": modes_kept,
-        "box_horizon": horizon,
+    # the meta every member shares, in two parts around each member's own keys
+    # so that the artifact keeps its key order
+    head = {"m": op.m, "n": op.n, "ell": ell, "N": grid.N, "L": grid.L, "dt": config.dt,
+            "T": config.T}
+    tail = {
+        "dealias_modes_kept": int(np.sum(grid.dealias_mask())),
+        "box_horizon": box_horizon(op, grid),
         "box_horizon_caveat": (
             "periodic box: whole-space polynomial decay laws are meaningful only "
             "up to roughly the horizon above, where the slowest retained mode "
@@ -714,14 +612,77 @@ def _report(config: RunConfig, amplitude, h: _History, initial_layers: np.ndarra
         ),
         "blowup_factor": BLOWUP_FACTOR,
     }
-    return RunReport(
-        outcome=h.outcome,
-        blowup_time=h.blowup_time,
-        times=h.times,
-        series=h.series,
-        meta=meta,
-        initial_layers=initial_layers,
-        xnorm_sup=h.xsup,
-        xnorm_last_increase=h.xsup_time,
-        initial_sign_functional=initial_sign_functional(op, config.ell, initial_layers, grid),
-    )
+    columns = [f"{name}[{k}]" for k in range(ell + 1) for name in ("L1", "L2", "Lp", "Linf")]
+    columns += ["xnorm_weighted", "xnorm_running_sup"]
+    reports = [
+        RunReport(meta={**head, "amplitude": a, "steps_taken": n_steps,
+                        "norm_power": config.norm_power(nl), **tail},
+                  initial_layers=layers,
+                  initial_sign_functional=initial_sign_functional(op, ell, layers, grid),
+                  series={c: [] for c in columns})
+        for a, nl, layers in zip(amps, nls, initial)]
+    # zero data is a legitimate run (the state stays zero); keep a unit
+    # reference so any numerical escape still trips the threshold
+    ref = np.array([float(np.max(np.abs(layers))) or 1.0 for layers in initial])
+    live = np.arange(len(amps))  # the member each batch row belongs to
+    linear = config.forcing is None and nls[0] is None
+    groups = row_groups(nls)
+    weight = grid.quad_weight()
+    n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
+    writers: list[FrameWriter] = []
+
+    def record(t: float) -> None:
+        """Norms of each live member's physical layers 0..ell at time t, its
+        X-norm, and its layer ell if streamed."""
+        layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
+        for row, b in enumerate(live):
+            r, p = reports[b], reports[b].meta["norm_power"]
+            r.times.append(t)
+            xval = 0.0
+            for k in range(ell + 1):
+                norms = grid_norms(layers[row, k], weight, p)
+                for name, val in norms.items():
+                    r.series[f"{name}[{k}]"].append(val)
+                xval += (1.0 + t) ** (1.0 / p + k - ell) * max(norms["Lp"], norms["Linf"])
+            r.series["xnorm_weighted"].append(xval)
+            if xval > r.xnorm_sup * (1.0 + 1e-12):
+                r.xnorm_sup, r.xnorm_last_increase = xval, t
+            r.series["xnorm_running_sup"].append(r.xnorm_sup)
+            if writers:
+                writers[b][len(r.times) - 1] = layers[row, ell]
+
+    try:
+        for path in field_files or ():
+            writers.append(FrameWriter(path, n_records, grid.shape))
+        t = 0.0
+        record(t)
+        # a member that overflows is caught by blown(), which counts a non-finite
+        # value as a blow-up, so numpy's overflow warnings say nothing more
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                if linear:
+                    modes = prop.apply_linear(modes)
+                else:
+                    modes = nonlinear_step(modes, t, prop, ell, groups, config.forcing)
+                out = blown(modes, ref[live], grid)
+                if out.any():
+                    # a blown member's time is the last one it passed, t
+                    for b in live[out]:
+                        reports[b].outcome = "blowup_detected"
+                        reports[b].blowup_time = t
+                        reports[b].meta["steps_taken"] = step
+                    modes = modes[~out]
+                    live = live[~out]
+                    if not live.size:
+                        break
+                    groups = row_groups([nls[b] for b in live])
+                t = step * prop.dt  # not a running sum, which drifts
+                if step % config.record_every == 0 or step == n_steps:
+                    record(t)
+        for w in writers:
+            w.close()
+    except BaseException:
+        for w in writers:
+            w.discard()
+        raise
+    return reports

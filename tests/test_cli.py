@@ -413,6 +413,42 @@ def test_amplitude_sweep_artifacts_equal_standalone_runs(op_file, tmp_path):
                                        out / entry["dir"], tmp_path)
 
 
+_SERIES_HEADER = {
+    0: "time,L1[0],L2[0],Lp[0],Linf[0],xnorm_weighted,xnorm_running_sup",
+    1: "time,L1[0],L2[0],Lp[0],Linf[0],L1[1],L2[1],Lp[1],Linf[1],xnorm_weighted,"
+       "xnorm_running_sup",
+}
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_series_csv_columns_and_rows_are_pinned(op_file, tmp_path, ell):
+    # T / dt = 40 steps, each recorded, plus t = 0: 41 rows under the header
+    cfg = sim_config(op_file, ell=ell, grid={"N": 32, "L": 40.0}, dt=0.05, T=2.0,
+                     amplitude=0.3, nonlinearity={"p": 2.0, "mu": {"family": "constant"}})
+    rc, out = _run(tmp_path, "simulate", cfg)
+    assert rc == 0
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0] == _SERIES_HEADER[ell]
+    assert len(rows) == 1 + 41
+
+
+def test_a_blown_up_members_series_stops_at_its_blowup(op_file, tmp_path):
+    # 160 steps recorded every 4th: 0.9 blows up at step 112 and 1.2 at step 96,
+    # so their last records are steps 108 and 92
+    _, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.0, 0.3, 0.9, 1.2])
+    reports = [json.loads((out / r["dir"] / "simulate.json").read_text())["report"]
+               for r in doc["runs"]]
+    assert [r["outcome"] for r in reports] == ["completed"] * 2 + ["blowup_detected"] * 2
+    assert [r["meta"]["steps_taken"] for r in reports] == [160, 160, 112, 96]
+    assert [r["n_records"] for r in reports] == [41, 41, 28, 24]
+    for entry, report in zip(doc["runs"], reports):
+        rows = (out / entry["dir"] / "series.csv").read_text().splitlines()
+        assert rows[0] == _SERIES_HEADER[0]
+        assert len(rows) == 1 + report["n_records"]
+        if report["blowup_time"] is not None:
+            assert float(rows[-1].split(",")[0]) < report["blowup_time"]
+
+
 def _assert_members_same_as_standalone(base, out, doc, tmp_path):
     """Each ok value's directory equals a standalone simulate of its sub-config."""
     for entry in doc["runs"]:
@@ -490,6 +526,25 @@ def test_amplitude_past_the_float_range_of_the_norms_exits_2(op_file, tmp_path, 
     assert rc == 2
     assert not out.exists()
     assert f"amplitude {amplitude!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, over, power", [
+    ("simulate", {"p_for_norms": 1e308}, "1e+308"),
+    ("simulate", {"nonlinearity": {"p": 1e300, "mu": {"family": "constant"}}}, "1e+300"),
+    # torus decay has no amplitude key: its run takes amplitude 1
+    ("decay", {"mode": "torus", "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0],
+               "q_list": [1e308]}, "1e+308"),
+], ids=["p_for_norms", "nonlinearity.p", "torus-q_list"])
+def test_a_norm_power_past_the_float_range_is_named(op_file, tmp_path, capsys, task, over,
+                                                    power):
+    # a modest amplitude whose threshold field overflows only in the Lp norm
+    base = (sim_config(op_file, T=2.0, amplitude=0.5) if task == "simulate"
+            else {**SCHEMA, "operator": str(op_file)})
+    rc, out = _run(tmp_path, task, {**base, **over})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"in norm power {power} puts" in err and "the norms on the box: Lp" in err
 
 
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
@@ -1033,6 +1088,14 @@ _PAST_THE_BOUND = {
                          "test_function.smooth_order", "in [1, 500]"),
     "recorded-smooth_order=501": ("residual-run", {"test_function": {"smooth_order": 501}},
                                   "test_function.smooth_order", "in [1, 500]"),
+    # 2^32 points ended in numpy's _ArrayMemoryError from Grid.axes, exit 1
+    "simulate-grid.N=2^32": ("simulate", {"grid": {"N": 2**32, "L": 40.0}},
+                             "N^n = 4294967296^1", "at most 2^22"),
+    "residual-grid.N=2^32": ("residual", {"grid": {"N": 2**32, "L": 40.0}},
+                             "N^n = 4294967296^1", "at most 2^22"),
+    "torus-decay-grid.N=2^32": ("decay", {"mode": "torus", "grid": {"N": 2**32, "L": 40.0},
+                                          "window": [1.0, 10.0]},
+                                "N^n = 4294967296^1", "at most 2^22"),
 }
 
 

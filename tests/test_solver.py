@@ -792,6 +792,15 @@ def test_half_spectrum_matches_full_spectrum(cfg, members, tmp_path):
                                            [w[norm] for w in want], rtol=1e-12, atol=0)
 
 
+def test_grid_bounds_its_point_count():
+    # the bound is checked before any array is built, so 2^32 points cost nothing
+    assert Grid(n=1, N=2**22, L=1.0).N == 2**22
+    assert Grid(n=2, N=2048, L=1.0).N == 2048
+    for n, N in [(1, 2**22 + 2), (2, 2050), (1, 2**32)]:
+        with pytest.raises(ValidationError, match=r"must be at most 2\^22 = 4194304"):
+            Grid(n=n, N=N, L=1.0)
+
+
 def test_grid_takes_no_bool_dimension():
     # a bool is an int subclass: n = True built a 1-D grid
     with pytest.raises(ValidationError, match="n = 1 or 2"):
