@@ -12,16 +12,9 @@ rho ~ t^{-1/(2(sigma-delta))}-type scales at late times, so the quadrature
 uses geometrically graded Gauss-Legendre panels reaching down to 1e-8 of
 the tail cutoff, doubled until the curve is stable.
 
-Each panel density evaluates the kernel K with one stacked eigen-solve of
-the companion matrices at all its nodes and one stacked inverse of the
-eigenvectors of the well-separated ones.  The stacking keeps every such
-node's arithmetic, so there K is bit for bit a per-node loop's.  Nearly
-defective nodes (two eigenvalues closer than 1e-8 * max(|lambda|, 1)) are
-exponentiated directly: for m = 2 by the closed-form 2x2 exponential,
-whose divided difference of exp has no cancellation at confluence, at
-all times at once; for m >= 3 by scipy's expm, one call per node on its
-blocks stacked over the times.  So whole-space decay of an m = 2
-operator never imports scipy.
+Each panel density evaluates the kernel K (:func:`_kernel_matrix`) with
+one stacked eigen-solve of the companion matrices at all its nodes, and
+by :func:`~critevo.operators.exp_blocks` at the nearly defective ones.
 
 Rate fitting is deliberately dumb and transparent: least squares on
 log-norm against log(1+t) (power laws) or against t (exponential decay),
@@ -42,7 +35,7 @@ import numpy as np
 from .config import FIT_MODES
 from .errors import NumericalError, ValidationError
 from .mu import GAUSS_LEGENDRE16
-from .operators import EvolutionOperator, exp2_parts
+from .operators import EvolutionOperator, exp_blocks
 from . import solver as _solver
 
 
@@ -89,31 +82,16 @@ _RMS_TOL = 0.05
 _EXP_BLOCK = 1 << 13
 
 
-def _confluent_kernel(A: np.ndarray, times: np.ndarray, layer: int) -> np.ndarray:
-    """K[i, j] = [exp(times_j A_i)]_{layer, 1} for a stack of 2x2 blocks A_i.
-
-    exp(tA) = e^{t lam2} I + D(t) (A - lam2 I) with the roots and the
-    divided difference D of :func:`~critevo.operators.exp2_parts`, which
-    has no cancellation however close the roots lie.
-    """
-    lam1, lam2, D = exp2_parts(A, times)
-    if layer == 0:
-        return D * A[:, 0, 1][:, None]
-    # A11 - lam2 = lam1 - A00 by the trace, and A00 = 0 in a companion block
-    return np.exp(times * lam2) + D * (lam1 - A[:, 0, 0][:, None])
-
-
 def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
                    layer: int) -> tuple[np.ndarray, int]:
     """K[i, j] = [exp(times_j A(rhos_i))]_{layer, m-1}, and the nearly-defective node count.
 
     One stacked eigen-solve covers every node.  A node whose eigenvalues lie
-    closer than ``_GAP_TOL * max(|lambda|, 1)`` is nearly defective: for
-    m = 2 it takes the closed form of :func:`_confluent_kernel`, for m >= 3
-    scipy's expm, one call on its blocks stacked over the times.  The eigen
-    path evaluates exp(times lambda) @ w and the closed form its formula a
-    block of nodes at a time.  Each eigen-path node's arithmetic is the one
-    a per-node loop would do, so the stacking changes no bit of it.
+    closer than ``_GAP_TOL * max(|lambda|, 1)`` is nearly defective and takes
+    :func:`~critevo.operators.exp_blocks` at all times.  Both paths run a
+    block of nodes at a time, the eigen path as exp(times lambda) @ w.  Each
+    eigen-path node's arithmetic is the one a per-node loop would do, so the
+    stacking changes no bit of it.
     """
     m = op.m
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,15 +114,9 @@ def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
         np.exp(E, out=E)
         K[nodes] = (E @ w[lo:lo + step, :, None])[:, :, 0]
     confluent = np.flatnonzero(defective)
-    if m == 2:
-        for lo in range(0, confluent.size, step):
-            nodes = confluent[lo:lo + step]
-            K[nodes] = _confluent_kernel(A[nodes], times, layer)
-    elif confluent.size:
-        from scipy.linalg import expm
-
-        for i in confluent:
-            K[i] = expm(times[:, None, None] * A[i])[:, layer, m - 1]
+    for lo in range(0, confluent.size, step):
+        nodes = confluent[lo:lo + step]
+        K[nodes] = exp_blocks(A[nodes], times)[:, :, layer, m - 1]
     return K, int(confluent.size)
 
 
@@ -170,7 +142,7 @@ class QuadratureEvidence:
     ``last_relative_change`` is max|curve - previous curve| / max(previous
     curve) at the accepted panel density; ``expm_fallback_nodes`` counts the
     nodes of that density whose eigensystem was too close to defective for
-    the eigen path (closed form for m = 2, expm for m >= 3).
+    the eigen path.
     """
 
     panels_per_decade: int
@@ -414,14 +386,24 @@ def check_linear_decay_hypothesis(
             )
         width = profile.width if profile is not None else 1.0
         prof = _solver.DataProfile(kind="gaussian", width=width, zero_mean=True)
+        # every q's run is checked before the first one steps; each takes amplitude 1
+        configs = []
         for q in q_list:
-            # L^inf is always recorded; the Lp column carries the finite q
-            col = f"Linf[{ell}]" if math.isinf(q) else f"Lp[{ell}]"
             # a linear step is the exact flow exp(dt A): step once per record
             cfg = _solver.RunConfig(
                 op=op, grid=torus_grid, profile=prof, ell=ell, dt=window[1] / 400,
                 T=window[1], p_for_norms=2.0 if math.isinf(q) else float(q),
             )
+            limit, p, bad = cfg.overflowing_norms(1.0, None)
+            if bad:
+                raise ValidationError(
+                    f"q_list entry {q!r} in norm power {p!r} puts the blow-up threshold "
+                    f"{_solver.BLOWUP_FACTOR:g} * max|profile| = {limit:.3g} of its torus run "
+                    f"out of the float range of the norms on the box: {', '.join(bad)}")
+            configs.append(cfg)
+        for q, cfg in zip(q_list, configs):
+            # L^inf is always recorded; the Lp column carries the finite q
+            col = f"Linf[{ell}]" if math.isinf(q) else f"Lp[{ell}]"
             report, = _solver.run(cfg, [(1.0, None)])
             fit = fit_decay(report.times, report.series[col], window,
                             target=target_for(q), tol=tol, mode=fit_mode)

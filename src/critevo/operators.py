@@ -17,8 +17,9 @@ from which per-frequency companion matrices are assembled for the solver
 and the decay verifier.
 
 Exact quantities (term orders, fractional powers) are kept as
-``fractions.Fraction``; coefficients are floats.  numpy is imported only by
-the functions that build arrays, so the exact layer runs without it.
+``fractions.Fraction``; coefficients are floats.  numpy and scipy are
+imported only by the functions that build arrays, so the exact layer runs
+without them.
 """
 
 from __future__ import annotations
@@ -338,6 +339,30 @@ def exp2_parts(A: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     np.divide(-np.expm1(-times * gap), gap, out=D, where=gap != 0)
     D *= np.exp(times * lam1)
     return lam1, lam2, D
+
+
+def exp_blocks(A: np.ndarray, times) -> np.ndarray:
+    """exp(t A_i) of a stack A of m x m blocks, (k, m, m), at each t of times: (k, T, m, m).
+
+    A 2x2 block takes the closed form of :func:`exp2_parts`, A11 - lam2
+    taken as lam1 - A00 (equal by the trace).  Any other size takes scipy's
+    expm of the stacked t A_i, one block at a time, so one call equals one
+    call per block and time.
+    """
+    import numpy as np
+
+    times = np.asarray(times, dtype=float)
+    if A.shape[-1] != 2:
+        from scipy.linalg import expm
+
+        return expm(times[:, None, None] * A[:, None])
+    lam1, lam2, D = exp2_parts(A, times)
+    a = A[:, 0, 0][:, None]
+    e2 = np.exp(times * lam2)
+    E = D[:, :, None, None] * A[:, None]  # right off the diagonal
+    E[..., 0, 0] = e2 + D * (a - lam2)
+    E[..., 1, 1] = e2 + D * (lam1 - a)
+    return E
 
 
 def _multinomial_betas(k: int, n: int) -> dict[tuple[int, ...], int]:

@@ -9,11 +9,11 @@ the companion state v = (u, d_t u, ..., d_t^{m-1} u)^ and evolves by
 v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
 exact matrix exponential E = exp(dt A), and the source enters through the
 Duhamel weight Phi = integral_0^dt exp(s A) ds, so no quadrature in time
-is involved.  For m = 2, the order of every radial preset, both come in
-closed form from the two roots of each block, without scipy; any other m
-takes scipy's expm of the augmented block [[A, I], [0, 0]], whose
-exponential holds E top-left and Phi top-right.  The nonlinear term is
-advanced by an exponential predictor-corrector,
+is involved.  For m = 2, E is :func:`~critevo.operators.exp_blocks`'s
+closed form and Phi its integral from the same two roots; any other m
+exponentiates the augmented block [[A, I], [0, 0]], which holds E
+top-left and Phi top-right.  The nonlinear term is advanced by an
+exponential predictor-corrector,
 
     v* = E v + Phi e F^(t),      v+ = E v + Phi e (F^(t) + F^*(t+dt)) / 2,
 
@@ -49,7 +49,7 @@ import numpy as np
 from .config import Key, read
 from .errors import ValidationError
 from .mu import NonlinearitySpec, eval_F
-from .operators import EvolutionOperator, exp2_parts
+from .operators import EvolutionOperator, exp2_parts, exp_blocks
 from .reporting import FrameWriter
 
 BLOWUP_FACTOR = 1e6
@@ -282,25 +282,19 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """E = exp(dt A_i), (k, 2, 2), and Phi e_1, (k, 2), of 2x2 blocks in closed form.
 
-    E = e^{dt lam2} I + D (A - lam2 I) with the roots and divided difference
-    D of :func:`~critevo.operators.exp2_parts`.  Integrating it over [0, dt]
-    gives Phi = g(lam2) I + G (A - lam2 I), with g(lam) = expm1(dt lam) / lam
-    (g(0) = dt) and G = g[lam1, lam2] its divided difference.  G is the
+    E = e^{dt lam2} I + D (A - lam2 I) is :func:`~critevo.operators.exp_blocks`'s.
+    Integrating it over [0, dt] gives Phi = g(lam2) I + G (A - lam2 I), with
+    g(lam) = expm1(dt lam) / lam (g(0) = dt), G = g[lam1, lam2] its divided
+    difference and A11 - lam2 taken as lam1 - A00, as in E.  G is the
     difference quotient where |dt (lam1 - lam2)| > 0.1; closer roots would
     cancel in it, so there G = dt^2 phi1[z1, z2] (z = dt lam, phi1(z) =
     expm1(z) / z) is Cauchy's integral on the unit circle about the mean
     root, whose 16-point trapezoid rule errs by about 0.05^16 plus the 17th
-    Taylor coefficient of phi1 (Kassam & Trefethen 2005).  A11 - lam2 is
-    taken as lam1 - A00, equal by the trace and free of cancellation.
+    Taylor coefficient of phi1 (Kassam & Trefethen 2005).
     """
-    lam1, lam2, D = (x[:, 0] for x in exp2_parts(A, np.array([dt])))
+    E = exp_blocks(A, [dt])[:, 0]
+    lam1, lam2 = (x[:, 0] for x in exp2_parts(A, np.array([dt]))[:2])
     a = A[:, 0, 0]
-    e2 = np.exp(dt * lam2)
-    E = np.empty_like(A)
-    E[:, 0, 0] = e2 + D * (a - lam2)
-    E[:, 0, 1] = D * A[:, 0, 1]
-    E[:, 1, 0] = D * A[:, 1, 0]
-    E[:, 1, 1] = e2 + D * (lam1 - a)
 
     def g(lam):
         return np.divide(np.expm1(dt * lam), lam, out=np.full_like(lam, dt), where=lam != 0)
@@ -319,16 +313,13 @@ def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flow_expm(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """E = exp(dt A_i) and Phi e_{m-1} of m x m blocks by scipy's expm of the
+    """E = exp(dt A_i) and Phi e_{m-1} of m x m blocks from the exponential of the
     augmented block [[A, I], [0, 0]]: E is its top-left block, Phi its top-right."""
-    from scipy.linalg import expm
-
     k, m, _ = A.shape
     aug = np.zeros((k, 2 * m, 2 * m), dtype=complex)
     aug[:, :m, :m] = A
-    for i in range(m):
-        aug[:, i, m + i] = 1.0
-    big = expm(dt * aug)
+    aug[:, :m, m:] = np.eye(m)
+    big = exp_blocks(aug, [dt])[:, 0]
     return big[:, :m, :m], big[:, :m, 2 * m - 1]
 
 
@@ -340,15 +331,13 @@ class ModePropagator:
     A(xi) takes far fewer values than there are modes (a radial symbol
     depends on |xi|^2 only), so both are computed once per distinct
     companion block, compared bit for bit, and gathered back to every mode.
-    An m = 2 block takes the closed form of :func:`_flow2`, which loads no
-    scipy; any other m takes scipy's expm of the augmented block
-    (:func:`_flow_expm`), which treats each block on its own, so the result
-    equals a per-mode build exactly.  dt must be finite and > 0, and a flow
-    that overflows at it is rejected rather than stepped.  Only what
-    stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half), so
-    the per-mode product runs along contiguous space, the last column of
-    Phi as ``_phi``, (m, *half), and the 2/3-rule dealias mask of the half
-    spectrum as ``mask``.  Both methods act on batched (B, m, *half) modes.
+    Each block is exponentiated on its own, so the result equals a per-mode
+    build exactly.  dt must be finite and > 0, and a flow that overflows at
+    it is rejected rather than stepped.  Only what stepping reads is kept:
+    E layer-major, ``_E`` of shape (m, m, *half), so the per-mode product
+    runs along contiguous space, the last column of Phi as ``_phi``,
+    (m, *half), and the 2/3-rule dealias mask of the half spectrum as
+    ``mask``.  Both methods act on batched (B, m, *half) modes.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -465,19 +454,22 @@ class RunConfig:
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
 
-    def check_amplitudes(self, members: Sequence[tuple]) -> None:
-        """Each (amplitude, nonlinearity) must keep the norms of a field at the
-        blow-up threshold, BLOWUP_FACTOR * |amplitude| * max|profile|, finite on the
-        box in its norm power; a larger one would record infinite norms before
-        the blow-up check could trip, or overflow the data itself.  The error
-        names the amplitude, the norm power and the norms that leave the range."""
+    def overflowing_norms(self, amplitude: float, nl: NonlinearitySpec | None) -> tuple:
+        """A member's blow-up threshold BLOWUP_FACTOR * |amplitude| * max|profile|, its
+        norm power, and the names of the norms of a field at the threshold that leave
+        the float range on the box: they would record as infinite before the blow-up
+        check could trip."""
         peak = float(np.max(np.abs(self.profile.render(self.grid))))
+        limit = BLOWUP_FACTOR * abs(amplitude) * peak
+        p = self.norm_power(nl)
+        with np.errstate(over="ignore"):
+            norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(), p)
+        return limit, p, [name for name, v in norms.items() if not math.isfinite(v)]
+
+    def check_amplitudes(self, members: Sequence[tuple]) -> None:
+        """Reject the first (amplitude, nonlinearity) with :meth:`overflowing_norms`."""
         for a, nl in members:
-            limit = BLOWUP_FACTOR * abs(a) * peak
-            p = self.norm_power(nl)
-            with np.errstate(over="ignore"):
-                norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(), p)
-            bad = [name for name, v in norms.items() if not math.isfinite(v)]
+            limit, p, bad = self.overflowing_norms(a, nl)
             if bad:
                 raise ValidationError(
                     f"amplitude {a!r} in norm power {p!r} puts the blow-up threshold "

@@ -547,6 +547,25 @@ def test_a_norm_power_past_the_float_range_is_named(op_file, tmp_path, capsys, t
     assert f"in norm power {power} puts" in err and "the norms on the box: Lp" in err
 
 
+def test_torus_decay_checks_every_q_before_the_first_run(op_file, tmp_path, capsys,
+                                                         monkeypatch):
+    # q = 52 puts the threshold field's Lp norm past the float range on this box
+    # (q = 40 does not): the error names q_list, not an amplitude, which a decay
+    # config has none of, and the q = 2 run never starts
+    from critevo import solver
+
+    calls = []
+    real = solver.run
+    monkeypatch.setattr(solver, "run", lambda *args: calls.append(1) or real(*args))
+    rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "mode": "torus",
+                                       "grid": {"N": 64, "L": 40.0}, "q_list": [2, 52]})
+    assert rc == 2
+    assert not out.exists()
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "q_list entry 52.0 in norm power 52.0 puts" in err and "amplitude" not in err
+
+
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
     # each value is judged alone before the batch, so the others still run
     base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.3, 1e200, 0.9])
@@ -670,20 +689,30 @@ def test_a_cold_mu_check_loads_no_solver_layer(tmp_path):
     assert (tmp_path / "out" / "mu_check.json").is_file()
 
 
-@pytest.mark.parametrize("task", ["simulate", "sweep", "residual"])
-def test_m2_tasks_load_no_scipy(op_file, tmp_path, task):
-    # an m = 2 propagator is built in closed form: a cold run, an amplitude
-    # sweep and an inline residual never import scipy
+@pytest.mark.parametrize("task, m", [
+    ("simulate", 2), ("sweep", 2), ("residual", 2),
+    ("simulate", 1), ("sweep", 1), ("residual", 1), ("decay", 1),
+], ids=["simulate", "sweep", "residual", "m1-simulate", "m1-sweep", "m1-residual",
+        "m1-torus-decay"])
+def test_m2_tasks_load_no_scipy(op_file, tmp_path, task, m):
+    # an m = 2 propagator is built in closed form, and so is an m = 1 one, whose
+    # augmented block is 2x2: a cold run, an amplitude sweep, an inline residual
+    # and a torus decay never import scipy
+    if m == 1:
+        heat = EvolutionOperator(m=1, n=1, levels={0: (fractional_term(1, 1.0),)})
+        op_file = write_json(tmp_path / "heat.json", json.loads(dumps_json(heat)))
     sim = sim_config(op_file, T=2.0)
     cfg = {"simulate": sim,
            "sweep": {**SCHEMA, "task": "simulate", "parameter": "amplitude",
                      "values": [0.5, 1.0], "config": sim},
-           "residual": {**sim, "test_function": {}}}[task]
+           "residual": {**sim, "test_function": {}},
+           "decay": {**SCHEMA, "operator": str(op_file), "mode": "torus",
+                     "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0]}}[task]
     assert _modules_after((task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out")) == []
 
 
 def test_m3_simulate_runs_on_scipy(tmp_path):
-    # any m but 2 keeps scipy's expm of the augmented block
+    # m >= 3 keeps scipy's expm of the augmented block
     op = EvolutionOperator(m=3, n=1, levels={0: (fractional_term(1, 1.0),),
                                               2: (fractional_term(0, 3.0),)})
     op_path = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))

@@ -9,8 +9,8 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from critevo.decay import (
+    _EXP_BLOCK,
     RadialProfile,
-    _confluent_kernel,
     _decay_quadrature,
     _kernel_matrix,
     _panel_nodes,
@@ -363,18 +363,6 @@ def test_confluent_kernel_matches_mpmath(name, layer):
             assert abs(value - want) <= 1e-15 * abs(want), (A[1, 1], t)
 
 
-def test_confluent_kernel_at_a_double_root():
-    # the damped wave at rho = 1/2: A = [[0, 1], [-1/4, -1]] is a Jordan block
-    # at -1/2, exp(tA) = e^{-t/2} (I + t (A + I/2)); the closed form divides by
-    # no root gap there
-    A = damped_wave(1).radial_companion(np.array([0.5]))
-    times = np.array([0.0, 1.0, 1e2, 1e3])
-    decay = np.exp(-times / 2)
-    assert np.allclose(_confluent_kernel(A, times, 0)[0], times * decay, rtol=1e-15, atol=0)
-    assert np.allclose(_confluent_kernel(A, times, 1)[0], (1 - times / 2) * decay,
-                       rtol=1e-15, atol=0)
-
-
 def test_stacked_kernel_equals_the_per_node_loop_on_a_long_time_list():
     # more times than one block of exponentials holds: one node per block
     op = damped_wave(1)
@@ -404,11 +392,13 @@ def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
     counts = {"eig": 0, "expm": 0}
     _counting(monkeypatch, np.linalg, "eig", counts)
     _counting(monkeypatch, scipy.linalg, "expm", counts)
+    # nearly defective nodes go to expm a block of nodes at a time, as the eigen
+    # path's, except at m = 2, which takes the closed form
+    step = max(1, _EXP_BLOCK // (times.size * op.m))
     for ppd, want in flagged.items():
         counts.update(eig=0, expm=0)
         _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd)[0], times, 0)
-        # m = 2 takes the closed form at its nearly defective nodes
-        expm = want if op.m > 2 else 0
+        expm = -(-want // step) if op.m > 2 else 0
         assert counts == {"eig": 1, "expm": expm} and fallback == want, ppd
     counts.update(eig=0, expm=0)
     _, evidence = _decay_quadrature(op, RadialProfile(width=1.0), times, 0, 1e-8)

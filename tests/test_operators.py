@@ -11,6 +11,7 @@ from critevo.operators import (
     EvolutionOperator,
     SpatialTerm,
     damped_wave,
+    exp_blocks,
     fractional_term,
     laplacian_terms,
     parse_operator,
@@ -202,3 +203,59 @@ def test_integer_fields_take_no_bool(build):
     # a bool is an int subclass: m = True built a first-order operator
     with pytest.raises(ValidationError, match="integer|ints|level True outside"):
         build()
+
+
+def _mp_exp(mpmath, A, t):
+    """exp(t A) of one block in 40-digit arithmetic."""
+    m = A.shape[0]
+    M = mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(m)] for i in range(m)])
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.mpf(float(t)) * M)
+    return np.array([[complex(E[i, j]) for j in range(m)] for i in range(m)])
+
+
+def test_exp_blocks_at_a_double_root():
+    # the damped wave at rho = 1/2: A = [[0, 1], [-1/4, -1]] is a Jordan block
+    # at -1/2, exp(tA) = e^{-t/2} (I + t (A + I/2)); the closed form divides by
+    # no root gap there
+    A = damped_wave(1).radial_companion(np.array([0.5]))
+    times = np.array([0.0, 1.0, 1e2, 1e3])
+    got = exp_blocks(A, times)
+    assert got.shape == (1, times.size, 2, 2)
+    want = np.exp(-times / 2)[:, None, None] * (
+        np.eye(2) + times[:, None, None] * (A[0] + np.eye(2) / 2))
+    assert np.allclose(got[0], want, rtol=1e-15, atol=0)
+
+
+# sigma-evolution (3, 3, 1) has real roots near -rho^4 and -rho^2 at these radii,
+# where the small one is only accurate as det / (the large one)
+@pytest.mark.parametrize("A, times", [
+    (damped_wave(1).radial_companion(np.array([0.5])), [0.0, 1.0, 1e2, 1e3]),
+    (sigma_evolution(3, 3, 1).radial_companion(np.array([1e-7, 1e-6, 1e-5, 5e-5])),
+     [1e2, 1e4, 1e8, 1e12]),
+], ids=["jordan-block", "sigma_3_3_1"])
+def test_exp_blocks_of_2x2_blocks_match_mpmath(A, times):
+    mpmath = pytest.importorskip("mpmath")
+    got = exp_blocks(A, times)
+    for block, row in zip(A, got):
+        for t, E in zip(times, row):
+            want = _mp_exp(mpmath, block, t)
+            assert np.all(np.abs(E - want) <= 1e-15 * np.abs(want)), (block, t)
+
+
+def test_exp_blocks_of_3x3_blocks_are_scipy_bits():
+    # one stacked expm call equals one call per block and time
+    from scipy.linalg import expm
+
+    op = EvolutionOperator(m=3, n=1, levels={
+        0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),),
+        2: (fractional_term(0, 3.0),)})
+    rng = np.random.default_rng(7)
+    A = np.concatenate([op.radial_companion(np.array([0.0, 0.3, 2.0])),
+                        rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))])
+    times = np.array([0.0, 0.05, 1.0, 37.5])
+    got = exp_blocks(A, times)
+    assert got.shape == (A.shape[0], times.size, 3, 3)
+    for block, row in zip(A, got):
+        for t, E in zip(times, row):
+            assert E.tobytes() == expm(t * block).tobytes()

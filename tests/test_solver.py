@@ -217,7 +217,35 @@ def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     ModePropagator(op, grid, dt=0.05)
-    assert calls == [(distinct, 2 * op.m, 2 * op.m)]
+    assert calls == [(distinct, 1, 2 * op.m, 2 * op.m)]
+
+
+@pytest.mark.parametrize("op, grid, dt", [
+    (EvolutionOperator(m=1, n=1), small_grid(), 0.05),  # a = 0: E = 1, Phi = dt
+    (EvolutionOperator(m=1, n=1, levels={0: tuple(laplacian_terms(1, 1, 1.0))}),
+     Grid(n=1, N=64, L=40.0), 1.0),
+    # u_t + u_x = 0: a = -i xi
+    (EvolutionOperator(m=1, n=1, levels={0: (SpatialTerm(kind="monomial", coeff=1.0,
+                                                         alpha=(1,)),)}),
+     Grid(n=1, N=64, L=40.0), 0.05),
+    # a = -|xi|^3 reaches dt a = -1638.4 at the top mode
+    (EvolutionOperator(m=1, n=1, levels={0: (fractional_term(Fraction(3, 2), 1.0),)}),
+     Grid(n=1, N=64, L=2 * math.pi), 0.05),
+], ids=["empty", "heat", "transport", "stiff-fractional"])
+def test_m1_flow_matches_mpmath(op, grid, dt):
+    # the augmented block [[a, 1], [0, 0]] of an m = 1 mode is 2x2: its E = e^{dt a}
+    # and Phi = expm1(dt a) / a come in closed form, each within 1e-12 of the
+    # block's maximum
+    mpmath = pytest.importorskip("mpmath")
+    prop = ModePropagator(op, grid, dt)
+    for a, E, phi in zip(op.companion(_half_wavenumbers(grid))[:, 0, 0], prop._E[0, 0],
+                         prop._phi[0]):
+        with mpmath.workdps(40):
+            z = mpmath.mpf(dt) * mpmath.mpc(complex(a))
+            want_E = complex(mpmath.exp(z))
+            want_phi = dt if a == 0 else complex(mpmath.expm1(z) / mpmath.mpc(complex(a)))
+        scale = max(abs(want_E), abs(want_phi), 1.0)
+        assert abs(E - want_E) <= 1e-12 * scale and abs(phi - want_phi) <= 1e-12 * scale, a
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
