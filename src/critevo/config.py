@@ -4,7 +4,7 @@ A table maps each allowed key of a document to a :class:`Key`.  :func:`read`
 rejects unknown keys, missing required keys, wrong JSON types (a bool is
 not an int, a float is not an int, a string is not a bool), non-finite
 numbers and out-of-range values.  :func:`load_json` also refuses the
-NaN/Infinity tokens.  No numpy or scipy here: parsing stays light.
+NaN/Infinity tokens.  No numpy here: parsing stays light.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ from which per-frequency companion matrices are assembled for the solver
 and the decay verifier.
 
 Exact quantities (term orders, fractional powers) are kept as
-``fractions.Fraction``; coefficients are floats.  numpy and scipy are
-imported only by the functions that build arrays, so the exact layer runs
-without them.
+``fractions.Fraction``; coefficients are floats.  numpy is imported only
+by the functions that build arrays, so the exact layer runs without it.
 """
 
 from __future__ import annotations
@@ -345,23 +344,51 @@ def exp_blocks(A: np.ndarray, times) -> np.ndarray:
     """exp(t A_i) of a stack A of m x m blocks, (k, m, m), at each t of times: (k, T, m, m).
 
     A 2x2 block takes the closed form of :func:`exp2_parts`, A11 - lam2
-    taken as lam1 - A00 (equal by the trace).  Any other size takes scipy's
-    expm of the stacked t A_i, one block at a time, so one call equals one
-    call per block and time.
+    taken as lam1 - A00 (equal by the trace), and any other size :func:`_expm`
+    of the stacked t A_i.  Each block and time is computed on its own, so one
+    call equals one call per block and time, bit for bit.
     """
     import numpy as np
 
     times = np.asarray(times, dtype=float)
     if A.shape[-1] != 2:
-        from scipy.linalg import expm
-
-        return expm(times[:, None, None] * A[:, None])
+        return _expm(times[:, None, None] * A[:, None])
     lam1, lam2, D = exp2_parts(A, times)
     a = A[:, 0, 0][:, None]
     e2 = np.exp(times * lam2)
     E = D[:, :, None, None] * A[:, None]  # right off the diagonal
     E[..., 0, 0] = e2 + D * (a - lam2)
     E[..., 1, 1] = e2 + D * (lam1 - a)
+    return E
+
+
+# b_0 .. b_13 of exp's degree-13 Pade approximant, accurate to double at 1-norms <= theta_13
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of each block of a (..., m, m) stack by Higham's (2005) Pade-13 scaling and
+    squaring: a block is scaled by 2^-s, the least s with 1-norm <= theta_13, squared s times."""
+    import numpy as np
+
+    frac, s = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s - (frac == 0.5), 0)  # ceil(log2(1-norm / theta_13)), at least 0
+    b, eye = _PADE13, np.eye(A.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = A * np.ldexp(1.0, -s)[..., None, None]
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A2 @ A4
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        E = np.linalg.solve(V - U, V + U)
+        for i in range(int(s.max(initial=0))):
+            E[s > i] = E[s > i] @ E[s > i]
     return E
 
 

@@ -231,6 +231,9 @@ def make_test_function(op: EvolutionOperator, ell: int, grid: Grid, t_end: float
     eta_bar = as_fraction(eta_bar)
     if scale == "auto":
         scale = 0.98 * min(t_end, (grid.L / 2.0) ** float(eta_bar))
+    if scale < 1 and scale ** (op.m - ell) < np.finfo(float).tiny:  # d_t^k psi divides by R^k
+        raise ValidationError(f"test_function.scale R = {scale!r} is too small: R**{op.m - ell} "
+                              "is not a normal float")
     if q_tf is None:
         q_tf = default_q_tf(op, ell, rep.p_c)
     if smooth_order is None:

@@ -147,3 +147,12 @@ def run_recording(config, members, directory):
     paths = [Path(directory) / f"member_{i}.npy" for i in range(len(members))]
     reports = run(config, members, field_files=paths)
     return reports, [np.load(path) for path in paths]
+
+
+def mp_exp(mpmath, A, t) -> np.ndarray:
+    """exp(t A) of one m x m block in 40-digit arithmetic."""
+    m = A.shape[0]
+    M = mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(m)] for i in range(m)])
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.mpf(float(t)) * M)
+    return np.array([[complex(E[i, j]) for j in range(m)] for i in range(m)])

@@ -689,42 +689,61 @@ def test_a_cold_mu_check_loads_no_solver_layer(tmp_path):
     assert (tmp_path / "out" / "mu_check.json").is_file()
 
 
-@pytest.mark.parametrize("task, m", [
-    ("simulate", 2), ("sweep", 2), ("residual", 2),
-    ("simulate", 1), ("sweep", 1), ("residual", 1), ("decay", 1),
-], ids=["simulate", "sweep", "residual", "m1-simulate", "m1-sweep", "m1-residual",
-        "m1-torus-decay"])
-def test_m2_tasks_load_no_scipy(op_file, tmp_path, task, m):
-    # an m = 2 propagator is built in closed form, and so is an m = 1 one, whose
-    # augmented block is 2x2: a cold run, an amplitude sweep, an inline residual
-    # and a torus decay never import scipy
-    if m == 1:
-        heat = EvolutionOperator(m=1, n=1, levels={0: (fractional_term(1, 1.0),)})
-        op_file = write_json(tmp_path / "heat.json", json.loads(dumps_json(heat)))
+def _task_run(tmp_path, op, task):
+    """(subcommand, config file, out dir) of a small ``task`` on ``op``: a
+    simulate, an amplitude sweep, an inline residual, or a torus or
+    whole-space decay."""
+    op_file = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))
     sim = sim_config(op_file, T=2.0)
     cfg = {"simulate": sim,
            "sweep": {**SCHEMA, "task": "simulate", "parameter": "amplitude",
                      "values": [0.5, 1.0], "config": sim},
            "residual": {**sim, "test_function": {}},
-           "decay": {**SCHEMA, "operator": str(op_file), "mode": "torus",
-                     "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0]}}[task]
-    assert _modules_after((task, write_json(tmp_path / "cfg.json", cfg), tmp_path / "out")) == []
+           "torus-decay": {**SCHEMA, "operator": str(op_file), "mode": "torus",
+                           "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0]},
+           "whole-space-decay": {**SCHEMA, "operator": str(op_file)}}[task]
+    return task.split("-")[-1], write_json(tmp_path / "cfg.json", cfg), tmp_path / "out"
 
 
-def test_m3_simulate_runs_on_scipy(tmp_path):
-    # m >= 3 keeps scipy's expm of the augmented block
-    op = EvolutionOperator(m=3, n=1, levels={0: (fractional_term(1, 1.0),),
-                                              2: (fractional_term(0, 3.0),)})
-    op_path = write_json(tmp_path / "op.json", json.loads(dumps_json(op)))
-    cfg = write_json(tmp_path / "cfg.json", sim_config(op_path, T=2.0))
-    assert "scipy.linalg" in _modules_after(("simulate", cfg, tmp_path / "out"))
-    report = json.loads((tmp_path / "out" / "simulate.json").read_text())
-    assert report["report"]["outcome"] == "completed"
+HEAT = EvolutionOperator(m=1, n=1, levels={0: (fractional_term(1, 1.0),)})
+
+
+@pytest.mark.parametrize("task, op", [
+    ("simulate", damped_wave(1)), ("sweep", damped_wave(1)), ("residual", damped_wave(1)),
+    ("simulate", HEAT), ("sweep", HEAT), ("residual", HEAT), ("torus-decay", HEAT),
+], ids=["simulate", "sweep", "residual", "m1-simulate", "m1-sweep", "m1-residual",
+        "m1-torus-decay"])
+def test_m2_tasks_load_no_scipy(tmp_path, task, op):
+    # an m = 2 propagator is built in closed form, and so is an m = 1 one, whose
+    # augmented block is 2x2: a cold run, an amplitude sweep, an inline residual
+    # and a torus decay never import scipy
+    assert _modules_after(_task_run(tmp_path, op, task)) == []
+
+
+# d_t^3 u + 3 d_t^2 u + (-Lap) d_t u + (-Lap) u, the third-order operator of the
+# solver and decay tests
+THIRD_ORDER = EvolutionOperator(m=3, n=2, levels={
+    0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),), 2: (fractional_term(0, 3.0),)})
+
+
+@pytest.mark.parametrize("task", ["simulate", "sweep", "residual", "torus-decay",
+                                  "whole-space-decay"])
+def test_m3_tasks_load_no_scipy(tmp_path, task):
+    # m = 3 takes exp_blocks' numpy Pade exponential of its augmented 6x6 blocks
+    # and of its nearly defective decay nodes: no task imports scipy
+    name, cfg, out = _task_run(tmp_path, THIRD_ORDER, task)
+    assert _modules_after((name, cfg, out)) == []
+    if task == "simulate":
+        report = json.loads((out / "simulate.json").read_text())["report"]
+        assert report["outcome"] == "completed"
+    if task == "whole-space-decay":
+        report = json.loads((out / "decay.json").read_text())["report"]
+        assert report["entries"][0]["quadrature"]["expm_fallback_nodes"] > 0
 
 
 def test_whole_space_decay_of_an_m2_operator_loads_no_scipy(tmp_path):
     # sigma-evolution (3, 2, 1) has nearly defective nodes, which m = 2 takes in
-    # closed form; only m >= 3 needs scipy's expm
+    # closed form
     op = write_json(tmp_path / "op.json", json.loads(dumps_json(sigma_evolution(3, 2, 1))))
     cfg = write_json(tmp_path / "decay.json", {**SCHEMA, "operator": str(op)})
     out = tmp_path / "d"
@@ -931,6 +950,16 @@ def test_inline_residual_checks_its_test_function_before_the_run(bases, tmp_path
     assert rc == 2
     assert not out.exists()
     assert next(iter(test_function)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["residual", "residual-run"])
+@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+def test_residual_rejects_a_scale_whose_powers_underflow(bases, tmp_path, capsys, task, scale):
+    # d_t^2 psi divides by R^2, which underflows to 0: the residual read NaN
+    rc, out = _run(tmp_path, task, {**bases[task], "test_function": {"scale": scale}})
+    assert rc == 2
+    assert not (out / "residual.json").exists()
+    assert f"test_function.scale R = {scale!r} is too small" in capsys.readouterr().err
 
 
 def test_torus_decay_rejects_n_times(bases, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
+from critevo import operators
 from critevo.decay import (
     _EXP_BLOCK,
     RadialProfile,
@@ -26,12 +27,14 @@ from critevo.operators import (
     SpatialTerm,
     damped_klein_gordon,
     damped_wave,
+    exp_blocks,
     fractional_term,
     laplacian_terms,
     sigma_evolution,
 )
 from critevo.reporting import jsonify
 from critevo.solver import DataProfile, Grid, RunConfig, run
+from helpers import mp_exp
 
 GAP_KG = 2.0 - math.sqrt(3.0)  # zero-mode rate of u'' + 4u' + u
 PANEL_LEVELS = (2, 4, 8, 16, 32)
@@ -62,7 +65,8 @@ def _mode_weights(A, layer, gap_tol=1e-8):
 
 
 def per_node_kernel_matrix(op, rhos, times, layer):
-    """Reference for _kernel_matrix: one eig per node, one expm per (node, time)."""
+    """Reference for _kernel_matrix: one eig per node, one exponential per (node,
+    time), scipy's expm at m = 2 and exp_blocks of the one block otherwise."""
     m = op.m
     A_all = op.radial_companion(rhos)
     K = np.empty((rhos.size, times.size), dtype=complex)
@@ -73,7 +77,9 @@ def per_node_kernel_matrix(op, rhos, times, layer):
             K[i] = np.exp(np.outer(times, lam)) @ w
         else:
             for j, t in enumerate(times):
-                K[i, j] = scipy.linalg.expm(t * A_all[i])[layer, m - 1]
+                E = (scipy.linalg.expm(t * A_all[i]) if m == 2
+                     else exp_blocks(A_all[i:i + 1], [t])[0, 0])
+                K[i, j] = E[layer, m - 1]
     return K
 
 
@@ -314,9 +320,10 @@ def test_fit_rejects_an_unknown_mode():
 
 @pytest.mark.parametrize("name", list(KERNEL_OPS))
 def test_stacked_kernel_equals_the_per_node_loop(name):
-    # eigen-path and m >= 3 expm nodes keep every bit of the loop; nearly
-    # defective m = 2 nodes take the closed form, which differs from expm by
-    # rounding of each row's largest entry (7.8e-16 at worst over these cases)
+    # eigen-path nodes and nearly defective m >= 3 nodes keep every bit of the
+    # loop; nearly defective m = 2 nodes take the closed form, which differs from
+    # scipy's expm by rounding of each row's largest entry (7.8e-16 at worst
+    # over these cases)
     op = KERNEL_OPS[name]
     times = np.array([0.0, 0.01, 1.0, 37.5, 1e3, 1e4])
     P = RadialProfile(width=1.0).tail_cutoff()
@@ -331,13 +338,6 @@ def test_stacked_kernel_equals_the_per_node_loop(name):
             row_max = np.max(np.abs(want[closed]), axis=1, keepdims=True)
             assert np.all(np.abs(got[closed] - want[closed]) <= 1e-14 * row_max), (ppd, layer)
         assert fallback == np.count_nonzero(flagged), ppd
-
-
-def _mp_kernel(mpmath, A, t, layer):
-    """[exp(t A)]_{layer, 1} of one 2x2 block, in 40-digit arithmetic."""
-    M = mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(2)] for i in range(2)])
-    with mpmath.workdps(40):
-        return complex(mpmath.expm(mpmath.mpf(float(t)) * M)[layer, 1])
 
 
 # sigma-evolution (3, 2, 1) has roots -rho^2 (1 -+ i sqrt 3) / 2, nearly defective
@@ -359,8 +359,23 @@ def test_confluent_kernel_matches_mpmath(name, layer):
     assert fallback == rhos.size
     for A, row in zip(op.radial_companion(rhos), got):
         for t, value in zip(times, row):
-            want = _mp_kernel(mpmath, A, t, layer)
+            want = mp_exp(mpmath, A, t)[layer, 1]
             assert abs(value - want) <= 1e-15 * abs(want), (A[1, 1], t)
+
+
+def test_nearly_defective_third_order_nodes_match_mpmath():
+    # the m = 3 nodes the kernel flags take exp_blocks' Pade exponential; at
+    # t = 1e4, t |A|_1 = 4e4 and the error sits at the conditioning of forming t A
+    mpmath = pytest.importorskip("mpmath")
+    op = KERNEL_OPS["third_order"]
+    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
+    A = op.radial_companion(rhos[defective_mask(op, rhos)])
+    assert A.shape[0] == 5
+    times = [1.0, 1e2, 1e3, 1e4]
+    for block, row in zip(A, exp_blocks(A, times)):
+        for t, E in zip(times, row):
+            want = mp_exp(mpmath, block, t)
+            assert np.max(np.abs(E - want)) <= 1e-12 * np.max(np.abs(want)), (block[2], t)
 
 
 def test_stacked_kernel_equals_the_per_node_loop_on_a_long_time_list():
@@ -389,18 +404,18 @@ def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
     P = RadialProfile(width=1.0).tail_cutoff()
     times = np.geomspace(1.0, 1e3, 7)
     flagged = {ppd: defective_nodes(op, _panel_nodes(P, ppd)[0]) for ppd in (2, 4, 8)}
-    counts = {"eig": 0, "expm": 0}
+    counts = {"eig": 0, "_expm": 0}
     _counting(monkeypatch, np.linalg, "eig", counts)
-    _counting(monkeypatch, scipy.linalg, "expm", counts)
-    # nearly defective nodes go to expm a block of nodes at a time, as the eigen
-    # path's, except at m = 2, which takes the closed form
+    _counting(monkeypatch, operators, "_expm", counts)
+    # nearly defective nodes go to the Pade exponential a block of nodes at a
+    # time, as the eigen path's, except at m = 2, which takes the closed form
     step = max(1, _EXP_BLOCK // (times.size * op.m))
     for ppd, want in flagged.items():
-        counts.update(eig=0, expm=0)
+        counts.update(eig=0, _expm=0)
         _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd)[0], times, 0)
         expm = -(-want // step) if op.m > 2 else 0
-        assert counts == {"eig": 1, "expm": expm} and fallback == want, ppd
-    counts.update(eig=0, expm=0)
+        assert counts == {"eig": 1, "_expm": expm} and fallback == want, ppd
+    counts.update(eig=0, _expm=0)
     _, evidence = _decay_quadrature(op, RadialProfile(width=1.0), times, 0, 1e-8)
     assert counts["eig"] == PANEL_LEVELS.index(evidence.panels_per_decade) + 1
 

@@ -8,6 +8,7 @@ import pytest
 from critevo.config import as_fraction
 from critevo.errors import ValidationError
 from critevo.operators import (
+    _THETA13,
     EvolutionOperator,
     SpatialTerm,
     damped_wave,
@@ -18,6 +19,7 @@ from critevo.operators import (
     sigma_evolution,
 )
 from critevo.reporting import dumps_json
+from helpers import mp_exp
 
 
 def test_as_fraction_forms():
@@ -205,15 +207,6 @@ def test_integer_fields_take_no_bool(build):
         build()
 
 
-def _mp_exp(mpmath, A, t):
-    """exp(t A) of one block in 40-digit arithmetic."""
-    m = A.shape[0]
-    M = mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(m)] for i in range(m)])
-    with mpmath.workdps(40):
-        E = mpmath.expm(mpmath.mpf(float(t)) * M)
-    return np.array([[complex(E[i, j]) for j in range(m)] for i in range(m)])
-
-
 def test_exp_blocks_at_a_double_root():
     # the damped wave at rho = 1/2: A = [[0, 1], [-1/4, -1]] is a Jordan block
     # at -1/2, exp(tA) = e^{-t/2} (I + t (A + I/2)); the closed form divides by
@@ -239,23 +232,49 @@ def test_exp_blocks_of_2x2_blocks_match_mpmath(A, times):
     got = exp_blocks(A, times)
     for block, row in zip(A, got):
         for t, E in zip(times, row):
-            want = _mp_exp(mpmath, block, t)
+            want = mp_exp(mpmath, block, t)
             assert np.all(np.abs(E - want) <= 1e-15 * np.abs(want)), (block, t)
 
 
-def test_exp_blocks_of_3x3_blocks_are_scipy_bits():
-    # one stacked expm call equals one call per block and time
-    from scipy.linalg import expm
+def _random_blocks(seed, *sizes):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
 
+
+def _theta_blocks(factors):
+    # one block scaled to 1-norms either side of theta_13, where the Pade
+    # exponential starts to scale and square
+    B, = _random_blocks(3, 4)
+    return [B * (f * _THETA13 / np.max(np.sum(np.abs(B), axis=0))) for f in factors]
+
+
+@pytest.mark.parametrize("A, times", [
+    (np.zeros((3, 3)), [0.0, 1.0, 1e4]),
+    # the empty m = 3 operator: exp(tA) = I + tA + t^2 A^2 / 2
+    (EvolutionOperator(m=3, n=1).radial_companion(np.array([0.0]))[0], [0.0, 1.0, 37.5]),
+    *[(B, [1.0]) for B in _random_blocks(7, 3, 4)],
+    *[(B, [1.0]) for B in _theta_blocks([1 - 1e-12, 1 + 1e-12])],
+], ids=["zero", "nilpotent", "random-3x3", "random-4x4", "below-theta", "above-theta"])
+def test_exp_blocks_of_larger_blocks_match_mpmath(A, times):
+    mpmath = pytest.importorskip("mpmath")
+    for t, E in zip(times, exp_blocks(A[None], times)[0]):
+        want = mp_exp(mpmath, A, t)
+        assert np.max(np.abs(E - want)) <= 1e-15 * np.max(np.abs(want)), t
+
+
+def test_exp_blocks_of_a_3x3_stack_equal_one_call_per_block():
+    # each block and time scales and squares on its own: a stack whose members
+    # need different numbers of squarings equals one call per block and time
     op = EvolutionOperator(m=3, n=1, levels={
         0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),),
         2: (fractional_term(0, 3.0),)})
-    rng = np.random.default_rng(7)
     A = np.concatenate([op.radial_companion(np.array([0.0, 0.3, 2.0])),
-                        rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))])
+                        _random_blocks(7, 3, 3)])
     times = np.array([0.0, 0.05, 1.0, 37.5])
+    norms = np.max(np.sum(np.abs(times[:, None, None] * A[:, None]), axis=-2), axis=-1)
+    assert len(set(np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).ravel())) > 3
     got = exp_blocks(A, times)
     assert got.shape == (A.shape[0], times.size, 3, 3)
     for block, row in zip(A, got):
         for t, E in zip(times, row):
-            assert E.tobytes() == expm(t * block).tobytes()
+            assert E.tobytes() == exp_blocks(block[None], [t])[0, 0].tobytes()

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from critevo import solver
+from critevo import operators, solver
 from critevo.errors import ValidationError
 from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import (
@@ -82,7 +82,7 @@ def test_propagator_matches_ode_integrator():
 def test_duhamel_weight_identity():
     # Phi = integral_0^dt exp(sA) ds satisfies A Phi + I = E, singular A included;
     # the propagator keeps only Phi's last column, so the full Phi comes from
-    # the per-mode reference that test_propagator_bits_match_per_mode_expm ties to it
+    # scipy's per-mode expm
     for op in (damped_wave(1), EvolutionOperator(m=3, n=1, levels={})):
         grid = small_grid()
         prop = ModePropagator(op, grid, dt=0.21)
@@ -128,28 +128,30 @@ THIRD_ORDER = EvolutionOperator(m=3, n=2, levels={
 
 
 def _mp_flow(mpmath, A, dt):
-    """E = exp(dt A) and Phi e_1 of one 2x2 block, from the 40-digit exponential
-    of the augmented block [[A, I], [0, 0]]."""
-    M = mpmath.zeros(4, 4)
-    for i in range(2):
-        M[i, 2 + i] = 1
-        for j in range(2):
+    """E = exp(dt A) and Phi e_{m-1} of one m x m block, from the 40-digit
+    exponential of the augmented block [[A, I], [0, 0]]."""
+    m = A.shape[0]
+    M = mpmath.zeros(2 * m, 2 * m)
+    for i in range(m):
+        M[i, m + i] = 1
+        for j in range(m):
             M[i, j] = mpmath.mpc(complex(A[i, j]))
     with mpmath.workdps(40):
         big = mpmath.expm(mpmath.mpf(float(dt)) * M)
-    return (np.array([[complex(big[i, j]) for j in range(2)] for i in range(2)]),
-            np.array([complex(big[i, 3]) for i in range(2)]))
+    return (np.array([[complex(big[i, j]) for j in range(m)] for i in range(m)]),
+            np.array([complex(big[i, 2 * m - 1]) for i in range(m)]))
 
 
 def _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode):
-    """The propagator's E and Phi e_1 at one half-spectrum mode (a flat index)
-    lie within 1e-12 of each block's maximum of the 40-digit flow."""
-    A = op.companion(_half_wavenumbers(grid)).reshape(-1, 2, 2)[mode]
+    """The propagator's E and Phi e_{m-1} at one half-spectrum mode (a flat
+    index) lie within 1e-13 of each block's maximum of the 40-digit flow."""
+    m = op.m
+    A = op.companion(_half_wavenumbers(grid)).reshape(-1, m, m)[mode]
     want_E, want_phi = _mp_flow(mpmath, A, prop.dt)
-    got_E = _E(prop).reshape(-1, 2, 2)[mode]
-    got_phi = np.moveaxis(prop._phi, 0, -1).reshape(-1, 2)[mode]
+    got_E = _E(prop).reshape(-1, m, m)[mode]
+    got_phi = np.moveaxis(prop._phi, 0, -1).reshape(-1, m)[mode]
     for got, want in ((got_E, want_E), (got_phi, want_phi)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (mode, A)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (mode, A)
 
 
 @pytest.mark.parametrize("op, grid", [
@@ -164,22 +166,17 @@ def _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode):
 ], ids=["wave-1d", "wave-2d", "sigma", "klein-gordon", "alpha-20", "alpha-10", "empty-m3",
         "third-order"])
 def test_propagator_bits_match_per_mode_expm(op, grid):
-    # m = 3 takes expm once per distinct block, which keeps every bit of a
-    # per-mode call; m = 2 takes the closed form, checked against 40-digit
-    # mpmath on the modes where it and expm differ most and on the zero mode
-    # (sigma's double root at 0, the damped wave's root pair 0 and -1)
+    # checked against 40-digit mpmath on the zero mode (sigma's double root at
+    # 0, the damped wave's root pair 0 and -1) and on the modes where the
+    # propagator and scipy's per-mode expm differ most
+    mpmath = pytest.importorskip("mpmath")
+    m = op.m
     prop = ModePropagator(op, grid, dt=0.05)
     E, _, phi = _per_mode_propagator(op, grid, 0.05)
-    if op.m != 2:
-        for got, want in ((prop._E, np.moveaxis(E, (-2, -1), (0, 1))), (prop._phi, phi)):
-            assert np.array_equal(got, want)
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-        return
-    mpmath = pytest.importorskip("mpmath")
-    E, phi = E.reshape(-1, 2, 2), np.moveaxis(phi, 0, -1).reshape(-1, 2)
-    off_E = np.max(np.abs(_E(prop).reshape(-1, 2, 2) - E), axis=(1, 2)) / np.max(
+    E, phi = E.reshape(-1, m, m), np.moveaxis(phi, 0, -1).reshape(-1, m)
+    off_E = np.max(np.abs(_E(prop).reshape(-1, m, m) - E), axis=(1, 2)) / np.max(
         np.abs(E), axis=(1, 2))
-    off_phi = np.max(np.abs(np.moveaxis(prop._phi, 0, -1).reshape(-1, 2) - phi), axis=1) / np.max(
+    off_phi = np.max(np.abs(np.moveaxis(prop._phi, 0, -1).reshape(-1, m) - phi), axis=1) / np.max(
         np.abs(phi), axis=1)
     for mode in {0, int(np.argmax(off_E)), int(np.argmax(off_phi))}:
         _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode)
@@ -203,19 +200,18 @@ def test_closed_form_flow_matches_mpmath(grid, dt, mode):
 
 
 def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
-    import scipy.linalg
-
     op, grid = THIRD_ORDER, Grid(n=2, N=16, L=40.0)
     rows = op.companion(_half_wavenumbers(grid)).reshape(-1, op.m * op.m)
     distinct = len(np.unique(rows, axis=0))
     assert distinct < grid.N**2 // 4  # a radial symbol repeats its blocks
     calls = []
+    real = operators._expm
 
     def counting_expm(a):
         calls.append(a.shape)
-        return expm(a)
+        return real(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(operators, "_expm", counting_expm)
     ModePropagator(op, grid, dt=0.05)
     assert calls == [(distinct, 1, 2 * op.m, 2 * op.m)]
 
