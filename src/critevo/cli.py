@@ -22,8 +22,10 @@ repeat runs with the same config.
 
 A subcommand loads only the layers it uses.  ``exponent`` runs on the
 exact layer and loads no numpy; ``envelope`` loads numpy only to write its
-CSV; ``mu-check`` adds :mod:`critevo.mu`; only ``simulate``, ``decay`` and
-``residual`` load the solver.
+CSV; ``mu-check`` adds :mod:`critevo.mu`, whose integral and certificate
+run on Python floats (the certificate draws from ``random.Random(seed)``),
+so it loads no numpy either; only ``simulate``, ``decay`` and ``residual``
+load the solver.
 """
 
 from __future__ import annotations

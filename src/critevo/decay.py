@@ -38,6 +38,9 @@ from .mu import GAUSS_LEGENDRE16
 from .operators import EvolutionOperator, exp_blocks
 from . import solver as _solver
 
+#: the 16-node Gauss-Legendre rule the mu quadrature shares, as arrays
+_GL_X, _GL_W = (np.array(a) for a in GAUSS_LEGENDRE16)
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -126,12 +129,11 @@ def _panel_nodes(P: float, panels_per_decade: int):
     lo = P * 1e-8
     count = int(math.ceil(8 * panels_per_decade))
     edges.extend(np.geomspace(lo, P, count + 1))
-    gl_x, gl_w = GAUSS_LEGENDRE16
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
-        nodes.append(a + half * (gl_x + 1.0))
-        weights.append(half * gl_w)
+        nodes.append(a + half * (_GL_X + 1.0))
+        weights.append(half * _GL_W)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

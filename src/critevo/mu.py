@@ -30,27 +30,39 @@ tau* = exp(-exp^[k](1)) (= 1/e at depth 0).  Depths above 2 would push
 tau* below the double-precision floor, so they are rejected, and so is an
 extension point at which an inner logarithm is not positive.
 
+Each family's formula is written once, in :func:`_mu_values`, and runs on
+numpy arrays (:func:`eval_mu`, :func:`eval_F`, which the solver, the
+residual and the decay layers call) or on one Python float (the integral
+and the certificate).  numpy is imported only inside the array functions,
+so ``mu-check`` runs without it; ``random`` only inside the certificate.
+
 The integral is measured in u = -log tau by one Gauss-Legendre rule per
 decade of tau; a convergent value adds the exact antiderivative below the
 last decade.
 
 Verification helpers sample the conditions rather than prove them: the
-Lipschitz certificate reports the smallest empirical C over seeded sample
-pairs together with monotonicity / derivative-bound / convexity witnesses,
-never a proof.
+Lipschitz certificate reports the smallest empirical C over sample pairs
+drawn from ``random.Random(seed)``, together with monotonicity /
+derivative-bound / convexity witnesses, never a proof.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from functools import cached_property
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .config import Key, read
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: largest iterated-log depth representable in float64 (tau* underflows at 3)
 MAX_DEPTH = 2
@@ -119,8 +131,10 @@ class MuSpec:
             if any(v < 0 for v in self.values):
                 raise ValidationError("custom_table mu values must be >= 0")
 
-    @property
+    @cached_property
     def tau_star(self) -> float:
+        """The extension point, computed once per spec (not a field: eq,
+        hash and the JSON see only the declared keys)."""
         if self.extension_point is not None:
             return self.extension_point
         if self.family == "iterated_log":
@@ -163,29 +177,92 @@ def parse_mu(doc: Mapping) -> MuSpec:
     return MuSpec(**read(doc, {k: MU_KEYS[k] for k in _FAMILY_KEYS[family]}, "mu"))
 
 
-def _iterated_log_value(mu: MuSpec, tau: np.ndarray) -> np.ndarray:
-    """Evaluate the depth-k formula on 0 < tau <= tau*, where MuSpec keeps every log positive."""
-    v = -np.log(tau)
+# ----------------------------------------------------------------------
+# evaluation: one formula per family, on arrays or on floats
+
+
+def _interp(x: float, xp, fp) -> float:
+    """np.interp at one float: linear between knots, the ends held beyond them."""
+    if x > xp[-1]:
+        return float(fp[-1])
+    if x < xp[0]:
+        return float(fp[0])
+    j = bisect.bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return float(fp[j])
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+#: the elementary functions :func:`_mu_values` takes from numpy, on one float
+#: (a conditional takes a third of builtin min's time)
+_FLOATS = SimpleNamespace(log=math.log, minimum=lambda a, b: b if b < a else a,
+                          interp=_interp, full_like=lambda tau, value: float(value))
+
+
+def _iterated_log_value(mu: MuSpec, v, log):
+    """The depth-k formula at v = -log tau for 0 < tau <= tau*, where MuSpec
+    keeps every inner log positive."""
     out = None  # the product of 1/log^[i], empty at depth 0
     for _ in range(mu.depth):
         out = 1.0 / v if out is None else out / v
-        v = np.log(v)
+        v = log(v)
     tail = v ** (-mu.gamma)
     return tail if out is None else out * tail
 
 
-def _mu_values(mu: MuSpec, tau: np.ndarray) -> np.ndarray:
-    """mu on a finite array of tau >= 0 (tau > 0 for the iterated_log family)."""
+def _mu_values(mu: MuSpec, tau, xp):
+    """mu at finite tau >= 0 (tau > 0 for the iterated_log family), with the
+    elementary functions of ``xp``: numpy on arrays, :data:`_FLOATS` on a float."""
     if mu.family == "constant":
-        return np.full_like(tau, mu.value)
+        return xp.full_like(tau, mu.value)
     if mu.family == "power":
-        return np.minimum(tau, mu.tau_star) ** mu.epsilon
+        return xp.minimum(tau, mu.tau_star) ** mu.epsilon
     if mu.family == "custom_table":
-        return np.interp(tau, mu.taus, mu.values)
-    return _iterated_log_value(mu, np.minimum(tau, mu.tau_star))
+        return xp.interp(tau, mu.taus, mu.values)
+    return _iterated_log_value(mu, -xp.log(xp.minimum(tau, mu.tau_star)), xp.log)
+
+
+def _zero_limit(mu: MuSpec) -> float:
+    """iterated_log's mu at tau = 0: every inner factor vanishes in the limit
+    except the depth-0, gamma <= 0 cases."""
+    if mu.depth == 0 and mu.gamma == 0:
+        return 1.0
+    if mu.depth == 0 and mu.gamma < 0:
+        return math.inf
+    return 0.0
+
+
+def _float_mu(mu: MuSpec, tau: float) -> float:
+    """mu at one finite float tau >= 0: :func:`eval_mu` up to rounding."""
+    if tau == 0 and mu.family == "iterated_log":
+        return _zero_limit(mu)
+    return _mu_values(mu, tau, _FLOATS)
+
+
+def _float_F(nl: NonlinearitySpec, s: float) -> float:
+    """F at one finite float: :func:`eval_F` up to rounding."""
+    x = abs(s)
+    return 0.0 if x == 0 else x ** nl.p * _mu_values(nl.mu, x, _FLOATS)
+
+
+def _mu_of_u(mu: MuSpec) -> Callable[[float], float]:
+    """u -> mu(e^{-u}) on floats for u >= -log tau*, where the quadrature's
+    nodes lie (c0 <= tau*).  The constructive families take u as it is,
+    with no exp/log round trip; a table looks its tau up."""
+    if mu.family == "constant":
+        value = float(mu.value)
+        return lambda u: value
+    if mu.family == "power":
+        epsilon = mu.epsilon
+        return lambda u: math.exp(-epsilon * u)
+    if mu.family == "iterated_log":
+        return lambda u: _iterated_log_value(mu, u, math.log)
+    return lambda u: _mu_values(mu, math.exp(-u), _FLOATS)
 
 
 def _finite(tau: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if not np.isfinite(tau).all():
         raise ValidationError("tau must be finite and >= 0")
     return tau
@@ -193,6 +270,8 @@ def _finite(tau: np.ndarray) -> np.ndarray:
 
 def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
     """mu(tau) for tau >= 0 (scalar or array); constant beyond tau*."""
+    import numpy as np
+
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -200,22 +279,14 @@ def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
         raise ValidationError("tau must be finite and >= 0")
     _finite(arr)
     if mu.family != "iterated_log":
-        out = _mu_values(mu, arr)
+        out = _mu_values(mu, arr, np)
     else:
         out = np.empty_like(arr)
         pos = arr > 0
         if np.any(pos):
-            out[pos] = _mu_values(mu, arr[pos])
+            out[pos] = _mu_values(mu, arr[pos], np)
         if np.any(~pos):
-            # tau = 0: every inner factor vanishes in the limit except the
-            # depth-0, gamma <= 0 cases.
-            if mu.depth == 0 and mu.gamma == 0:
-                limit = 1.0
-            elif mu.depth == 0 and mu.gamma < 0:
-                limit = math.inf
-            else:
-                limit = 0.0
-            out[~pos] = limit
+            out[~pos] = _zero_limit(mu)
     return float(out[0]) if scalar else out
 
 
@@ -240,17 +311,19 @@ def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
     that has already overflowed) gives F = NaN, so the solver's blow-up
     check still sees it.
     """
+    import numpy as np
+
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     mag = np.abs(np.atleast_1d(arr))
     nz = mag > 0
     if nz.all():
-        out = mag ** nl.p * _mu_values(nl.mu, _finite(mag))
+        out = mag ** nl.p * _mu_values(nl.mu, _finite(mag), np)
     else:
         out = np.zeros_like(mag)
         if nz.any():
             x = mag[nz]
-            out[nz] = x ** nl.p * _mu_values(nl.mu, _finite(x))
+            out[nz] = x ** nl.p * _mu_values(nl.mu, _finite(x), np)
         out[np.isnan(mag)] = np.nan
     return float(out[0]) if scalar else out
 
@@ -281,84 +354,98 @@ class LipschitzCertificate:
     seed: int
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num), num >= 2."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """np.geomspace(start, stop, num) for 0 < start < stop, num >= 2."""
+    exponents = _linspace(math.log10(start), math.log10(stop), num)
+    return [start] + [10.0 ** e for e in exponents[1:-1]] + [stop]
+
+
 def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
                           seed: int = 0) -> LipschitzCertificate:
     """Sample the difference estimate and the pointwise sufficient conditions.
 
-    4000 pairs are drawn uniformly from [0, cap]^2 (plus a log-spaced sweep near
-    zero, where the modulation varies fastest); the reported constant is
+    4000 pairs are drawn uniformly from [0, cap]^2 by ``random.Random(seed)``
+    (plus a log-spaced sweep near zero, where the modulation varies
+    fastest); the reported constant is
     max |F(y)-F(z)| / (|y-z| (|y|^{p-1}+|z|^{p-1}) mu(|y|+|z|)).  The
     derivative bound checked is 0 <= tau mu'(tau) <= mu(tau) (sufficient
-    for admissibility), by central differences.  A non-finite sample, or no
-    pair whose bound clears 1e-300, leaves no certificate: ValidationError.
+    for admissibility), by central differences.  A non-finite sample (a
+    float that overflows), or no pair whose bound clears 1e-300, leaves no
+    certificate: ValidationError.
     """
     if cap is None:
         cap = nl.mu.tau_star if math.isfinite(nl.mu.tau_star) else 1.0
     if not (cap > 0):
         raise ValidationError("cap must be > 0")
-    rng = np.random.default_rng(seed)
-    ys = rng.uniform(0.0, cap, 4000)
-    zs = rng.uniform(0.0, cap, 4000)
-    small = np.geomspace(cap * 1e-12, cap, 200)
-    ys = np.concatenate([ys, small])
-    zs = np.concatenate([zs, small * rng.uniform(0.0, 1.0, small.size)])
+    import random  # the certificate is its one user; the solver layers import mu too
 
-    ss = np.linspace(0.0, cap, 1201)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Fy, Fz, Fs = (np.asarray(eval_F(nl, s)) for s in (ys, zs, ss))
-        mu_sum = np.asarray(eval_mu(nl.mu, np.abs(ys) + np.abs(zs)))
-        denom = np.abs(ys - zs) * (np.abs(ys) ** (nl.p - 1) + np.abs(zs) ** (nl.p - 1)) * mu_sum
-        d2 = Fs[:-2] - 2 * Fs[1:-1] + Fs[2:]
-    where = f"on [0, cap] at cap = {cap!r}, p = {nl.p!r}"
-    if not all(np.isfinite(a).all() for a in (Fy, Fz, denom, d2)):
+    rng = random.Random(seed)
+    ys = [rng.uniform(0.0, cap) for _ in range(4000)]
+    zs = [rng.uniform(0.0, cap) for _ in range(4000)]
+    small = _geomspace(cap * 1e-12, cap, 200)
+    ys += small
+    zs += [s * rng.uniform(0.0, 1.0) for s in small]
+    ss = _linspace(0.0, cap, 1201)
+
+    taus = sorted(set(_linspace(0.0, cap, 800) + _geomspace(cap * 1e-12, cap, 400)))
+    # central differences for tau mu'(tau); h = 0 deep in the subnormals reads nothing
+    inner = [(t, min(t * 1e-6, cap * 1e-7)) for t in taus if cap * 1e-9 < t < cap * (1 - 1e-9)]
+
+    mu, p = nl.mu, nl.p
+    where = f"on [0, cap] at cap = {cap!r}, p = {p!r}"
+    try:  # every sample is >= 0; a float that overflows raises
+        Fy, Fz, Fs = ([_float_F(nl, s) for s in xs] for xs in (ys, zs, ss))
+        denom = [abs(y - z) * (y ** (p - 1) + z ** (p - 1)) * _float_mu(mu, y + z)
+                 for y, z in zip(ys, zs)]
+        mu_vals = [_float_mu(mu, t) for t in taus]
+        mu_at = dict(zip(taus, mu_vals))
+        slopes = [(t, mu_at[t], (_float_mu(mu, t + h) - _float_mu(mu, t - h)) / (2 * h))
+                  for t, h in inner if h > 0]
+    except OverflowError:
+        finite = False
+    else:
+        d2 = [a - 2 * b + c for a, b, c in zip(Fs, Fs[1:], Fs[2:])]
+        finite = all(map(math.isfinite, itertools.chain(Fy, Fz, denom, d2)))
+    if not finite:
         raise ValidationError(f"a sampled F, difference bound or second difference is not "
                               f"finite {where}; take a smaller cap or p")
-    ok = denom > 1e-300
-    if not ok.any():
+    if not any(d > 1e-300 for d in denom):
         raise ValidationError(f"every sampled difference bound underflows below 1e-300 "
                               f"{where}; take a larger cap or a smaller p")
-    ratios = np.zeros_like(denom)
-    ratios[ok] = np.abs(Fy - Fz)[ok] / denom[ok]
-    worst = int(np.argmax(ratios))
-    constant = float(ratios[worst])
+    ratios = [abs(a - b) / d if d > 1e-300 else 0.0 for a, b, d in zip(Fy, Fz, denom)]
+    worst = max(range(len(ratios)), key=ratios.__getitem__)
 
     # (i) monotonicity on a mixed linear/log grid
-    taus = _sorted_distinct(np.concatenate([
-        np.linspace(0.0, cap, 800),
-        np.geomspace(cap * 1e-12, cap, 400),
-    ]))
-    mu_vals = np.asarray(eval_mu(nl.mu, taus))
-    drops = np.nonzero(np.diff(mu_vals) < -1e-12 * max(1.0, float(np.max(np.abs(mu_vals)))))[0]
-    monotone = drops.size == 0
-    monotone_witness = None if monotone else (float(taus[drops[0]]), float(taus[drops[0] + 1]))
+    drop = -1e-12 * max(1.0, max(map(abs, mu_vals)))
+    drops = [i for i in range(len(taus) - 1) if mu_vals[i + 1] - mu_vals[i] < drop]
+    monotone_witness = (taus[drops[0]], taus[drops[0] + 1]) if drops else None
 
     # sufficient condition 0 <= tau mu'(tau) <= mu(tau)
-    inner = taus[(taus > cap * 1e-9) & (taus < cap * (1 - 1e-9))]
-    h = np.minimum(inner * 1e-6, cap * 1e-7)
-    dmu = (np.asarray(eval_mu(nl.mu, inner + h)) - np.asarray(eval_mu(nl.mu, inner - h))) / (2 * h)
-    mu_inner = np.asarray(eval_mu(nl.mu, inner))
-    scale = np.maximum(mu_inner, 1e-300)
-    bad = (inner * dmu < -1e-6 * scale) | (inner * dmu > mu_inner + 1e-6 * scale)
-    derivative_bound = not bool(np.any(bad))
-    derivative_witness = None if derivative_bound else float(inner[np.nonzero(bad)[0][0]])
+    derivative_witness = next(
+        (t for t, m, dmu in slopes
+         if t * dmu < -1e-6 * max(m, 1e-300) or t * dmu > m + 1e-6 * max(m, 1e-300)), None)
 
     # (iii) convexity of F via second differences on [0, cap]
-    fscale = max(float(np.max(np.abs(Fs))), 1e-300)
-    cbad = np.nonzero(d2 < -1e-9 * fscale)[0]
-    convex = cbad.size == 0
-    convex_witness = None if convex else float(ss[cbad[0] + 1])
+    fscale = max(max(map(abs, Fs)), 1e-300)
+    cbad = next((i for i, d in enumerate(d2) if d < -1e-9 * fscale), None)
 
     return LipschitzCertificate(
-        constant=constant,
-        worst_pair=(float(ys[worst]), float(zs[worst])),
-        monotone=monotone,
+        constant=ratios[worst],
+        worst_pair=(ys[worst], zs[worst]),
+        monotone=not drops,
         monotone_witness=monotone_witness,
-        derivative_bound=derivative_bound,
+        derivative_bound=derivative_witness is None,
         derivative_witness=derivative_witness,
-        convex=convex,
-        convex_witness=convex_witness,
+        convex=cbad is None,
+        convex_witness=None if cbad is None else ss[cbad + 1],
         cap=float(cap),
-        n_samples=int(ys.size),
+        n_samples=len(ys),
         seed=seed,
     )
 
@@ -376,6 +463,8 @@ class IntegralVerdict:
     truncations at tau = c0 * 10^{-k}, whose growth feeds the label.  A
     convergent ``quadrature_value`` is the numerical head plus exact tail
     below c0·10^−levels, so it tests the quadrature of mu itself.
+    ``quadrature_error`` is the largest change of a decade sum when the
+    panels last doubled, to ``panels_per_decade``, the pass that settled.
     """
 
     classification: str
@@ -386,6 +475,8 @@ class IntegralVerdict:
     growth_label: str
     fitted_slope: float | None
     quadrature_tol: float
+    quadrature_error: float
+    panels_per_decade: int
 
 
 def iterated_log_antiderivative(depth: int, gamma: float, c0: float) -> float:
@@ -414,13 +505,6 @@ def _antiderivative(mu: MuSpec, tau: float) -> float | None:
     return None
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D float array without NaNs, which np.unique checks
-    for a mask through numpy.ma, importing it."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 #: panels per decade the Gauss-Legendre rule is tried on, doubling
 _PANELS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -428,47 +512,61 @@ _PANELS = (1, 2, 4, 8, 16, 32, 64, 128)
 #: the 16-node Gauss-Legendre rule on [-1, 1], (nodes, weights), written out bit
 #: for bit as numpy.polynomial.legendre.leggauss(16) returns it: building it
 #: costs ~1 ms and importing numpy.polynomial loads numpy.ma.  The decay
-#: module's panels use it too.
-GAUSS_LEGENDRE16 = (np.array([
+#: module's panels use it too, as arrays.
+GAUSS_LEGENDRE16 = ((
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
     -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
     0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
-]), np.array([
+), (
     0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
     0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
     0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
-]))
+))
 
 
-def _decade_integrals(mu: MuSpec, u0: float, levels: int, tol: float) -> np.ndarray:
+def _decade_integrals(mu: MuSpec, u0: float, levels: int,
+                      tol: float) -> tuple[list[float], float, int]:
     """integral of mu(e^{-u}) du over [u0 + (k-1) ln 10, u0 + k ln 10], k = 1..levels.
 
     Each decade is cut into uniform 16-node Gauss-Legendre panels (the decay
     module's rule), with a table's knots added as panel edges so that no
     panel straddles a kink.  The panels per decade double from 1 until no
-    decade sum moves by more than tol * max(1, |sum|); one eval_mu call
-    covers every node of a pass.
+    decade sum moves by more than tol * max(1, |sum|).  Returns the sums,
+    their largest move at that pass, and its panels per decade.
     """
+    mu_u = _mu_of_u(mu)
     gl_x, gl_w = GAUSS_LEGENDRE16
-    edges = u0 + np.arange(levels + 1) * math.log(10)
-    taus = np.asarray(mu.taus if mu.family == "custom_table" else [], dtype=float)
-    knots = np.clip(-np.log(taus[taus > 0]), edges[0], edges[-1])
+    edges = [u0 + k * math.log(10) for k in range(levels + 1)]
+    knots = [min(max(-math.log(t), edges[0]), edges[-1])
+             for t in (mu.taus if mu.family == "custom_table" else ()) if t > 0]
     prev = None
     for panels in _PANELS:
-        cuts = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(panels) / panels)
-        bounds = _sorted_distinct(np.concatenate([cuts.ravel(), edges[-1:], knots]))
-        half = np.diff(bounds) / 2
-        mid = bounds[:-1] + half
-        values = eval_mu(mu, np.exp(-(mid[:, None] + half[:, None] * gl_x)))
-        decade = np.searchsorted(edges, bounds[:-1], side="right") - 1
-        sums = np.bincount(decade, weights=half * (values @ gl_w), minlength=levels)
-        if prev is not None and np.all(np.abs(sums - prev) <= tol * np.maximum(1.0, np.abs(sums))):
-            return sums
+        cuts = [a + (b - a) * (j / panels) for a, b in zip(edges, edges[1:])
+                for j in range(panels)]
+        bounds = sorted(set(cuts + edges[-1:] + knots))
+        sums = [0.0] * levels
+        for a, b in zip(bounds, bounds[1:]):
+            half = (b - a) / 2
+            mid = a + half
+            dot = sum(map(operator.mul, map(mu_u, [mid + half * x for x in gl_x]), gl_w))
+            sums[bisect.bisect_right(edges, a) - 1] += half * dot
+        if prev is not None:
+            moves = [abs(s - q) for s, q in zip(sums, prev)]
+            if all(m <= tol * max(1.0, abs(s)) for m, s in zip(moves, sums)):
+                return sums, max(moves), panels
         prev = sums
     raise NumericalError(f"decade quadrature did not settle to tol {tol} with "
                          f"{_PANELS[-1]} panels per decade from u = {u0}")
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of the line through the points (xs, ys)."""
+    xm = sum(xs) / len(xs)
+    ym = sum(ys) / len(ys)
+    return (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+            / sum((x - xm) ** 2 for x in xs))
 
 
 def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
@@ -485,29 +583,37 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
         raise ValidationError(f"levels must be in [2, {max_levels}] at c0 = {c0}: the growth "
                               "label fits a line through the decade sums, and deeper decades "
                               "run tau = c0 * 10^-levels below the smallest normal double")
-    # a constructive family has an antiderivative exactly when it converges
-    closed = _antiderivative(mu, c0)
-    classification = ("unknown" if mu.family == "custom_table"
-                      else "divergent" if closed is None else "convergent")
-
-    sums = _decade_integrals(mu, u0, levels, tol)
-    partials = np.cumsum(sums)
-    quadrature_value = None
-    if closed is not None:
-        quadrature_value = float(partials[-1]) + _antiderivative(mu, c0 * 10.0**-levels)
-
     # Growth label from the fitted local exponent of each decade sum per
     # unit of w, the family's own variable (w = log^[depth] u for
     # iterated_log, else u = -log tau): the sums behave like w^s dw, and
     # s <= -1 is the convergence line.  The sums are fitted themselves, not
     # differences of the partials, which lose a sum below their rounding.
-    ws = u0 + np.arange(levels + 1) * math.log(10)
+    ws = [u0 + k * math.log(10) for k in range(levels + 1)]
     for _ in range(mu.depth if mu.family == "iterated_log" else 0):
-        ws = np.log(ws)
+        ws = [math.log(w) for w in ws]
+    mids = [(a + b) / 2 for a, b in zip(ws, ws[1:])]
+    if not mids[0] > 0:
+        raise ValidationError(f"c0 = {c0} is too large: the growth label fits log w, and "
+                              f"w = -log tau is {mids[0]!r} <= 0 in the middle of the first "
+                              "decade; take c0 < 10^0.5")
+
+    # a constructive family has an antiderivative exactly when it converges
+    try:
+        closed = _antiderivative(mu, c0)
+        sums, quadrature_error, panels = _decade_integrals(mu, u0, levels, tol)
+        tail = None if closed is None else _antiderivative(mu, c0 * 10.0**-levels)
+    except OverflowError:
+        raise NumericalError(f"the integral of mu(tau)/tau below c0 = {c0} overflows a "
+                             "double") from None
+    classification = ("unknown" if mu.family == "custom_table"
+                      else "divergent" if closed is None else "convergent")
+    partials = list(itertools.accumulate(sums))
+    quadrature_value = None if closed is None else partials[-1] + tail
+
     fitted_slope = None
-    if np.all(sums > 0):
-        slope, _ = np.polyfit(np.log((ws[:-1] + ws[1:]) / 2), np.log(sums / np.diff(ws)), 1)
-        fitted_slope = float(slope)
+    densities = [s / (b - a) for s, a, b in zip(sums, ws, ws[1:])]
+    if all(d > 0 for d in densities):
+        fitted_slope = _slope([math.log(m) for m in mids], [math.log(d) for d in densities])
         if fitted_slope < -1.05:
             growth_label = "saturating"
         elif fitted_slope <= -0.95:
@@ -515,15 +621,17 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
         else:
             growth_label = "growing"
     else:
-        growth_label = "saturating" if np.all(sums <= tol * 100) else "irregular"
+        growth_label = "saturating" if all(s <= tol * 100 for s in sums) else "irregular"
 
     return IntegralVerdict(
         classification=classification,
         c0=float(c0),
         closed_form_value=closed,
         quadrature_value=quadrature_value,
-        partial_integrals=tuple(float(p) for p in partials),
+        partial_integrals=tuple(partials),
         growth_label=growth_label,
         fitted_slope=fitted_slope,
         quadrature_tol=tol,
+        quadrature_error=quadrature_error,
+        panels_per_decade=panels,
     )

@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -649,8 +651,9 @@ def _modules_after(*runs, names=("scipy",), imports="from critevo import cli") -
     ("critevo.operators", ("numpy",)),
     ("critevo.reporting", ("numpy",)),
     ("critevo.envelope", ("numpy",)),
+    ("critevo.mu", ("numpy",)),
 ], ids=["cli-scipy", "config-numpy", "errors-numpy", "envelope-numerics", "cli-numpy",
-        "operators-numpy", "reporting-numpy", "envelope-numpy"])
+        "operators-numpy", "reporting-numpy", "envelope-numpy", "mu-numpy"])
 def test_cli_import_leaves_scipy_out(module, absent):
     # each layer loads only what it needs: the package itself imports nothing
     assert _modules_after(names=absent, imports=f"import {module}") == []
@@ -678,13 +681,20 @@ def test_a_cold_exponent_loads_no_numpy(tmp_path):
         critical_exponent(sigma_evolution(3, 2, 1), 0, 3).p_c)
 
 
-def test_a_cold_mu_check_loads_no_solver_layer(tmp_path):
-    # mu-check needs critevo.mu and numpy, nothing of the solver, decay or
-    # residual, and no numpy.polynomial or numpy.ma
-    cfg = write_json(tmp_path / "mu.json", {
-        **SCHEMA, "mu": {"family": "custom_table", "taus": [0.001, 0.01], "values": [0.0, 1.0]}})
-    absent = ("critevo.solver", "critevo.decay", "critevo.residual", "numpy.polynomial",
-              "numpy.ma")
+_COLD_MU = {
+    "constant": {"family": "constant", "value": 2.0},
+    "power": {"family": "power", "epsilon": 0.5},
+    "iterated_log": {"family": "iterated_log", "depth": 1, "gamma": 2.0},
+    "custom_table": {"family": "custom_table", "taus": [0.001, 0.01], "values": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_COLD_MU))
+def test_a_cold_mu_check_loads_no_solver_layer(tmp_path, family):
+    # mu-check runs critevo.mu on Python floats: no numpy (so no numpy.random),
+    # and nothing of the solver, decay or residual
+    cfg = write_json(tmp_path / "mu.json", {**SCHEMA, "mu": _COLD_MU[family]})
+    absent = ("numpy", "critevo.solver", "critevo.decay", "critevo.residual")
     assert _modules_after(("mu-check", cfg, tmp_path / "out"), names=absent) == []
     assert (tmp_path / "out" / "mu_check.json").is_file()
 
@@ -848,6 +858,36 @@ def test_mu_check_without_a_valid_lipschitz_sample_exits_2(tmp_path, capsys, ext
     assert not out.exists()
     err = capsys.readouterr().err
     assert words in err and f"cap = {float(extra['cap'])!r}" in err and "p = " in err
+
+
+_EXTREME_MU = [(family, extra) for family in sorted(_COLD_MU)
+               for extra in ({"cap": 1e300}, {"cap": 1e-300}, {"p": 200}, {"c0": "tau*"},
+                             {"levels": "max"})
+               if not (family == "constant" and extra == {"c0": "tau*"})]  # tau* = inf
+# constant's c0 is unbounded; past 10^0.5 the growth fit's log w raised LinAlgError
+_EXTREME_MU.append(("constant", {"c0": 10.0}))
+
+
+@pytest.mark.parametrize("family, extra", _EXTREME_MU,
+                         ids=[f"{f}-{'-'.join(map(str, e.items()))}" for f, e in _EXTREME_MU])
+def test_mu_check_at_extreme_configs_exits_0_or_2(tmp_path, capsys, family, extra):
+    # mu-check runs on Python floats, which raise where numpy read inf or nan
+    # (OverflowError from **, ValueError from math.log): every extreme still
+    # ends in an artifact or a clean exit 2, never a traceback
+    cfg = {**SCHEMA, "mu": _COLD_MU[family], **extra}
+    if extra.get("c0") == "tau*":
+        cfg["c0"] = {"power": 1.0, "iterated_log": math.exp(-math.e),
+                     "custom_table": 0.01}[family]
+    if extra.get("levels") == "max":
+        code, _ = _run(tmp_path / "probe", "mu-check", {**cfg, "levels": 10**6})
+        assert code == 2
+        cfg["levels"] = int(re.search(r"levels must be in \[2, (\d+)\]",
+                                      capsys.readouterr().err).group(1))
+    code, out = _run(tmp_path, "mu-check", cfg)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert (out / "mu_check.json").is_file() == (code == 0)
+    assert (code == 2) == err.startswith("error: "), err
 
 
 def test_table_walk_bases_are_valid(bases, tmp_path):
@@ -1414,40 +1454,45 @@ _LAYOUTS = {
     """,
     "mu-constant": """
         schema_version kind config config.schema_version config.mu config.mu.family
-        config.mu.value mu mu.family mu.value c0 integral integral.classification integral.c0
-        integral.closed_form_value integral.quadrature_value integral.partial_integrals
-        integral.growth_label integral.fitted_slope integral.quadrature_tol certificate
-        certificate.constant certificate.worst_pair certificate.monotone
-        certificate.monotone_witness certificate.derivative_bound certificate.derivative_witness
-        certificate.convex certificate.convex_witness certificate.cap certificate.n_samples
-        certificate.seed
+        config.mu.value mu mu.family mu.value c0 integral integral.classification
+        integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade
+        certificate certificate.constant certificate.worst_pair certificate.monotone
+        certificate.monotone_witness certificate.derivative_bound
+        certificate.derivative_witness certificate.convex certificate.convex_witness
+        certificate.cap certificate.n_samples certificate.seed
     """,
     "mu-custom_table": """
         schema_version kind config config.schema_version config.mu config.mu.family
         config.mu.taus config.mu.values mu mu.family mu.taus mu.values c0 integral
-        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
-        integral.partial_integrals integral.growth_label integral.fitted_slope
-        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
+        integral.classification integral.c0 integral.closed_form_value
+        integral.quadrature_value integral.partial_integrals integral.growth_label
+        integral.fitted_slope integral.quadrature_tol integral.quadrature_error
+        integral.panels_per_decade certificate certificate.constant certificate.worst_pair
         certificate.monotone certificate.monotone_witness certificate.derivative_bound
         certificate.derivative_witness certificate.convex certificate.convex_witness
         certificate.cap certificate.n_samples certificate.seed
     """,
     "mu-extension_point": """
         schema_version kind config config.schema_version config.mu config.mu.family
-        config.mu.epsilon config.mu.extension_point mu mu.family mu.epsilon mu.extension_point
-        c0 integral integral.classification integral.c0 integral.closed_form_value
-        integral.quadrature_value integral.partial_integrals integral.growth_label
-        integral.fitted_slope integral.quadrature_tol certificate certificate.constant
-        certificate.worst_pair certificate.monotone certificate.monotone_witness
-        certificate.derivative_bound certificate.derivative_witness certificate.convex
-        certificate.convex_witness certificate.cap certificate.n_samples certificate.seed
+        config.mu.epsilon config.mu.extension_point mu mu.family mu.epsilon
+        mu.extension_point c0 integral integral.classification integral.c0
+        integral.closed_form_value integral.quadrature_value integral.partial_integrals
+        integral.growth_label integral.fitted_slope integral.quadrature_tol
+        integral.quadrature_error integral.panels_per_decade certificate
+        certificate.constant certificate.worst_pair certificate.monotone
+        certificate.monotone_witness certificate.derivative_bound
+        certificate.derivative_witness certificate.convex certificate.convex_witness
+        certificate.cap certificate.n_samples certificate.seed
     """,
     "mu-iterated_log": """
         schema_version kind config config.schema_version config.mu config.mu.family
         config.mu.depth config.mu.gamma mu mu.family mu.depth mu.gamma c0 integral
-        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
-        integral.partial_integrals integral.growth_label integral.fitted_slope
-        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
+        integral.classification integral.c0 integral.closed_form_value
+        integral.quadrature_value integral.partial_integrals integral.growth_label
+        integral.fitted_slope integral.quadrature_tol integral.quadrature_error
+        integral.panels_per_decade certificate certificate.constant certificate.worst_pair
         certificate.monotone certificate.monotone_witness certificate.derivative_bound
         certificate.derivative_witness certificate.convex certificate.convex_witness
         certificate.cap certificate.n_samples certificate.seed
@@ -1457,8 +1502,9 @@ _LAYOUTS = {
         config.mu.epsilon mu mu.family mu.epsilon c0 integral integral.classification
         integral.c0 integral.closed_form_value integral.quadrature_value
         integral.partial_integrals integral.growth_label integral.fitted_slope
-        integral.quadrature_tol certificate certificate.constant certificate.worst_pair
-        certificate.monotone certificate.monotone_witness certificate.derivative_bound
+        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade
+        certificate certificate.constant certificate.worst_pair certificate.monotone
+        certificate.monotone_witness certificate.derivative_bound
         certificate.derivative_witness certificate.convex certificate.convex_witness
         certificate.cap certificate.n_samples certificate.seed
     """,

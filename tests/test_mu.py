@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -489,10 +490,66 @@ def test_iterated_log_rejects_a_tau_star_outside_the_log_domain(depth, tau_star)
 
 
 def test_gauss_legendre_table_is_leggauss_bit_for_bit():
-    # the written-out rule the mu and decay quadratures share
+    # the written-out rule the mu and decay quadratures share, as plain floats
     for table, built in zip(GAUSS_LEGENDRE16, np.polynomial.legendre.leggauss(16)):
+        assert all(type(x) is float for x in table)
+        table = np.asarray(table)
         assert table.dtype == built.dtype and table.shape == built.shape
         assert table.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")
+def test_float_path_is_the_array_path_within_4_ulp(mu):
+    # the quadrature and the certificate evaluate mu and F on Python floats,
+    # whose pow and log may differ from numpy's in the last bits
+    ts = mu.tau_star if math.isfinite(mu.tau_star) else 1.0
+    points = [0.0, 5e-324, 1e-300, ts, math.nextafter(ts, 0.0), math.nextafter(ts, 9.0),
+              2 * ts, 1e3, *(mu.taus or ()), *np.geomspace(1e-300, 10.0, 301).tolist(),
+              *np.linspace(0.0, 2 * ts, 101).tolist()]
+    if mu.extension_point is not None:
+        points.append(mu.extension_point)
+
+    def close(got, want):
+        return got == want or abs(got - want) <= 4 * math.ulp(want)
+
+    for t in points:
+        assert close(mu_module._float_mu(mu, t), eval_mu(mu, t)), t
+        for p in (1.0, 2.0, 2.5, 3.0):
+            if 0 < t**p < sys.float_info.min:
+                continue  # a subnormal |s|^p holds fewer bits than 4 ulp of F
+            nl = NonlinearitySpec(p=p, mu=mu)
+            assert close(mu_module._float_F(nl, t), eval_F(nl, t)), (t, p)
+            assert close(mu_module._float_F(nl, -t), eval_F(nl, -t)), (t, p)
+        if 0 < t <= ts:
+            # the quadrature's integrand takes u = -log tau with no round trip
+            assert mu_module._mu_of_u(mu)(-math.log(t)) == pytest.approx(eval_mu(mu, t),
+                                                                         rel=1e-12), t
+
+
+def test_integral_reports_its_own_error(monkeypatch):
+    # the last doubling's largest move of a decade sum, and the pass it settled at
+    for mu in PARITY_SPECS[:6]:
+        v = integral_condition(mu, c0=min(0.05, mu.tau_star / 2))
+        sums = np.diff(v.partial_integrals, prepend=0.0)
+        assert v.panels_per_decade in mu_module._PANELS[1:]
+        assert 0 <= v.quadrature_error <= v.quadrature_tol * max(1.0, np.max(np.abs(sums)))
+    monkeypatch.setattr(mu_module, "_PANELS", (1, 2))
+    v = integral_condition(MuSpec(family="power", epsilon=0.5), c0=0.1, tol=1e-3)
+    assert v.panels_per_decade == 2 and v.quadrature_error > 0
+
+
+def test_c0_past_the_growth_fit_is_rejected():
+    # constant's tau* is inf, but the fit takes log w with w = -log tau, which
+    # must be positive at the first decade's middle; this raised LinAlgError
+    with pytest.raises(ValidationError, match="c0 = 10.0 is too large"):
+        integral_condition(MuSpec(family="constant"), c0=10.0)
+    assert integral_condition(MuSpec(family="constant"), c0=3.0).growth_label == "growing"
+
+
+def test_integral_overflow_is_a_numerical_failure():
+    # (-log tau)^300 leaves the doubles: numpy summed inf and never settled
+    with pytest.raises(NumericalError, match="overflows a double"):
+        integral_condition(MuSpec(family="iterated_log", gamma=-300.0), c0=0.1)
 
 
 def test_iterated_log_depth_takes_no_bool():
