@@ -23,9 +23,8 @@ repeat runs with the same config.
 A subcommand loads only the layers it uses.  ``exponent`` runs on the
 exact layer and loads no numpy; ``envelope`` loads numpy only to write its
 CSV; ``mu-check`` adds :mod:`critevo.mu`, whose integral and certificate
-run on Python floats (the certificate draws from ``random.Random(seed)``),
-so it loads no numpy either; only ``simulate``, ``decay`` and ``residual``
-load the solver.
+run on Python floats, so it loads no numpy either; only ``simulate``,
+``decay`` and ``residual`` load the solver.
 """
 
 from __future__ import annotations
@@ -132,7 +131,6 @@ MU_CHECK = {
     "tol": Key("number", 1e-9, ok=lambda v: v >= 1e-15, rule=">= 1e-15"),
     "p": Key("number", 2.0),
     "cap": Key("number", None),
-    "seed": Key("int", 0, **_NONNEGATIVE),
 }
 SIMULATE = {
     **COMMON,
@@ -274,7 +272,7 @@ def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
         c0 = 0.1 if not math.isfinite(mu.tau_star) else min(0.1, mu.tau_star / 2.0)
     verdict = integral_condition(mu, c0, levels=v["levels"], tol=v["tol"])
     nl = NonlinearitySpec(p=v["p"], mu=mu)
-    cert = lipschitz_certificate(nl, cap=v["cap"], seed=v["seed"])
+    cert = lipschitz_certificate(nl, cap=v["cap"])
     doc = reporting.artifact("mu_check", {
         "config": cfg,
         "mu": mu,
@@ -283,8 +281,9 @@ def cmd_mu_check(cfg: dict, out_dir: Path, base: Path) -> dict:
         "certificate": cert,
     })
     path = reporting.write_json(out_dir / "mu_check.json", doc)
+    upper = "unproven" if cert.constant is None else f"{cert.constant:.6g}"
     print(f"integral: {verdict.classification} ({verdict.growth_label}); "
-          f"lipschitz constant ~ {cert.constant:.6g}")
+          f"lipschitz constant in [{cert.constant_lower:.6g}, {upper}]")
     print(f"wrote {path}")
     return {"classification": verdict.classification, "growth": verdict.growth_label}
 

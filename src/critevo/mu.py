@@ -22,8 +22,10 @@ Families:
   the plain (-log tau)^{-gamma}).  Its integral converges iff gamma > 1,
   with antiderivative (log^[k](-log c0))^{1-gamma} / (gamma - 1), since
   v = log^[k](-log tau) turns the integral into integral v^{-gamma} dv.
-* ``custom_table``  linear interpolation of sampled (tau, mu) pairs,
-  constant beyond the last sample.  No exact classification is claimed.
+* ``custom_table``  linear interpolation of sampled (tau, mu) pairs on
+  (0, tau*], frozen beyond (tau* defaults to the last sample).  Each piece
+  alpha + beta tau contributes alpha log(b/a) + beta (b - a) to the
+  integral, which converges iff mu(0+) = values[0] is 0.
 
 The default extension point tau* is where every inner logarithm reaches 1:
 tau* = exp(-exp^[k](1)) (= 1/e at depth 0).  Depths above 2 would push
@@ -34,16 +36,16 @@ Each family's formula is written once, in :func:`_mu_values`, and runs on
 numpy arrays (:func:`eval_mu`, :func:`eval_F`, which the solver, the
 residual and the decay layers call) or on one Python float (the integral
 and the certificate).  numpy is imported only inside the array functions,
-so ``mu-check`` runs without it; ``random`` only inside the certificate.
+so ``mu-check`` runs without it.
 
 The integral is measured in u = -log tau by one Gauss-Legendre rule per
 decade of tau; a convergent value adds the exact antiderivative below the
 last decade.
 
-Verification helpers sample the conditions rather than prove them: the
-Lipschitz certificate reports the smallest empirical C over sample pairs
-drawn from ``random.Random(seed)``, together with monotonicity /
-derivative-bound / convexity witnesses, never a proof.
+The certificate decides conditions (i), (iii) and the sufficient derivative
+bound 0 <= tau mu' <= mu on (0, cap] from the closed forms of
+a = tau mu'/mu and b = tau a' (for slowly varying mu, a -> 0 at 0), and
+brackets the constant C of (iv); nothing is sampled.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ class MuSpec:
         if self.family == "custom_table":
             if not self.taus or not self.values or len(self.taus) != len(self.values):
                 raise ValidationError("custom_table needs matching taus/values")
-            if any(t < 0 for t in self.taus) or list(self.taus) != sorted(self.taus):
-                raise ValidationError("custom_table taus must be sorted and >= 0")
+            # a repeated tau would make mu two-valued there
+            if self.taus[0] < 0 or any(b <= a for a, b in zip(self.taus, self.taus[1:])):
+                raise ValidationError("custom_table taus must be increasing and >= 0")
             if any(v < 0 for v in self.values):
                 raise ValidationError("custom_table mu values must be >= 0")
 
@@ -218,7 +221,7 @@ def _mu_values(mu: MuSpec, tau, xp):
     if mu.family == "power":
         return xp.minimum(tau, mu.tau_star) ** mu.epsilon
     if mu.family == "custom_table":
-        return xp.interp(tau, mu.taus, mu.values)
+        return xp.interp(xp.minimum(tau, mu.tau_star), mu.taus, mu.values)
     return _iterated_log_value(mu, -xp.log(xp.minimum(tau, mu.tau_star)), xp.log)
 
 
@@ -237,12 +240,6 @@ def _float_mu(mu: MuSpec, tau: float) -> float:
     if tau == 0 and mu.family == "iterated_log":
         return _zero_limit(mu)
     return _mu_values(mu, tau, _FLOATS)
-
-
-def _float_F(nl: NonlinearitySpec, s: float) -> float:
-    """F at one finite float: :func:`eval_F` up to rounding."""
-    x = abs(s)
-    return 0.0 if x == 0 else x ** nl.p * _mu_values(nl.mu, x, _FLOATS)
 
 
 def _mu_of_u(mu: MuSpec) -> Callable[[float], float]:
@@ -329,124 +326,197 @@ def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
 
 
 # ----------------------------------------------------------------------
-# sampled condition certificates
+# condition certificate
 
 
 @dataclass(frozen=True)
 class LipschitzCertificate:
-    """Empirical check of conditions (i)-(iv) on [0, cap].
+    """Conditions (i)-(iv) decided on (0, cap] from the closed forms of
+    a = tau mu'/mu and b = tau a' (mu frozen past tau*); nothing is sampled.
 
-    ``constant`` is the smallest C that makes the difference bound hold on
-    every sampled pair; a certificate is evidence, not a proof.  Witness
-    fields hold the offending sample when a flag is False, else None.
+    ``monotone`` is (i), a >= 0; ``derivative_bound`` is the sufficient
+    condition 0 <= a <= 1; ``convex`` is (iii), tau^{2-p} F''/mu =
+    (p + a)(p - 1 + a) + b >= 0 with no drop of F' at tau* or at a knot.
+    Each ``*_up_to`` is the largest eps <= cap such that its condition holds
+    on (0, eps] (0.0 when it fails arbitrarily near 0), and its flag says
+    whether eps = cap.  Both convexity fields are None for ``iterated_log``
+    of depth >= 1 with gamma < 0, whose bracket can change sign twice.
+
+    ``constant`` = p + sup a is a C for which (iv) holds, by the mean value
+    theorem, when mu is non-decreasing on (0, 2 cap], where mu(|y| + |z|) is
+    read; it is None when mu is not, or when sup a is infinite.  For
+    ``iterated_log`` with gamma < 0, a at gamma = 0 stands in for sup a.
+    ``constant_lower`` is the larger of the ratios of (iv) at (cap, 0) and
+    in the limit (cap, cap^-), so no valid C is smaller.
     """
 
-    constant: float
-    worst_pair: tuple[float, float]
+    constant: float | None
+    constant_lower: float
     monotone: bool
-    monotone_witness: tuple[float, float] | None
+    monotone_up_to: float
     derivative_bound: bool
-    derivative_witness: float | None
-    convex: bool
-    convex_witness: float | None
+    derivative_bound_up_to: float
+    convex: bool | None
+    convex_up_to: float | None
     cap: float
-    n_samples: int
-    seed: int
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num), num >= 2."""
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
+#: u = -log tau past which tau = e^{-u} is below the smallest subnormal
+_U_MAX = -math.log(math.ulp(0.0))
 
 
-def _geomspace(start: float, stop: float, num: int) -> list[float]:
-    """np.geomspace(start, stop, num) for 0 < start < stop, num >= 2."""
-    exponents = _linspace(math.log10(start), math.log10(stop), num)
-    return [start] + [10.0 ** e for e in exponents[1:-1]] + [stop]
+def _slopes(mu: MuSpec, u: float, gamma: float | None = None) -> tuple[float, float]:
+    """(a, b) at u = -log tau for 0 < tau < tau*, every family but a table,
+    with ``gamma`` in place of the spec's when given.
+
+    For ``iterated_log`` of depth k, with L_0 = u, L_i = log L_{i-1},
+    P_i = L_0...L_i and S_i = sum_{j<=i} 1/P_j: a = sum_{i<k} 1/P_i +
+    gamma/P_k and b = sum_{i<k} S_i/P_i + gamma S_k/P_k, since
+    tau d(log L_i)/d tau = -1/P_i.
+    """
+    if mu.family == "constant":
+        return 0.0, 0.0
+    if mu.family == "power":
+        return mu.epsilon, 0.0
+    gamma = mu.gamma if gamma is None else gamma
+    a = b = s = 0.0
+    level, prod = u, 1.0
+    for i in range(mu.depth + 1):
+        if i:
+            level = math.log(level)
+        prod *= level
+        s += 1.0 / prod
+        weight = gamma if i == mu.depth else 1.0
+        a += weight / prod
+        b += weight * s / prod
+    return a, b
 
 
-def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
-                          seed: int = 0) -> LipschitzCertificate:
-    """Sample the difference estimate and the pointwise sufficient conditions.
+def _held_up_to(holds: Callable[[float], bool], u_star: float) -> float:
+    """The largest tau <= tau* below which holds(-log tau) is true, for a
+    predicate that is false and then true as u grows: inf when it holds at
+    tau*, else bisected in u (0.0 when it fails down to the subnormals)."""
+    if holds(u_star):
+        return math.inf
+    lo, hi = u_star, _U_MAX
+    if not holds(hi):
+        return 0.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return math.exp(-hi)
 
-    4000 pairs are drawn uniformly from [0, cap]^2 by ``random.Random(seed)``
-    (plus a log-spaced sweep near zero, where the modulation varies
-    fastest); the reported constant is
-    max |F(y)-F(z)| / (|y-z| (|y|^{p-1}+|z|^{p-1}) mu(|y|+|z|)).  The
-    derivative bound checked is 0 <= tau mu'(tau) <= mu(tau) (sufficient
-    for admissibility), by central differences.  A non-finite sample (a
-    float that overflows), or no pair whose bound clears 1e-300, leaves no
-    certificate: ValidationError.
+
+def _family_conditions(mu: MuSpec, p: float, cap: float):
+    """Where (i), the derivative bound and (iii) first fail (inf: nowhere),
+    sup a on (0, cap] and tau mu'(cap^-), for every family but a table."""
+    u_star = -math.log(mu.tau_star)
+
+    def a_of(u):
+        return _slopes(mu, u)[0]
+
+    def bracket(u):
+        a, b = _slopes(mu, u)
+        return (p + a) * (p - 1 + a) + b
+
+    # every 1/P_i falls as u grows, so for gamma >= 0 a falls and every term
+    # of the bracket is >= 0; for gamma < 0 at depth >= 1, a < 1 and
+    # a P_k = sum_{i<k} P_k/P_i + gamma rises.  Each predicate is false, then true.
+    monotone = _held_up_to(lambda u: a_of(u) >= 0, u_star)
+    derivative = _held_up_to(lambda u: 0 <= a_of(u) <= 1, u_star)
+    if mu.family != "iterated_log" or mu.gamma >= 0:
+        convex = _held_up_to(lambda u: bracket(u) >= 0, u_star)
+    elif mu.depth == 0:
+        # in x = 1/u the bracket is c0 + c1 x + c2 x^2 with c0 >= 0 > c1: it
+        # turns negative past its smallest positive root, if it has one
+        c0, c1, c2 = p * (p - 1), mu.gamma * (2 * p - 1), mu.gamma * (mu.gamma + 1)
+        disc = c1 * c1 - 4 * c0 * c2
+        u = (math.inf if c0 == 0 else (math.sqrt(disc) - c1) / (2 * c0) if disc > 0
+             else -math.inf)
+        convex = math.exp(-u) if u > u_star else math.inf
+    else:
+        convex = None
+    # F' = tau^{p-1} mu (p + a) drops by tau*^{p-1} mu a(tau*^-) where mu freezes
+    if convex == math.inf and a_of(u_star) > 0:
+        convex = mu.tau_star
+    # a rises with tau; for gamma < 0, a at gamma = 0 bounds it and rises
+    sup_a = _slopes(mu, -math.log(min(cap, mu.tau_star)), max(mu.gamma, 0.0))[0]
+    a_cap = a_of(-math.log(cap)) if cap <= mu.tau_star else 0.0
+    return monotone, derivative, convex, sup_a, a_cap * _float_mu(mu, cap)
+
+
+def _table_pieces(mu: MuSpec) -> list[tuple[float, float, float, float]]:
+    """(lo, hi, alpha, beta) with mu = alpha + beta tau on [lo, hi], in order
+    over [0, inf]: the knots below tau* and tau* end them."""
+    ends = [0.0, *(t for t in mu.taus if 0 < t < mu.tau_star), mu.tau_star]
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if hi > lo:  # a table whose tau* is 0 has no piece below it
+            m_lo, m_hi = _float_mu(mu, lo), _float_mu(mu, hi)
+            pieces.append((lo, hi, (m_lo * hi - m_hi * lo) / (hi - lo), (m_hi - m_lo) / (hi - lo)))
+    return pieces + [(mu.tau_star, math.inf, _float_mu(mu, mu.tau_star), 0.0)]
+
+
+def _table_conditions(mu: MuSpec, p: float, cap: float):
+    """:func:`_family_conditions` for a table, decided at the ends of each
+    piece: there a = 1 - alpha/mu is monotone and tau^{2-p} F''/p =
+    (p - 1) alpha + (p + 1) beta tau is linear."""
+    monotone = derivative = convex = math.inf
+    sup_a = tau_dmu = 0.0
+    beta_left = None
+    for lo, hi, alpha, beta in _table_pieces(mu):
+        if beta < 0:
+            monotone = min(monotone, lo)
+        if beta < 0 or alpha < 0:
+            derivative = min(derivative, lo)
+        # at a knot F' jumps by lo^p (beta - beta_left)
+        if (beta_left is not None and beta < beta_left
+                or (p - 1) * alpha + (p + 1) * beta * lo < 0):
+            convex = min(convex, lo)
+        elif beta < 0 and (p - 1) * alpha + (p + 1) * beta * hi < 0:
+            convex = min(convex, max(lo, (p - 1) * alpha / (-(p + 1) * beta)))
+        beta_left = beta
+        if lo < cap:
+            tau_dmu = beta * cap  # the last piece that starts below cap holds cap^-
+            for rise, m in ((beta * t, alpha + beta * t) for t in (lo, min(hi, cap))):
+                if rise:
+                    sup_a = max(sup_a, rise / m if m > 0 else math.inf)
+    return monotone, derivative, convex, sup_a, tau_dmu
+
+
+def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None) -> LipschitzCertificate:
+    """Decide the conditions on (0, cap]: by default cap = tau*, or 1 for a
+    constant mu.
+
+    A mu(cap) that overflows a double, or a mu(2 cap) that is 0 or
+    overflows, leaves (iv) no finite ratio near (cap, cap): ValidationError.
     """
     if cap is None:
         cap = nl.mu.tau_star if math.isfinite(nl.mu.tau_star) else 1.0
     if not (cap > 0):
         raise ValidationError("cap must be > 0")
-    import random  # the certificate is its one user; the solver layers import mu too
-
-    rng = random.Random(seed)
-    ys = [rng.uniform(0.0, cap) for _ in range(4000)]
-    zs = [rng.uniform(0.0, cap) for _ in range(4000)]
-    small = _geomspace(cap * 1e-12, cap, 200)
-    ys += small
-    zs += [s * rng.uniform(0.0, 1.0) for s in small]
-    ss = _linspace(0.0, cap, 1201)
-
-    taus = sorted(set(_linspace(0.0, cap, 800) + _geomspace(cap * 1e-12, cap, 400)))
-    # central differences for tau mu'(tau); h = 0 deep in the subnormals reads nothing
-    inner = [(t, min(t * 1e-6, cap * 1e-7)) for t in taus if cap * 1e-9 < t < cap * (1 - 1e-9)]
-
     mu, p = nl.mu, nl.p
-    where = f"on [0, cap] at cap = {cap!r}, p = {p!r}"
-    try:  # every sample is >= 0; a float that overflows raises
-        Fy, Fz, Fs = ([_float_F(nl, s) for s in xs] for xs in (ys, zs, ss))
-        denom = [abs(y - z) * (y ** (p - 1) + z ** (p - 1)) * _float_mu(mu, y + z)
-                 for y, z in zip(ys, zs)]
-        mu_vals = [_float_mu(mu, t) for t in taus]
-        mu_at = dict(zip(taus, mu_vals))
-        slopes = [(t, mu_at[t], (_float_mu(mu, t + h) - _float_mu(mu, t - h)) / (2 * h))
-                  for t, h in inner if h > 0]
+    try:
+        mu_cap, mu_2cap = _float_mu(mu, cap), _float_mu(mu, 2 * cap)
     except OverflowError:
-        finite = False
-    else:
-        d2 = [a - 2 * b + c for a, b, c in zip(Fs, Fs[1:], Fs[2:])]
-        finite = all(map(math.isfinite, itertools.chain(Fy, Fz, denom, d2)))
-    if not finite:
-        raise ValidationError(f"a sampled F, difference bound or second difference is not "
-                              f"finite {where}; take a smaller cap or p")
-    if not any(d > 1e-300 for d in denom):
-        raise ValidationError(f"every sampled difference bound underflows below 1e-300 "
-                              f"{where}; take a larger cap or a smaller p")
-    ratios = [abs(a - b) / d if d > 1e-300 else 0.0 for a, b, d in zip(Fy, Fz, denom)]
-    worst = max(range(len(ratios)), key=ratios.__getitem__)
-
-    # (i) monotonicity on a mixed linear/log grid
-    drop = -1e-12 * max(1.0, max(map(abs, mu_vals)))
-    drops = [i for i in range(len(taus) - 1) if mu_vals[i + 1] - mu_vals[i] < drop]
-    monotone_witness = (taus[drops[0]], taus[drops[0] + 1]) if drops else None
-
-    # sufficient condition 0 <= tau mu'(tau) <= mu(tau)
-    derivative_witness = next(
-        (t for t, m, dmu in slopes
-         if t * dmu < -1e-6 * max(m, 1e-300) or t * dmu > m + 1e-6 * max(m, 1e-300)), None)
-
-    # (iii) convexity of F via second differences on [0, cap]
-    fscale = max(max(map(abs, Fs)), 1e-300)
-    cbad = next((i for i, d in enumerate(d2) if d < -1e-9 * fscale), None)
-
+        mu_cap = mu_2cap = math.inf
+    if not (mu_cap < math.inf and 0 < mu_2cap < math.inf):
+        raise ValidationError(
+            f"mu(cap) = {mu_cap!r} and mu(2 cap) = {mu_2cap!r} at cap = {cap!r}: the difference "
+            "bound (iv) divides by mu(|y| + |z|), which must be positive and finite up to "
+            "mu(2 cap); take another cap")
+    conditions = _table_conditions if mu.family == "custom_table" else _family_conditions
+    monotone, derivative, convex, sup_a, tau_dmu = conditions(mu, p, cap)
     return LipschitzCertificate(
-        constant=ratios[worst],
-        worst_pair=(ys[worst], zs[worst]),
-        monotone=not drops,
-        monotone_witness=monotone_witness,
-        derivative_bound=derivative_witness is None,
-        derivative_witness=derivative_witness,
-        convex=cbad is None,
-        convex_witness=None if cbad is None else ss[cbad + 1],
+        constant=p + sup_a if monotone >= 2 * cap and sup_a < math.inf else None,
+        constant_lower=max((0.5 if p == 1 else 1.0) if mu_cap > 0 else 0.0,
+                           abs(p * mu_cap + tau_dmu) / (2 * mu_2cap)),
+        monotone=monotone >= cap,
+        monotone_up_to=min(monotone, cap),
+        derivative_bound=derivative >= cap,
+        derivative_bound_up_to=min(derivative, cap),
+        convex=None if convex is None else convex >= cap,
+        convex_up_to=None if convex is None else min(convex, cap),
         cap=float(cap),
-        n_samples=len(ys),
-        seed=seed,
     )
 
 
@@ -458,9 +528,9 @@ def lipschitz_certificate(nl: NonlinearitySpec, cap: float | None = None,
 class IntegralVerdict:
     """Verdict on integral_0^{c0} mu(tau)/tau dtau.
 
-    ``classification`` is exact for the constructive families ('convergent'
-    / 'divergent') and 'unknown' for tables.  ``partial_integrals`` are the
-    truncations at tau = c0 * 10^{-k}, whose growth feeds the label.  A
+    ``classification`` ('convergent' / 'divergent') is exact for every
+    family.  ``partial_integrals`` are the truncations at
+    tau = c0 * 10^{-k}, whose growth feeds the label.  A
     convergent ``quadrature_value`` is the numerical head plus exact tail
     below c0·10^−levels, so it tests the quadrature of mu itself.
     ``quadrature_error`` is the largest change of a decade sum when the
@@ -495,13 +565,19 @@ def iterated_log_antiderivative(depth: int, gamma: float, c0: float) -> float:
 
 
 def _antiderivative(mu: MuSpec, tau: float) -> float | None:
-    """integral_0^tau mu(s)/s ds (tau <= tau*), or None where it diverges or is unknown."""
+    """integral_0^tau mu(s)/s ds (tau <= tau*), or None where it diverges."""
     if mu.family == "power":
         return tau**mu.epsilon / mu.epsilon
     if mu.family == "iterated_log" and mu.gamma > 1:
         return iterated_log_antiderivative(mu.depth, mu.gamma, tau)
     if mu.family == "constant" and mu.value == 0:
         return 0.0
+    if mu.family == "custom_table" and mu.values[0] == 0:
+        # a piece alpha + beta s on [lo, hi] adds alpha log(hi/lo) + beta (hi - lo);
+        # the first starts at 0, where alpha = mu(0) = 0
+        return sum((alpha * math.log(min(hi, tau) / lo) if lo > 0 else 0.0)
+                   + beta * (min(hi, tau) - lo)
+                   for lo, hi, alpha, beta in _table_pieces(mu) if lo < tau)
     return None
 
 
@@ -597,7 +673,7 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
                               f"w = -log tau is {mids[0]!r} <= 0 in the middle of the first "
                               "decade; take c0 < 10^0.5")
 
-    # a constructive family has an antiderivative exactly when it converges
+    # a family has an antiderivative exactly when it converges
     try:
         closed = _antiderivative(mu, c0)
         sums, quadrature_error, panels = _decade_integrals(mu, u0, levels, tol)
@@ -605,8 +681,7 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
     except OverflowError:
         raise NumericalError(f"the integral of mu(tau)/tau below c0 = {c0} overflows a "
                              "double") from None
-    classification = ("unknown" if mu.family == "custom_table"
-                      else "divergent" if closed is None else "convergent")
+    classification = "divergent" if closed is None else "convergent"
     partials = list(itertools.accumulate(sums))
     quadrature_value = None if closed is None else partials[-1] + tail
 

@@ -340,7 +340,11 @@ def test_mu_check_flags_mode(tmp_path):
     assert cli.main(["mu-check", "--config", str(cfg), "--out-dir", str(out)]) == 0
     doc = json.loads((out / "mu_check.json").read_text())
     assert doc["integral"]["classification"] == "convergent"
-    assert doc["certificate"]["constant"] > 0
+    cert = doc["certificate"]
+    # a = 1/u + 2/(u log u) is 3/e at tau* = e^{-e} and 1 at tau = 0.0557...
+    assert cert["constant"] == pytest.approx(2 + 3 / math.e, rel=1e-15)
+    assert cert["derivative_bound"] is False and cert["convex"] is True
+    assert cert["derivative_bound_up_to"] == pytest.approx(0.05576372571598393, rel=1e-15)
 
 
 def test_decay_flags_with_explicit_target(op_file, tmp_path):
@@ -846,18 +850,31 @@ def _run(tmp_path, task: str, cfg: dict) -> tuple[int, Path]:
                      "--out-dir", str(out)]), out
 
 
-@pytest.mark.parametrize("extra, words", [
-    ({"cap": 1e300}, "not finite"),
-    ({"cap": 100, "p": 200}, "not finite"),
-    ({"cap": 1e-200}, "underflows"),
-], ids=["cap=1e300", "cap=100-p=200", "cap=1e-200"])
-def test_mu_check_without_a_valid_lipschitz_sample_exits_2(tmp_path, capsys, extra, words):
-    # these wrote "constant": "nan", or 0.0 with every bound underflowing, and exited 0
+@pytest.mark.parametrize("extra", [{"cap": 1e300}, {"cap": 100, "p": 200}, {"cap": 1e-200}],
+                         ids=["cap=1e300", "cap=100-p=200", "cap=1e-200"])
+def test_mu_check_at_extreme_caps_writes_finite_numbers(tmp_path, extra):
+    # the certificate evaluates no F: C = p, and the lower end is the larger
+    # of 1 at (cap, 0) and p/2 at (cap, cap^-), whatever cap^p is
     code, out = _run(tmp_path, "mu-check", {**SCHEMA, "mu": {"family": "constant"}, **extra})
+    assert code == 0
+    text = (out / "mu_check.json").read_text()
+    assert not any(bad in text for bad in ('"nan"', '"inf"', '"-inf"'))  # jsonify's spellings
+    cert = json.loads(text)["certificate"]
+    p = extra.get("p", 2.0)
+    assert cert["constant"] == p and cert["constant_lower"] == max(1.0, p / 2)
+    assert cert["cap"] == extra["cap"]
+
+
+@pytest.mark.parametrize("mu", [{"family": "constant", "value": 0.0},
+                                {"family": "custom_table", "taus": [0.0, 1.0], "values": [0, 0]}],
+                         ids=["constant", "custom_table"])
+def test_mu_check_with_mu_zero_at_twice_the_cap_exits_2(tmp_path, capsys, mu):
+    # (iv) divides by mu(|y| + |z|), which is 0 at 2 cap: no ratio is finite
+    code, out = _run(tmp_path, "mu-check", {**SCHEMA, "mu": mu, "c0": 0.5, "cap": 0.5})
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert words in err and f"cap = {float(extra['cap'])!r}" in err and "p = " in err
+    assert "mu(2 cap) = 0.0" in err and "cap = 0.5" in err
 
 
 _EXTREME_MU = [(family, extra) for family in sorted(_COLD_MU)
@@ -895,13 +912,13 @@ def test_table_walk_bases_are_valid(bases, tmp_path):
         assert _run(tmp_path / task, task, cfg)[0] == 0, task
 
 
-# every artifact has its fixed name, nothing draws random numbers in a run or
-# a residual, and an inline residual always records its fields
+# every artifact has its fixed name, nothing draws random numbers in a run,
+# a residual or a certificate, and an inline residual always records its fields
 _REMOVED = {"output": "run.json", "seed": 0, "record_fields": True, "output_dir": "out"}
 _REMOVED_CASES = [("exponent", "output"), ("simulate", "output"), ("residual-run", "output"),
                   ("simulate", "seed"), ("residual", "seed"), ("residual-run", "seed"),
                   ("residual", "record_fields"), ("exponent", "output_dir"),
-                  ("sweep", "output_dir")]
+                  ("sweep", "output_dir"), ("mu-check", "seed")]
 
 
 @pytest.mark.parametrize("task,key", _REMOVED_CASES, ids=[f"{t}:{k}" for t, k in _REMOVED_CASES])
@@ -926,7 +943,7 @@ def test_output_dir_in_a_sweep_config_is_invalid(bases, tmp_path):
 _TABLE_KEYS = {
     "exponent": ["schema_version", "operator", "ell", "n"],
     "envelope": ["schema_version", "operator", "ell", "n", "samples", "eta_max"],
-    "mu-check": ["schema_version", "mu", "c0", "levels", "tol", "p", "cap", "seed"],
+    "mu-check": ["schema_version", "mu", "c0", "levels", "tol", "p", "cap"],
     "simulate": ["schema_version", "operator", "ell", "n", "grid", "profile",
                  "amplitude", "dt", "T", "nonlinearity", "p_for_norms", "record_every",
                  "record_fields"],
@@ -1454,59 +1471,57 @@ _LAYOUTS = {
     """,
     "mu-constant": """
         schema_version kind config config.schema_version config.mu config.mu.family
-        config.mu.value mu mu.family mu.value c0 integral integral.classification
-        integral.c0 integral.closed_form_value integral.quadrature_value
-        integral.partial_integrals integral.growth_label integral.fitted_slope
-        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade
-        certificate certificate.constant certificate.worst_pair certificate.monotone
-        certificate.monotone_witness certificate.derivative_bound
-        certificate.derivative_witness certificate.convex certificate.convex_witness
-        certificate.cap certificate.n_samples certificate.seed
+        config.mu.value mu mu.family mu.value c0 integral integral.classification integral.c0
+        integral.closed_form_value integral.quadrature_value integral.partial_integrals
+        integral.growth_label integral.fitted_slope integral.quadrature_tol
+        integral.quadrature_error integral.panels_per_decade certificate certificate.constant
+        certificate.constant_lower certificate.monotone certificate.monotone_up_to
+        certificate.derivative_bound certificate.derivative_bound_up_to certificate.convex
+        certificate.convex_up_to certificate.cap
     """,
     "mu-custom_table": """
         schema_version kind config config.schema_version config.mu config.mu.family
         config.mu.taus config.mu.values mu mu.family mu.taus mu.values c0 integral
-        integral.classification integral.c0 integral.closed_form_value
-        integral.quadrature_value integral.partial_integrals integral.growth_label
-        integral.fitted_slope integral.quadrature_tol integral.quadrature_error
-        integral.panels_per_decade certificate certificate.constant certificate.worst_pair
-        certificate.monotone certificate.monotone_witness certificate.derivative_bound
-        certificate.derivative_witness certificate.convex certificate.convex_witness
-        certificate.cap certificate.n_samples certificate.seed
+        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade certificate
+        certificate.constant certificate.constant_lower certificate.monotone
+        certificate.monotone_up_to certificate.derivative_bound
+        certificate.derivative_bound_up_to certificate.convex certificate.convex_up_to
+        certificate.cap
     """,
     "mu-extension_point": """
         schema_version kind config config.schema_version config.mu config.mu.family
-        config.mu.epsilon config.mu.extension_point mu mu.family mu.epsilon
-        mu.extension_point c0 integral integral.classification integral.c0
-        integral.closed_form_value integral.quadrature_value integral.partial_integrals
-        integral.growth_label integral.fitted_slope integral.quadrature_tol
-        integral.quadrature_error integral.panels_per_decade certificate
-        certificate.constant certificate.worst_pair certificate.monotone
-        certificate.monotone_witness certificate.derivative_bound
-        certificate.derivative_witness certificate.convex certificate.convex_witness
-        certificate.cap certificate.n_samples certificate.seed
+        config.mu.epsilon config.mu.extension_point mu mu.family mu.epsilon mu.extension_point
+        c0 integral integral.classification integral.c0 integral.closed_form_value
+        integral.quadrature_value integral.partial_integrals integral.growth_label
+        integral.fitted_slope integral.quadrature_tol integral.quadrature_error
+        integral.panels_per_decade certificate certificate.constant certificate.constant_lower
+        certificate.monotone certificate.monotone_up_to certificate.derivative_bound
+        certificate.derivative_bound_up_to certificate.convex certificate.convex_up_to
+        certificate.cap
     """,
     "mu-iterated_log": """
         schema_version kind config config.schema_version config.mu config.mu.family
         config.mu.depth config.mu.gamma mu mu.family mu.depth mu.gamma c0 integral
-        integral.classification integral.c0 integral.closed_form_value
-        integral.quadrature_value integral.partial_integrals integral.growth_label
-        integral.fitted_slope integral.quadrature_tol integral.quadrature_error
-        integral.panels_per_decade certificate certificate.constant certificate.worst_pair
-        certificate.monotone certificate.monotone_witness certificate.derivative_bound
-        certificate.derivative_witness certificate.convex certificate.convex_witness
-        certificate.cap certificate.n_samples certificate.seed
+        integral.classification integral.c0 integral.closed_form_value integral.quadrature_value
+        integral.partial_integrals integral.growth_label integral.fitted_slope
+        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade certificate
+        certificate.constant certificate.constant_lower certificate.monotone
+        certificate.monotone_up_to certificate.derivative_bound
+        certificate.derivative_bound_up_to certificate.convex certificate.convex_up_to
+        certificate.cap
     """,
     "mu-power": """
         schema_version kind config config.schema_version config.mu config.mu.family
         config.mu.epsilon mu mu.family mu.epsilon c0 integral integral.classification
         integral.c0 integral.closed_form_value integral.quadrature_value
         integral.partial_integrals integral.growth_label integral.fitted_slope
-        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade
-        certificate certificate.constant certificate.worst_pair certificate.monotone
-        certificate.monotone_witness certificate.derivative_bound
-        certificate.derivative_witness certificate.convex certificate.convex_witness
-        certificate.cap certificate.n_samples certificate.seed
+        integral.quadrature_tol integral.quadrature_error integral.panels_per_decade certificate
+        certificate.constant certificate.constant_lower certificate.monotone
+        certificate.monotone_up_to certificate.derivative_bound
+        certificate.derivative_bound_up_to certificate.convex certificate.convex_up_to
+        certificate.cap
     """,
     "residual": """
         schema_version kind config config.schema_version config.operator config.ell config.grid
