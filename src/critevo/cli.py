@@ -20,11 +20,11 @@ reported in the artifact), 2 invalid input or config, 3 numerical
 failure.  Artifacts carry no timestamps and are byte-identical across
 repeat runs with the same config.
 
-A subcommand loads only the layers it uses.  ``exponent`` runs on the
-exact layer and loads no numpy; ``envelope`` loads numpy only to write its
-CSV; ``mu-check`` adds :mod:`critevo.mu`, whose integral and certificate
-run on Python floats, so it loads no numpy either; only ``simulate``,
-``decay`` and ``residual`` load the solver.
+A subcommand loads only the layers it uses.  ``exponent`` and ``envelope``
+run on the exact layer and load no numpy; ``mu-check`` adds
+:mod:`critevo.mu`, whose integral and certificate run on Python floats, so
+it loads no numpy either; only ``simulate``, ``decay`` and ``residual``
+load the solver.
 """
 
 from __future__ import annotations
@@ -539,7 +539,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, base: Path) -> dict:
                 sv = read(sub, SIMULATE, "config")
                 rc, nl, notes = _sim_config(sv, base)
                 # each value on its own, so only those past the float range are invalid
-                rc.check_amplitudes([(sv["amplitude"], nl)])
+                rc.check_amplitudes([sv["amplitude"]])
                 key = (rc, sv["record_fields"], nl is None)
                 if key not in keys:
                     keys.append(key)

@@ -133,6 +133,10 @@ class MuSpec:
                 raise ValidationError("custom_table taus must be increasing and >= 0")
             if any(v < 0 for v in self.values):
                 raise ValidationError("custom_table mu values must be >= 0")
+            if self.extension_point is None and self.taus[-1] == 0:
+                raise ValidationError("custom_table taus end at 0, so the default "
+                                      "extension_point tau* = taus[-1] is 0; add a tau > 0 "
+                                      "or give an extension_point > 0")
 
     @cached_property
     def tau_star(self) -> float:
@@ -450,9 +454,8 @@ def _table_pieces(mu: MuSpec) -> list[tuple[float, float, float, float]]:
     ends = [0.0, *(t for t in mu.taus if 0 < t < mu.tau_star), mu.tau_star]
     pieces = []
     for lo, hi in zip(ends, ends[1:]):
-        if hi > lo:  # a table whose tau* is 0 has no piece below it
-            m_lo, m_hi = _float_mu(mu, lo), _float_mu(mu, hi)
-            pieces.append((lo, hi, (m_lo * hi - m_hi * lo) / (hi - lo), (m_hi - m_lo) / (hi - lo)))
+        m_lo, m_hi = _float_mu(mu, lo), _float_mu(mu, hi)
+        pieces.append((lo, hi, (m_lo * hi - m_hi * lo) / (hi - lo), (m_hi - m_lo) / (hi - lo)))
     return pieces + [(mu.tau_star, math.inf, _float_mu(mu, mu.tau_star), 0.0)]
 
 
@@ -530,9 +533,12 @@ class IntegralVerdict:
 
     ``classification`` ('convergent' / 'divergent') is exact for every
     family.  ``partial_integrals`` are the truncations at
-    tau = c0 * 10^{-k}, whose growth feeds the label.  A
-    convergent ``quadrature_value`` is the numerical head plus exact tail
-    below c0·10^−levels, so it tests the quadrature of mu itself.
+    tau = c0 * 10^{-k}, whose growth feeds the label; from the first decade
+    whose sum leaves the double range on they are inf, the growth line runs
+    through the finite decade sums, and with fewer than two of them
+    ``fitted_slope`` is None and the label 'growing'.  A convergent
+    ``quadrature_value`` is the numerical head plus exact tail below
+    c0·10^−levels, so it tests the quadrature of mu itself.
     ``quadrature_error`` is the largest change of a decade sum when the
     panels last doubled, to ``panels_per_decade``, the pass that settled.
     """
@@ -609,8 +615,10 @@ def _decade_integrals(mu: MuSpec, u0: float, levels: int,
     Each decade is cut into uniform 16-node Gauss-Legendre panels (the decay
     module's rule), with a table's knots added as panel edges so that no
     panel straddles a kink.  The panels per decade double from 1 until no
-    decade sum moves by more than tol * max(1, |sum|).  Returns the sums,
-    their largest move at that pass, and its panels per decade.
+    decade sum moves by more than tol * max(1, |sum|).  A decade in which mu
+    or its sum leaves the double range sums to inf, and only the finite sums
+    must settle.  Returns the sums, the largest move of a finite one at that
+    pass (0.0 if none is finite), and its panels per decade.
     """
     mu_u = _mu_of_u(mu)
     gl_x, gl_w = GAUSS_LEGENDRE16
@@ -626,12 +634,16 @@ def _decade_integrals(mu: MuSpec, u0: float, levels: int,
         for a, b in zip(bounds, bounds[1:]):
             half = (b - a) / 2
             mid = a + half
-            dot = sum(map(operator.mul, map(mu_u, [mid + half * x for x in gl_x]), gl_w))
+            try:
+                dot = sum(map(operator.mul, map(mu_u, [mid + half * x for x in gl_x]), gl_w))
+            except OverflowError:  # mu itself leaves the double range
+                dot = math.inf
             sums[bisect.bisect_right(edges, a) - 1] += half * dot
         if prev is not None:
-            moves = [abs(s - q) for s, q in zip(sums, prev)]
-            if all(m <= tol * max(1.0, abs(s)) for m, s in zip(moves, sums)):
-                return sums, max(moves), panels
+            # a decade sum past the double range is inf and has nothing to settle
+            finite = [(s, abs(s - q)) for s, q in zip(sums, prev) if s < math.inf]
+            if all(m <= tol * max(1.0, abs(s)) for s, m in finite):
+                return sums, max((m for _, m in finite), default=0.0), panels
         prev = sums
     raise NumericalError(f"decade quadrature did not settle to tol {tol} with "
                          f"{_PANELS[-1]} panels per decade from u = {u0}")
@@ -688,13 +700,17 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
     fitted_slope = None
     densities = [s / (b - a) for s, a, b in zip(sums, ws, ws[1:])]
     if all(d > 0 for d in densities):
-        fitted_slope = _slope([math.log(m) for m in mids], [math.log(d) for d in densities])
-        if fitted_slope < -1.05:
-            growth_label = "saturating"
-        elif fitted_slope <= -0.95:
-            growth_label = "marginal"
-        else:
+        # the line runs through the finite sums; sums past the double range grow
+        points = [(m, d) for m, d in zip(mids, densities) if d < math.inf]
+        if len(points) >= 2:
+            fitted_slope = _slope([math.log(m) for m, _ in points],
+                                  [math.log(d) for _, d in points])
+        if fitted_slope is None or fitted_slope > -0.95:
             growth_label = "growing"
+        elif fitted_slope < -1.05:
+            growth_label = "saturating"
+        else:
+            growth_label = "marginal"
     else:
         growth_label = "saturating" if all(s <= tol * 100 for s in sums) else "irregular"
 

@@ -310,17 +310,18 @@ class EvolutionOperator:
 
 
 def exp2_parts(A: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots and divided difference of exp that give exp(tA) of 2x2 blocks.
+    """Roots and exp(tA) of 2x2 blocks in closed form.
 
     For a stack A of shape (k, 2, 2) and times of shape (T,),
     exp(t A_i) = e^{t lam2} I + D(t) (A_i - lam2 I), where Re lam1 >= Re lam2
     and D(t) = e^{t lam1} (-expm1(-t (lam1 - lam2))) / (lam1 - lam2) is the
     divided difference of exp at the roots, t e^{t lam1} where they
     coincide.  It has no cancellation however close the roots lie, and
-    |e^{-t (lam1 - lam2)}| <= 1 keeps it from overflowing.  The roots come
-    from the larger of mu +- nu (mu = tr/2) and det / that root (Vieta), so
-    neither one cancels when det << mu^2.  Returns lam1 and lam2 as (k, 1)
-    columns and D as (k, T).
+    |e^{-t (lam1 - lam2)}| <= 1 keeps it from overflowing.  A11 - lam2 is
+    taken as lam1 - A00 (equal by the trace).  The roots come from the
+    larger of mu +- nu (mu = tr/2) and det / that root (Vieta), so neither
+    one cancels when det << mu^2.  Returns lam1 and lam2 as (k, 1) columns
+    and exp(tA) as (k, T, 2, 2).
     """
     import numpy as np
 
@@ -337,29 +338,27 @@ def exp2_parts(A: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     D = np.broadcast_to(times, (A.shape[0], times.size)).astype(complex)
     np.divide(-np.expm1(-times * gap), gap, out=D, where=gap != 0)
     D *= np.exp(times * lam1)
-    return lam1, lam2, D
+    a = a[:, None]
+    e2 = np.exp(times * lam2)
+    E = D[:, :, None, None] * A[:, None]  # right off the diagonal
+    E[..., 0, 0] = e2 + D * (a - lam2)
+    E[..., 1, 1] = e2 + D * (lam1 - a)
+    return lam1, lam2, E
 
 
 def exp_blocks(A: np.ndarray, times) -> np.ndarray:
     """exp(t A_i) of a stack A of m x m blocks, (k, m, m), at each t of times: (k, T, m, m).
 
-    A 2x2 block takes the closed form of :func:`exp2_parts`, A11 - lam2
-    taken as lam1 - A00 (equal by the trace), and any other size :func:`_expm`
-    of the stacked t A_i.  Each block and time is computed on its own, so one
-    call equals one call per block and time, bit for bit.
+    A 2x2 block takes the closed form of :func:`exp2_parts`, and any other
+    size :func:`_expm` of the stacked t A_i.  Each block and time is computed
+    on its own, so one call equals one call per block and time, bit for bit.
     """
     import numpy as np
 
     times = np.asarray(times, dtype=float)
     if A.shape[-1] != 2:
         return _expm(times[:, None, None] * A[:, None])
-    lam1, lam2, D = exp2_parts(A, times)
-    a = A[:, 0, 0][:, None]
-    e2 = np.exp(times * lam2)
-    E = D[:, :, None, None] * A[:, None]  # right off the diagonal
-    E[..., 0, 0] = e2 + D * (a - lam2)
-    E[..., 1, 1] = e2 + D * (lam1 - a)
-    return E
+    return exp2_parts(A, times)[2]
 
 
 # b_0 .. b_13 of exp's degree-13 Pade approximant, accurate to double at 1-norms <= theta_13

@@ -18,7 +18,7 @@ touched pages count towards the process's resident set, which is the
 whole-stack cost the streaming avoids.
 
 numpy is imported only where arrays are built: a JSON artifact of exact
-values is written without it.
+values, or a CSV of plain sequences, is written without it.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ def format_cell(v) -> str:
 
 
 def dumps_csv(columns: dict[str, "np.ndarray | list"]) -> str:
-    import numpy as np
-
+    """CSV of equal-length columns: a sequence is taken as it is, an array raveled."""
     names = list(columns)
-    cols = [np.asarray(columns[k]).ravel() for k in names]
-    lengths = {c.size for c in cols}
+    cols = [c.ravel().tolist() if hasattr(c, "ravel") else c for c in columns.values()]
+    lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ValueError(f"csv columns have unequal lengths: {sorted(lengths)}")
     lines = [",".join(names)]

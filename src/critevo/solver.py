@@ -9,7 +9,7 @@ the companion state v = (u, d_t u, ..., d_t^{m-1} u)^ and evolves by
 v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
 exact matrix exponential E = exp(dt A), and the source enters through the
 Duhamel weight Phi = integral_0^dt exp(s A) ds, so no quadrature in time
-is involved.  For m = 2, E is :func:`~critevo.operators.exp_blocks`'s
+is involved.  For m = 2, E is :func:`~critevo.operators.exp2_parts`'
 closed form and Phi its integral from the same two roots; any other m
 exponentiates the augmented block [[A, I], [0, 0]], which holds E
 top-left and Phi top-right.  The nonlinear term is advanced by an
@@ -282,9 +282,10 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """E = exp(dt A_i), (k, 2, 2), and Phi e_1, (k, 2), of 2x2 blocks in closed form.
 
-    E = e^{dt lam2} I + D (A - lam2 I) is :func:`~critevo.operators.exp_blocks`'s.
-    Integrating it over [0, dt] gives Phi = g(lam2) I + G (A - lam2 I), with
-    g(lam) = expm1(dt lam) / lam (g(0) = dt), G = g[lam1, lam2] its divided
+    E = e^{dt lam2} I + D (A - lam2 I) and the roots lam1, lam2 come from
+    one :func:`~critevo.operators.exp2_parts` pass.  Integrating E over
+    [0, dt] gives Phi = g(lam2) I + G (A - lam2 I), with g(lam) =
+    expm1(dt lam) / lam (g(0) = dt), G = g[lam1, lam2] its divided
     difference and A11 - lam2 taken as lam1 - A00, as in E.  G is the
     difference quotient where |dt (lam1 - lam2)| > 0.1; closer roots would
     cancel in it, so there G = dt^2 phi1[z1, z2] (z = dt lam, phi1(z) =
@@ -292,8 +293,7 @@ def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     root, whose 16-point trapezoid rule errs by about 0.05^16 plus the 17th
     Taylor coefficient of phi1 (Kassam & Trefethen 2005).
     """
-    E = exp_blocks(A, [dt])[:, 0]
-    lam1, lam2 = (x[:, 0] for x in exp2_parts(A, np.array([dt]))[:2])
+    lam1, lam2, E = (x[:, 0] for x in exp2_parts(A, np.array([dt])))
     a = A[:, 0, 0]
 
     def g(lam):
@@ -416,13 +416,21 @@ def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int, 
 
 
 def grid_norms(w: np.ndarray, weight: float, p: float) -> dict[str, float]:
-    """L1/L2/Lp/Linf of a physical field under the uniform quadrature weight."""
+    """L1/L2/Lp/Linf of a physical field under the uniform quadrature weight.
+
+    Each is max|w| times the norm of |w| / max|w| (as BLAS nrm2 scales), whose
+    powers lie in [0, 1] and sum to at least 1: on a box of volume v, no norm
+    of a field of max c overflows unless c * max(1, v) does, and none of a
+    nonzero field underflows in its power, whatever p.
+    """
     a = np.abs(w)
+    top = float(np.max(a))
+    a /= top or 1.0  # a zero field keeps zero norms
     return {
-        "L1": float(np.sum(a) * weight),
-        "L2": float(math.sqrt(np.sum(a**2) * weight)),
-        "Lp": float(np.sum(a**p) * weight) ** (1.0 / p),
-        "Linf": float(np.max(a)),
+        "L1": top * float(np.sum(a) * weight),
+        "L2": top * math.sqrt(np.sum(a * a) * weight),
+        "Lp": top * float(np.sum(a**p) * weight) ** (1.0 / p),
+        "Linf": top,
     }
 
 
@@ -454,27 +462,19 @@ class RunConfig:
         if self.p_for_norms is not None and not (self.p_for_norms >= 1):
             raise ValidationError("p_for_norms must be >= 1")
 
-    def overflowing_norms(self, amplitude: float, nl: NonlinearitySpec | None) -> tuple:
-        """A member's blow-up threshold BLOWUP_FACTOR * |amplitude| * max|profile|, its
-        norm power, and the names of the norms of a field at the threshold that leave
-        the float range on the box: they would record as infinite before the blow-up
-        check could trip."""
+    def check_amplitudes(self, amplitudes: Sequence[float]) -> None:
+        """Reject the first amplitude whose threshold c = BLOWUP_FACTOR * |amplitude|
+        * max|profile|, where :func:`blown` stops a field, has c * max(1, N^n h^n)
+        past the float range: a field's :func:`grid_norms` could overflow there."""
         peak = float(np.max(np.abs(self.profile.render(self.grid))))
-        limit = BLOWUP_FACTOR * abs(amplitude) * peak
-        p = self.norm_power(nl)
-        with np.errstate(over="ignore"):
-            norms = grid_norms(np.full(self.grid.shape, limit), self.grid.quad_weight(), p)
-        return limit, p, [name for name, v in norms.items() if not math.isfinite(v)]
-
-    def check_amplitudes(self, members: Sequence[tuple]) -> None:
-        """Reject the first (amplitude, nonlinearity) with :meth:`overflowing_norms`."""
-        for a, nl in members:
-            limit, p, bad = self.overflowing_norms(a, nl)
-            if bad:
+        volume = self.grid.N**self.grid.n * self.grid.quad_weight()
+        for a in amplitudes:
+            limit = BLOWUP_FACTOR * abs(a) * peak
+            if not limit * max(1.0, volume) < math.inf:
                 raise ValidationError(
-                    f"amplitude {a!r} in norm power {p!r} puts the blow-up threshold "
-                    f"{BLOWUP_FACTOR:g} * |amplitude| * max|profile| = {limit:.3g} out of "
-                    f"the float range of the norms on the box: {', '.join(bad)}")
+                    f"amplitude {a!r} puts the blow-up threshold {BLOWUP_FACTOR:g} * "
+                    f"|amplitude| * max|profile| = {limit:.3g} out of the float range of "
+                    f"the norms on the box of volume {volume:.3g}")
 
     def norm_power(self, nl: NonlinearitySpec | None) -> float:
         """p_for_norms if set, else the power of the member's nonlinearity ``nl``, else 2."""
@@ -583,7 +583,7 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
         raise ValidationError("members must be a non-empty list, all with a nonlinearity or none")
     if field_files is not None and len(field_files) != len(members):
         raise ValidationError("field_files needs one path per member")
-    config.check_amplitudes(members)
+    config.check_amplitudes([a for a, _ in members])
     op, grid, ell = config.op, config.grid, config.ell
     amps, nls = zip(*members)
     modes = init_state(op, grid, config.profile, amps)

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -522,61 +523,101 @@ def test_a_simulate_sweep_builds_one_propagator_per_group(op_file, tmp_path, mon
     assert len(calls) == builds
 
 
-@pytest.mark.parametrize("amplitude", [1e200, 1e303, 1e307, -1e200])
+@pytest.mark.parametrize("amplitude", [1e303, 1e307])
 def test_amplitude_past_the_float_range_of_the_norms_exits_2(op_file, tmp_path, capsys,
                                                              amplitude):
-    # a field at the blow-up threshold 1e6 * |amplitude| has an infinite L2 norm on the
-    # box: 1e200 completed with infinite norms, 1e303 left the threshold itself
-    # infinite, and 1e307 overflowed the first inverse transform
+    # the blow-up threshold 1e6 * |amplitude| itself leaves the doubles: 1e303 left
+    # it infinite, and 1e307 overflowed the first inverse transform
     rc, out = _run(tmp_path, "simulate", sim_config(op_file, T=2.0, amplitude=amplitude))
     assert rc == 2
     assert not out.exists()
     assert f"amplitude {amplitude!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("task, over, power", [
-    ("simulate", {"p_for_norms": 1e308}, "1e+308"),
-    ("simulate", {"nonlinearity": {"p": 1e300, "mu": {"family": "constant"}}}, "1e+300"),
+_NON_FINITE = re.compile(r"\b(inf|nan)\b")
+
+
+def _assert_finite_artifacts(out: Path) -> None:
+    for path in out.iterdir():
+        assert not _NON_FINITE.search(path.read_text()), path
+
+
+@pytest.mark.parametrize("amplitude", [1e200, -1e200])
+def test_an_amplitude_inside_the_float_range_records_finite_norms(op_file, tmp_path,
+                                                                  amplitude):
+    # the norms scale by max|u| before any power, so a field at 1e206 has a finite
+    # L2 norm on the box; the unscaled square overflowed it
+    rc, out = _run(tmp_path, "simulate", sim_config(op_file, T=2.0, amplitude=amplitude))
+    assert rc == 0
+    _assert_finite_artifacts(out)
+    report = json.loads((out / "simulate.json").read_text())["report"]
+    assert report["outcome"] == "completed"
+    assert 0 < report["xnorm_sup"] < math.inf
+
+
+@pytest.mark.parametrize("task, over", [
+    ("simulate", {"p_for_norms": 1e308}),
+    ("simulate", {"nonlinearity": {"p": 1e300, "mu": {"family": "constant"}}}),
     # torus decay has no amplitude key: its run takes amplitude 1
     ("decay", {"mode": "torus", "grid": {"N": 32, "L": 40.0}, "window": [1.0, 10.0],
-               "q_list": [1e308]}, "1e+308"),
+               "q_list": [1e308]}),
 ], ids=["p_for_norms", "nonlinearity.p", "torus-q_list"])
-def test_a_norm_power_past_the_float_range_is_named(op_file, tmp_path, capsys, task, over,
-                                                    power):
-    # a modest amplitude whose threshold field overflows only in the Lp norm
+def test_a_huge_norm_power_records_finite_norms(op_file, tmp_path, task, over):
+    # every power is taken of r = |u| / max|u| <= 1, so no norm power leaves the
+    # float range: Lp = max|u| (sum r^p h)^(1/p) tends to Linf as p grows
     base = (sim_config(op_file, T=2.0, amplitude=0.5) if task == "simulate"
             else {**SCHEMA, "operator": str(op_file)})
     rc, out = _run(tmp_path, task, {**base, **over})
-    assert rc == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert f"in norm power {power} puts" in err and "the norms on the box: Lp" in err
+    assert rc == 0
+    _assert_finite_artifacts(out)
+    if task == "simulate":
+        with open(out / "series.csv") as fp:
+            rows = list(csv.DictReader(fp))
+        assert all(float(r["Lp[0]"]) == pytest.approx(float(r["Linf[0]"]), rel=1e-15)
+                   for r in rows)
+    else:
+        assert json.loads((out / "decay.json").read_text())["report"]["all_pass"]
 
 
-def test_torus_decay_checks_every_q_before_the_first_run(op_file, tmp_path, capsys,
-                                                         monkeypatch):
-    # q = 52 puts the threshold field's Lp norm past the float range on this box
-    # (q = 40 does not): the error names q_list, not an amplitude, which a decay
-    # config has none of, and the q = 2 run never starts
+def test_torus_decay_checks_the_box_in_its_first_run_before_any_step(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a box of volume 1e304 puts the norms of a field at the threshold 1e6 *
+    # max|profile| past the float range whatever q is: the first run rejects it
+    # before it builds its propagator, so no q's run steps
     from critevo import solver
 
-    calls = []
-    real = solver.run
-    monkeypatch.setattr(solver, "run", lambda *args: calls.append(1) or real(*args))
+    runs, builds = [], []
+    real_run, real_init = solver.run, solver.ModePropagator.__init__
+    monkeypatch.setattr(solver, "run", lambda *args: runs.append(1) or real_run(*args))
+    monkeypatch.setattr(solver.ModePropagator, "__init__",
+                        lambda self, *args: builds.append(1) or real_init(self, *args))
+    op_file = write_json(tmp_path / "op.json", json.loads(dumps_json(damped_wave(2))))
     rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "mode": "torus",
-                                       "grid": {"N": 64, "L": 40.0}, "q_list": [2, 52]})
+                                       "grid": {"N": 32, "L": 1e152}, "q_list": [2, 52]})
     assert rc == 2
     assert not out.exists()
-    assert calls == []
+    assert runs == [1] and builds == []
     err = capsys.readouterr().err
-    assert "q_list entry 52.0 in norm power 52.0 puts" in err and "amplitude" not in err
+    assert "out of the float range of the norms on the box of volume 1e+304" in err
+
+
+def test_torus_decay_of_a_high_q_does_not_underflow(op_file, tmp_path):
+    # the field decays to ~1e-17 by t = 1e4: its 40th power underflowed the
+    # unscaled sum to 0 ("norm values must be positive for a log fit"), and a
+    # threshold field's 52nd power overflowed it
+    rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "mode": "torus",
+                                       "grid": {"N": 64, "L": 40.0}, "q_list": [40, 52]})
+    assert rc == 0
+    entries = json.loads((out / "decay.json").read_text())["report"]["entries"]
+    assert [e["fit"]["verdict"] for e in entries] == ["pass", "pass"]
+    assert [e["fit"]["slope"] for e in entries] == pytest.approx([-6.730, -6.733], abs=1e-3)
 
 
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
     # each value is judged alone before the batch, so the others still run
-    base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.3, 1e200, 0.9])
+    base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.3, 1e303, 0.9])
     assert [r["status"] for r in doc["runs"]] == ["ok", "invalid", "ok"]
-    assert "amplitude 1e+200" in doc["runs"][1]["message"]
+    assert "amplitude 1e+303" in doc["runs"][1]["message"]
     assert not (out / "value_001").exists()
     for entry in (doc["runs"][0], doc["runs"][2]):
         _assert_same_as_standalone("simulate", {**base, "amplitude": entry["value"]},
@@ -683,6 +724,20 @@ def test_a_cold_exponent_loads_no_numpy(tmp_path):
     assert _modules_after(("exponent", cfg, tmp_path / "out"), names=("numpy",)) == []
     assert json.loads((tmp_path / "out" / "exponent.json").read_text())["report"]["p_c"] == str(
         critical_exponent(sigma_evolution(3, 2, 1), 0, 3).p_c)
+
+
+def test_a_cold_envelope_imports_no_numpy(tmp_path):
+    # the samples CSV is built from plain lists, so -X importtime names no numpy
+    op = json.loads(dumps_json(sigma_evolution(3, 2, 1)))
+    cfg = write_json(tmp_path / "envelope.json", {**SCHEMA, "operator": op})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "critevo.cli", "envelope",
+                           "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert "critevo.envelope" in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "numpy" in line] == []
+    assert (tmp_path / "out" / "envelope_samples.csv").is_file()
 
 
 _COLD_MU = {
@@ -905,6 +960,45 @@ def test_mu_check_at_extreme_configs_exits_0_or_2(tmp_path, capsys, family, extr
     assert code in (0, 2), err
     assert (out / "mu_check.json").is_file() == (code == 0)
     assert (code == 2) == err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("depth, gamma, finite", [(0, -300.0, 3), (0, -400.0, 1),
+                                                   (1, -700.0, 5)],
+                         ids=["depth0-gamma-300", "depth0-gamma-400", "depth1-gamma-700"])
+def test_mu_check_past_the_double_range_keeps_its_verdict(tmp_path, depth, gamma, finite):
+    # mu grows like a power of log^[depth](-log tau) that leaves the doubles deep in
+    # the decades: this exited 3, though gamma <= 1 decides "divergent" and the
+    # certificate takes no quadrature.  Each decade sum past the range reads "inf",
+    # and the growth line runs through the finite ones (none with fewer than two)
+    code, out = _run(tmp_path, "mu-check", {**SCHEMA, "mu": {
+        "family": "iterated_log", "depth": depth, "gamma": gamma}})
+    assert code == 0
+    doc = json.loads((out / "mu_check.json").read_text())
+    integral = doc["integral"]
+    assert integral["classification"] == "divergent"
+    assert integral["growth_label"] == "growing"
+    partials = integral["partial_integrals"]
+    assert all(0 < v < math.inf for v in partials[:finite])
+    assert partials[finite:] == ["inf"] * (8 - finite)
+    assert (integral["fitted_slope"] is None) == (finite < 2)
+    assert 0 <= integral["quadrature_error"] < math.inf
+    assert doc["certificate"]["monotone"] is False and doc["certificate"]["constant"] is None
+
+
+def test_a_custom_table_ending_at_tau_0_needs_an_extension_point(tmp_path, capsys):
+    # its default tau* = taus[-1] = 0 left the default c0 at 0, which the error named
+    mu = {"family": "custom_table", "taus": [0.0], "values": [1.0]}
+    code, out = _run(tmp_path / "bare", "mu-check", {**SCHEMA, "mu": mu})
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "taus" in err and "extension_point" in err and "c0" not in err
+    code, out = _run(tmp_path / "held", "mu-check",
+                     {**SCHEMA, "mu": {**mu, "extension_point": 0.5}})
+    assert code == 0
+    assert "integral: divergent (growing)" in capsys.readouterr().out
+    cert = json.loads((out / "mu_check.json").read_text())["certificate"]
+    assert (cert["constant_lower"], cert["constant"]) == (1.0, 2.0)
 
 
 def test_table_walk_bases_are_valid(bases, tmp_path):

@@ -307,6 +307,17 @@ def test_fit_and_mode_errors():
         l2_decay_curve(mixed, RadialProfile(), [1.0])
 
 
+def test_whole_space_decay_checks_every_q_before_its_first_curve(monkeypatch):
+    # q_list [2, 3] computed the q = 2 quadrature and only then rejected q = 3
+    from critevo import decay
+
+    calls = []
+    monkeypatch.setattr(decay, "_decay_quadrature", lambda *args: calls.append(1))
+    with pytest.raises(ValidationError, match="q = 3 needs torus mode"):
+        check_linear_decay_hypothesis(damped_wave(1), ell=0, p_c=3.0, q_list=[2, 3])
+    assert calls == []
+
+
 def test_fit_rejects_an_unknown_mode():
     ts = np.geomspace(1.0, 100.0, 30)
     vals = (1.0 + ts) ** -0.5

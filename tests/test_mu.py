@@ -437,6 +437,11 @@ def test_custom_table_family():
         MuSpec(family="custom_table", taus=(1.0, 0.5), values=(1.0, 1.0))
     with pytest.raises(ValidationError, match="increasing"):  # two values at one tau
         MuSpec(family="custom_table", taus=(0.0, 0.5, 0.5), values=(0.0, 1.0, 0.0))
+    # a table of one knot at 0 has tau* = 0 unless an extension point is given
+    with pytest.raises(ValidationError, match="taus end at 0.*extension_point"):
+        MuSpec(family="custom_table", taus=(0.0,), values=(1.0,))
+    assert MuSpec(family="custom_table", taus=(0.0,), values=(1.0,),
+                  extension_point=0.5).tau_star == 0.5
 
 
 def test_custom_table_freezes_at_its_extension_point():
@@ -703,9 +708,27 @@ def test_c0_past_the_growth_fit_is_rejected():
 
 
 def test_integral_overflow_is_a_numerical_failure():
-    # (-log tau)^300 leaves the doubles: numpy summed inf and never settled
+    # a convergent value past the double range: log(-log c0) = 0.0215 at c0 = 0.36,
+    # so the antiderivative 0.0215^-199 / 199 overflows
+    mu = MuSpec(family="iterated_log", depth=1, gamma=200.0, extension_point=0.36)
     with pytest.raises(NumericalError, match="overflows a double"):
-        integral_condition(MuSpec(family="iterated_log", gamma=-300.0), c0=0.1)
+        integral_condition(mu, c0=0.36)
+
+
+def test_decade_sums_past_the_double_range_read_inf():
+    # (-log tau)^300 overflows from u = 10.65 on, in the fourth decade below c0 = 0.1;
+    # the first three settle as they do at gamma = -200, and the line runs through them
+    verdict = integral_condition(MuSpec(family="iterated_log", gamma=-300.0), c0=0.1)
+    assert verdict.classification == "divergent"
+    assert verdict.partial_integrals[3:] == (math.inf,) * 5
+    assert all(0 < v < math.inf for v in verdict.partial_integrals[:3])
+    assert verdict.fitted_slope > 0 and verdict.growth_label == "growing"
+    # each finite decade sum is the one an exact quadrature of u^300 gives
+    u = [-math.log(0.1) + k * math.log(10) for k in range(4)]
+    sums = [verdict.partial_integrals[0]] + [
+        b - a for a, b in zip(verdict.partial_integrals, verdict.partial_integrals[1:3])]
+    for s, a, b in zip(sums, u, u[1:]):
+        assert s == pytest.approx((b**301 - a**301) / 301, rel=1e-9)
 
 
 def test_iterated_log_depth_takes_no_bool():

@@ -30,9 +30,10 @@ def test_numpy_values_render_to_pinned_csv():
         "b": np.array([True, False, True, False]), "c": np.array([1 + 2j, 0j, -1.5j, 3]),
         "m": np.array([[1.0, 2.0], [3.0, 4.0]]), "l": [1, 2.5, 3, 4],
     }
+    # an array column is raveled; a plain list keeps its own values, ints as ints
     assert dumps_csv(columns) == (
-        "x,i,b,c,m,l\n0.1,1,True,(1+2j),1.0,1.0\nnan,2,False,0j,2.0,2.5\n"
-        "inf,3,True,(-0-1.5j),3.0,3.0\n-inf,-4,False,(3+0j),4.0,4.0\n"
+        "x,i,b,c,m,l\n0.1,1,True,(1+2j),1.0,1\nnan,2,False,0j,2.0,2.5\n"
+        "inf,3,True,(-0-1.5j),3.0,3\n-inf,-4,False,(3+0j),4.0,4\n"
     )
     cells = (np.float64(1 / 3), np.float32(0.1), np.int64(5), np.bool_(False),
              np.complex128(1 + 2j), np.float64("nan"), float("inf"), -float("inf"), 7, "a")

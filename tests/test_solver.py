@@ -556,13 +556,65 @@ def test_T_must_be_a_multiple_of_dt():
 
 
 def test_amplitude_must_keep_the_threshold_norms_finite():
-    # 1e6 * 1e200 squared overflows the L2 sum of a field at the blow-up threshold
+    # the threshold 1e6 * 1e303 is past the doubles, and 1e6 * 1e307 * 40, the L1
+    # norm of a field at it on a box of volume 40, is too
     cfg = RunConfig(op=damped_wave(1), grid=Grid(n=1, N=64, L=40.0),
                     profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.1, T=1.0)
-    with pytest.raises(ValidationError, match=r"amplitude 1e\+200"):
-        run(cfg, [(1e200, None)])
+    with pytest.raises(ValidationError, match=r"amplitude 1e\+303 .* box of volume 40"):
+        run(cfg, [(1e303, None)])
     with pytest.raises(ValidationError, match=r"amplitude 1e\+307"):
         run(cfg, [(0.5, None), (1e307, None)])
+    # a threshold of 1e6 * 1e300 keeps every norm finite, whatever the power
+    report, = run(replace(cfg, p_for_norms=1e308), [(1e300, None)])
+    assert all(math.isfinite(v) for col in report.series.values() for v in col)
+
+
+def test_grid_norms_of_a_tiny_field_match_mpmath():
+    # max|u| = 1e-200: the unscaled sums of u^2 and u^40 underflowed to 0
+    mpmath = pytest.importorskip("mpmath")
+    grid = Grid(n=1, N=64, L=40.0)
+    w = 1e-200 * np.exp(-grid.coords()[0] ** 2 / 8) * np.cos(grid.coords()[0])
+    weight = grid.quad_weight()
+    with mpmath.workdps(40):
+        exact = {p: (mpmath.fsum(abs(mpmath.mpf(float(x))) ** p for x in w)
+                     * mpmath.mpf(weight)) ** (mpmath.mpf(1) / p) for p in (2, 40)}
+    for p, want in exact.items():
+        norms = grid_norms(w, weight, float(p))
+        got = norms["L2"] if p == 2 else norms["Lp"]
+        assert got > 0
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
+
+def test_grid_norms_of_a_zero_and_a_constant_field():
+    grid = Grid(n=2, N=16, L=6.0)
+    weight, volume = grid.quad_weight(), 36.0
+    assert grid_norms(np.zeros(grid.shape), weight, 3.0) == {
+        "L1": 0.0, "L2": 0.0, "Lp": 0.0, "Linf": 0.0}
+    # the norms of c on the box are c v^(1/q): finite while c max(1, v) is
+    c = 1e306
+    norms = grid_norms(np.full(grid.shape, -c), weight, 52.0)
+    assert norms["Linf"] == c
+    for name, q in (("L1", 1), ("L2", 2), ("Lp", 52)):
+        assert norms[name] == pytest.approx(c * volume ** (1 / q), rel=1e-14)
+
+
+def test_an_m2_build_takes_its_roots_and_E_from_one_closed_form_pass(monkeypatch):
+    # E, lam1 and lam2 come from one exp2_parts call; E is exp_blocks', bit for bit
+    calls = []
+    real = operators.exp2_parts
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "exp2_parts", counting)
+    monkeypatch.setattr(solver, "exp2_parts", counting)
+    op, grid = damped_wave(2), Grid(n=2, N=16, L=20.0)
+    prop = ModePropagator(op, grid, dt=0.1)
+    assert calls == [1]
+    A = op.companion(_half_wavenumbers(grid)).reshape(-1, 2, 2)
+    want = operators.exp_blocks(A, [0.1])[:, 0]
+    assert _E(prop).reshape(-1, 2, 2).tobytes() == want.tobytes()
 
 
 def _assert_reports_equal(got, want):
