@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -262,7 +263,18 @@ def _fit(times, values, window, transform, kind, target, tol, mode) -> DecayFit:
         raise NumericalError("norm values must be positive for a log fit")
     x = transform(tt)
     y = np.log(vv)
-    slope, intercept = np.polyfit(x, y, 1)
+    # a window whose abscissae agree to rounding determines no line: polyfit then
+    # finds its system rank-deficient at rcond = samples * eps, or its column
+    # scaling leaves the normal float range
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except (np.exceptions.RankWarning, FloatingPointError, np.linalg.LinAlgError):
+            raise ValidationError(
+                f"window [{lo}, {hi}] determines no {kind} fit: the abscissae of its "
+                f"{int(np.sum(sel))} samples agree to rounding, or their squares leave the "
+                "normal float range") from None
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     clean = rms <= _RMS_TOL
     verdict = None

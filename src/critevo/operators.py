@@ -350,8 +350,12 @@ def exp_blocks(A: np.ndarray, times) -> np.ndarray:
     """exp(t A_i) of a stack A of m x m blocks, (k, m, m), at each t of times: (k, T, m, m).
 
     A 2x2 block takes the closed form of :func:`exp2_parts`, and any other
-    size :func:`_expm` of the stacked t A_i.  Each block and time is computed
-    on its own, so one call equals one call per block and time, bit for bit.
+    size :func:`_expm` of the stacked t A_i.  The Pade path scales and squares
+    each block and time on its own, so there one call equals one call per
+    block and time, bit for bit.  The closed form applies the same formulas to
+    every block, but numpy's elementwise loops can round a lone block (a
+    one-element array) differently from the same block inside a stack: there
+    the two agree to a few ulps, not bit for bit.
     """
     import numpy as np
 

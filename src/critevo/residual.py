@@ -229,6 +229,25 @@ def make_test_function(op: EvolutionOperator, ell: int, grid: Grid, t_end: float
             raise ValidationError("critical eta is 0; pass a positive test_function.eta_bar")
         eta_bar = rep.eta_star
     eta_bar = as_fraction(eta_bar)
+    if reg_epsilon is None:
+        even_integer = eta_bar.denominator == 1 and eta_bar.numerator % 2 == 0
+        reg_epsilon = 0.0 if even_integer else grid.h / 4.0
+    # rho = (|x|^2 + reg_epsilon^2)^(eta_bar / 2) must be a float on the whole grid; it
+    # is largest at the box corner, and the Python-float powers of the auto scale and
+    # of support_checks raise OverflowError past the range
+    if not reg_epsilon * reg_epsilon < math.inf:
+        raise ValidationError(f"test_function.reg_epsilon = {reg_epsilon!r} is too large: "
+                              "its square is past the float range")
+    corner = grid.n * (grid.L / 2.0) * (grid.L / 2.0) + reg_epsilon * reg_epsilon
+    try:
+        rho_max = corner ** (float(eta_bar) / 2.0)
+    except OverflowError:
+        rho_max = math.inf
+    if not rho_max < math.inf:
+        raise ValidationError(
+            f"test_function.eta_bar = {float(eta_bar)!r} puts rho = (|x|^2 + "
+            f"reg_epsilon^2)^(eta_bar/2) past the float range at the corner of the box of "
+            f"L = {grid.L!r}")
     if scale == "auto":
         scale = 0.98 * min(t_end, (grid.L / 2.0) ** float(eta_bar))
     if scale < 1 and scale ** (op.m - ell) < np.finfo(float).tiny:  # d_t^k psi divides by R^k
@@ -238,9 +257,6 @@ def make_test_function(op: EvolutionOperator, ell: int, grid: Grid, t_end: float
         q_tf = default_q_tf(op, ell, rep.p_c)
     if smooth_order is None:
         smooth_order = max(6, int(math.ceil(op.max_spatial_order())) + 2, op.m - ell + 2)
-    if reg_epsilon is None:
-        even_integer = eta_bar.denominator == 1 and eta_bar.numerator % 2 == 0
-        reg_epsilon = 0.0 if even_integer else grid.h / 4.0
     return TestFunctionSpec(eta_bar=eta_bar, scale=scale, q_tf=q_tf,
                             flat_fraction=flat_fraction, smooth_order=smooth_order,
                             reg_epsilon=reg_epsilon)

@@ -11,9 +11,10 @@ exact matrix exponential E = exp(dt A), and the source enters through the
 Duhamel weight Phi = integral_0^dt exp(s A) ds, so no quadrature in time
 is involved.  For m = 2, E is :func:`~critevo.operators.exp2_parts`'
 closed form and Phi its integral from the same two roots; any other m
-exponentiates the augmented block [[A, I], [0, 0]], which holds E
-top-left and Phi top-right.  The nonlinear term is advanced by an
-exponential predictor-corrector,
+exponentiates the (m+1) x (m+1) Van Loan block [[A, e_{m-1}], [0, 0]],
+which holds E top-left and Phi e_{m-1} in its last column.  Both are built
+per mode, one stacked call over every kept mode.  The nonlinear term is
+advanced by an exponential predictor-corrector,
 
     v* = E v + Phi e F^(t),      v+ = E v + Phi e (F^(t) + F^*(t+dt)) / 2,
 
@@ -169,7 +170,9 @@ class DataProfile:
 
     def render(self, grid: Grid) -> np.ndarray:
         coords = grid.coords()
-        r2 = sum(c**2 for c in coords)
+        # an r^2 past the float range only ever means f = 0 there, for either kind
+        with np.errstate(over="ignore"):
+            r2 = sum(c**2 for c in coords)
         if self.kind == "gaussian":
             f = np.exp(-r2 / (2 * self.width**2))
         elif self.kind == "bump":
@@ -314,30 +317,28 @@ def _flow2(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _flow_expm(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """E = exp(dt A_i) and Phi e_{m-1} of m x m blocks from the exponential of the
-    augmented block [[A, I], [0, 0]]: E is its top-left block, Phi its top-right."""
+    (m+1) x (m+1) Van Loan block [[A, e_{m-1}], [0, 0]] (Van Loan 1978): E is its
+    top-left block, Phi e_{m-1} the top of its last column."""
     k, m, _ = A.shape
-    aug = np.zeros((k, 2 * m, 2 * m), dtype=complex)
+    aug = np.zeros((k, m + 1, m + 1), dtype=complex)
     aug[:, :m, :m] = A
-    aug[:, :m, m:] = np.eye(m)
+    aug[:, m - 1, m] = 1.0
     big = exp_blocks(aug, [dt])[:, 0]
-    return big[:, :m, :m], big[:, :m, 2 * m - 1]
+    return big[:, :m, :m], big[:, :m, m]
 
 
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
     Built once per (operator, grid, dt) on the half-spectrum wavenumbers:
-    E = exp(dt A) and the last column of Phi = integral_0^dt exp(sA) ds.
-    A(xi) takes far fewer values than there are modes (a radial symbol
-    depends on |xi|^2 only), so both are computed once per distinct
-    companion block, compared bit for bit, and gathered back to every mode.
-    Each block is exponentiated on its own, so the result equals a per-mode
-    build exactly.  dt must be finite and > 0, and a flow that overflows at
-    it is rejected rather than stepped.  Only what stepping reads is kept:
-    E layer-major, ``_E`` of shape (m, m, *half), so the per-mode product
-    runs along contiguous space, the last column of Phi as ``_phi``,
-    (m, *half), and the 2/3-rule dealias mask of the half spectrum as
-    ``mask``.  Both methods act on batched (B, m, *half) modes.
+    E = exp(dt A) and the last column of Phi = integral_0^dt exp(sA) ds,
+    from one :func:`_flow2` (m = 2) or :func:`_flow_expm` call over the
+    companion blocks of every mode.  dt must be finite and > 0, and a flow
+    that overflows at it is rejected rather than stepped.  Only what
+    stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half),
+    so the per-mode product runs along contiguous space, the last column of
+    Phi as ``_phi``, (m, *half), and the 2/3-rule dealias mask of the half
+    spectrum as ``mask``.  Both methods act on batched (B, m, *half) modes.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -347,22 +348,16 @@ class ModePropagator:
         self.dt = float(dt)
         m = op.m
         A = _grid_companion(op, grid, [k[grid.half] for k in grid.wavenumbers()])
-        rows = np.ascontiguousarray(A).reshape(-1, m * m)
-        # a void view compares the raw bytes, so -0.0 and 0.0 stay apart
-        keys = rows.view(np.dtype((np.void, rows.itemsize * m * m))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        blocks = rows[first].reshape(-1, m, m)
+        blocks = A.reshape(-1, m, m)
         with np.errstate(over="ignore", invalid="ignore"):
             E, phi = _flow2(blocks, self.dt) if m == 2 else _flow_expm(blocks, self.dt)
         if not (np.isfinite(E).all() and np.isfinite(phi).all()):
             raise ValidationError(
                 f"exp(dt A) overflows at dt = {dt!r} on a grid of L = {grid.L!r}; "
                 "take a smaller dt")
-        E = E[inverse].reshape(A.shape)
-        self._E = np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
+        self._E = np.ascontiguousarray(np.moveaxis(E.reshape(A.shape), (-2, -1), (0, 1)))
         # Phi e_{m-1}, the weight of the source in each layer: (m, *half)
-        phi = phi[inverse].reshape(A.shape[:-1])
-        self._phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0))
+        self._phi = np.ascontiguousarray(np.moveaxis(phi.reshape(A.shape[:-1]), -1, 0))
         self.mask = grid.dealias_mask()[grid.half]
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
@@ -542,7 +537,7 @@ def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
     BLOWUP_FACTOR * ref[b].  Since max |u_k| <= sum |u^_k| / N^n over the
     full spectrum, which is the half-spectrum sum weighted by
     ``Grid.half_weights``, a member whose sums stay below the threshold by
-    SCREEN_MARGIN cannot have; only the others pay the exact inverse FFTs,
+    SCREEN_MARGIN cannot have; only the others pay the exact irfftn,
     so the decision is the exact one.  A non-finite member fails the screen
     and is blown.
     """

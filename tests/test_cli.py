@@ -613,6 +613,22 @@ def test_torus_decay_of_a_high_q_does_not_underflow(op_file, tmp_path):
     assert [e["fit"]["slope"] for e in entries] == pytest.approx([-6.730, -6.733], abs=1e-3)
 
 
+@pytest.mark.parametrize("config", [
+    {"window": [1e-3, 1.000000000000001e-3]},
+    {"window": [100, 100.00000000000003]},
+    {"mode": "torus", "grid": {"N": 32, "L": 40.0}, "window": [1e-300, 1e-299]},
+], ids=["whole-space-1e-3", "whole-space-100", "torus-1e-300"])
+def test_decay_rejects_a_window_that_determines_no_fit(op_file, tmp_path, capsys, config):
+    # the whole-space windows' log(1 + t) agree to rounding, and the torus window's
+    # squares underflow: the first two reported slopes -3772 and -0.21 with exit 0,
+    # and the third died in polyfit's least squares with exit 1
+    rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), **config})
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "window [" in err and "determines no power fit" in err
+
+
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):
     # each value is judged alone before the batch, so the others still run
     base, out, doc = _simulate_sweep(op_file, tmp_path, "amplitude", [0.3, 1e303, 0.9])
@@ -798,7 +814,7 @@ THIRD_ORDER = EvolutionOperator(m=3, n=2, levels={
 @pytest.mark.parametrize("task", ["simulate", "sweep", "residual", "torus-decay",
                                   "whole-space-decay"])
 def test_m3_tasks_load_no_scipy(tmp_path, task):
-    # m = 3 takes exp_blocks' numpy Pade exponential of its augmented 6x6 blocks
+    # m = 3 takes exp_blocks' numpy Pade exponential of its 4x4 Van Loan blocks
     # and of its nearly defective decay nodes: no task imports scipy
     name, cfg, out = _task_run(tmp_path, THIRD_ORDER, task)
     assert _modules_after((name, cfg, out)) == []
@@ -1111,6 +1127,17 @@ def test_residual_rejects_a_scale_whose_powers_underflow(bases, tmp_path, capsys
     assert rc == 2
     assert not (out / "residual.json").exists()
     assert f"test_function.scale R = {scale!r} is too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["residual", "residual-run"])
+@pytest.mark.parametrize("key", ["eta_bar", "reg_epsilon"])
+def test_residual_rejects_a_test_function_whose_powers_overflow(bases, tmp_path, capsys, task,
+                                                                key):
+    # (L/2)^eta_bar and reg_epsilon^2 in Python floats raised OverflowError: exit 1
+    rc, out = _run(tmp_path, task, {**bases[task], "test_function": {key: 1e300}})
+    assert rc == 2
+    assert not (out / "residual.json").exists()
+    assert f"test_function.{key} = 1e+300" in capsys.readouterr().err
 
 
 def test_torus_decay_rejects_n_times(bases, tmp_path, capsys):

@@ -269,6 +269,16 @@ def test_fit_synthetic_exponential():
     assert not bad.clean
 
 
+@pytest.mark.parametrize("fit", [fit_decay, fit_exponential])
+@pytest.mark.parametrize("times", [100.0 + 1.4e-14 * np.arange(20), 1e-300 * np.arange(1, 21)],
+                         ids=["rounding", "underflow"])
+def test_a_fit_rejects_a_window_that_determines_no_line(fit, times):
+    # abscissae a few ulps apart leave polyfit's system rank-deficient, and ones
+    # near 1e-300 underflow its column scaling: neither is a fit
+    with pytest.raises(ValidationError, match=r"window \[.*\] determines no"):
+        fit(times, 1.0 + np.exp(-times), (times[0], times[-1]))
+
+
 def test_fit_mode_semantics():
     ts = np.geomspace(1.0, 100.0, 30)
     faster = (1.0 + ts) ** (-0.5)

@@ -53,6 +53,13 @@ def test_grid_validation():
         Grid(n=1, N=16, L=0.0)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bump"])
+def test_profile_renders_without_a_warning_where_r2_overflows(kind):
+    # |x|^2 is past the float range at every point but the center, where f = 1
+    f = DataProfile(kind=kind).render(Grid(n=1, N=32, L=1e303))
+    assert f[16] == 1.0 and not f[:16].any() and not f[17:].any()
+
+
 def _E(prop):
     """The propagator's E as a (*half, m, m) stack of per-mode matrices."""
     return np.moveaxis(prop._E, (0, 1), (-2, -1))
@@ -199,11 +206,11 @@ def test_closed_form_flow_matches_mpmath(grid, dt, mode):
     _assert_mode_matches_mpmath(mpmath, op, grid, ModePropagator(op, grid, dt), mode)
 
 
-def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
+def test_propagator_exponentiates_every_half_mode_in_one_call(monkeypatch):
+    # one Pade call over all 16 x 9 half-spectrum modes of the m = 3 operator, each
+    # the 4 x 4 Van Loan block [[A, e_2], [0, 0]]; a radial symbol's repeated
+    # blocks are not merged
     op, grid = THIRD_ORDER, Grid(n=2, N=16, L=40.0)
-    rows = op.companion(_half_wavenumbers(grid)).reshape(-1, op.m * op.m)
-    distinct = len(np.unique(rows, axis=0))
-    assert distinct < grid.N**2 // 4  # a radial symbol repeats its blocks
     calls = []
     real = operators._expm
 
@@ -213,7 +220,22 @@ def test_propagator_exponentiates_each_distinct_block_once(monkeypatch):
 
     monkeypatch.setattr(operators, "_expm", counting_expm)
     ModePropagator(op, grid, dt=0.05)
-    assert calls == [(distinct, 1, 2 * op.m, 2 * op.m)]
+    assert calls == [(144, 1, op.m + 1, op.m + 1)]
+
+
+@pytest.mark.parametrize("op, flow", [(EvolutionOperator(m=1, n=2), "_flow_expm"),
+                                      (damped_wave(2), "_flow2")], ids=["m1", "m2"])
+def test_propagator_takes_one_flow_call_over_every_half_mode(monkeypatch, op, flow):
+    calls = []
+    real = getattr(solver, flow)
+
+    def counting(A, dt):
+        calls.append(A.shape)
+        return real(A, dt)
+
+    monkeypatch.setattr(solver, flow, counting)
+    ModePropagator(op, Grid(n=2, N=16, L=40.0), dt=0.05)
+    assert calls == [(144, op.m, op.m)]
 
 
 @pytest.mark.parametrize("op, grid, dt", [
