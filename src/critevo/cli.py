@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import reporting
-from .config import FIT_MODES, MAX_SMOOTH_ORDER, Key, as_fraction, check, load_json, loads, read
+from .config import FIT_MODES, MAX_SMOOTH_ORDER, Key, check, load_json, loads, read
 from .envelope import INF, critical_exponent, envelope_samples
 from .errors import NumericalError, ValidationError
 from .operators import EvolutionOperator, parse_operator
@@ -234,14 +234,10 @@ def cmd_envelope(cfg: dict, out_dir: Path, base: Path) -> dict:
     op = _operator_from(v, base)
     rep = critical_exponent(op, v["ell"], op.n)
     env = rep.envelope
+    # eta_star is 0, a breakpoint or inf, so twice the last breakpoint shows it
     eta_max = v["eta_max"]
     if eta_max is None:
-        tail = [bp for bp in env.breakpoints]
-        if rep.eta_star != INF:
-            tail.append(as_fraction(rep.eta_star))
-        eta_max = 2 * max(tail) if tail else Fraction(4)
-        if eta_max <= 0:
-            eta_max = Fraction(4)
+        eta_max = 2 * max(env.breakpoints, default=Fraction(2))
     etas = [eta_max * i / (v["samples"] - 1) for i in range(v["samples"])]
     rows = envelope_samples(env, op.n, etas)
     doc = reporting.artifact("envelope", {

@@ -372,25 +372,27 @@ def check_linear_decay_hypothesis(
 
     notes: list[str] = []
     entries: list[HypothesisEntry] = []
-    times = np.geomspace(max(window[0], 1e-3), window[1], n_times)
 
     if mode == "whole-space":
         profile = profile or RadialProfile()
-        # every q is checked before the first curve is computed
+        # q_list and the window are checked before the curve is computed
         for q in q_list:
             if q != 2:
                 raise ValidationError(
                     "whole-space mode evaluates L2 only (Plancherel); "
                     f"q = {q} needs torus mode"
                 )
-        for q in q_list:
-            vals, evidence = _decay_quadrature(op, profile, times, ell, _QTOL)
-            fit = fit_decay(times, vals, window, target=target_for(q), tol=tol,
-                            mode=fit_mode)
-            entries.append(HypothesisEntry(q=float(q), fit=fit,
-                                           times=tuple(float(t) for t in times),
-                                           values=tuple(float(v) for v in vals),
-                                           quadrature=evidence))
+        if not window[1] > 1e-3:
+            raise ValidationError(
+                "whole-space sample times start at 1e-3, so the window "
+                f"[{window[0]}, {window[1]}] must end after 1e-3")
+        times = np.geomspace(max(window[0], 1e-3), window[1], n_times)
+        vals, evidence = _decay_quadrature(op, profile, times, ell, _QTOL)
+        fit = fit_decay(times, vals, window, target=target_for(2), tol=tol, mode=fit_mode)
+        entries.append(HypothesisEntry(q=2.0, fit=fit,
+                                       times=tuple(float(t) for t in times),
+                                       values=tuple(float(v) for v in vals),
+                                       quadrature=evidence))
     elif mode == "torus":
         if torus_grid is None:
             raise ValidationError("torus mode needs a grid")

@@ -469,7 +469,9 @@ class RunConfig:
                 raise ValidationError(
                     f"amplitude {a!r} puts the blow-up threshold {BLOWUP_FACTOR:g} * "
                     f"|amplitude| * max|profile| = {limit:.3g} out of the float range of "
-                    f"the norms on the box of volume {volume:.3g}")
+                    f"the norms on the box of volume {volume:.3g} (grid.L = "
+                    f"{self.grid.L:g} in n = {self.grid.n}); a smaller grid.L or "
+                    "amplitude keeps them in range")
 
     def norm_power(self, nl: NonlinearitySpec | None) -> float:
         """p_for_norms if set, else the power of the member's nonlinearity ``nl``, else 2."""

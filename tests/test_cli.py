@@ -599,6 +599,8 @@ def test_torus_decay_checks_the_box_in_its_first_run_before_any_step(tmp_path, c
     assert runs == [1] and builds == []
     err = capsys.readouterr().err
     assert "out of the float range of the norms on the box of volume 1e+304" in err
+    # a decay config has no amplitude key: the message names the box's grid.L
+    assert "(grid.L = 1e+152 in n = 2); a smaller grid.L" in err
 
 
 def test_torus_decay_of_a_high_q_does_not_underflow(op_file, tmp_path):
@@ -627,6 +629,25 @@ def test_decay_rejects_a_window_that_determines_no_fit(op_file, tmp_path, capsys
     assert not out.exists()
     err = capsys.readouterr().err
     assert "window [" in err and "determines no power fit" in err
+
+
+@pytest.mark.parametrize("window", [[0, 1e-4], [1e-5, 1e-3]], ids=["before", "at"])
+def test_whole_space_decay_rejects_a_window_ending_at_the_time_floor(
+        op_file, tmp_path, capsys, monkeypatch, window):
+    # whole-space samples start at 1e-3, so no sample lies in [0, 1e-4] (geomspace
+    # ran backwards to one) and every sample of [1e-5, 1e-3] sits at 1e-3: the
+    # window is rejected, naming the floor, before any curve is computed
+    from critevo import decay
+
+    curves = []
+    monkeypatch.setattr(decay, "_decay_quadrature", lambda *args: curves.append(1))
+    rc, out = _run(tmp_path, "decay", {**SCHEMA, "operator": str(op_file), "window": window})
+    assert rc == 2
+    assert not out.exists()
+    assert curves == []
+    err = capsys.readouterr().err
+    assert (f"whole-space sample times start at 1e-3, so the window [{float(window[0])}, "
+            f"{float(window[1])}] must end after 1e-3") in err
 
 
 def test_amplitude_sweep_marks_only_the_values_past_the_float_range(op_file, tmp_path):

@@ -244,3 +244,87 @@ def test_integer_arguments_take_no_bool():
     for fn in (maximize, lambda env, n: evaluate_h(env, n, 1)):
         with pytest.raises(ValidationError, match="n must be an integer"):
             fn(env, True)
+
+
+def _pieces(env):
+    return [(p.slope, p.intercept, p.levels) for p in env.pieces]
+
+
+@pytest.mark.parametrize("lines, pieces, breakpoints, merged", [
+    # three lines tie at 0: the flattest holds from there on
+    ([line(2, 1, 0), line(1, 1, 1), line(-1, 1, 2)],
+     [(-1, 1, (2,))], (), [(2, 1, (0,)), (1, 1, (1,)), (-1, 1, (2,))]),
+    # parallel lines: the higher one is nowhere on the envelope
+    ([line(1, 2, 0), line(1, 0, 1), line(0, 3, 2)],
+     [(1, 0, (1,)), (0, 3, (2,))], (F(3),), [(1, 2, (0,)), (1, 0, (1,)), (0, 3, (2,))]),
+    # one line given by two levels merges them, in the lines and in the pieces
+    ([line(1, 0, 2), line(0, 2, 1), line(1, 0, 0)],
+     [(1, 0, (0, 2)), (0, 2, (1,))], (F(2),), [(1, 0, (0, 2)), (0, 2, (1,))]),
+    # every crossing lies below 0: the lowest line at 0 holds everywhere
+    ([line(2, 3, 0), line(1, 1, 1), line(0, -2, 2)],
+     [(0, -2, (2,))], (), [(2, 3, (0,)), (1, 1, (1,)), (0, -2, (2,))]),
+    # two lines cross exactly at 0: no breakpoint at 0, the flatter one starts
+    ([line(3, 0, 0), line(1, 0, 1), line(0, 2, 2), line(-1, 5, 3)],
+     [(1, 0, (1,)), (0, 2, (2,)), (-1, 5, (3,))], (F(2), F(3)),
+     [(3, 0, (0,)), (1, 0, (1,)), (0, 2, (2,)), (-1, 5, (3,))]),
+], ids=["tie-at-0", "parallel", "two-levels", "crossings-negative", "crossing-at-0"])
+def test_lower_envelope_edge_families(lines, pieces, breakpoints, merged):
+    env = lower_envelope(lines)
+    assert _pieces(env) == pieces
+    assert env.breakpoints == breakpoints
+    assert [(ln.slope, ln.intercept, ln.levels) for ln in env.lines] == merged
+
+
+def _envelope_by_midpoints(lines):
+    """Pieces and breakpoints from the argmin line between adjacent crossings."""
+    merged: dict = {}
+    for ln in lines:
+        merged.setdefault((ln.slope, ln.intercept), set()).update(ln.levels)
+    keys = list(merged)
+    crossings = sorted({(b2 - b1) / (s1 - s2) for s1, b1 in keys for s2, b2 in keys
+                        if s1 != s2 and (b2 - b1) / (s1 - s2) > 0})
+    ends = [F(0), *crossings, (crossings[-1] if crossings else F(0)) + 2]
+    argmins = [min(keys, key=lambda k: k[0] * (a + b) / 2 + k[1])
+               for a, b in zip(ends, ends[1:])]
+    pieces = [k for i, k in enumerate(argmins) if i == 0 or k != argmins[i - 1]]
+    breakpoints = tuple((b2 - b1) / (s1 - s2) for (s1, b1), (s2, b2) in zip(pieces, pieces[1:]))
+    return [(s, b, tuple(sorted(merged[s, b]))) for s, b in pieces], breakpoints
+
+
+def test_lower_envelope_matches_the_argmin_between_crossings():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        k = int(rng.integers(1, 8))
+        lines = [line(F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))),
+                      F(int(rng.integers(-9, 10)), int(rng.integers(1, 4))),
+                      int(rng.integers(0, 4))) for _ in range(k)]
+        env = lower_envelope(lines)
+        pieces, breakpoints = _envelope_by_midpoints(lines)
+        assert _pieces(env) == pieces
+        assert env.breakpoints == breakpoints
+
+
+@pytest.mark.parametrize("lines, n, p_c, eta_star, active, validity, notes", [
+    ([line(2, 0, 2), line(0, 4, 0)], 1, INF, F(2), (0, 2),
+     "denominator n + eta - g(eta) = -1 <= 0 at eta = 2; any n <= 2 gives p_c = inf", ()),
+    ([line(2, 0, 2)], 3, INF, INF, (2,), "final envelope slope 2 >= 1 drives h to inf", ()),
+    ([line(1, 0, 1), line(0, 2, 0)], 1, F(3), F(2), (0, 1),
+     "needs n > g(eta_star) - eta_star = 0; n = 1 gives denominator 1 > 0", ()),
+    ([line(F(1, 2), 1, 1)], 3, F(2), INF, (1,),
+     "supremum approached only as eta -> inf (no finite maximizer)",
+     ("maximum attained in the limit eta -> inf",)),
+    ([line(1, 0, 2), line(0, 0, 1), line(-1, 2, 0)], 2, F(1), F(0), (1, 2),
+     "needs n > g(eta_star) - eta_star = 0; n = 2 gives denominator 2 > 0",
+     ("p_c <= 1: threshold degenerate, carries no blow-up information",)),
+    ([line(0, -1, 0)], 1, F(1), INF, (0,),
+     "supremum approached only as eta -> inf (no finite maximizer)",
+     ("maximum attained in the limit eta -> inf",
+      "p_c <= 1: threshold degenerate, carries no blow-up information")),
+], ids=["inf-at-finite-eta", "inf-as-eta-grows", "finite", "finite-in-the-limit",
+        "degenerate", "degenerate-in-the-limit"])
+def test_maximize_reports_each_case(lines, n, p_c, eta_star, active, validity, notes):
+    rep = maximize(lower_envelope(lines), n, 0)
+    assert (rep.p_c, rep.eta_star, rep.active_levels) == (p_c, eta_star, active)
+    assert rep.n_validity == (validity,)
+    assert rep.notes == notes
+    assert rep.degenerate == (p_c <= 1)
