@@ -306,26 +306,27 @@ class NonlinearitySpec:
 def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
     """|s|^p mu(|s|), with F(0) pinned to 0 even when mu(0) is not finite.
 
-    Only the nonzero magnitudes reach mu.  When every entry is nonzero (a
-    solver field) they are used in place; the arithmetic is elementwise, so
-    the result is the same either way, bit for bit.  A NaN entry (a field
-    that has already overflowed) gives F = NaN, so the solver's blow-up
-    check still sees it.
+    Every entry is computed; the arithmetic is elementwise, so a zero or a
+    NaN entry leaves the others' bits alone.  Where the magnitude is 0 the
+    result is then pinned to 0, and a NaN entry (a field that has already
+    overflowed) gives F = NaN, so the solver's blow-up check still sees it.
+    An infinite entry is invalid input.
     """
     import numpy as np
 
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     mag = np.abs(np.atleast_1d(arr))
-    nz = mag > 0
-    if nz.all():
+    if mag.size and mag.min() > 0:  # min is NaN if any entry is
         out = mag ** nl.p * _mu_values(nl.mu, _finite(mag), np)
     else:
-        out = np.zeros_like(mag)
-        if nz.any():
-            x = mag[nz]
-            out[nz] = x ** nl.p * _mu_values(nl.mu, _finite(x), np)
-        out[np.isnan(mag)] = np.nan
+        nan = np.isnan(mag)
+        _finite(np.where(nan, 0.0, mag))
+        # mu(0) may be 0, inf or NaN, and 0^p times it what it likes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = mag ** nl.p * _mu_values(nl.mu, mag, np)
+        out[mag == 0] = 0.0
+        out[nan] = np.nan
     return float(out[0]) if scalar else out
 
 

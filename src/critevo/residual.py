@@ -319,7 +319,10 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
     their backward anti-derivatives of psi^ as running trapezoids, one per
     nesting depth, whose values at the first time give the stranded layers.
     The psi weights of a frame come from one Taylor pass to the largest
-    order the levels need.
+    order the levels need.  The left side pairs F(frame) with psi(t, .),
+    and F is evaluated only where psi(t, .) is nonzero: F >= 0 and psi >= 0,
+    so every product off the support is +0.0 either way, and an F that
+    overflows there adds no inf * 0 = NaN.
     """
     times = _real(times, "times")
     if times.ndim != 1 or times.size < 3 or not _finite(times) or np.any(np.diff(times) <= 0):
@@ -394,7 +397,10 @@ def weak_residual(op: EvolutionOperator, ell: int, grid: Grid,
                 v_hat = G_hat[j - ell] if j >= ell else acc[ell - j]
                 ips[j][t] = _dot(f_hat, mw * v_hat) * dx
         if nl is not None:
-            lhs_ip[t] = _dot(np.asarray(eval_F(nl, frame)), G[0]) * dx
+            support = G[0] != 0
+            f = np.zeros(grid.shape)
+            f[support] = eval_F(nl, frame[support])
+            lhs_ip[t] = _dot(f, G[0]) * dx
 
     layer_hats: dict[int, np.ndarray] = {}
 

@@ -1,31 +1,40 @@
 """Periodic pseudospectral solver for d_t^m u + sum P_j(d_x) d_t^j u = F(d_t^l u).
 
 Space is a centered periodic box [-L/2, L/2)^n (n = 1 or 2) on N^n points.
-Fields are real, so the state keeps only the real half spectrum: the rfftn
-coefficients, N/2 + 1 columns along the last axis (``Grid.half``), whose
-other modes are conjugate mirrors; irfftn(..., s=grid.shape) maps it back
-to a field that is real by construction.  Each kept Fourier mode carries
-the companion state v = (u, d_t u, ..., d_t^{m-1} u)^ and evolves by
-v' = A(xi) v + e_{m-1} F^(d_t^l u).  The linear flow is the
-exact matrix exponential E = exp(dt A), and the source enters through the
-Duhamel weight Phi = integral_0^dt exp(s A) ds, so no quadrature in time
-is involved.  For m = 2, E is :func:`~critevo.operators.exp2_parts`'
-closed form and Phi its integral from the same two roots; any other m
-exponentiates the (m+1) x (m+1) Van Loan block [[A, e_{m-1}], [0, 0]],
-which holds E top-left and Phi e_{m-1} in its last column.  Both are built
-per mode, one stacked call over every kept mode.  The nonlinear term is
-advanced by an exponential predictor-corrector,
+Fields are real, so a spectrum is its real half: the rfftn coefficients,
+N/2 + 1 columns along the last axis (``Grid.half``), whose other modes are
+conjugate mirrors.  Products are dealiased with the 2/3 rule (modes with
+any |k| > N/3 dropped, the Nyquist column N/2 among them), so the state
+holds only the kept modes, every |k| <= N/3: kc = N // 3 + 1 columns, and
+in 2-D the 2 kc - 1 rows k = 0..kc-1, -(kc-1)..-1 (``Grid.kept``).  The
+dropped modes are zero by construction, so no mask is applied:
+``Grid.to_modes`` indexes the kept modes out of rfftn, and
+``Grid.to_field`` hands them to irfftn(..., s=grid.shape), which zero-pads
+the dropped columns (in 2-D after the kept rows are scattered into a zero
+(N, kc) block) and returns a field that is real by construction.
+
+Each kept Fourier mode carries the companion state v = (u, d_t u, ...,
+d_t^{m-1} u)^ and evolves by v' = A(xi) v + e_{m-1} F^(d_t^l u).  The
+linear flow is the exact matrix exponential E = exp(dt A), and the source
+enters through the Duhamel weight Phi = integral_0^dt exp(s A) ds, so no
+quadrature in time is involved.  For m = 2, E is
+:func:`~critevo.operators.exp2_parts`' closed form and Phi its integral
+from the same two roots; any other m exponentiates the (m+1) x (m+1) Van
+Loan block [[A, e_{m-1}], [0, 0]], which holds E top-left and Phi e_{m-1}
+in its last column.  Both are built per mode, one stacked call over every
+mode of the half spectrum, and cropped to the kept modes.  The nonlinear
+term is advanced by an exponential predictor-corrector,
 
     v* = E v + Phi e F^(t),      v+ = E v + Phi e (F^(t) + F^*(t+dt)) / 2,
 
 whose averaged source matches the Duhamel integral to O(dt^3) locally,
 i.e. second order globally.  Products are formed in physical space
-(irfftn, F, rfftn) and dealiased with the 2/3 rule (modes with any
-|k| > N/3 dropped, the Nyquist column N/2 among them), applied to the
-initial data and to every nonlinear transform; the linear flow is diagonal
-per mode and cannot repopulate masked modes.
+(to_field, F, to_modes), so the initial data and every nonlinear transform
+are dealiased; the linear flow is diagonal per mode and cannot populate a
+dropped one.  The step after a record takes its predictor's field from
+that record, so the two share one inverse transform.
 
-The state always carries a leading member axis, (B, m, *half); a single
+The state always carries a leading member axis, (B, m, *kept); a single
 run is a batch of one.  A member is an amplitude and a nonlinearity of one
 config, whose propagator the batch shares; F is elementwise, and every
 reduction that feeds a report (norms, the X-norm, the blow-up check) runs
@@ -130,15 +139,44 @@ class Grid:
         """
         return _half_weights(self.N)
 
-    def dealias_mask(self) -> np.ndarray:
-        k_int = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
-        keep1d = k_int <= self.N / 3
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.n):
-            shape = [1] * self.n
-            shape[axis] = self.N
-            mask &= keep1d.reshape(shape)
-        return mask
+    @property
+    def kept(self) -> tuple:
+        """Index of the 2/3-rule modes, every |k| <= N/3, in a (..., *half) array.
+
+        They are the first kc = N // 3 + 1 columns and, in 2-D, the 2 kc - 1
+        rows k = 0..kc-1, -(kc-1)..-1, in fftfreq order; the Nyquist column
+        N/2 is never among them.  A (..., *kept) array holds the state.
+        """
+        kc = self.N // 3 + 1
+        if self.n == 1:
+            return (..., slice(0, kc))
+        return (..., np.r_[0:kc, self.N - kc + 1:self.N], slice(0, kc))
+
+    @property
+    def kept_shape(self) -> tuple[int, ...]:
+        """(kc,) in 1-D, (2 kc - 1, kc) in 2-D: (2 (N // 3) + 1)^n modes of the full spectrum."""
+        kc = self.N // 3 + 1
+        return (kc,) if self.n == 1 else (2 * kc - 1, kc)
+
+    def to_modes(self, f: np.ndarray) -> np.ndarray:
+        """The kept modes (..., *kept) of real fields (..., *shape), indexed out of rfftn."""
+        # passing s spares numpy's own derivation of the transform shape
+        return np.fft.rfftn(f, s=self.shape, axes=self.space_axes)[self.kept]
+
+    def to_field(self, modes: np.ndarray) -> np.ndarray:
+        """The real fields (..., *shape) of kept modes (..., *kept), every other mode zero.
+
+        irfftn zero-pads the kept columns to N/2 + 1.  In 2-D the kept rows
+        are first scattered into a zero (..., N, kc) block, so the pass along
+        the first axis runs on kc columns, not N/2 + 1.
+        """
+        if self.n == 2:
+            kc = self.N // 3 + 1
+            block = np.zeros(modes.shape[:-2] + (self.N, kc), dtype=complex)
+            block[..., :kc, :] = modes[..., :kc, :]
+            block[..., self.N - kc + 1:, :] = modes[..., kc:, :]
+            modes = block
+        return np.fft.irfftn(modes, s=self.shape, axes=self.space_axes)
 
     def quad_weight(self) -> float:
         return self.h**self.n
@@ -226,16 +264,15 @@ def parse_profile(doc: Mapping) -> DataProfile:
 
 def init_state(op: EvolutionOperator, grid: Grid, profile: DataProfile,
                amplitudes: Sequence[float]) -> np.ndarray:
-    """State (B, m, *half) at t = 0, layer k of member b holding rfftn(d_t^k u):
-    zero except the data layer m-1 = amplitudes[b] * profile (dealiased).  Each
-    member takes its own rfftn of the one rendered profile, so keeps its bits."""
+    """State (B, m, *kept) at t = 0, layer k of member b holding the kept modes of
+    d_t^k u: zero except the data layer m-1 = amplitudes[b] * profile.  Each
+    member takes its own transform of the one rendered profile, so keeps its bits."""
     if op.n != grid.n:
         raise ValidationError("operator and grid dimensions disagree")
     f = profile.render(grid)
-    mask = grid.dealias_mask()[grid.half]
-    modes = np.zeros((len(amplitudes), op.m) + mask.shape, dtype=complex)
+    modes = np.zeros((len(amplitudes), op.m) + grid.kept_shape, dtype=complex)
     for b, a in enumerate(amplitudes):
-        modes[b, op.m - 1] = np.fft.rfftn(a * f) * mask
+        modes[b, op.m - 1] = grid.to_modes(a * f)
     return modes
 
 
@@ -330,15 +367,18 @@ def _flow_expm(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 class ModePropagator:
     """Exact one-step linear flow E and Duhamel weight Phi for a fixed dt.
 
-    Built once per (operator, grid, dt) on the half-spectrum wavenumbers:
-    E = exp(dt A) and the last column of Phi = integral_0^dt exp(sA) ds,
-    from one :func:`_flow2` (m = 2) or :func:`_flow_expm` call over the
-    companion blocks of every mode.  dt must be finite and > 0, and a flow
-    that overflows at it is rejected rather than stepped.  Only what
-    stepping reads is kept: E layer-major, ``_E`` of shape (m, m, *half),
-    so the per-mode product runs along contiguous space, the last column of
-    Phi as ``_phi``, (m, *half), and the 2/3-rule dealias mask of the half
-    spectrum as ``mask``.  Both methods act on batched (B, m, *half) modes.
+    Built once per (operator, grid, dt): E = exp(dt A) and the last column
+    of Phi = integral_0^dt exp(sA) ds, from one :func:`_flow2` (m = 2) or
+    :func:`_flow_expm` call over the companion blocks of every mode of the
+    half spectrum, then cropped to the kept modes (``Grid.kept``).  The
+    crop keeps every bit a kept mode has in the whole build; a build on the
+    kept wavenumbers alone need not, since numpy's vectorised exp and log
+    round an element by its position in the array.  dt must be finite and
+    > 0, and a flow that overflows at it is rejected rather than stepped.
+    Only what stepping reads is kept: E layer-major, ``_E`` of shape
+    (m, m, *kept), so the per-mode product runs along contiguous space, and
+    the last column of Phi as ``_phi``, (m, *kept).  Both methods act on
+    batched (B, m, *kept) modes.
     """
 
     def __init__(self, op: EvolutionOperator, grid: Grid, dt: float):
@@ -355,10 +395,11 @@ class ModePropagator:
             raise ValidationError(
                 f"exp(dt A) overflows at dt = {dt!r} on a grid of L = {grid.L!r}; "
                 "take a smaller dt")
-        self._E = np.ascontiguousarray(np.moveaxis(E.reshape(A.shape), (-2, -1), (0, 1)))
-        # Phi e_{m-1}, the weight of the source in each layer: (m, *half)
-        self._phi = np.ascontiguousarray(np.moveaxis(phi.reshape(A.shape[:-1]), -1, 0))
-        self.mask = grid.dealias_mask()[grid.half]
+        E = np.moveaxis(E.reshape(A.shape), (-2, -1), (0, 1))
+        self._E = np.ascontiguousarray(E[grid.kept])
+        # Phi e_{m-1}, the weight of the source in each layer: (m, *kept)
+        phi = np.moveaxis(phi.reshape(A.shape[:-1]), -1, 0)
+        self._phi = np.ascontiguousarray(phi[grid.kept])
 
     def apply_linear(self, modes: np.ndarray) -> np.ndarray:
         """E v for every mode of every member."""
@@ -381,13 +422,15 @@ def row_groups(nls: Sequence[NonlinearitySpec | None]) -> list[tuple]:
 
 
 def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int, groups: list,
-                   forcing: Callable[[float], np.ndarray] | None = None) -> np.ndarray:
+                   forcing: Callable[[float], np.ndarray] | None = None,
+                   u_ell: np.ndarray | None = None) -> np.ndarray:
     """The modes one exponential predictor-corrector step of size prop.dt after t,
-    the rows' nonlinearities given as their :func:`row_groups`."""
-    grid, axes = prop.grid, prop.grid.space_axes
+    the rows' nonlinearities given as their :func:`row_groups`.  ``u_ell``, when
+    given, is the physical layer ell of ``modes``, (B, *shape), as a record of
+    these modes has just computed it; it spares the predictor's inverse transform."""
+    grid = prop.grid
 
-    def source(v: np.ndarray, t: float) -> np.ndarray:
-        w = np.fft.irfftn(v[:, ell], s=grid.shape, axes=axes)
+    def source(w: np.ndarray, t: float) -> np.ndarray:
         if len(groups) == 1:
             nl = groups[0][0]
             s = eval_F(nl, w) if nl is not None else np.zeros_like(w)
@@ -397,15 +440,12 @@ def nonlinear_step(modes: np.ndarray, t: float, prop: ModePropagator, ell: int, 
                 s[rows] = eval_F(nl, w[rows])
         if forcing is not None:
             s = s + forcing(t)
-        # passing s spares numpy's own derivation of the transform shape
-        s_hat = np.fft.rfftn(s, s=grid.shape, axes=axes)
-        s_hat *= prop.mask
-        return s_hat
+        return grid.to_modes(s)
 
     Ev = prop.apply_linear(modes)
-    s0 = source(modes, t)
+    s0 = source(grid.to_field(modes[:, ell]) if u_ell is None else u_ell, t)
     pred = prop.apply_source(Ev, s0)
-    s0 += source(pred, t + prop.dt)
+    s0 += source(grid.to_field(pred[:, ell]), t + prop.dt)
     s0 *= 0.5
     return prop.apply_source(Ev, s0)
 
@@ -532,26 +572,27 @@ SCREEN_MARGIN = 1e-9
 
 
 def blown(modes: np.ndarray, ref: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per member of batched half-spectrum modes (B, m, *half): not finite,
-    or some layer past the threshold.
+    """Per member of batched kept modes (B, m, *kept): not finite, or some
+    layer past the threshold.
 
     Member b has blown up when a physical layer's max |u_k| exceeds
     BLOWUP_FACTOR * ref[b].  Since max |u_k| <= sum |u^_k| / N^n over the
-    full spectrum, which is the half-spectrum sum weighted by
-    ``Grid.half_weights``, a member whose sums stay below the threshold by
-    SCREEN_MARGIN cannot have; only the others pay the exact irfftn,
-    so the decision is the exact one.  A non-finite member fails the screen
-    and is blown.
+    full spectrum, which is the sum over the kept modes weighted by
+    ``Grid.half_weights`` (every dropped mode is zero), a member whose sums
+    stay below the threshold by SCREEN_MARGIN cannot have; only the others
+    pay the exact inverse transform, so the decision is the exact one.  A
+    non-finite member fails the screen and is blown.
     """
     limit = BLOWUP_FACTOR * ref
+    weights = grid.half_weights()[:modes.shape[-1]]
     # weighted sum along the last axis, then a plain one along the other (n = 2)
-    sums = (np.abs(modes) @ grid.half_weights()).sum(axis=grid.space_axes[1:]).max(axis=1)
+    sums = (np.abs(modes) @ weights).sum(axis=grid.space_axes[1:]).max(axis=1)
     out = ~(sums <= (1.0 - SCREEN_MARGIN) * grid.N**grid.n * limit)
     if not out.any():
         return out
     for b in np.flatnonzero(out):
         if np.isfinite(modes[b]).all():
-            layers = np.fft.irfftn(modes[b], s=grid.shape, axes=grid.space_axes)
+            layers = grid.to_field(modes[b])
             out[b] = float(np.max(np.abs(layers))) > limit[b]
     return out
 
@@ -586,13 +627,13 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
     modes = init_state(op, grid, config.profile, amps)
     prop = ModePropagator(op, grid, config.dt)
     n_steps = int(round(config.T / config.dt))
-    initial = np.fft.irfftn(modes, s=grid.shape, axes=grid.space_axes)
+    initial = grid.to_field(modes)
     # the meta every member shares, in two parts around each member's own keys
     # so that the artifact keeps its key order
     head = {"m": op.m, "n": op.n, "ell": ell, "N": grid.N, "L": grid.L, "dt": config.dt,
             "T": config.T}
     tail = {
-        "dealias_modes_kept": int(np.sum(grid.dealias_mask())),
+        "dealias_modes_kept": (2 * (grid.N // 3) + 1) ** grid.n,
         "box_horizon": box_horizon(op, grid),
         "box_horizon_caveat": (
             "periodic box: whole-space polynomial decay laws are meaningful only "
@@ -620,10 +661,11 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
     n_records = 1 + n_steps // config.record_every + (n_steps % config.record_every != 0)
     writers: list[FrameWriter] = []
 
-    def record(t: float) -> None:
+    def record(t: float) -> np.ndarray:
         """Norms of each live member's physical layers 0..ell at time t, its
-        X-norm, and its layer ell if streamed."""
-        layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=grid.space_axes)
+        X-norm, and its layer ell if streamed; returns the live layers ell,
+        which the next step's predictor source reads."""
+        layers = grid.to_field(modes[:, :ell + 1])
         for row, b in enumerate(live):
             r, p = reports[b], reports[b].meta["norm_power"]
             r.times.append(t)
@@ -639,12 +681,13 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
             r.series["xnorm_running_sup"].append(r.xnorm_sup)
             if writers:
                 writers[b][len(r.times) - 1] = layers[row, ell]
+        return layers[:, ell]
 
     try:
         for path in field_files or ():
             writers.append(FrameWriter(path, n_records, grid.shape))
         t = 0.0
-        record(t)
+        u_ell = record(t)  # the physical layer ell of modes, or None
         # a member that overflows is caught by blown(), which counts a non-finite
         # value as a blow-up, so numpy's overflow warnings say nothing more
         with np.errstate(over="ignore", invalid="ignore"):
@@ -652,7 +695,8 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
                 if linear:
                     modes = prop.apply_linear(modes)
                 else:
-                    modes = nonlinear_step(modes, t, prop, ell, groups, config.forcing)
+                    modes = nonlinear_step(modes, t, prop, ell, groups, config.forcing, u_ell)
+                u_ell = None
                 out = blown(modes, ref[live], grid)
                 if out.any():
                     # a blown member's time is the last one it passed, t
@@ -667,7 +711,7 @@ def run(config: RunConfig, members: Sequence[tuple[float, NonlinearitySpec | Non
                     groups = row_groups([nls[b] for b in live])
                 t = step * prop.dt  # not a running sum, which drifts
                 if step % config.record_every == 0 or step == n_steps:
-                    record(t)
+                    u_ell = record(t)
         for w in writers:
             w.close()
     except BaseException:

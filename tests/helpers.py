@@ -149,6 +149,20 @@ def run_recording(config, members, directory):
     return reports, [np.load(path) for path in paths]
 
 
+def dealias_mask(grid) -> np.ndarray:
+    """The 2/3 rule on the full spectrum, (*shape) bools: True where every |k| <= N/3."""
+    keep = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N)) <= grid.N / 3
+    return keep if grid.n == 1 else keep[:, None] & keep[None, :]
+
+
+def dropped_modes(fields, grid) -> tuple[np.ndarray, np.ndarray]:
+    """|rfftn| of real fields (..., *shape) at the half-spectrum modes the 2/3 rule
+    drops, (..., dropped), and at the modes it keeps, (..., kept)."""
+    hat = np.abs(np.fft.rfftn(fields, axes=grid.space_axes))
+    keep = dealias_mask(grid)[grid.half]
+    return hat[..., ~keep], hat[..., keep]
+
+
 def mp_exp(mpmath, A, t) -> np.ndarray:
     """exp(t A) of one m x m block in 40-digit arithmetic."""
     m = A.shape[0]

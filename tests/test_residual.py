@@ -9,7 +9,13 @@ from critevo.errors import ValidationError
 from critevo.mu import MuSpec, NonlinearitySpec, eval_F
 from critevo.operators import EvolutionOperator, SpatialTerm, damped_wave, sigma_evolution
 from critevo.reporting import jsonify
-from critevo.residual import TestFunctionSpec, default_q_tf, make_test_function, weak_residual
+from critevo.residual import (
+    TestFunctionSpec,
+    _dot,
+    default_q_tf,
+    make_test_function,
+    weak_residual,
+)
 from critevo.solver import DataProfile, Grid, RunConfig, initial_sign_functional
 from helpers import monomial_op, run_recording
 
@@ -495,6 +501,58 @@ def _monomial_case(tmp_path):
     init = rng.standard_normal((op.m,) + grid.shape)
     tf = make_test_function(op, 0, grid, 6.0, eta_bar=2, scale=5.0, q_tf=3)
     return op, 0, grid, times, frames, tf, NL2, init
+
+
+_CUBIC_LOG = NonlinearitySpec(p=3.0, mu=MuSpec(family="iterated_log", gamma=2.0))
+
+
+def _wave_1d_case(tmp_path):
+    op = damped_wave(1)
+    grid = Grid(n=1, N=64, L=40.0)
+    (out,), (frames,) = run_recording(RunConfig(
+        op=op, grid=grid, profile=DataProfile(kind="gaussian", width=2.0),
+        ell=0, dt=0.05, T=6.0, record_every=5), [(0.5, _CUBIC_LOG)], tmp_path)
+    tf = make_test_function(op, 0, grid, 6.0, eta_bar=2, scale=0.98 * 6.0)
+    return (op, 0, grid, np.asarray(out.times), frames, tf,
+            _CUBIC_LOG, out.initial_layers)
+
+
+def _full_grid_lhs(op, ell, grid, times, frames, tf, nl):
+    """The left side with F evaluated at every point of every frame."""
+    rho = tf.rho(grid)
+    ips = [_dot(np.asarray(eval_F(nl, frame)), tf.time_derivatives(op.m - ell, t, rho)[0])
+           * grid.quad_weight() for t, frame in zip(times, frames)]
+    return float(np.trapezoid(ips, x=times))
+
+
+@pytest.mark.parametrize("case", [_wave_1d_case, _wave_2d_case], ids=["wave-1d", "wave-2d"])
+def test_lhs_on_psi_support_matches_the_full_grid_pass(case, tmp_path):
+    # F is evaluated only where psi(t, .) is nonzero; the left side keeps its bits
+    op, ell, grid, times, frames, tf, nl, init = case(tmp_path)
+    rho = tf.rho(grid)
+    support = np.mean([tf.time_derivatives(op.m - ell, t, rho)[0] != 0 for t in times])
+    assert 0.0 < support < 0.5
+    got = weak_residual(op, ell, grid, times, frames, tf, nl=nl, initial_layers=init)
+    assert got.lhs > 0.0
+    assert got.lhs == _full_grid_lhs(op, ell, grid, times, frames, tf, nl)
+
+
+def test_F_overflowing_where_psi_is_zero_leaves_the_lhs_finite():
+    # F(1e200) is past the float range; psi = 0 at x = -L/2, where the pairing
+    # took inf * 0 = NaN and so a NaN lhs and residual
+    op, grid = damped_wave(1), Grid(n=1, N=64, L=40.0)
+    times = np.linspace(0.0, 6.0, 61)
+    x = grid.coords()[0]
+    frames = np.exp(-x**2 / 8.0)[None, :] / (1.0 + times)[:, None]
+    tf = make_test_function(op, 0, grid, 6.0, eta_bar=2, scale=0.98 * 6.0)
+    rho = tf.rho(grid)
+    assert all(tf.time_derivatives(op.m, t, rho)[0][0] == 0.0 for t in times)
+    spiked, zeroed = frames.copy(), frames.copy()
+    spiked[:, 0], zeroed[:, 0] = 1e200, 0.0
+    got = weak_residual(op, 0, grid, times, spiked, tf, nl=_CUBIC_LOG)
+    want = weak_residual(op, 0, grid, times, zeroed, tf, nl=_CUBIC_LOG)
+    assert math.isfinite(got.lhs) and math.isfinite(got.residual)
+    assert got.lhs == want.lhs > 0.0
 
 
 @pytest.mark.parametrize("case", [_wave_2d_case, _sigma_ell1_case, _monomial_case],

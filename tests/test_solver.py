@@ -35,7 +35,7 @@ from critevo.solver import (
     row_groups,
     run,
 )
-from helpers import monomial_op, run_recording
+from helpers import dealias_mask, dropped_modes, monomial_op, run_recording
 
 
 def small_grid(n=1, N=16, L=2 * math.pi):
@@ -61,22 +61,42 @@ def test_profile_renders_without_a_warning_where_r2_overflows(kind):
 
 
 def _E(prop):
-    """The propagator's E as a (*half, m, m) stack of per-mode matrices."""
+    """The propagator's E as a (*kept, m, m) stack of per-mode matrices."""
     return np.moveaxis(prop._E, (0, 1), (-2, -1))
 
 
-def _half_wavenumbers(grid):
-    """The wavenumbers of the modes the half-spectrum state keeps."""
-    return [k[grid.half] for k in grid.wavenumbers()]
+def _kept_wavenumbers(grid):
+    """The wavenumbers of the 2/3-rule modes the state and the propagator hold."""
+    return [k[grid.half][grid.kept] for k in grid.wavenumbers()]
+
+
+def test_kept_modes_are_the_2_3_rule_modes_of_the_half_spectrum():
+    # 1-D N 64: 22 of 33 columns; 2-D N 16: 11 x 6 of 16 x 9 modes, rows in fftfreq order
+    for grid, shape in ((Grid(n=1, N=64, L=1.0), (22,)), (Grid(n=2, N=16, L=1.0), (11, 6)),
+                        (Grid(n=2, N=24, L=1.0), (17, 9))):
+        marks = np.zeros(dealias_mask(grid)[grid.half].shape, dtype=bool)
+        marks[grid.kept] = True
+        assert np.array_equal(marks, dealias_mask(grid)[grid.half])
+        assert grid.kept_shape == marks[grid.kept].shape == shape
+        k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+        kc = grid.N // 3 + 1
+        assert np.array_equal(k[grid.kept[-1]], np.arange(kc))
+        if grid.n == 2:
+            assert np.array_equal(k[grid.kept[1]], np.r_[0:kc, -(kc - 1):0])
+        # a run reports the count without building the full-grid mask
+        cfg = RunConfig(op=damped_wave(grid.n), grid=replace(grid, L=40.0),
+                        profile=DataProfile(kind="gaussian", width=2.0), ell=0, dt=0.1, T=0.1)
+        (rep,) = run(cfg, [(1.0, None)])
+        assert rep.meta["dealias_modes_kept"] == int(np.sum(dealias_mask(grid)))
 
 
 def test_propagator_matches_ode_integrator():
     op = damped_wave(1)
     grid = small_grid()
     prop = ModePropagator(op, grid, dt=0.37)
-    A_all = op.companion(_half_wavenumbers(grid))
+    A_all = op.companion(_kept_wavenumbers(grid))
     rng = np.random.default_rng(1)
-    for idx in (0, 1, 5, 8):
+    for idx in range(len(A_all)):  # every mode the propagator holds, 0..5
         A = A_all[idx]
         v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         sol = solve_ivp(lambda t, v: A @ v, (0.0, prop.dt), v0,
@@ -94,7 +114,7 @@ def test_duhamel_weight_identity():
         grid = small_grid()
         prop = ModePropagator(op, grid, dt=0.21)
         _, Phi, _ = _per_mode_propagator(op, grid, 0.21)
-        A = op.companion(_half_wavenumbers(grid))
+        A = op.companion(_kept_wavenumbers(grid))
         eye = np.eye(op.m)
         lhs = np.einsum("...ij,...jk->...ik", A, Phi) + eye
         assert np.allclose(lhs, _E(prop), atol=1e-12)
@@ -117,9 +137,9 @@ def test_semigroup_composition():
 
 def _per_mode_propagator(op, grid, dt, ks=None):
     """E, Phi and Phi e_{m-1} by one expm call per mode, as first written,
-    on the half-spectrum wavenumbers unless ``ks`` gives others."""
+    on the kept wavenumbers unless ``ks`` gives others."""
     m = op.m
-    A = op.companion(_half_wavenumbers(grid) if ks is None else ks)
+    A = op.companion(_kept_wavenumbers(grid) if ks is None else ks)
     aug = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
     aug[..., :m, :m] = A
     for i in range(m):
@@ -130,8 +150,13 @@ def _per_mode_propagator(op, grid, dt, ks=None):
 
 
 # d_t^3 u + 3 d_t^2 u + (-Lap) d_t u + (-Lap) u, the m = 3 operator of the decay tests
-THIRD_ORDER = EvolutionOperator(m=3, n=2, levels={
-    0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),), 2: (fractional_term(0, 3.0),)})
+def _third_order(n):
+    return EvolutionOperator(m=3, n=n, levels={
+        0: (fractional_term(1, 1.0),), 1: (fractional_term(1, 1.0),),
+        2: (fractional_term(0, 3.0),)})
+
+
+THIRD_ORDER = _third_order(2)
 
 
 def _mp_flow(mpmath, A, dt):
@@ -150,10 +175,10 @@ def _mp_flow(mpmath, A, dt):
 
 
 def _assert_mode_matches_mpmath(mpmath, op, grid, prop, mode):
-    """The propagator's E and Phi e_{m-1} at one half-spectrum mode (a flat
-    index) lie within 1e-13 of each block's maximum of the 40-digit flow."""
+    """The propagator's E and Phi e_{m-1} at one kept mode (a flat index)
+    lie within 1e-13 of each block's maximum of the 40-digit flow."""
     m = op.m
-    A = op.companion(_half_wavenumbers(grid)).reshape(-1, m, m)[mode]
+    A = op.companion(_kept_wavenumbers(grid)).reshape(-1, m, m)[mode]
     want_E, want_phi = _mp_flow(mpmath, A, prop.dt)
     got_E = _E(prop).reshape(-1, m, m)[mode]
     got_phi = np.moveaxis(prop._phi, 0, -1).reshape(-1, m)[mode]
@@ -201,7 +226,7 @@ def test_closed_form_flow_matches_mpmath(grid, dt, mode):
     mpmath = pytest.importorskip("mpmath")
     op = damped_wave(1)
     if mode == 1:
-        A = op.companion(_half_wavenumbers(grid))[mode]
+        A = op.companion(_kept_wavenumbers(grid))[mode]
         assert np.array_equal(A, [[0, 1], [-0.25, -1]])
     _assert_mode_matches_mpmath(mpmath, op, grid, ModePropagator(op, grid, dt), mode)
 
@@ -256,8 +281,9 @@ def test_m1_flow_matches_mpmath(op, grid, dt):
     # block's maximum
     mpmath = pytest.importorskip("mpmath")
     prop = ModePropagator(op, grid, dt)
-    for a, E, phi in zip(op.companion(_half_wavenumbers(grid))[:, 0, 0], prop._E[0, 0],
-                         prop._phi[0]):
+    a_all = op.companion(_kept_wavenumbers(grid))[:, 0, 0]
+    assert a_all.shape == prop._E[0, 0].shape == prop._phi[0].shape
+    for a, E, phi in zip(a_all, prop._E[0, 0], prop._phi[0]):
         with mpmath.workdps(40):
             z = mpmath.mpf(dt) * mpmath.mpc(complex(a))
             want_E = complex(mpmath.exp(z))
@@ -361,6 +387,8 @@ def test_manufactured_solution_convergence(tmp_path):
 
 
 def test_dealiasing_masks_high_modes():
+    # the state holds the 2/3-rule modes alone, and the fields it stands for
+    # carry no dropped mode beyond the rounding of the transforms
     op = damped_wave(1)
     grid = small_grid(N=24)
     nl = NonlinearitySpec(p=3.0, mu=MuSpec(family="constant"))
@@ -368,14 +396,16 @@ def test_dealiasing_masks_high_modes():
     prop = ModePropagator(op, grid, dt=0.05)
     for i in range(5):
         modes = nonlinear_step(modes, i * prop.dt, prop, ell=0, groups=row_groups([nl]))
-    dropped = ~grid.dealias_mask()[grid.half]
-    assert np.all(modes[:, :, dropped] == 0.0)
+        assert modes.shape == (1, op.m, 9)
+        dropped, kept = dropped_modes(grid.to_field(modes), grid)
+        assert dropped.max() <= 1e-14 * kept.max()
 
 
 def test_reality_preserved():
-    # fields are real by construction; the one reality condition the half
-    # spectrum still carries is that the self-mirrored last-axis columns 0
-    # and N/2 stay Hermitian along the other axis, u^(-k1, c) = conj u^(k1, c)
+    # fields are real by construction; the one reality condition the kept
+    # modes still carry is that the self-mirrored last-axis column 0 stays
+    # Hermitian along the other axis, u^(-k1, 0) = conj u^(k1, 0) (column
+    # N/2, the other self-mirrored one, is dropped)
     op = damped_wave(2)
     grid = Grid(n=2, N=16, L=12.0)
     nl = NonlinearitySpec(p=2.0, mu=MuSpec(family="constant"))
@@ -383,13 +413,16 @@ def test_reality_preserved():
     prop = ModePropagator(op, grid, dt=0.1)
     for i in range(10):
         modes = nonlinear_step(modes, i * prop.dt, prop, ell=1, groups=row_groups([nl]))
-    mirror = (-np.arange(grid.N)) % grid.N
+    # the kept rows are k1 = 0..kc-1, -(kc-1)..-1, so row r mirrors row -r
+    rows = grid.kept_shape[0]
+    mirror = (-np.arange(rows)) % rows
+    assert np.array_equal(np.fft.fftfreq(grid.N, d=1.0 / grid.N)[grid.kept[1]][mirror],
+                          -np.fft.fftfreq(grid.N, d=1.0 / grid.N)[grid.kept[1]])
     for layer in modes[0]:
         scale = np.max(np.abs(layer))
         assert scale > 0.0
-        for col in (0, grid.N // 2):
-            c = layer[:, col]
-            assert np.max(np.abs(c - np.conj(c[mirror]))) / scale < 1e-10
+        c = layer[:, 0]
+        assert np.max(np.abs(c - np.conj(c[mirror]))) / scale < 1e-10
 
 
 def test_overflowing_corrector_field_still_ends_in_blowup():
@@ -634,9 +667,12 @@ def test_an_m2_build_takes_its_roots_and_E_from_one_closed_form_pass(monkeypatch
     op, grid = damped_wave(2), Grid(n=2, N=16, L=20.0)
     prop = ModePropagator(op, grid, dt=0.1)
     assert calls == [1]
-    A = op.companion(_half_wavenumbers(grid)).reshape(-1, 2, 2)
-    want = operators.exp_blocks(A, [0.1])[:, 0]
-    assert _E(prop).reshape(-1, 2, 2).tobytes() == want.tobytes()
+    # built on the half spectrum, then cropped to the kept modes
+    A = op.companion([k[grid.half] for k in grid.wavenumbers()])
+    want = operators.exp_blocks(A.reshape(-1, 2, 2), [0.1])[:, 0].reshape(A.shape)
+    want = np.moveaxis(want, (-2, -1), (0, 1))[grid.kept]
+    assert prop._E.shape == want.shape == (2, 2) + grid.kept_shape
+    assert prop._E.tobytes() == want.tobytes()
 
 
 def _assert_reports_equal(got, want):
@@ -727,9 +763,18 @@ def test_a_batch_of_one_nonlinearity_evaluates_F_once_per_source(monkeypatch):
     assert calls == [(2, 32), (1, 32)] * 20
 
 
+def _half_spectrum(modes, grid):
+    """Kept modes (..., *kept) placed in a zero half spectrum (..., *half)."""
+    half = np.zeros(modes.shape[:modes.ndim - grid.n] + grid.shape[:-1] + (grid.N // 2 + 1,),
+                    dtype=complex)
+    half[grid.kept] = modes
+    return half
+
+
 def _worst(member, grid):
-    """max |u| over the physical layers of one member's half-spectrum modes."""
-    return float(np.max(np.abs(np.fft.irfftn(member, s=grid.shape, axes=grid.space_axes))))
+    """max |u| over the physical layers of one member's kept modes."""
+    fields = np.fft.irfftn(_half_spectrum(member, grid), s=grid.shape, axes=grid.space_axes)
+    return float(np.max(np.abs(fields)))
 
 
 def _exact_blown(modes, ref, grid):
@@ -747,7 +792,7 @@ def _exact_blown(modes, ref, grid):
 def test_blown_screen_matches_exact_decision(n, N):
     grid = Grid(n=n, N=N, L=10.0)
     rng = np.random.default_rng(7)
-    shape = (2,) + grid.shape[:-1] + (N // 2 + 1,)
+    shape = (2,) + grid.kept_shape
     members, refs = [], []
     # random states, whose max |u| sits well below the screen's bound, and a
     # delta at the origin (all coefficients 1), whose max |u| meets it
@@ -790,7 +835,7 @@ def _full_spectrum_run(cfg, amplitude, nl):
     """
     op, grid, ell, dt = cfg.op, cfg.grid, cfg.ell, cfg.dt
     axes = grid.space_axes
-    mask = grid.dealias_mask()
+    mask = dealias_mask(grid)
     E, _, phi = _per_mode_propagator(op, grid, dt, ks=grid.wavenumbers())
     E = np.moveaxis(E, (-2, -1), (0, 1))
 
@@ -903,3 +948,185 @@ def test_grid_takes_no_bool_dimension():
     # a bool is an int subclass: n = True built a 1-D grid
     with pytest.raises(ValidationError, match="n = 1 or 2"):
         Grid(n=True, N=16, L=1.0)
+
+
+def _masked_half_propagator(op, grid, dt):
+    """E (m, m, *half), Phi e_{m-1} (m, *half) and the 2/3-rule mask (*half) on the
+    whole half spectrum, from the propagator's own flow functions."""
+    m = op.m
+    A = solver._grid_companion(op, grid, [k[grid.half] for k in grid.wavenumbers()])
+    flow = solver._flow2 if m == 2 else solver._flow_expm
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, phi = flow(A.reshape(-1, m, m), dt)
+    E = np.moveaxis(E.reshape(A.shape), (-2, -1), (0, 1))
+    phi = np.moveaxis(phi.reshape(A.shape[:-1]), -1, 0)
+    return E, phi, dealias_mask(grid)[grid.half]
+
+
+def _masked_half_step(modes, t, half, ell, groups, grid, dt, forcing=None):
+    """One predictor-corrector step of batched half-spectrum modes (B, m, *half), as
+    it was first written: every source is irfftn -> F -> rfftn times the dealias
+    mask, and E and Phi cover every mode of the half spectrum."""
+    E, phi, mask = half
+    axes = grid.space_axes
+
+    def source(v, t):
+        w = np.fft.irfftn(v[:, ell], s=grid.shape, axes=axes)
+        if len(groups) == 1:
+            nl = groups[0][0]
+            s = eval_F(nl, w) if nl is not None else np.zeros_like(w)
+        else:
+            s = np.empty_like(w)
+            for nl, rows in groups:
+                s[rows] = eval_F(nl, w[rows])
+        if forcing is not None:
+            s = s + forcing(t)
+        s_hat = np.fft.rfftn(s, s=grid.shape, axes=axes)
+        s_hat *= mask
+        return s_hat
+
+    Ev = np.einsum("ij...,bj...->bi...", E, modes)
+    s0 = source(modes, t)
+    pred = phi * s0[:, None]
+    pred += Ev
+    s0 += source(pred, t + dt)
+    s0 *= 0.5
+    out = phi * s0[:, None]
+    out += Ev
+    return out
+
+
+def _bits(modes):
+    """The bytes of modes with -0.0 read as +0.0: the mask's complex multiply can
+    flip the sign of an exact zero, and x + 0.0 changes no other value's bits."""
+    return (modes + 0.0).tobytes()
+
+
+def _masked_half_state(op, grid, profile, amplitudes):
+    """init_state as it was first written: rfftn of each member's data times the mask."""
+    mask = dealias_mask(grid)[grid.half]
+    f = profile.render(grid)
+    modes = np.zeros((len(amplitudes), op.m) + mask.shape, dtype=complex)
+    for b, a in enumerate(amplitudes):
+        modes[b, op.m - 1] = np.fft.rfftn(a * f) * mask
+    return modes
+
+
+def _heat(n):
+    return EvolutionOperator(m=1, n=n, levels={0: (fractional_term(1, 1.0),)})
+
+
+@pytest.mark.parametrize("op, grid, ell, forced", [
+    (_heat(1), Grid(n=1, N=32, L=20.0), 0, False),
+    (damped_wave(1), Grid(n=1, N=32, L=20.0), 0, True),
+    (damped_wave(1), Grid(n=1, N=30, L=20.0), 1, False),
+    (_third_order(1), Grid(n=1, N=32, L=20.0), 1, False),
+    (_heat(2), Grid(n=2, N=16, L=20.0), 0, False),
+    (damped_wave(2), Grid(n=2, N=24, L=20.0), 1, True),
+    (THIRD_ORDER, Grid(n=2, N=20, L=20.0), 0, False),
+    (THIRD_ORDER, Grid(n=2, N=16, L=20.0), 2, False),
+    (monomial_op((1, 0)), Grid(n=2, N=18, L=20.0), 1, False),  # complex symbol
+], ids=["1d-m1", "1d-m2-forced", "1d-m2-ell1", "1d-m3-ell1", "2d-m1", "2d-m2-ell1-forced",
+        "2d-m3", "2d-m3-ell2", "2d-alpha-10-ell1"])
+def test_kept_mode_step_matches_the_masked_half_spectrum_step(op, grid, ell, forced):
+    # a batch of two nonlinearities, stepped from the same data both ways: the kept
+    # modes carry the bits the masked step gives them, and the masked step leaves
+    # every dropped mode zero; a step handed its record's field takes the same bits
+    dt = 0.05
+    profile = DataProfile(kind="gaussian", width=1.2)
+    members = [(0.8, _SQUARE), (1.3, _CUBIC_LOG), (0.5, _SQUARE)]
+    amps, nls = zip(*members)
+    groups = row_groups(nls)
+    x = grid.coords()[0]
+    forcing = (lambda t: np.cos(x * 2 * np.pi / grid.L) * math.sin(1.0 + t)) if forced else None
+    prop = ModePropagator(op, grid, dt)
+    half = _masked_half_propagator(op, grid, dt)
+    assert prop._E.tobytes() == half[0][grid.kept].tobytes()
+    assert prop._phi.tobytes() == half[1][grid.kept].tobytes()
+    modes = init_state(op, grid, profile, amps)
+    want = _masked_half_state(op, grid, profile, amps)
+    assert _bits(modes) == _bits(want[grid.kept])
+    for i in range(4):
+        t = i * dt
+        u_ell = grid.to_field(modes[:, :ell + 1])[:, ell] if i % 2 else None
+        modes = nonlinear_step(modes, t, prop, ell, groups, forcing, u_ell)
+        want = _masked_half_step(want, t, half, ell, groups, grid, dt, forcing)
+        assert modes.shape == (len(members), op.m) + grid.kept_shape
+        assert _bits(modes) == _bits(want[grid.kept]), i
+        assert not want[..., ~half[2]].any()
+        assert (grid.to_field(modes).tobytes()
+                == np.fft.irfftn(want, s=grid.shape, axes=grid.space_axes).tobytes())
+
+
+def _masked_half_run(cfg, members):
+    """``cfg`` stepped as it was first written, on the masked half spectrum, the
+    blow-up decided by inverting every layer.  Returns the initial layers
+    (B, m, *shape), each member's recorded d_t^ell u frames and its steps taken
+    with its outcome."""
+    op, grid, ell, dt = cfg.op, cfg.grid, cfg.ell, cfg.dt
+    axes = grid.space_axes
+    amps, nls = zip(*members)
+    half = _masked_half_propagator(op, grid, dt)
+    modes = _masked_half_state(op, grid, cfg.profile, amps)
+    initial = np.fft.irfftn(modes, s=grid.shape, axes=axes)
+    ref = [float(np.max(np.abs(layers))) or 1.0 for layers in initial]
+    n_steps = round(cfg.T / dt)
+    frames = [[] for _ in members]
+    ends = [(n_steps, "completed")] * len(members)
+    live = list(range(len(members)))
+
+    def record():
+        layers = np.fft.irfftn(modes[:, :ell + 1], s=grid.shape, axes=axes)
+        for row, b in enumerate(live):
+            frames[b].append(layers[row, ell])
+
+    record()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            modes = _masked_half_step(modes, (step - 1) * dt, half, ell,
+                                      row_groups([nls[b] for b in live]), grid, dt, cfg.forcing)
+            layers = np.fft.irfftn(modes, s=grid.shape, axes=axes)
+            out = [not np.isfinite(modes[row]).all()
+                   or np.max(np.abs(layers[row])) > BLOWUP_FACTOR * ref[b]
+                   for row, b in enumerate(live)]
+            for row, b in enumerate(live):
+                if out[row]:
+                    ends[b] = (step, "blowup_detected")
+            keep = np.logical_not(out)
+            modes = modes[keep]
+            live = [b for row, b in enumerate(live) if keep[row]]
+            if not live:
+                break
+            if step % cfg.record_every == 0 or step == n_steps:
+                record()
+    return initial, [np.stack(f) for f in frames], ends
+
+
+@pytest.mark.parametrize("cfg, members, blowups", [
+    # 1-D, record_every 1: 0.9 and 1.2 blow up at steps 132 and 89, and the two
+    # nonlinearities regroup
+    (replace(_BATCH_1D, T=7.0, record_every=1),
+     [(0.3, _SQUARE), (0.9, _SQUARE), (1.2, _CUBIC_LOG), (0.4, _CUBIC_LOG)], 2),
+    # 1-D m = 1 at record_every 3: 1.0 blows up at step 21, between two records
+    (RunConfig(op=_heat(1), grid=Grid(n=1, N=32, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=0, dt=0.05, T=2.0,
+               record_every=3),
+     [(0.5, _SQUARE), (1.0, _CUBIC_LOG)], 1),
+    # 2-D, (u_t)^2 forcing at record_every 3: 3 and 5 blow up at steps 17 and 3
+    (RunConfig(op=damped_wave(2), grid=Grid(n=2, N=16, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=1, dt=0.05, T=2.0,
+               record_every=3),
+     [(0.3, _SQUARE), (3.0, _SQUARE), (5.0, _CUBIC_LOG), (0.5, _CUBIC_LOG)], 2),
+    # 2-D m = 3 at ell = 1, record_every 1
+    (RunConfig(op=THIRD_ORDER, grid=Grid(n=2, N=20, L=20.0),
+               profile=DataProfile(kind="gaussian", width=1.2), ell=1, dt=0.05, T=1.0),
+     [(1.0, _SQUARE), (2.0, _CUBIC_LOG)], 0),
+], ids=["1d-m2-every1", "1d-m1-every3", "2d-m2-ell1-every3", "2d-m3-ell1-every1"])
+def test_kept_mode_run_matches_the_masked_half_spectrum_run(cfg, members, blowups, tmp_path):
+    reports, stacks = run_recording(cfg, members, tmp_path)
+    initial, frames, ends = _masked_half_run(cfg, members)
+    for b, (report, stack) in enumerate(zip(reports, stacks)):
+        assert (report.meta["steps_taken"], report.outcome) == ends[b]
+        assert report.initial_layers.tobytes() == initial[b].tobytes()
+        assert stack.shape == frames[b].shape and stack.tobytes() == frames[b].tobytes()
+    assert sum(r.outcome == "blowup_detected" for r in reports) == blowups
