@@ -159,8 +159,8 @@ DECAY = {
     "targets": Key("object", None),
     "p_c": Key("number", "critical", words=("critical",)),
     # a whole-space fit needs 10 samples in the window, and every sample lies in it;
-    # the kernel matrix at 64 panels per decade holds 8 192 x n_times complex
-    # values, 131 MB at the bound
+    # the kernel matrix holds 8 208 x n_times complex values at 64 panels per decade,
+    # 131 MB at the bound, and 128 panels (16 400 nodes) stay under that up to 500
     "n_times": Key("int", 40, ok=lambda v: 10 <= v <= 1000, rule="in [10, 1000]"),
     "tol": Key("number", 0.05, **_POSITIVE),
     "grid": Key("object", None),

@@ -9,8 +9,8 @@ q = 2 reduce to a one-dimensional Plancherel integral
 
 with c_n = |S^{n-1}| / (2 pi)^n.  The integrand develops a peak near
 rho ~ t^{-1/(2(sigma-delta))}-type scales at late times, so the quadrature
-uses geometrically graded Gauss-Legendre panels reaching down to 1e-8 of
-the tail cutoff, doubled until the curve is stable.
+takes the mu module's panels in s = log rho, 8 decades down from the tail
+cutoff P, doubled until every value of the curve is stable.
 
 Each panel density evaluates the kernel K (:func:`_kernel_matrix`) with
 one stacked eigen-solve of the companion matrices at all its nodes, and
@@ -35,12 +35,9 @@ import numpy as np
 
 from .config import FIT_MODES
 from .errors import NumericalError, ValidationError
-from .mu import GAUSS_LEGENDRE16
+from .mu import GAUSS_LEGENDRE16, log_panels, settle
 from .operators import EvolutionOperator, exp_blocks
 from . import solver as _solver
-
-#: the 16-node Gauss-Legendre rule the mu quadrature shares, as arrays
-_GL_X, _GL_W = (np.array(a) for a in GAUSS_LEGENDRE16)
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,9 @@ _RMS_TOL = 0.05
 # complex exponentials per block of nodes (128 KB): the kernel's
 # temporaries stay small next to K itself, whatever the node and time counts
 _EXP_BLOCK = 1 << 13
+#: nodes x times of the kernel matrix at 64 panels per decade (8 208 nodes) and
+#: the CLI's 1000 times, 131 MB of complex K: 128 (16 400 nodes) is tried under it
+_MAX_NODE_TIMES = 8208 * 1000
 
 
 def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
@@ -124,28 +124,25 @@ def _kernel_matrix(op: EvolutionOperator, rhos: np.ndarray, times: np.ndarray,
     return K, int(confluent.size)
 
 
-def _panel_nodes(P: float, panels_per_decade: int):
-    """Geometrically graded 16-node Gauss-Legendre panels on (0, P]."""
-    edges = [0.0]
-    lo = P * 1e-8
-    count = int(math.ceil(8 * panels_per_decade))
-    edges.extend(np.geomspace(lo, P, count + 1))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (_GL_X + 1.0))
-        weights.append(half * _GL_W)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _plancherel_nodes(P: float, density: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of drho on (0, P]: one 16-node panel on [0, 1e-8 P], then
+    :func:`~critevo.mu.log_panels` in s = log rho, where drho = rho ds."""
+    x, w = (np.array(a) for a in GAUSS_LEGENDRE16)
+    edges = [math.log(P) - k * math.log(10) for k in range(8, -1, -1)]
+    mid, half, _ = np.array(log_panels(edges, density)).T
+    rhos, head = np.exp(mid[:, None] + half[:, None] * x).ravel(), 0.5 * (1e-8 * P)
+    return (np.concatenate([head * (x + 1.0), rhos]),
+            np.concatenate([head * w, (half[:, None] * w).ravel() * rhos]))
 
 
 @dataclass(frozen=True)
 class QuadratureEvidence:
     """How the whole-space quadrature of one decay curve settled.
 
-    ``last_relative_change`` is max|curve - previous curve| / max(previous
-    curve) at the accepted panel density; ``expm_fallback_nodes`` counts the
-    nodes of that density whose eigensystem was too close to defective for
-    the eigen path.
+    ``last_relative_change`` is the largest move of one curve value v from
+    the density before, relative to max(|v|, 1e-13 ||f||_2 / qtol), at the
+    accepted panel density; ``expm_fallback_nodes`` counts the nodes of that
+    density whose eigensystem was too close to defective for the eigen path.
     """
 
     panels_per_decade: int
@@ -159,11 +156,11 @@ def l2_decay_curve(op: EvolutionOperator, profile: RadialProfile,
                    qtol: float = _QTOL) -> np.ndarray:
     """||d_t^layer u_lin(t)||_{L2(R^n)} at the given times (exact linear flow).
 
-    Requires a radial operator, an integer layer in [0, m) and a non-empty
-    list of finite times >= 0.  The panel count doubles from 2 up to 64 per
-    decade until the whole curve moves by less than ``qtol`` relatively, and
-    the tail beyond the cutoff is certified negligible by the gaussian data
-    weight.
+    Requires a radial operator, an integer layer in [0, m), a non-empty list
+    of finite times >= 0 and qtol > 0.  The panels per decade double from 2
+    until each value v moves by at most qtol * max(|v|, 1e-13 ||f||_2 / qtol),
+    and reach 128 only up to 500 times (K holds at most 8 208 x 1000 values).
+    The gaussian data weight certifies the tail beyond the cutoff negligible.
     """
     return _decay_quadrature(op, profile, times, layer, qtol)[0]
 
@@ -185,6 +182,8 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
         raise ValidationError("times must be finite")
     if np.any(times < 0):
         raise ValidationError("times must be >= 0")
+    if not qtol > 0:
+        raise ValidationError(f"qtol must be > 0, got {qtol!r}")
     n = op.n
     cn = sphere_area(n) / (2.0 * math.pi) ** n
     P = profile.tail_cutoff()
@@ -196,23 +195,18 @@ def _decay_quadrature(op: EvolutionOperator, profile: RadialProfile,
         raise ValidationError(
             f"width {profile.width!r} puts the radial weight rho^{n - 1} in R^{n} out of "
             f"float range at the data's Fourier cutoff {P:.3g}; enlarge width")
-    prev = None
-    for ppd in (2, 4, 8, 16, 32, 64):
-        rhos, wts = _panel_nodes(P, ppd)
-        K, fallback = _kernel_matrix(op, rhos, times, layer)
+    fallback = {}
+
+    def curve(density):
+        rhos, wts = _plancherel_nodes(P, density)
+        K, fallback[density] = _kernel_matrix(op, rhos, times, layer)
         dens = (np.abs(K) ** 2) * (profile.fourier(rhos) ** 2 * rhos ** (n - 1))[:, None]
-        vals = np.sqrt(np.maximum(cn * (wts[:, None] * dens).sum(axis=0), 0.0))
-        del K, dens  # not held while the next, denser level is built
-        if prev is not None:
-            scale = np.maximum(np.max(prev), 1e-300)
-            change = float(np.max(np.abs(vals - prev)))
-            if change <= qtol * scale + floor:
-                return vals, QuadratureEvidence(
-                    panels_per_decade=ppd, nodes=int(rhos.size),
-                    last_relative_change=change / float(scale),
-                    expm_fallback_nodes=fallback)
-        prev = vals
-    raise NumericalError("decay quadrature did not stabilize under panel doubling")
+        return np.sqrt(np.maximum(cn * (wts[:, None] * dens).sum(axis=0), 0.0)), rhos.size
+
+    ladder = (2, 4, 8, 16, 32, 64) + ((128,) if 16400 * times.size <= _MAX_NODE_TIMES else ())
+    vals, (density, nodes, _, change) = settle(
+        curve, ladder, qtol, floor / qtol, f"decay quadrature (<= {_MAX_NODE_TIMES} nodes x times)")
+    return vals, QuadratureEvidence(density, nodes, change, fallback[density])
 
 
 def spectral_gap(op: EvolutionOperator) -> float:
@@ -260,7 +254,12 @@ def _fit(times, values, window, transform, kind, target, tol, mode) -> DecayFit:
         )
     tt, vv = times[sel], values[sel]
     if np.any(vv <= 0):
-        raise NumericalError("norm values must be positive for a log fit")
+        i = int(np.argmax(vv <= 0))
+        raise NumericalError(
+            f"the norm is {vv[i]:.3g} at t = {tt[i]:.6g}, the first time in the window "
+            f"[{lo}, {hi}] at which it is not positive, and a log fit needs positive norms"
+            + (f"; end the window at t = {tt[i - 1]:.6g}, the last positive sample before it, "
+               "or earlier" if i else ""))
     x = transform(tt)
     y = np.log(vv)
     # a window whose abscissae agree to rounding determines no line: polyfit then

@@ -261,14 +261,6 @@ def _mu_of_u(mu: MuSpec) -> Callable[[float], float]:
     return lambda u: _mu_values(mu, math.exp(-u), _FLOATS)
 
 
-def _finite(tau: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    if not np.isfinite(tau).all():
-        raise ValidationError("tau must be finite and >= 0")
-    return tau
-
-
 def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
     """mu(tau) for tau >= 0 (scalar or array); constant beyond tau*."""
     import numpy as np
@@ -276,9 +268,8 @@ def eval_mu(mu: MuSpec, tau) -> np.ndarray | float:
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    if np.any(arr < 0) or not np.isfinite(arr).all():
         raise ValidationError("tau must be finite and >= 0")
-    _finite(arr)
     if mu.family != "iterated_log":
         out = _mu_values(mu, arr, np)
     else:
@@ -317,11 +308,12 @@ def eval_F(nl: NonlinearitySpec, s) -> np.ndarray | float:
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     mag = np.abs(np.atleast_1d(arr))
+    if np.isinf(mag).any():
+        raise ValidationError("tau must be finite and >= 0")
     if mag.size and mag.min() > 0:  # min is NaN if any entry is
-        out = mag ** nl.p * _mu_values(nl.mu, _finite(mag), np)
+        out = mag ** nl.p * _mu_values(nl.mu, mag, np)
     else:
         nan = np.isnan(mag)
-        _finite(np.where(nan, 0.0, mag))
         # mu(0) may be 0, inf or NaN, and 0^p times it what it likes
         with np.errstate(divide="ignore", invalid="ignore"):
             out = mag ** nl.p * _mu_values(nl.mu, mag, np)
@@ -594,8 +586,8 @@ _PANELS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 #: the 16-node Gauss-Legendre rule on [-1, 1], (nodes, weights), written out bit
 #: for bit as numpy.polynomial.legendre.leggauss(16) returns it: building it
-#: costs ~1 ms and importing numpy.polynomial loads numpy.ma.  The decay
-#: module's panels use it too, as arrays.
+#: costs ~1 ms and importing numpy.polynomial loads numpy.ma.  Both the mu
+#: integral and the decay curves put it on :func:`log_panels`.
 GAUSS_LEGENDRE16 = ((
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
     -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
@@ -609,45 +601,54 @@ GAUSS_LEGENDRE16 = ((
 ))
 
 
-def _decade_integrals(mu: MuSpec, u0: float, levels: int,
-                      tol: float) -> tuple[list[float], float, int]:
-    """integral of mu(e^{-u}) du over [u0 + (k-1) ln 10, u0 + k ln 10], k = 1..levels.
+def log_panels(edges: list[float], density: int, extra=()) -> list[tuple[float, float, int]]:
+    """(mid, half, decade) of each panel: every decade [edges[k], edges[k+1]] of
+    a log variable cut into ``density`` equal panels, and at the ``extra`` edges."""
+    cuts = [a + (b - a) * (j / density) for a, b in zip(edges, edges[1:]) for j in range(density)]
+    bounds = sorted(set(cuts + edges[-1:] + list(extra)))
+    return [(a + (b - a) / 2, (b - a) / 2, bisect.bisect_right(edges, a) - 1)
+            for a, b in zip(bounds, bounds[1:])]
 
-    Each decade is cut into uniform 16-node Gauss-Legendre panels (the decay
-    module's rule), with a table's knots added as panel edges so that no
-    panel straddles a kink.  The panels per decade double from 1 until no
-    decade sum moves by more than tol * max(1, |sum|).  A decade in which mu
-    or its sum leaves the double range sums to inf, and only the finite sums
-    must settle.  Returns the sums, the largest move of a finite one at that
-    pass (0.0 if none is finite), and its panels per decade.
+
+def settle(evaluate: Callable[[int], tuple], ladder: tuple[int, ...], tol: float,
+           floor: float, what: str) -> tuple:
+    """``evaluate(density) -> (values, nodes)`` up the ``ladder`` until every value v
+    moves by at most tol * max(|v|, floor) from the density before, an inf skipped:
+    the values and (density, nodes, largest move, largest move / max(|v|, floor))."""
+    runs = ((density, *evaluate(density)) for density in ladder)
+    for (_, prev, _), (density, values, nodes) in itertools.pairwise(runs):
+        moves = [(abs(v - q), max(abs(v), floor))
+                 for v, q in zip(values, prev) if abs(v) != math.inf]
+        if all(m <= tol * scale for m, scale in moves):
+            return values, (density, nodes, float(max((m for m, _ in moves), default=0.0)),
+                            float(max((m / scale for m, scale in moves), default=0.0)))
+    raise NumericalError(f"{what} did not settle to tol {tol} by {ladder[-1]} panels per decade")
+
+
+def _decade_integrals(mu: MuSpec, edges: list[float], tol: float) -> tuple[list, tuple]:
+    """integral of mu(e^{-u}) du over each decade [edges[k], edges[k+1]] of u.
+
+    :func:`log_panels` cuts each into 16-node Gauss-Legendre panels, with a
+    table's knots as extra edges so that no panel straddles a kink, and
+    :func:`settle` doubles them from 1 per decade until every finite decade
+    sum settles to tol * max(1, |sum|) (a sum past the double range is inf).
     """
     mu_u = _mu_of_u(mu)
     gl_x, gl_w = GAUSS_LEGENDRE16
-    edges = [u0 + k * math.log(10) for k in range(levels + 1)]
     knots = [min(max(-math.log(t), edges[0]), edges[-1])
              for t in (mu.taus if mu.family == "custom_table" else ()) if t > 0]
-    prev = None
-    for panels in _PANELS:
-        cuts = [a + (b - a) * (j / panels) for a, b in zip(edges, edges[1:])
-                for j in range(panels)]
-        bounds = sorted(set(cuts + edges[-1:] + knots))
-        sums = [0.0] * levels
-        for a, b in zip(bounds, bounds[1:]):
-            half = (b - a) / 2
-            mid = a + half
+
+    def sums(density):
+        out, panels = [0.0] * (len(edges) - 1), log_panels(edges, density, knots)
+        for mid, half, decade in panels:
             try:
                 dot = sum(map(operator.mul, map(mu_u, [mid + half * x for x in gl_x]), gl_w))
             except OverflowError:  # mu itself leaves the double range
                 dot = math.inf
-            sums[bisect.bisect_right(edges, a) - 1] += half * dot
-        if prev is not None:
-            # a decade sum past the double range is inf and has nothing to settle
-            finite = [(s, abs(s - q)) for s, q in zip(sums, prev) if s < math.inf]
-            if all(m <= tol * max(1.0, abs(s)) for s, m in finite):
-                return sums, max((m for _, m in finite), default=0.0), panels
-        prev = sums
-    raise NumericalError(f"decade quadrature did not settle to tol {tol} with "
-                         f"{_PANELS[-1]} panels per decade from u = {u0}")
+            out[decade] += half * dot
+        return out, len(gl_x) * len(panels)
+
+    return settle(sums, _PANELS, tol, 1.0, f"decade quadrature from u = {edges[0]}")
 
 
 def _slope(xs: list[float], ys: list[float]) -> float:
@@ -677,7 +678,7 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
     # iterated_log, else u = -log tau): the sums behave like w^s dw, and
     # s <= -1 is the convergence line.  The sums are fitted themselves, not
     # differences of the partials, which lose a sum below their rounding.
-    ws = [u0 + k * math.log(10) for k in range(levels + 1)]
+    edges = ws = [u0 + k * math.log(10) for k in range(levels + 1)]
     for _ in range(mu.depth if mu.family == "iterated_log" else 0):
         ws = [math.log(w) for w in ws]
     mids = [(a + b) / 2 for a, b in zip(ws, ws[1:])]
@@ -689,7 +690,7 @@ def integral_condition(mu: MuSpec, c0: float, levels: int = 8,
     # a family has an antiderivative exactly when it converges
     try:
         closed = _antiderivative(mu, c0)
-        sums, quadrature_error, panels = _decade_integrals(mu, u0, levels, tol)
+        sums, (panels, _, quadrature_error, _) = _decade_integrals(mu, edges, tol)
         tail = None if closed is None else _antiderivative(mu, c0 * 10.0**-levels)
     except OverflowError:
         raise NumericalError(f"the integral of mu(tau)/tau below c0 = {c0} overflows a "

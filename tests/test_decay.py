@@ -14,7 +14,7 @@ from critevo.decay import (
     RadialProfile,
     _decay_quadrature,
     _kernel_matrix,
-    _panel_nodes,
+    _plancherel_nodes,
     check_linear_decay_hypothesis,
     fit_decay,
     fit_exponential,
@@ -150,9 +150,65 @@ def test_quadrature_doubles_to_64_panels_per_decade():
     again, evidence = _decay_quadrature(op, profile, times, 1, 1e-8)
     assert np.array_equal(values, again)
     assert evidence.panels_per_decade == 64
-    assert evidence.nodes == _panel_nodes(profile.tail_cutoff(), 64)[0].size
+    assert evidence.nodes == _plancherel_nodes(profile.tail_cutoff(), 64)[0].size
     assert evidence.last_relative_change <= 1e-8
     assert np.all(np.isfinite(values)) and np.all(values > 0)
+
+
+def test_plancherel_nodes_integrate_powers_of_rho():
+    # the s = log rho panels of mu.log_panels carry drho = rho ds: their weights
+    # integrate rho^k over (0, P] to rounding, the [0, 1e-8 P] panel included
+    P = RadialProfile(width=1.0).tail_cutoff()
+    for density in (2, 8):
+        rhos, wts = _plancherel_nodes(P, density)
+        assert rhos.size == wts.size == 16 * (8 * density + 1)
+        assert np.all(np.diff(rhos) > 0) and rhos[0] > 0 and rhos[-1] < P
+        for k in (0, 1, 2):
+            assert np.sum(wts * rhos**k) == pytest.approx(P ** (k + 1) / (k + 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("layer, slope", [(1, -0.5), (2, -1.0)])
+def test_third_order_derivative_curves_settle_at_128_panels(layer, slope):
+    # the cross terms of the complex roots oscillate across a 64-per-decade panel
+    # at t = 1e4: these curves did not settle by 64
+    times = np.geomspace(1e2, 1e4, 40)
+    values, evidence = _decay_quadrature(KERNEL_OPS["third_order"], RadialProfile(width=1.0),
+                                         times, layer, 1e-8)
+    assert (evidence.panels_per_decade, evidence.nodes) == (128, 16 * (8 * 128 + 1))
+    assert evidence.last_relative_change <= 1e-8
+    assert fit_decay(times, values, (1e2, 1e4)).slope == pytest.approx(slope, abs=0.01)
+
+
+def test_128_panels_per_decade_only_under_the_node_bound(monkeypatch):
+    # 16 400 nodes at 128 panels per decade fit 8 208 x 1000 values up to 500 times
+    from critevo import decay
+
+    ladders = []
+
+    def record(evaluate, ladder, *args):
+        ladders.append(ladder)
+        raise NumericalError("recorded")
+
+    monkeypatch.setattr(decay, "settle", record)
+    for n_times in (500, 501):
+        with pytest.raises(NumericalError, match="recorded"):
+            l2_decay_curve(damped_wave(1), RadialProfile(), np.linspace(1.0, 2.0, n_times))
+    assert ladders == [(2, 4, 8, 16, 32, 64, 128), (2, 4, 8, 16, 32, 64)]
+
+
+def test_a_curve_past_the_node_bound_names_it(monkeypatch):
+    from critevo import decay
+
+    monkeypatch.setattr(decay, "_MAX_NODE_TIMES", 16400 * 40 - 1)
+    with pytest.raises(NumericalError, match=r"\(<= 655999 nodes x times\) did not settle "
+                                             r"to tol 1e-08 by 64 panels per decade"):
+        _decay_quadrature(KERNEL_OPS["third_order"], RadialProfile(width=1.0),
+                          np.geomspace(1e2, 1e4, 40), 1, 1e-8)
+
+
+def test_decay_quadrature_rejects_a_tolerance_of_zero():
+    with pytest.raises(ValidationError, match="qtol must be > 0"):
+        l2_decay_curve(damped_wave(1), RadialProfile(), [1.0], qtol=0.0)
 
 
 def test_spectral_gap_values():
@@ -197,6 +253,19 @@ def test_damped_wave_hypothesis_boundary():
     assert rep2.all_pass
     # entries carry the curve for CSV emission
     assert len(rep2.entries[0].times) == len(rep2.entries[0].values) > 0
+
+
+def test_a_fit_through_an_underflowed_norm_names_the_first_zero():
+    # the squared Klein-Gordon norm leaves the double range near t = 1.4e3, and the
+    # curve reads 0.0 from the sample at t = 1511.78 on; the message named no time
+    kg = damped_klein_gordon(1, damping=2.0, mass=1.0)
+    with pytest.raises(NumericalError, match=r"norm is 0 at t = 1511\.78, the first time in "
+                                             r"the window \[100\.0, 10000\.0\] at which it is "
+                                             r"not positive.*end the window at t = 1343\.4,"):
+        check_linear_decay_hypothesis(kg, ell=0, p_c=3.0, q_list=[2.0])
+    # the advice holds: a window that ends there fits all its samples
+    rep = check_linear_decay_hypothesis(kg, ell=0, p_c=3.0, q_list=[2.0], window=(1e2, 1343.4))
+    assert rep.entries[0].fit.n_samples == 40
 
 
 def test_free_wave_no_decay_fails():
@@ -349,7 +418,7 @@ def test_stacked_kernel_equals_the_per_node_loop(name):
     times = np.array([0.0, 0.01, 1.0, 37.5, 1e3, 1e4])
     P = RadialProfile(width=1.0).tail_cutoff()
     for ppd in PANEL_LEVELS:
-        rhos, _ = _panel_nodes(P, ppd)
+        rhos, _ = _plancherel_nodes(P, ppd)
         flagged = defective_mask(op, rhos)
         closed = flagged if op.m == 2 else np.zeros_like(flagged)
         for layer in range(op.m):
@@ -389,7 +458,7 @@ def test_nearly_defective_third_order_nodes_match_mpmath():
     # t = 1e4, t |A|_1 = 4e4 and the error sits at the conditioning of forming t A
     mpmath = pytest.importorskip("mpmath")
     op = KERNEL_OPS["third_order"]
-    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
+    rhos, _ = _plancherel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
     A = op.radial_companion(rhos[defective_mask(op, rhos)])
     assert A.shape[0] == 5
     times = [1.0, 1e2, 1e3, 1e4]
@@ -403,7 +472,7 @@ def test_stacked_kernel_equals_the_per_node_loop_on_a_long_time_list():
     # more times than one block of exponentials holds: one node per block
     op = damped_wave(1)
     times = np.linspace(0.0, 50.0, 4200)
-    rhos, _ = _panel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
+    rhos, _ = _plancherel_nodes(RadialProfile(width=1.0).tail_cutoff(), 2)
     got, fallback = _kernel_matrix(op, rhos, times, 1)
     assert fallback == 0
     assert np.array_equal(got, per_node_kernel_matrix(op, rhos, times, 1))
@@ -424,7 +493,7 @@ def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
     op = KERNEL_OPS[name]
     P = RadialProfile(width=1.0).tail_cutoff()
     times = np.geomspace(1.0, 1e3, 7)
-    flagged = {ppd: defective_nodes(op, _panel_nodes(P, ppd)[0]) for ppd in (2, 4, 8)}
+    flagged = {ppd: defective_nodes(op, _plancherel_nodes(P, ppd)[0]) for ppd in (2, 4, 8)}
     counts = {"eig": 0, "_expm": 0}
     _counting(monkeypatch, np.linalg, "eig", counts)
     _counting(monkeypatch, operators, "_expm", counts)
@@ -433,7 +502,7 @@ def test_kernel_makes_one_eig_call_per_panel_level(name, monkeypatch):
     step = max(1, _EXP_BLOCK // (times.size * op.m))
     for ppd, want in flagged.items():
         counts.update(eig=0, _expm=0)
-        _, fallback = _kernel_matrix(op, _panel_nodes(P, ppd)[0], times, 0)
+        _, fallback = _kernel_matrix(op, _plancherel_nodes(P, ppd)[0], times, 0)
         expm = -(-want // step) if op.m > 2 else 0
         assert counts == {"eig": 1, "_expm": expm} and fallback == want, ppd
     counts.update(eig=0, _expm=0)
@@ -462,7 +531,7 @@ def test_whole_space_entries_carry_quadrature_evidence():
     ev = entry.quadrature
     times = np.geomspace(1e2, 1e4, 40)
     assert np.array_equal(entry.values, l2_decay_curve(op, RadialProfile(), times))
-    rhos, _ = _panel_nodes(RadialProfile().tail_cutoff(), ev.panels_per_decade)
+    rhos, _ = _plancherel_nodes(RadialProfile().tail_cutoff(), ev.panels_per_decade)
     assert ev.nodes == rhos.size
     assert 0.0 <= ev.last_relative_change <= 1e-8
     assert ev.expm_fallback_nodes == defective_nodes(op, rhos) > 0

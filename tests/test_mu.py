@@ -15,7 +15,9 @@ from critevo.mu import (
     integral_condition,
     iterated_log_antiderivative,
     lipschitz_certificate,
+    log_panels,
     parse_mu,
+    settle,
 )
 
 
@@ -256,6 +258,60 @@ def test_unsettled_quadrature_raises(monkeypatch):
     monkeypatch.setattr(mu_module, "_PANELS", (1,))
     with pytest.raises(NumericalError, match="did not settle"):
         integral_condition(MuSpec(family="constant"), c0=0.1)
+
+
+def _ladder_of(curves):
+    """evaluate(density) for settle: the given vector at each density, 16 nodes
+    per panel of 3 decades."""
+    return lambda density: (curves[density], 16 * 3 * density)
+
+
+def test_settle_takes_each_value_relative_to_itself():
+    # the small value moves by 1e-6 of itself at density 2, which is below
+    # tol times the vector's largest value: a whole-vector rule would stop there
+    curves = {1: [1.0, 1e-3], 2: [1.0, 1e-3 + 1e-9], 4: [1.0 + 1e-12, 1e-3 + 1e-9]}
+    values, (density, nodes, move, relative_move) = settle(_ladder_of(curves), (1, 2, 4), 1e-8,
+                                                           1e-12, "test")
+    assert values is curves[4]
+    assert (density, nodes) == (4, 16 * 3 * 4)
+    assert move == pytest.approx(1e-12, rel=1e-3)
+    assert relative_move == pytest.approx(1e-12, rel=1e-3)
+    with pytest.raises(NumericalError, match="test did not settle to tol 1e-08 by 2 panels"):
+        settle(_ladder_of(curves), (1, 2), 1e-8, 1e-12, "test")
+
+
+def test_settle_measures_a_small_value_against_the_floor():
+    # below the floor a value settles to tol * floor, and its relative move
+    # is taken against the floor
+    curves = {1: [2.0, 1e-20], 2: [2.0, 3e-20]}
+    _, (density, _, move, relative_move) = settle(_ladder_of(curves), (1, 2), 1e-8, 1e-10, "test")
+    assert density == 2
+    assert move == pytest.approx(2e-20)
+    assert relative_move == pytest.approx(2e-10)
+
+
+def test_settle_skips_infinite_values_and_never_accepts_nan():
+    curves = {1: [math.inf, 1.0], 2: [math.inf, 1.0]}
+    values, record = settle(_ladder_of(curves), (1, 2), 1e-9, 1.0, "test")
+    assert values == [math.inf, 1.0]
+    assert record == (2, 96, 0.0, 0.0)
+    _, record = settle(_ladder_of({1: [math.inf], 2: [math.inf]}), (1, 2), 1e-9, 1.0, "test")
+    assert record == (2, 96, 0.0, 0.0)
+    with pytest.raises(NumericalError, match="did not settle"):
+        settle(_ladder_of({1: [math.nan, 1.0], 2: [math.nan, 1.0]}), (1, 2), 1e-9, 1.0, "test")
+
+
+def test_log_panels_cut_each_decade_and_the_extra_edges():
+    edges = [2.0, 2.0 + math.log(10), 2.0 + 2 * math.log(10)]
+    panels = log_panels(edges, 4)
+    assert len(panels) == 8
+    assert [k for _, _, k in panels] == [0] * 4 + [1] * 4
+    assert all(half == pytest.approx(math.log(10) / 8) for _, half, _ in panels)
+    assert panels[0][0] - panels[0][1] == edges[0] and panels[-1][0] + panels[-1][1] == edges[-1]
+    # an extra edge splits the panel it falls in, and keeps its decade
+    split = log_panels(edges, 4, [edges[1] + 0.1])
+    assert len(split) == 9 and [k for _, _, k in split] == [0] * 4 + [1] * 5
+    assert split[4][0] - split[4][1] == edges[1] and split[4][0] + split[4][1] == edges[1] + 0.1
 
 
 def test_scale_substitution_property():
@@ -558,7 +614,7 @@ def test_eval_F_maps_nan_to_nan(mu):
 @pytest.mark.parametrize("mu", PARITY_SPECS, ids=lambda mu: f"{mu.family}-{mu.depth}")
 def test_eval_F_rejects_what_the_general_formula_rejects(mu):
     nl = NonlinearitySpec(p=2.0, mu=mu)
-    for bad in (np.inf, -np.inf, [0.1, np.inf], np.array([[0.0, -np.inf]])):
+    for bad in (np.inf, -np.inf, [0.1, np.inf], np.array([[0.0, -np.inf]]), [np.nan, 0.0, np.inf]):
         with pytest.raises(ValidationError, match="tau must be finite"):
             _reference_F(nl, bad)
         with pytest.raises(ValidationError, match="tau must be finite"):
